@@ -13,11 +13,9 @@ from .evolution import (
     BathSpec,
     IntegrationError,
     LindbladPropagator,
-    Propagator,
     dissipator,
     lindblad_evolve,
     liouvillian,
-    propagator,
 )
 from .hamiltonians import (
     BBHSpec,
@@ -68,14 +66,14 @@ from .sweeps import (
 __all__ = [
     "BBHSpec", "BathSpec", "ConfigError", "DensityMatrix", "ExtinctionError",
     "HamiltonianSpec", "IntegrationError", "LindbladPropagator", "Projector",
-    "Propagator", "ProtocolConfig", "SpinOperatorSet", "SpinStarSpec",
+    "ProtocolConfig", "SpinOperatorSet", "SpinStarSpec",
     "SweepSpec", "SystemLayout", "TrajectoryRecord", "XXZSpec", "ZenoSpectrum",
     "apply_measurement", "build_bbh", "build_spin_star", "build_xxz",
     "classify_regions", "delta_p", "dissipator", "embed_operator",
     "fidelity_bbh_rank1_d3", "fidelity_xx_rank1", "lindblad_evolve",
     "liouvillian", "load_config", "local_energy_eigenbasis",
     "low_lying_mixture", "oracle_check", "partial_trace", "projector",
-    "propagator", "run_config", "run_sweep", "spin_operators",
+    "run_config", "run_sweep", "spin_operators",
     "tensor_product", "thermal_state", "uhlmann_fidelity", "write_results",
     "zeno_run", "zeno_spectrum",
 ]

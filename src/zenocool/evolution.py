@@ -1,4 +1,4 @@
-"""Closed-system propagators and open-system (local master equation) evolution.
+"""Open-system (local master equation) evolution.
 
 The dissipative channel is a single lowering operator A = S^-/2 on one site
 at frequency omega (the uniform Sz ladder gap), with thermal occupancy
@@ -9,6 +9,7 @@ superoperator is unreasonable.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -18,7 +19,6 @@ from scipy.linalg import expm
 from .qudit import DensityMatrix, embed_operator, spin_operators
 
 SUPEROP_MAX_DIM = 100
-UNITARITY_TOL = 1e-10
 
 
 class IntegrationError(RuntimeError):
@@ -26,30 +26,10 @@ class IntegrationError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Propagator:
-    """Unitary U = exp(-i H tau) from the eigendecomposition of H."""
-
-    matrix: np.ndarray
-    tau: float
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        return self.matrix @ rho @ self.matrix.conj().T
-
-
-def propagator(H: np.ndarray, tau: float) -> Propagator:
-    H = np.asarray(H, dtype=complex)
-    if np.max(np.abs(H - H.conj().T)) > UNITARITY_TOL:
-        raise ValueError("Hamiltonian is not Hermitian within 1e-10")
-    lam, V = np.linalg.eigh(H)
-    U = (V * np.exp(-1j * lam * tau)) @ V.conj().T
-    return Propagator(matrix=U, tau=tau)
-
-
-@dataclass(frozen=True)
 class BathSpec:
     """Thermal-bath dissipation on one site: rate gamma, temperature, channel frequency.
 
-    `site=None` resolves to the last (farthest) target site at protocol level.
+    `site=None` is the last (farthest) site of the system.
     """
 
     temperature: float
@@ -58,14 +38,16 @@ class BathSpec:
     site: Optional[int] = None
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise ValueError("coupling gamma must be non-negative")
+        # chained comparisons are False for NaN, so NaN fails each check too
+        if not 0 < self.temperature < math.inf:
+            raise ValueError(f"bath.temperature must be positive and finite, got {self.temperature}")
+        if not 0 < self.omega < math.inf:
+            raise ValueError(f"bath.omega (channel frequency) must be positive and finite, "
+                             f"got {self.omega}")
+        if not 0 <= self.gamma < math.inf:
+            raise ValueError(f"bath.gamma must be non-negative and finite, got {self.gamma}")
 
     def occupancy(self) -> float:
-        if self.omega <= 0:
-            raise ValueError("channel frequency must be positive")
-        if self.temperature <= 0:
-            raise ValueError("occupancy undefined for T <= 0 at positive frequency")
         ratio = self.omega / self.temperature
         return 0.0 if ratio > 700 else 1.0 / np.expm1(ratio)
 

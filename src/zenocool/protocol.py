@@ -7,17 +7,19 @@ conditional state is propagated deterministically and per-round conditional
 probabilities are accumulated (with their logs, so long runs cannot
 underflow).
 
-When the embedded projector is a 0/1 diagonal (always the case for the Sz
-eigenbasis used here), the post-measurement state lives on the projector
-support, and the closed-system iteration is carried out on that subspace.
-This is an exact algebraic restriction, not an approximation; the dense
-path remains for general projectors and the open-system route.
+The projector is a 0/1 diagonal in the Sz basis, so the post-measurement
+state lives on its support and every round is carried out there.  Every
+model conserves total Sz (checked once at set-up) and rho(0) is diagonal,
+so rho stays block-diagonal in magnetization sectors: each target's reduced
+state is diagonal, and its fidelity is read off the site populations.
+Both are exact algebraic restrictions, not approximations.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Optional
 
 import numpy as np
@@ -27,15 +29,15 @@ from .hamiltonians import HamiltonianSpec, SystemLayout
 from .qudit import (
     DensityMatrix,
     Projector,
-    _partial_trace_array,
-    _uhlmann_array,
+    _zeroed,
     low_lying_mixture,
     projector,
+    spin_operators,
     thermal_state,
 )
 
 EXTINCTION_THRESHOLD = 1e-14
-DIAGONAL_PROJECTOR_TOL = 1e-13
+SZ_CONSERVATION_TOL = 1e-12
 
 
 class ExtinctionError(RuntimeError):
@@ -75,6 +77,12 @@ class ProtocolConfig:
             raise ValueError(f"regulator preparation rank {self.regulator_prep} out of range 1..{d}")
         if self.n_measurements < 0:
             raise ValueError("number of measurements must be >= 0")
+        for name, value in (("tau", self.tau), *vars(self.hamiltonian).items()):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        site = None if self.bath is None else self.bath.site
+        if site is not None and not 0 <= site <= self.layout.L:
+            raise ValueError(f"bath.site {site} out of range 0..{self.layout.L}")
         if self.target_betas is not None and len(self.target_betas) != self.layout.L:
             raise ValueError(
                 f"target_betas has {len(self.target_betas)} entries for {self.layout.L} targets")
@@ -146,11 +154,22 @@ def apply_measurement(rho: DensityMatrix, proj: Projector,
     return DensityMatrix((out + out.conj().T) / (2 * p), rho.dims), p
 
 
+def _hamiltonian(layout: SystemLayout, spec: HamiltonianSpec) -> np.ndarray:
+    """The model's H, checked to conserve total Sz (the round loop relies on it)."""
+    H = spec.build(layout)
+    m = np.diag(spin_operators(layout.d).sz).real
+    sz_tot = reduce(np.add.outer, [m] * layout.n_sites).ravel()
+    # [H, Sz_tot]_ij = H_ij (Sz_j - Sz_i) for the diagonal Sz_tot
+    leak = float(np.max(np.abs(H * (sz_tot[None, :] - sz_tot[:, None]))))
+    if not leak <= SZ_CONSERVATION_TOL:
+        raise ValueError(f"{spec.model} Hamiltonian does not conserve total Sz: "
+                         f"max |[H, Sz_tot]| = {leak:.3e} > {SZ_CONSERVATION_TOL:g}")
+    return H
+
+
 @lru_cache(maxsize=8)
 def _eigendecomposition(layout: SystemLayout, spec: HamiltonianSpec):
-    H = spec.build(layout)
-    lam, V = np.linalg.eigh(H)
-    return lam, V
+    return np.linalg.eigh(_hamiltonian(layout, spec))
 
 
 def _unitary(config: ProtocolConfig) -> np.ndarray:
@@ -158,16 +177,25 @@ def _unitary(config: ProtocolConfig) -> np.ndarray:
     return (V * np.exp(-1j * lam * config.tau)) @ V.conj().T
 
 
-def _diagonal_support(P: np.ndarray) -> Optional[np.ndarray]:
-    """Indices of a 0/1 diagonal projector, or None if P is not of that form."""
-    diag = np.diag(P)
-    if np.max(np.abs(P - np.diag(diag))) > DIAGONAL_PROJECTOR_TOL:
-        return None
-    on = np.abs(diag - 1.0) < DIAGONAL_PROJECTOR_TOL
-    off = np.abs(diag) < DIAGONAL_PROJECTOR_TOL
-    if not np.all(on | off):
-        return None
-    return np.flatnonzero(on)
+def _fidelity_reader(config: ProtocolConfig):
+    """rho -> Uhlmann fidelity of every target against the regulator preparation.
+
+    rho is the full state or its block on the projector support: either way
+    the regulator is the leading digit of its diagonal.  The reduced states
+    are diagonal, so against the equal mixture of the k lowest levels the
+    fidelity is (sum_i sqrt(p_i))^2 / k over those levels, with the zero
+    cutoff of uhlmann_fidelity.
+    """
+    d, L = config.layout.d, config.layout.L
+    low = np.flatnonzero(np.diag(target_state(config).data).real)
+    others = [tuple(a for a in range(L + 1) if a != j) for j in range(1, L + 1)]
+
+    def read(rho: np.ndarray) -> np.ndarray:
+        pops = np.diagonal(rho).real.reshape((-1,) + (d,) * L)
+        q = _zeroed(np.stack([pops.sum(axis=axes) for axes in others])[:, low])
+        return np.minimum(np.sqrt(q).sum(axis=1) ** 2 / len(low), 1.0)
+
+    return read
 
 
 def zeno_run(config: ProtocolConfig, *, retain_state: bool = True,
@@ -182,14 +210,7 @@ def zeno_run(config: ProtocolConfig, *, retain_state: bool = True,
     dims = config.layout.dims
     L = config.layout.L
     rho0 = initial_state(config)
-    sigma = target_state(config).data
-    P = measurement_projector(config).embedded(dims)
-
-    def site_fidelities(rho_full: np.ndarray) -> np.ndarray:
-        return np.array([
-            _uhlmann_array(_partial_trace_array(rho_full, dims, [j]), sigma)
-            for j in range(1, L + 1)])
-
+    site_fidelities = _fidelity_reader(config)
     f0 = site_fidelities(rho0.data)
     N = config.n_measurements
     if N == 0:
@@ -198,18 +219,16 @@ def zeno_run(config: ProtocolConfig, *, retain_state: bool = True,
             step_probabilities=np.zeros(0), log_cumulative=np.zeros(0),
             initial_fidelities=f0, final_state=rho0 if retain_state else None)
 
-    if config.bath is None:
-        runner = _closed_rounds(config, rho0.data, P)
-    else:
-        runner = _open_rounds(config, rho0.data, P)
-
+    # the projector support: flat indices whose regulator digit is one of the k lowest levels
+    low = np.diag(measurement_projector(config).local_matrix()).real > 0.5
+    support = np.flatnonzero(np.repeat(low, config.layout.d ** L))
+    rounds = _closed_rounds if config.bath is None else _open_rounds
     fids = np.zeros((N, L))
     probs = np.zeros(N)
     logs = np.zeros(N)
     log_acc = 0.0
     drift = 0.0
-    final = None
-    for n, (rho_full, p, step_drift) in enumerate(runner, start=1):
+    for n, (rho, p, step_drift) in enumerate(rounds(config, rho0.data, support), start=1):
         drift = max(drift, step_drift)
         if p < extinction_threshold:
             partial = TrajectoryRecord(
@@ -220,65 +239,49 @@ def zeno_run(config: ProtocolConfig, *, retain_state: bool = True,
         probs[n - 1] = p
         log_acc += np.log(p)
         logs[n - 1] = log_acc
-        fids[n - 1] = site_fidelities(rho_full)
-        if n == N:
-            final = rho_full
-    record = TrajectoryRecord(
+        fids[n - 1] = site_fidelities(rho)
+    final = None
+    if retain_state:
+        full = np.zeros_like(rho0.data)
+        full[np.ix_(support, support)] = (rho + rho.conj().T) / 2
+        final = DensityMatrix(full, dims)
+    return TrajectoryRecord(
         steps=np.arange(1, N + 1), fidelities=fids, step_probabilities=probs,
-        log_cumulative=logs, initial_fidelities=f0,
-        final_state=DensityMatrix((final + final.conj().T) / 2, dims) if retain_state else None,
+        log_cumulative=logs, initial_fidelities=f0, final_state=final,
         max_trace_drift=drift)
-    return record
 
 
-def _closed_rounds(config: ProtocolConfig, rho0: np.ndarray, P: np.ndarray):
-    """Yield (normalized full-space rho, conditional p, 0.0) per round."""
+def _closed_rounds(config: ProtocolConfig, rho0: np.ndarray, support: np.ndarray):
+    """Yield (normalized rho on the support, conditional p, 0.0) per round."""
     U = _unitary(config)
-    D = U.shape[0]
-    support = _diagonal_support(P)
-    N = config.n_measurements
-    if support is None:
-        M = P @ U
-        rho = rho0
-        for _ in range(N):
-            rho = M @ rho @ M.conj().T
-            p = float(np.trace(rho).real)
-            if p > 0:
-                rho /= p
-            yield rho, p, 0.0
-        return
-    # exact restriction to the projector support
     rows = U[support, :]
-    rho_s = (rows @ rho0) @ rows.conj().T
+    rho = (rows @ rho0) @ rows.conj().T
     M = U[np.ix_(support, support)]
-    full = np.zeros((D, D), dtype=complex)
-    for n in range(N):
+    for n in range(config.n_measurements):
         if n > 0:
-            rho_s = (M @ rho_s) @ M.conj().T
-        p = float(np.trace(rho_s).real)
-        if p > 0:
-            rho_s /= p
-        full[np.ix_(support, support)] = rho_s
-        yield full, p, 0.0
-
-
-def _open_rounds(config: ProtocolConfig, rho0: np.ndarray, P: np.ndarray):
-    """LME evolution between measurements; yields trace drift per round."""
-    bath = config.bath
-    if bath.site is None:
-        bath = BathSpec(temperature=bath.temperature, gamma=bath.gamma,
-                        omega=bath.omega, site=config.layout.L)
-    H = config.hamiltonian.build(config.layout)
-    prop = LindbladPropagator(H, bath, config.layout.dims, config.tau)
-    rho = rho0
-    for _ in range(config.n_measurements):
-        rho = prop.apply(rho)
-        drift = abs(np.trace(rho).real - 1.0)
-        rho = P @ rho @ P
+            rho = (M @ rho) @ M.conj().T
         p = float(np.trace(rho).real)
         if p > 0:
-            rho = (rho + rho.conj().T) / (2 * p)
-        yield rho, p, drift
+            rho /= p
+        yield rho, p, 0.0
+
+
+def _open_rounds(config: ProtocolConfig, rho0: np.ndarray, support: np.ndarray):
+    """LME evolution between measurements; yields rho on the support and the trace drift."""
+    H = _hamiltonian(config.layout, config.hamiltonian)
+    prop = LindbladPropagator(H, config.bath, config.layout.dims, config.tau)
+    block = np.ix_(support, support)
+    rho = rho0
+    for _ in range(config.n_measurements):
+        evolved = prop.apply(rho)
+        drift = abs(np.trace(evolved).real - 1.0)
+        rho_s = evolved[block]    # = P evolved P, as P is a 0/1 diagonal
+        p = float(np.trace(rho_s).real)
+        if p > 0:
+            rho_s = (rho_s + rho_s.conj().T) / (2 * p)
+        yield rho_s, p, drift
+        rho = np.zeros_like(evolved)
+        rho[block] = rho_s
 
 
 def direct_cumulative_probability(config: ProtocolConfig) -> float:

@@ -203,8 +203,8 @@ def uhlmann_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 def _zeroed(w: np.ndarray) -> np.ndarray:
     # eigenvalues indistinguishable from zero must not leak sqrt(eps) noise
-    # into the trace of the matrix square root
-    cutoff = max(w.max(), 0.0) * 1e-14
+    # into the trace of the matrix square root; rows of a 2-D w are separate spectra
+    cutoff = np.maximum(w.max(axis=-1, keepdims=True), 0.0) * 1e-14
     return np.where(w > cutoff, w, 0.0)
 
 

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from zenocool import (
     BathSpec,
@@ -22,14 +23,13 @@ from zenocool import (
     classify_regions,
     low_lying_mixture,
     partial_trace,
-    propagator,
     spin_operators,
     uhlmann_fidelity,
     zeno_run,
     zeno_spectrum,
 )
 from zenocool.presets import JTAU_CONTOUR, THETA_CONTOUR
-from zenocool.protocol import direct_cumulative_probability
+from zenocool.protocol import _unitary, direct_cumulative_probability
 from zenocool.sweeps import (
     COLUMNS,
     SweepSpec,
@@ -38,7 +38,7 @@ from zenocool.sweeps import (
     xx_oracle_deviation,
 )
 
-from conftest import random_density, random_hermitian
+from conftest import random_density
 
 
 def report(criterion: str, ok: bool, detail: str):
@@ -233,11 +233,12 @@ def test_criterion_9_property_suites():
     for H in (build_xxz(layout, 0.9, 0.4, 1.2), build_bbh(layout, 0.9, 0.7, 1.2)):
         assert np.max(np.abs(H - H.conj().T)) < 1e-12
         assert np.max(np.abs(H @ sz_tot - sz_tot @ H)) < 1e-12
-    # propagator unitarity + group law
-    H = random_hermitian(6, 123)
-    U1, U2 = propagator(H, 0.7).matrix, propagator(H, 1.1).matrix
-    assert np.max(np.abs(U1 @ U1.conj().T - np.eye(6))) < 1e-10
-    assert np.max(np.abs(U1 @ U2 - propagator(H, 1.8).matrix)) < 1e-9
+    # U(tau) unitarity + group law, and agreement with scipy's expm
+    U1, U2, U12 = (_unitary(chain_config(3, t, 1, 1, Delta=0.4, L=2)) for t in (0.7, 1.1, 1.8))
+    H = build_xxz(layout, 1.0, 0.4, 1.0)
+    assert np.max(np.abs(U1 @ U1.conj().T - np.eye(27))) < 1e-10
+    assert np.max(np.abs(U1 @ U2 - U12)) < 1e-9
+    assert np.max(np.abs(U1 - expm(-1j * H * 0.7))) < 1e-10
     # fidelity bounds / symmetry / pure-state reduction
     rho, sigma = random_density(4, 1), random_density(4, 2)
     f = uhlmann_fidelity(rho, sigma)

@@ -3,60 +3,79 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 
 from conftest import random_density, random_hermitian
 from zenocool import (
     BathSpec,
+    BBHSpec,
     DensityMatrix,
     LindbladPropagator,
+    ProtocolConfig,
+    SpinStarSpec,
+    SystemLayout,
+    XXZSpec,
     dissipator,
     lindblad_evolve,
     liouvillian,
-    propagator,
     spin_operators,
     thermal_state,
 )
+from zenocool.protocol import _unitary
+
+
+def model_config(seed: int, tau: float) -> ProtocolConfig:
+    """A d=3 XXZ chain, BBH chain or spin star (by seed) with couplings drawn from seed."""
+    rng = np.random.default_rng(seed)
+    J, x, h = rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(0.5, 2)
+    layout, ham = (
+        (SystemLayout("chain", 2, 3), XXZSpec(J=J, Delta=x, h=h)),
+        (SystemLayout("chain", 2, 3), BBHSpec(J=J, theta=x, h=h)),
+        (SystemLayout("star", 2, 3), SpinStarSpec(J=J, h=h)),
+    )[seed % 3]
+    return ProtocolConfig(layout=layout, hamiltonian=ham, tau=tau, n_measurements=1, rank=1)
 
 
 def test_propagator_tau_zero_is_identity():
-    U = propagator(random_hermitian(5, 3), 0.0).matrix
-    assert np.allclose(U, np.eye(5))
+    for seed in range(3):
+        assert np.allclose(_unitary(model_config(seed, 0.0)), np.eye(27))
 
 
 def test_propagator_single_spin_diagonal():
-    sz = spin_operators(2).sz
+    # zero coupling leaves the field h (Sz_0 + Sz_1): U is diagonal in the Sz basis
     tau = 0.7
-    U = propagator(1.0 * sz, tau).matrix
-    assert np.allclose(U, np.diag([np.exp(-1j * tau / 2), np.exp(1j * tau / 2)]))
+    config = ProtocolConfig(layout=SystemLayout("chain", 1, 2),
+                            hamiltonian=XXZSpec(J=0.0, Delta=0.0), tau=tau,
+                            n_measurements=1, rank=1)
+    m_tot = np.array([1.0, 0.0, 0.0, -1.0])
+    assert np.allclose(_unitary(config), np.diag(np.exp(-1j * tau * m_tot)))
 
 
 @given(seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=20)
 def test_propagator_matches_power_series(seed):
-    H = random_hermitian(6, seed)
-    tau = 0.1
-    U = propagator(H, tau).matrix
-    series = np.zeros((6, 6), dtype=complex)
-    term = np.eye(6, dtype=complex)
+    config = model_config(seed, 0.1)
+    U = _unitary(config)
+    A = -1j * config.hamiltonian.build(config.layout) * config.tau
+    series = np.zeros_like(A)
+    term = np.eye(len(A), dtype=complex)
     for n in range(31):
         series += term
-        term = term @ (-1j * H * tau) / (n + 1)
+        term = term @ A / (n + 1)
     assert np.max(np.abs(U - series)) < 1e-10
+    assert np.max(np.abs(U - expm(A))) < 1e-10
 
 
 @given(seed=st.integers(0, 2**32 - 1), t1=st.floats(-3, 3), t2=st.floats(-3, 3))
 @settings(max_examples=20)
 def test_propagator_unitary_and_group_law(seed, t1, t2):
-    H = random_hermitian(5, seed)
-    U1, U2 = propagator(H, t1).matrix, propagator(H, t2).matrix
-    U12 = propagator(H, t1 + t2).matrix
-    assert np.max(np.abs(U1 @ U1.conj().T - np.eye(5))) < 1e-10
+    config = model_config(seed, t1)
+    U1 = _unitary(config)
+    U2 = _unitary(model_config(seed, t2))
+    U12 = _unitary(model_config(seed, t1 + t2))
+    assert np.max(np.abs(U1 @ U1.conj().T - np.eye(27))) < 1e-10
     assert np.max(np.abs(U1 @ U2 - U12)) < 1e-9
-
-
-def test_propagator_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        propagator(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
+    assert np.max(np.abs(U1 - expm(-1j * config.hamiltonian.build(config.layout) * t1))) < 1e-9
 
 
 def test_dissipator_gamma_zero():
@@ -100,7 +119,8 @@ def test_lindblad_gamma_zero_equals_unitary(seed):
     H = random_hermitian(9, seed ^ 0xABCD)
     bath = BathSpec(temperature=1.0, gamma=0.0, omega=1.0, site=1)
     out = lindblad_evolve(rho, H, bath, 0.9)
-    expect = propagator(H, 0.9).apply(rho.data)
+    U = expm(-1j * H * 0.9)
+    expect = U @ rho.data @ U.conj().T
     assert np.max(np.abs(out.data - expect)) < 1e-10
 
 
@@ -126,7 +146,8 @@ def test_lindblad_gamma_continuity():
     rho = random_density(9, 11, dims=(3, 3))
     H = random_hermitian(9, 12)
     tau = 1.0
-    unitary = propagator(H, tau).apply(rho.data)
+    U = expm(-1j * H * tau)
+    unitary = U @ rho.data @ U.conj().T
     diffs = {}
     for gamma in (1e-6, 1e-5):
         bath = BathSpec(temperature=1.0, gamma=gamma, omega=1.0, site=1)

@@ -1,11 +1,14 @@
 import math
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 
 from zenocool import (
+    BathSpec,
     DensityMatrix,
     ExtinctionError,
     ProtocolConfig,
@@ -14,17 +17,24 @@ from zenocool import (
     XXZSpec,
     apply_measurement,
     delta_p,
+    embed_operator,
     fidelity_xx_rank1,
+    liouvillian,
     low_lying_mixture,
     partial_trace,
     projector,
+    spin_operators,
     tensor_product,
     thermal_state,
     uhlmann_fidelity,
     zeno_run,
     zeno_spectrum,
 )
-from zenocool.protocol import direct_cumulative_probability
+from zenocool.protocol import (
+    direct_cumulative_probability,
+    initial_state,
+    measurement_projector,
+)
 
 
 def xx_config(d=3, jtau=1.2, N=10, k=1, L=1, Delta=0.0, **kw):
@@ -121,26 +131,64 @@ def test_trajectory_states_and_fidelities_valid(jtau, n):
     assert abs(np.trace(record.final_state.data).real - 1.0) < 1e-10
 
 
-def test_dense_and_support_paths_agree():
-    # same run with the projector made non-diagonal by a phase-free rotation
-    # is not expressible here; instead compare against an independent dense
-    # reimplementation of the round map
-    config = xx_config(d=3, jtau=0.9, N=8, k=2, Delta=1.0)
+@pytest.mark.parametrize("config", [
+    xx_config(d=3, jtau=0.9, N=8, k=2, Delta=1.0),
+    xx_config(d=3, jtau=0.9, N=8, k=2, Delta=1.0, L=2),
+    ProtocolConfig(layout=SystemLayout("star", 2, 3), hamiltonian=SpinStarSpec(J=1.0),
+                   tau=0.9, n_measurements=8, rank=2),
+    xx_config(d=3, jtau=0.9, N=8, k=2, Delta=1.0,
+              bath=BathSpec(temperature=1.0, gamma=0.05, omega=1.0)),
+], ids=["chain-L1", "chain-L2", "star-L2", "chain-L1-bath"])
+def test_round_loop_matches_dense_oracle(config):
+    """The literal round map rho -> P E(rho) P / p on the full space, with
+    fidelities from partial_trace + uhlmann_fidelity."""
     record = zeno_run(config)
-    from zenocool.protocol import _unitary, initial_state, measurement_projector
-    U = _unitary(config)
-    P = measurement_projector(config).embedded(config.layout.dims)
-    M = P @ U
+    dims = config.layout.dims
+    H = config.hamiltonian.build(config.layout)
+    if config.bath is None:
+        U = expm(-1j * H * config.tau)
+        evolve = lambda rho: U @ rho @ U.conj().T
+    else:
+        E = expm(liouvillian(H, config.bath, dims) * config.tau)
+        evolve = lambda rho: (E @ rho.reshape(-1)).reshape(rho.shape)
+    P = measurement_projector(config).embedded(dims)
+    sigma = low_lying_mixture(3, 2)
     rho = initial_state(config).data
-    sigma = low_lying_mixture(3, 2).data
-    for n in range(8):
-        rho = M @ rho @ M.conj().T
+    for n in range(config.n_measurements):
+        rho = P @ evolve(rho) @ P
         p = np.trace(rho).real
-        rho /= p
+        rho = (rho + rho.conj().T) / (2 * p)
         assert p == pytest.approx(record.step_probabilities[n], abs=1e-12)
-        red = partial_trace(DensityMatrix((rho + rho.conj().T) / 2, (3, 3)), {1})
-        f = uhlmann_fidelity(red, DensityMatrix(sigma, (3,)))
-        assert f == pytest.approx(record.fidelities[n, 0], abs=1e-12)
+        state = DensityMatrix(rho, dims)
+        for j in config.layout.target_sites:
+            f = uhlmann_fidelity(partial_trace(state, {j}), sigma)
+            assert f == pytest.approx(record.fidelities[n, j - 1], abs=1e-12)
+    assert np.max(np.abs(record.final_state.data - rho)) < 1e-12
+
+
+@dataclass(frozen=True)
+class XXZPlusSxSpec:
+    """XXZ chain plus a transverse field on the first target: breaks total Sz."""
+
+    J: float
+    Delta: float
+    h: float = 1.0
+
+    model = "xxz_sx"
+
+    def build(self, layout):
+        H = XXZSpec(J=self.J, Delta=self.Delta, h=self.h).build(layout)
+        return H + 0.3 * embed_operator(spin_operators(layout.d).sx, 1, layout.dims)
+
+
+@pytest.mark.parametrize("bath", [None, BathSpec(temperature=1.0, gamma=1e-3, omega=1.0)],
+                         ids=["closed", "bath"])
+def test_sz_breaking_hamiltonian_raises_at_setup(bath):
+    config = ProtocolConfig(layout=SystemLayout("chain", 1, 3),
+                            hamiltonian=XXZPlusSxSpec(J=1.0, Delta=0.0), tau=1.0,
+                            n_measurements=3, rank=1, bath=bath)
+    with pytest.raises(ValueError, match="xxz_sx Hamiltonian does not conserve total Sz"):
+        zeno_run(config)
 
 
 def test_star_ring_fidelities_identical():
@@ -224,7 +272,6 @@ def test_large_n_run_converges_to_dominant_eigenvector():
 
 
 def test_spectrum_rejects_open_system():
-    from zenocool import BathSpec
     config = xx_config(d=3, jtau=1.0, N=1,
                        bath=BathSpec(temperature=1.0, gamma=1e-3, omega=1.0))
     with pytest.raises(ValueError):

@@ -192,6 +192,23 @@ def test_cli_run_and_exit_codes(tmp_path):
     assert main(["preset", "fig99", "--out", str(tmp_path / "o3")]) == 1
 
 
+@pytest.mark.parametrize("base, field", [
+    ({"tau": math.nan}, "tau"),
+    ({"tau": math.inf}, "tau"),
+    ({"J": math.nan}, "J"),
+    ({"bath": {"temperature": math.nan, "gamma": 1e-3}}, "bath.temperature"),
+    ({"bath": {"temperature": -1.0, "gamma": 0.0}}, "bath.temperature"),
+    ({"bath": {"temperature": 1.0, "gamma": math.nan}}, "bath.gamma"),
+    ({"bath": {"temperature": 1.0, "gamma": 1e-3, "site": 7}}, "bath.site"),
+    ({"bath": {"temperature": 1.0, "gamma": 1e-3, "omega": math.inf}}, "bath.omega"),
+], ids=["tau-nan", "tau-inf", "J-nan", "temperature-nan", "temperature-negative", "gamma-nan", "site-7", "omega-inf"])
+def test_cli_rejects_non_finite_and_out_of_range_fields(tmp_path, capsys, base, field):
+    config = write_json(tmp_path, {"base": dict(MINIMAL["base"], **base)})
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "o" / "results.csv").exists()
+
+
 def test_cli_spectrum_json(tmp_path, capsys):
     config = write_json(tmp_path, MINIMAL)
     assert main(["spectrum", "--config", str(config)]) == 0
