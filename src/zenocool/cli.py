@@ -11,9 +11,8 @@ import json
 import sys
 from pathlib import Path
 
-from .evolution import IntegrationError
 from .presets import PRESETS, preset_sweeps
-from .protocol import ExtinctionError, zeno_spectrum
+from .protocol import zeno_spectrum
 from .sweeps import ConfigError, classify_regions, load_config, oracle_check, run_config, write_results
 
 EXIT_OK = 0
@@ -116,7 +115,7 @@ def main(argv=None) -> int:
     except ValueError as err:
         print(f"validation error: {err}", file=sys.stderr)
         code = EXIT_VALIDATION
-    except (IntegrationError, ExtinctionError, RuntimeError) as err:
+    except RuntimeError as err:         # IntegrationError and ExtinctionError included
         print(f"runtime error: {err}", file=sys.stderr)
         code = EXIT_RUNTIME
     if argv is None:

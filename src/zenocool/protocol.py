@@ -17,6 +17,7 @@ Both are exact algebraic restrictions, not approximations.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -38,6 +39,7 @@ from .qudit import (
 
 EXTINCTION_THRESHOLD = 1e-14
 SZ_CONSERVATION_TOL = 1e-12
+OPEN_BLOCK_COPIES = 4   # peak memory of the open set-up over its block (4.1 traced at D=81)
 
 
 class ExtinctionError(RuntimeError):
@@ -91,6 +93,13 @@ class ProtocolConfig:
                 raise ValueError("spin-star Hamiltonian requires the star layout")
         elif self.layout.topology != "chain":
             raise ValueError(f"{self.hamiltonian.model} Hamiltonian requires the chain layout")
+        if self.bath is not None:
+            need = _open_set_up_bytes(self)
+            have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+            if need > have:
+                raise ValueError(
+                    f"a bath run at D={self.layout.d ** self.layout.n_sites} needs about "
+                    f"{need:,} bytes to set up, more than the {have:,} bytes of physical memory")
 
     @property
     def prep_rank(self) -> int:
@@ -99,6 +108,19 @@ class ProtocolConfig:
     @property
     def betas(self) -> tuple[float, ...]:
         return (0.0,) * self.layout.L if self.target_betas is None else self.target_betas
+
+
+def _open_set_up_bytes(config: ProtocolConfig) -> int:
+    """Memory of `_open_rounds`' block and its working copies, from the Sz-sector sizes.
+
+    The sizes come from convolving the local Sz ladders, so nothing D-sized is built.
+    """
+    d, L = config.layout.d, config.layout.L
+    low = (np.diag(measurement_projector(config).local_matrix()).real > 0.5).astype(float)
+    targets = reduce(np.convolve, [np.ones(d)] * L)
+    rows = np.sum(np.convolve(np.ones(d), targets) ** 2)
+    cols = np.sum(np.convolve(low, targets) ** 2) + 1
+    return int(16 * OPEN_BLOCK_COPIES * rows * cols)
 
 
 @dataclass
@@ -154,11 +176,16 @@ def apply_measurement(rho: DensityMatrix, proj: Projector,
     return DensityMatrix((out + out.conj().T) / (2 * p), rho.dims), p
 
 
+def _sz_total(layout: SystemLayout) -> np.ndarray:
+    """Total Sz of every basis state, in the flat index order of rho."""
+    m = np.diag(spin_operators(layout.d).sz).real
+    return reduce(np.add.outer, [m] * layout.n_sites).ravel()
+
+
 def _hamiltonian(layout: SystemLayout, spec: HamiltonianSpec) -> np.ndarray:
     """The model's H, checked to conserve total Sz (the round loop relies on it)."""
     H = spec.build(layout)
-    m = np.diag(spin_operators(layout.d).sz).real
-    sz_tot = reduce(np.add.outer, [m] * layout.n_sites).ravel()
+    sz_tot = _sz_total(layout)
     # [H, Sz_tot]_ij = H_ij (Sz_j - Sz_i) for the diagonal Sz_tot
     leak = float(np.max(np.abs(H * (sz_tot[None, :] - sz_tot[:, None]))))
     if not leak <= SZ_CONSERVATION_TOL:
@@ -267,21 +294,39 @@ def _closed_rounds(config: ProtocolConfig, rho0: np.ndarray, support: np.ndarray
 
 
 def _open_rounds(config: ProtocolConfig, rho0: np.ndarray, support: np.ndarray):
-    """LME evolution between measurements; yields rho on the support and the trace drift."""
+    """LME evolution between measurements; yields rho on the support and the trace drift.
+
+    H conserves total Sz and A = S^-/2 lowers bra and ket together, so L maps
+    the entries (i, j) of rho with Sz_tot(i) = Sz_tot(j) into themselves,
+    and rho(0) lies among them.  One exponential action on that subspace
+    evolves each support entry (i, j in S) and rho(0) together; every round
+    is then one dense matvec on the support entries.
+    """
+    D, s = len(rho0), len(support)
+    sz = _sz_total(config.layout)
+    kept = np.flatnonzero(sz[:, None] == sz[None, :])
+    inner = np.flatnonzero(sz[support][:, None] == sz[support][None, :])
+    i, j = np.divmod(inner, s)
+    entries = np.searchsorted(kept, support[i] * D + support[j])
+    block = np.zeros((len(kept), len(inner) + 1), dtype=complex)
+    block[entries, np.arange(len(inner))] = 1.0
+    block[:, -1] = rho0.reshape(-1)[kept]
     H = _hamiltonian(config.layout, config.hamiltonian)
-    prop = LindbladPropagator(H, config.bath, config.layout.dims, config.tau)
-    block = np.ix_(support, support)
-    rho = rho0
-    for _ in range(config.n_measurements):
-        evolved = prop.apply(rho)
-        drift = abs(np.trace(evolved).real - 1.0)
-        rho_s = evolved[block]    # = P evolved P, as P is a 0/1 diagonal
-        p = float(np.trace(rho_s).real)
-        if p > 0:
-            rho_s = (rho_s + rho_s.conj().T) / (2 * p)
-        yield rho_s, p, drift
-        rho = np.zeros_like(evolved)
-        rho[block] = rho_s
+    prop = LindbladPropagator(H, config.bath, config.layout.dims, config.tau, subspace=kept)
+    evolved = prop.apply(block)
+    traces = evolved[kept // D == kept % D].sum(axis=0)
+    M, y, trace = evolved[entries, :-1], evolved[entries, -1], traces[-1]
+    del block, evolved      # the rounds need only M, y and the trace row
+    pops = np.flatnonzero(i == j)
+    swap = np.searchsorted(inner, j * s + i)     # entry (j, i) of each (i, j)
+    rho = np.zeros((s, s), dtype=complex)
+    for n in range(config.n_measurements):
+        if n > 0:
+            y, trace = M @ x, traces[:-1] @ x
+        p = float(y[pops].real.sum())
+        x = (y + y[swap].conj()) / (2 * p) if p > 0 else y
+        rho.flat[inner] = x
+        yield rho, p, abs(trace.real - 1.0)
 
 
 def direct_cumulative_probability(config: ProtocolConfig) -> float:

@@ -57,6 +57,16 @@ class SweepSpec:
             raise ConfigError("axes.theta: only meaningful for the bbh model")
         if self.jtau_axis is not None and self.base.hamiltonian.J == 0:
             raise ConfigError("axes.Jtau: base.J must be nonzero to convert Jtau to tau")
+        if self.recorded_steps is not None and min(self.recorded_steps) < 0:
+            raise ConfigError(f"axes.N: rounds must be >= 0, got {min(self.recorded_steps)}")
+        # build every point's config once, so a bad axis value fails before any point runs
+        for point in self.grid():
+            try:
+                self.config_at(point)
+            except ValueError as err:
+                where = ", ".join(f"axes.{label} = {value}" for label, value
+                                  in zip(("d", "k", "theta", "Jtau"), point) if value is not None)
+                raise ConfigError(f"{where}: {err}") from err
 
     def grid(self) -> list[tuple]:
         axes = [

@@ -21,7 +21,7 @@ from zenocool import (
     spin_operators,
     thermal_state,
 )
-from zenocool.protocol import _unitary
+from zenocool.protocol import _sz_total, _unitary
 
 
 def model_config(seed: int, tau: float) -> ProtocolConfig:
@@ -158,13 +158,32 @@ def test_lindblad_gamma_continuity():
     assert 5 < ratio < 20
 
 
-def test_rk4_fallback_matches_superoperator():
-    rho = random_density(9, 21, dims=(3, 3))
-    H = random_hermitian(9, 22)
-    bath = BathSpec(temperature=1.0, gamma=0.2, omega=1.0, site=1)
-    ref = LindbladPropagator(H, bath, (3, 3), 0.8, method="superop").apply(rho.data)
-    rk4 = LindbladPropagator(H, bath, (3, 3), 0.8, method="rk4").apply(rho.data)
-    assert np.max(np.abs(ref - rk4)) < 1e-9
+def test_lindblad_propagator_matches_dense_expm():
+    for dims, seed in (((3, 3), 21), ((4, 4), 23)):
+        D = math.prod(dims)
+        rho = random_density(D, seed, dims=dims)
+        H = random_hermitian(D, seed + 1)
+        bath = BathSpec(temperature=1.0, gamma=0.2, omega=1.0, site=1)
+        for tau in (0.8, 2 * math.pi):
+            ref = expm(liouvillian(H, bath, dims).toarray() * tau) @ rho.data.reshape(-1)
+            got = LindbladPropagator(H, bath, dims, tau).apply(rho.data.reshape(-1))
+            assert np.max(np.abs(got - ref)) < 1e-12
+
+
+@pytest.mark.parametrize("site", [0, None], ids=["regulator", "farthest"])
+@pytest.mark.parametrize("layout, ham", [
+    (SystemLayout("chain", 2, 3), XXZSpec(J=0.7, Delta=-1.3, h=1.1)),
+    (SystemLayout("chain", 2, 3), BBHSpec(J=0.7, theta=0.9, h=1.1)),
+    (SystemLayout("star", 2, 3), SpinStarSpec(J=0.7, h=1.1)),
+], ids=["xxz", "bbh", "star"])
+def test_liouvillian_keeps_sector_diagonal_subspace(layout, ham, site):
+    """Entries (i, j) with Sz_tot(i) = Sz_tot(j) map only into such entries: exactly."""
+    sz = _sz_total(layout)
+    kept = (sz[:, None] == sz[None, :]).ravel()
+    bath = BathSpec(temperature=0.8, gamma=0.3, omega=1.1, site=site)
+    L = liouvillian(ham.build(layout), bath, layout.dims).toarray()
+    assert np.count_nonzero(L[np.ix_(~kept, kept)]) == 0
+    assert np.count_nonzero(L[np.ix_(kept, kept)]) > 0
 
 
 def test_liouvillian_matches_direct_dissipator():

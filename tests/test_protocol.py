@@ -138,7 +138,12 @@ def test_trajectory_states_and_fidelities_valid(jtau, n):
                    tau=0.9, n_measurements=8, rank=2),
     xx_config(d=3, jtau=0.9, N=8, k=2, Delta=1.0,
               bath=BathSpec(temperature=1.0, gamma=0.05, omega=1.0)),
-], ids=["chain-L1", "chain-L2", "star-L2", "chain-L1-bath"])
+    xx_config(d=3, jtau=0.9, N=8, k=2, Delta=1.0, L=2,
+              bath=BathSpec(temperature=1.0, gamma=0.05, omega=1.0)),
+    ProtocolConfig(layout=SystemLayout("star", 2, 3), hamiltonian=SpinStarSpec(J=1.0),
+                   tau=0.9, n_measurements=8, rank=2,
+                   bath=BathSpec(temperature=1.0, gamma=0.05, omega=1.0, site=0)),
+], ids=["chain-L1", "chain-L2", "star-L2", "chain-L1-bath", "chain-L2-bath", "star-L2-bath"])
 def test_round_loop_matches_dense_oracle(config):
     """The literal round map rho -> P E(rho) P / p on the full space, with
     fidelities from partial_trace + uhlmann_fidelity."""
@@ -149,7 +154,7 @@ def test_round_loop_matches_dense_oracle(config):
         U = expm(-1j * H * config.tau)
         evolve = lambda rho: U @ rho @ U.conj().T
     else:
-        E = expm(liouvillian(H, config.bath, dims) * config.tau)
+        E = expm(liouvillian(H, config.bath, dims).toarray() * config.tau)
         evolve = lambda rho: (E @ rho.reshape(-1)).reshape(rho.shape)
     P = measurement_projector(config).embedded(dims)
     sigma = low_lying_mixture(3, 2)

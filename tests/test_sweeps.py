@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import re
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -192,20 +195,40 @@ def test_cli_run_and_exit_codes(tmp_path):
     assert main(["preset", "fig99", "--out", str(tmp_path / "o3")]) == 1
 
 
-@pytest.mark.parametrize("base, field", [
-    ({"tau": math.nan}, "tau"),
-    ({"tau": math.inf}, "tau"),
-    ({"J": math.nan}, "J"),
-    ({"bath": {"temperature": math.nan, "gamma": 1e-3}}, "bath.temperature"),
-    ({"bath": {"temperature": -1.0, "gamma": 0.0}}, "bath.temperature"),
-    ({"bath": {"temperature": 1.0, "gamma": math.nan}}, "bath.gamma"),
-    ({"bath": {"temperature": 1.0, "gamma": 1e-3, "site": 7}}, "bath.site"),
-    ({"bath": {"temperature": 1.0, "gamma": 1e-3, "omega": math.inf}}, "bath.omega"),
-], ids=["tau-nan", "tau-inf", "J-nan", "temperature-nan", "temperature-negative", "gamma-nan", "site-7", "omega-inf"])
-def test_cli_rejects_non_finite_and_out_of_range_fields(tmp_path, capsys, base, field):
-    config = write_json(tmp_path, {"base": dict(MINIMAL["base"], **base)})
-    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
-    assert field in capsys.readouterr().err
+BATH = {"temperature": 1.0, "gamma": 1e-3}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"base": {"tau": math.nan}}, "tau"),
+    ({"base": {"tau": math.inf}}, "tau"),
+    ({"base": {"J": math.nan}}, "J"),
+    ({"base": {"bath": {"temperature": math.nan, "gamma": 1e-3}}}, "bath.temperature"),
+    ({"base": {"bath": {"temperature": -1.0, "gamma": 0.0}}}, "bath.temperature"),
+    ({"base": {"bath": {"temperature": 1.0, "gamma": math.nan}}}, "bath.gamma"),
+    ({"base": {"bath": dict(BATH, site=7)}}, "bath.site"),
+    ({"base": {"bath": dict(BATH, omega=math.inf)}}, "bath.omega"),
+    ({"axes": {"k": [1, 9]}}, "axes.k = 9"),
+    ({"axes": {"d": [1]}}, "axes.d = 1"),
+    ({"axes": {"Jtau": [math.nan]}}, "axes.Jtau = nan"),
+    ({"axes": {"N": [-2]}}, "axes.N"),
+    ({"base": {"L": 5, "d": 3, "k": 2, "bath": BATH}}, r"D=729 needs about [\d,]+ bytes"),
+], ids=["tau-nan", "tau-inf", "J-nan", "temperature-nan", "temperature-negative", "gamma-nan",
+        "site-7", "omega-inf", "axes-k-9", "axes-d-1", "axes-Jtau-nan", "axes-N-negative",
+        "bath-D729-memory"])
+def test_cli_rejects_non_finite_and_out_of_range_fields(tmp_path, capsys, doc, message):
+    """Each input exits 1 at once, allocating little, with a message naming the field."""
+    config = write_json(tmp_path, {**MINIMAL, **doc,
+                                   "base": dict(MINIMAL["base"], **doc.get("base", {}))})
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 2**24
+    assert re.search(message, capsys.readouterr().err)
     assert not (tmp_path / "o" / "results.csv").exists()
 
 
