@@ -13,6 +13,9 @@ model conserves total Sz (checked once at set-up) and rho(0) is diagonal,
 so rho stays block-diagonal in magnetization sectors: each target's reduced
 state is diagonal, and its fidelity is read off the site populations.
 Both are exact algebraic restrictions, not approximations.
+
+A closed run propagates X, with rho = X X^+ on the support, one matmul per
+round; `zeno_run` reads all fidelities off the support populations at once.
 """
 from __future__ import annotations
 
@@ -40,6 +43,10 @@ from .qudit import (
 EXTINCTION_THRESHOLD = 1e-14
 SZ_CONSERVATION_TOL = 1e-12
 OPEN_BLOCK_COPIES = 4   # peak memory of the open set-up over its block (4.1 traced at D=81)
+# peak memory of a closed run over one D x D complex array: 6.0 traced at D=729-2187
+# (the star's H build), plus eigh's LAPACK workspace, which tracemalloc does not see
+# (6.2-6.6 by peak RSS)
+CLOSED_DENSE_COPIES = 7
 
 
 class ExtinctionError(RuntimeError):
@@ -93,13 +100,27 @@ class ProtocolConfig:
                 raise ValueError("spin-star Hamiltonian requires the star layout")
         elif self.layout.topology != "chain":
             raise ValueError(f"{self.hamiltonian.model} Hamiltonian requires the chain layout")
-        if self.bath is not None:
-            need = _open_set_up_bytes(self)
-            have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-            if need > have:
-                raise ValueError(
-                    f"a bath run at D={self.layout.d ** self.layout.n_sites} needs about "
-                    f"{need:,} bytes to set up, more than the {have:,} bytes of physical memory")
+        sites = self.layout.n_sites
+        kind = "closed" if self.bath is None else "bath"
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if math.log2(d) > 64 / sites:       # D is not formed: 16 D^2 bytes exceed 2^132
+            raise ValueError(f"a {kind} run at D={d}^{sites} needs more than 2^132 bytes "
+                             f"to set up, more than the {have:,} bytes of physical memory")
+        D = d ** sites
+        # every run builds the dense D x D H (closed runs diagonalise it) and records N
+        # rows of support populations; Python integers, so nothing overflows
+        need = 16 * CLOSED_DENSE_COPIES * D * D + 8 * self.n_measurements * self.rank * (D // d)
+        if need <= have and self.bath is not None:
+            need = max(need, _open_set_up_bytes(self))
+        if need > have:
+            raise ValueError(f"a {kind} run at D={D} needs about {need:,} bytes to set up, "
+                             f"more than the {have:,} bytes of physical memory")
+        ham = self.hamiltonian
+        # |H| <= L |bond| + (L+1) |h| s with s = (d-1)/2 < d; the BBH bond (S.S)^2 scales as d^4
+        bound = (self.layout.L * abs(ham.J) * (3 + abs(getattr(ham, "Delta", 0.0))) * d ** 4
+                 + sites * abs(ham.h) * d)
+        if not math.isfinite(self.tau * bound):
+            raise ValueError(f"tau * |H| must be finite: tau = {self.tau} with |H| <= {bound:.3g}")
 
     @property
     def prep_rank(self) -> int:
@@ -113,14 +134,16 @@ class ProtocolConfig:
 def _open_set_up_bytes(config: ProtocolConfig) -> int:
     """Memory of `_open_rounds`' block and its working copies, from the Sz-sector sizes.
 
-    The sizes come from convolving the local Sz ladders, so nothing D-sized is built.
+    The sizes come from convolving the local Sz ladders as Python integers, so
+    nothing D-sized is built and nothing overflows.
     """
     d, L = config.layout.d, config.layout.L
-    low = (np.diag(measurement_projector(config).local_matrix()).real > 0.5).astype(float)
-    targets = reduce(np.convolve, [np.ones(d)] * L)
-    rows = np.sum(np.convolve(np.ones(d), targets) ** 2)
-    cols = np.sum(np.convolve(low, targets) ** 2) + 1
-    return int(16 * OPEN_BLOCK_COPIES * rows * cols)
+    ones = lambda n: np.ones(n, dtype=object)
+    targets = reduce(np.convolve, [ones(d)] * L)
+    rows = sum(n * n for n in np.convolve(ones(d), targets))
+    # the support's sector sizes: its k levels are adjacent on the Sz ladder
+    cols = sum(n * n for n in np.convolve(ones(config.rank), targets)) + 1
+    return 16 * OPEN_BLOCK_COPIES * rows * cols
 
 
 @dataclass
@@ -145,14 +168,16 @@ class TrajectoryRecord:
         return float(np.exp(self.log_cumulative[-1])) if len(self.steps) else 1.0
 
 
+def _initial_populations(config: ProtocolConfig) -> np.ndarray:
+    """The diagonal of rho(0), which is diagonal: regulator mixture tensor thermal targets."""
+    h, d = config.hamiltonian.h, config.layout.d
+    states = [target_state(config)] + [thermal_state(d, h, beta) for beta in config.betas]
+    return reduce(np.multiply.outer, [np.diag(r.data).real for r in states]).ravel()
+
+
 def initial_state(config: ProtocolConfig) -> DensityMatrix:
     """rho(0) = regulator low-lying mixture tensor thermal targets."""
-    h = config.hamiltonian.h
-    d = config.layout.d
-    rho = low_lying_mixture(d, config.prep_rank, h).data
-    for beta in config.betas:
-        rho = np.kron(rho, thermal_state(d, h, beta).data)
-    return DensityMatrix(rho, config.layout.dims)
+    return DensityMatrix(np.diag(_initial_populations(config)), config.layout.dims)
 
 
 def measurement_projector(config: ProtocolConfig) -> Projector:
@@ -165,13 +190,12 @@ def target_state(config: ProtocolConfig) -> DensityMatrix:
     return low_lying_mixture(config.layout.d, config.prep_rank, config.hamiltonian.h)
 
 
-def apply_measurement(rho: DensityMatrix, proj: Projector,
-                      threshold: float = EXTINCTION_THRESHOLD) -> tuple[DensityMatrix, float]:
+def apply_measurement(rho: DensityMatrix, proj: Projector) -> tuple[DensityMatrix, float]:
     """Post-selected projective measurement: ((P x I) rho (P x I)/p, p)."""
     P = proj.embedded(rho.dims)
     out = P @ rho.data @ P
     p = float(np.trace(out).real)
-    if p < threshold:
+    if p < EXTINCTION_THRESHOLD:
         raise ExtinctionError(step=1, probability=p)
     return DensityMatrix((out + out.conj().T) / (2 * p), rho.dims), p
 
@@ -204,97 +228,86 @@ def _unitary(config: ProtocolConfig) -> np.ndarray:
     return (V * np.exp(-1j * lam * config.tau)) @ V.conj().T
 
 
-def _fidelity_reader(config: ProtocolConfig):
-    """rho -> Uhlmann fidelity of every target against the regulator preparation.
+def _site_fidelities(config: ProtocolConfig, pops: np.ndarray) -> np.ndarray:
+    """(n, L) Uhlmann fidelities of every target against the regulator preparation.
 
-    rho is the full state or its block on the projector support: either way
-    the regulator is the leading digit of its diagonal.  The reduced states
-    are diagonal, so against the equal mixture of the k lowest levels the
-    fidelity is (sum_i sqrt(p_i))^2 / k over those levels, with the zero
-    cutoff of uhlmann_fidelity.
+    Row r of pops is the diagonal of rho after round r, over the full space
+    or over the projector support: either way the regulator is its leading
+    digit.  The reduced states are diagonal, so against the equal mixture of
+    the k lowest levels the fidelity is (sum_i sqrt(p_i))^2 / k over those
+    levels, with the zero cutoff of uhlmann_fidelity.
     """
     d, L = config.layout.d, config.layout.L
     low = np.flatnonzero(np.diag(target_state(config).data).real)
-    others = [tuple(a for a in range(L + 1) if a != j) for j in range(1, L + 1)]
-
-    def read(rho: np.ndarray) -> np.ndarray:
-        pops = np.diagonal(rho).real.reshape((-1,) + (d,) * L)
-        q = _zeroed(np.stack([pops.sum(axis=axes) for axes in others])[:, low])
-        return np.minimum(np.sqrt(q).sum(axis=1) ** 2 / len(low), 1.0)
-
-    return read
+    n, size = pops.shape        # target j's marginal sums the digits before and after it
+    sites = [pops.reshape(n, size // d ** (L - j + 1), d, d ** (L - j)).sum(axis=(1, 3))
+             for j in range(1, L + 1)]
+    q = _zeroed(np.stack(sites, axis=1)[:, :, low])
+    return np.minimum(np.sqrt(q).sum(axis=-1) ** 2 / len(low), 1.0)
 
 
-def zeno_run(config: ProtocolConfig, *, retain_state: bool = True,
-             extinction_threshold: float = EXTINCTION_THRESHOLD) -> TrajectoryRecord:
+def zeno_run(config: ProtocolConfig, *, retain_state: bool = True) -> TrajectoryRecord:
     """Alternate evolution and post-selected rank-k measurement N times.
 
     Records per-round conditional probabilities, their running log-sum, and
     the Uhlmann fidelity of every target site against the regulator
     preparation.  Raises ExtinctionError (carrying the completed prefix) if
-    a round's outcome probability drops below the threshold.
+    a round's outcome probability drops below EXTINCTION_THRESHOLD.
     """
-    dims = config.layout.dims
-    L = config.layout.L
-    rho0 = initial_state(config)
-    site_fidelities = _fidelity_reader(config)
-    f0 = site_fidelities(rho0.data)
-    N = config.n_measurements
-    if N == 0:
+    w = _initial_populations(config)
+    f0 = _site_fidelities(config, w[None])[0]
+    if config.n_measurements == 0:
         return TrajectoryRecord(
-            steps=np.arange(0), fidelities=np.zeros((0, L)),
-            step_probabilities=np.zeros(0), log_cumulative=np.zeros(0),
-            initial_fidelities=f0, final_state=rho0 if retain_state else None)
+            steps=np.arange(0), fidelities=np.zeros((0, config.layout.L)),
+            step_probabilities=np.zeros(0), log_cumulative=np.zeros(0), initial_fidelities=f0,
+            final_state=initial_state(config) if retain_state else None)
 
     # the projector support: flat indices whose regulator digit is one of the k lowest levels
     low = np.diag(measurement_projector(config).local_matrix()).real > 0.5
-    support = np.flatnonzero(np.repeat(low, config.layout.d ** L))
+    support = np.flatnonzero(np.repeat(low, config.layout.d ** config.layout.L))
     rounds = _closed_rounds if config.bath is None else _open_rounds
-    fids = np.zeros((N, L))
-    probs = np.zeros(N)
-    logs = np.zeros(N)
-    log_acc = 0.0
-    drift = 0.0
-    for n, (rho, p, step_drift) in enumerate(rounds(config, rho0.data, support), start=1):
-        drift = max(drift, step_drift)
-        if p < extinction_threshold:
-            partial = TrajectoryRecord(
-                steps=np.arange(1, n), fidelities=fids[: n - 1].copy(),
-                step_probabilities=probs[: n - 1].copy(), log_cumulative=logs[: n - 1].copy(),
-                initial_fidelities=f0, final_state=None, max_trace_drift=drift)
-            raise ExtinctionError(step=n, probability=p, partial=partial)
-        probs[n - 1] = p
-        log_acc += np.log(p)
-        logs[n - 1] = log_acc
-        fids[n - 1] = site_fidelities(rho)
+    pops, probs, drift, block = rounds(config, w, support)
+    n = len(pops)
     final = None
-    if retain_state:
-        full = np.zeros_like(rho0.data)
-        full[np.ix_(support, support)] = (rho + rho.conj().T) / 2
-        final = DensityMatrix(full, dims)
-    return TrajectoryRecord(
-        steps=np.arange(1, N + 1), fidelities=fids, step_probabilities=probs,
-        log_cumulative=logs, initial_fidelities=f0, final_state=final,
-        max_trace_drift=drift)
+    if retain_state and block is not None:
+        final = np.zeros((len(w), len(w)), dtype=complex)
+        final[np.ix_(support, support)] = (block + block.conj().T) / 2
+        final = DensityMatrix(final, config.layout.dims)
+    record = TrajectoryRecord(
+        steps=np.arange(1, n + 1), fidelities=_site_fidelities(config, pops / probs[:n, None]),
+        step_probabilities=probs[:n], log_cumulative=np.cumsum(np.log(probs[:n])),
+        initial_fidelities=f0, final_state=final, max_trace_drift=drift)
+    if len(probs) > n:
+        raise ExtinctionError(step=n + 1, probability=float(probs[n]), partial=record)
+    return record
 
 
-def _closed_rounds(config: ProtocolConfig, rho0: np.ndarray, support: np.ndarray):
-    """Yield (normalized rho on the support, conditional p, 0.0) per round."""
-    U = _unitary(config)
-    rows = U[support, :]
-    rho = (rows @ rho0) @ rows.conj().T
-    M = U[np.ix_(support, support)]
+def _closed_rounds(config: ProtocolConfig, w: np.ndarray, support: np.ndarray):
+    """Support populations (n, s) before normalization, every round's p, drift 0, final block.
+
+    rho = X X^+ on the support S, from X = U[S, c] sqrt(w[c]) over the entries w[c] > 0 of
+    rho(0) = diag(w); each later round is X <- M X, M = U[S, S], until p < EXTINCTION_THRESHOLD.
+    """
+    lam, V = _eigendecomposition(config.layout, config.hamiltonian)
+    rows = V[support] * np.exp(-1j * lam * config.tau)      # U[S, :], without forming U
+    X = (rows @ V[w > 0].conj().T) * np.sqrt(w[w > 0])
+    if X.shape[1] > len(support):       # a wider preparation: s columns with the same X X^+
+        X = np.linalg.qr(X.conj().T, mode="r").conj().T
+    M = rows @ V[support].conj().T
+    pops, probs = np.zeros((config.n_measurements, len(support))), np.zeros(config.n_measurements)
     for n in range(config.n_measurements):
         if n > 0:
-            rho = (M @ rho) @ M.conj().T
-        p = float(np.trace(rho).real)
-        if p > 0:
-            rho /= p
-        yield rho, p, 0.0
+            X = M @ X
+        pops[n] = (X.real ** 2 + X.imag ** 2).sum(axis=1)
+        probs[n] = p = pops[n].sum()
+        if p < EXTINCTION_THRESHOLD:
+            return pops[:n], probs[:n + 1], 0.0, None
+        X /= np.sqrt(p)
+    return pops, probs, 0.0, X @ X.conj().T
 
 
-def _open_rounds(config: ProtocolConfig, rho0: np.ndarray, support: np.ndarray):
-    """LME evolution between measurements; yields rho on the support and the trace drift.
+def _open_rounds(config: ProtocolConfig, w: np.ndarray, support: np.ndarray):
+    """LME evolution between measurements, with the same returns as `_closed_rounds`.
 
     H conserves total Sz and A = S^-/2 lowers bra and ket together, so L maps
     the entries (i, j) of rho with Sz_tot(i) = Sz_tot(j) into themselves,
@@ -302,31 +315,37 @@ def _open_rounds(config: ProtocolConfig, rho0: np.ndarray, support: np.ndarray):
     evolves each support entry (i, j in S) and rho(0) together; every round
     is then one dense matvec on the support entries.
     """
-    D, s = len(rho0), len(support)
+    D, s = len(w), len(support)
     sz = _sz_total(config.layout)
     kept = np.flatnonzero(sz[:, None] == sz[None, :])
+    diagonal = kept // D == kept % D
     inner = np.flatnonzero(sz[support][:, None] == sz[support][None, :])
     i, j = np.divmod(inner, s)
     entries = np.searchsorted(kept, support[i] * D + support[j])
     block = np.zeros((len(kept), len(inner) + 1), dtype=complex)
     block[entries, np.arange(len(inner))] = 1.0
-    block[:, -1] = rho0.reshape(-1)[kept]
+    block[diagonal, -1] = w
     H = _hamiltonian(config.layout, config.hamiltonian)
     prop = LindbladPropagator(H, config.bath, config.layout.dims, config.tau, subspace=kept)
     evolved = prop.apply(block)
-    traces = evolved[kept // D == kept % D].sum(axis=0)
+    traces = evolved[diagonal].sum(axis=0)
     M, y, trace = evolved[entries, :-1], evolved[entries, -1], traces[-1]
     del block, evolved      # the rounds need only M, y and the trace row
-    pops = np.flatnonzero(i == j)
+    diag = np.flatnonzero(i == j)
     swap = np.searchsorted(inner, j * s + i)     # entry (j, i) of each (i, j)
-    rho = np.zeros((s, s), dtype=complex)
+    pops, probs, drift = np.zeros((config.n_measurements, s)), np.zeros(config.n_measurements), 0.0
     for n in range(config.n_measurements):
         if n > 0:
             y, trace = M @ x, traces[:-1] @ x
-        p = float(y[pops].real.sum())
-        x = (y + y[swap].conj()) / (2 * p) if p > 0 else y
-        rho.flat[inner] = x
-        yield rho, p, abs(trace.real - 1.0)
+        drift = max(drift, abs(trace.real - 1.0))
+        pops[n] = y[diag].real
+        probs[n] = p = pops[n].sum()
+        if p < EXTINCTION_THRESHOLD:
+            return pops[:n], probs[:n + 1], drift, None
+        x = (y + y[swap].conj()) / (2 * p)
+    rho = np.zeros((s, s), dtype=complex)
+    rho.flat[inner] = x
+    return pops, probs, drift, rho
 
 
 def direct_cumulative_probability(config: ProtocolConfig) -> float:

@@ -181,15 +181,24 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[tuple]:
 _MODELS = ("xxz", "bbh", "spin_star")
 
 
-def _require(mapping, key, types, path, default=None, required=False):
+def _require(mapping, key, kind, path, default=None, required=False):
     if key not in mapping or mapping[key] is None:
         if required:
             raise ConfigError(f"{path}.{key}: required field missing")
         return default
-    value = mapping[key]
-    if not isinstance(value, types):
-        raise ConfigError(f"{path}.{key}: expected {types}, got {type(value).__name__}")
-    return value
+    return _typed(mapping[key], kind, f"{path}.{key}")
+
+
+def _typed(value, kind, where):
+    """value as JSON Schema's integer (kind int), number (float), string (str) or object (dict)."""
+    accepted = (int, float) if kind is float else kind
+    # JSON Schema counts true and false as neither integers nor numbers
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{where}: expected {kind.__name__}, got {type(value).__name__}")
+    try:
+        return float(value) if kind is float else value
+    except OverflowError:
+        raise ConfigError(f"{where}: out of the floating-point range") from None
 
 
 def _parse_beta(value, path):
@@ -197,8 +206,9 @@ def _parse_beta(value, path):
         if value.lower() in ("inf", "infinity"):
             return math.inf
         raise ConfigError(f"{path}: unrecognized beta {value!r}")
-    if isinstance(value, (int, float)) and value >= 0:
-        return float(value)
+    beta = _typed(value, float, path)
+    if beta >= 0:
+        return beta
     raise ConfigError(f"{path}: beta must be a non-negative number or 'inf'")
 
 
@@ -215,9 +225,9 @@ def parse_config(doc: dict, preset_id: Optional[str] = None) -> SweepSpec:
         raise ConfigError(f"base.model: must be one of {_MODELS}, got {model!r}")
     d = _require(base, "d", int, "base", required=True)
     L = _require(base, "L", int, "base", default=1)
-    J = float(_require(base, "J", (int, float), "base", default=1.0))
-    h = float(_require(base, "h", (int, float), "base", default=1.0))
-    tau = float(_require(base, "tau", (int, float), "base", default=1.0))
+    J = _require(base, "J", float, "base", default=1.0)
+    h = _require(base, "h", float, "base", default=1.0)
+    tau = _require(base, "tau", float, "base", default=1.0)
     N = _require(base, "N", int, "base", required=True)
     k = _require(base, "k", int, "base", default=1)
     prep = _require(base, "regulator_prep", int, "base")
@@ -225,9 +235,9 @@ def parse_config(doc: dict, preset_id: Optional[str] = None) -> SweepSpec:
     try:
         layout = SystemLayout(topology, L, d)
         if model == "xxz":
-            ham = XXZSpec(J=J, Delta=float(_require(base, "Delta", (int, float), "base", default=0.0)), h=h)
+            ham = XXZSpec(J=J, Delta=_require(base, "Delta", float, "base", default=0.0), h=h)
         elif model == "bbh":
-            ham = BBHSpec(J=J, theta=float(_require(base, "theta", (int, float), "base", default=0.0)), h=h)
+            ham = BBHSpec(J=J, theta=_require(base, "theta", float, "base", default=0.0), h=h)
         else:
             ham = SpinStarSpec(J=J, h=h)
 
@@ -241,9 +251,9 @@ def parse_config(doc: dict, preset_id: Optional[str] = None) -> SweepSpec:
         bath_doc = _require(base, "bath", dict, "base")
         if bath_doc is not None:
             bath = BathSpec(
-                temperature=float(_require(bath_doc, "temperature", (int, float), "base.bath", required=True)),
-                gamma=float(_require(bath_doc, "gamma", (int, float), "base.bath", required=True)),
-                omega=float(_require(bath_doc, "omega", (int, float), "base.bath", default=h)),
+                temperature=_require(bath_doc, "temperature", float, "base.bath", required=True),
+                gamma=_require(bath_doc, "gamma", float, "base.bath", required=True),
+                omega=_require(bath_doc, "omega", float, "base.bath", default=h),
                 site=_require(bath_doc, "site", int, "base.bath"))
 
         axes = _require(doc, "axes", dict, "config", default={})
@@ -258,10 +268,7 @@ def parse_config(doc: dict, preset_id: Optional[str] = None) -> SweepSpec:
                 return None
             if not isinstance(values, list) or len(values) == 0:
                 raise ConfigError(f"axes.{name}: grid must be a non-empty list")
-            try:
-                return tuple(kind(v) for v in values)
-            except (TypeError, ValueError):
-                raise ConfigError(f"axes.{name}: entries must be {kind.__name__}")
+            return tuple(_typed(v, kind, f"axes.{name}") for v in values)
 
         config = ProtocolConfig(layout=layout, hamiltonian=ham, tau=tau,
                                 n_measurements=N, rank=k, regulator_prep=prep,

@@ -30,10 +30,12 @@ from zenocool import (
     zeno_run,
     zeno_spectrum,
 )
+import zenocool.protocol as protocol
 from zenocool.protocol import (
     direct_cumulative_probability,
     initial_state,
     measurement_projector,
+    target_state,
 )
 
 
@@ -143,7 +145,9 @@ def test_trajectory_states_and_fidelities_valid(jtau, n):
     ProtocolConfig(layout=SystemLayout("star", 2, 3), hamiltonian=SpinStarSpec(J=1.0),
                    tau=0.9, n_measurements=8, rank=2,
                    bath=BathSpec(temperature=1.0, gamma=0.05, omega=1.0, site=0)),
-], ids=["chain-L1", "chain-L2", "star-L2", "chain-L1-bath", "chain-L2-bath", "star-L2-bath"])
+    xx_config(d=3, jtau=0.9, N=8, k=1, Delta=1.0, L=2, regulator_prep=3),
+], ids=["chain-L1", "chain-L2", "star-L2", "chain-L1-bath", "chain-L2-bath", "star-L2-bath",
+        "chain-L2-prep3-rank1"])
 def test_round_loop_matches_dense_oracle(config):
     """The literal round map rho -> P E(rho) P / p on the full space, with
     fidelities from partial_trace + uhlmann_fidelity."""
@@ -157,7 +161,7 @@ def test_round_loop_matches_dense_oracle(config):
         E = expm(liouvillian(H, config.bath, dims).toarray() * config.tau)
         evolve = lambda rho: (E @ rho.reshape(-1)).reshape(rho.shape)
     P = measurement_projector(config).embedded(dims)
-    sigma = low_lying_mixture(3, 2)
+    sigma = target_state(config)
     rho = initial_state(config).data
     for n in range(config.n_measurements):
         rho = P @ evolve(rho) @ P
@@ -205,13 +209,33 @@ def test_star_ring_fidelities_identical():
     assert np.max(spread) < 1e-10
 
 
-def test_extinction_reports_step_and_prefix():
-    config = xx_config(d=3, jtau=1.2, N=10)
+def test_extinction_reports_step_and_prefix(monkeypatch):
+    monkeypatch.setattr(protocol, "EXTINCTION_THRESHOLD", 0.9)   # first round p ~ 0.44
     with pytest.raises(ExtinctionError) as err:
-        zeno_run(config, extinction_threshold=0.9)  # first round p ~ 0.44
+        zeno_run(xx_config(d=3, jtau=1.2, N=10))
     assert err.value.step == 1
     assert err.value.partial is not None
     assert len(err.value.partial.steps) == 0
+
+
+@pytest.mark.parametrize("bath", [None, BathSpec(temperature=1.0, gamma=0.05, omega=1.0)],
+                         ids=["closed", "bath"])
+def test_mid_run_extinction_keeps_the_completed_prefix(monkeypatch, bath):
+    config = xx_config(d=3, jtau=3.0, N=8, k=2, bath=bath)
+    full = zeno_run(config)
+    p1, p2 = full.step_probabilities[:2]
+    assert p2 < p1         # the branch may die at round 2 after surviving round 1
+    monkeypatch.setattr(protocol, "EXTINCTION_THRESHOLD", (p1 + p2) / 2)
+    with pytest.raises(ExtinctionError) as err:
+        zeno_run(config)
+    assert err.value.step == 2
+    assert err.value.probability == pytest.approx(p2, abs=1e-12)
+    partial = err.value.partial
+    assert partial.final_state is None
+    np.testing.assert_array_equal(partial.steps, [1])
+    for name in ("fidelities", "step_probabilities", "log_cumulative"):
+        np.testing.assert_array_equal(getattr(partial, name), getattr(full, name)[:1])
+    assert partial.max_trace_drift <= 1e-8
 
 
 def test_long_run_log_probability_consistent():

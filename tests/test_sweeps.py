@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zenocool import (
     ConfigError,
@@ -114,15 +115,8 @@ def test_multi_site_rows_ordered_by_site(tmp_path):
 def test_extinction_rows_flagged_not_fatal(tmp_path, monkeypatch):
     # raise the threshold so the very first round dies, then check the flag row
     import zenocool.protocol as protocol
-    import zenocool.sweeps as sweeps
 
-    original = protocol.zeno_run
-
-    def strict_run(config, **kw):
-        kw["extinction_threshold"] = 0.9
-        return original(config, **kw)
-
-    monkeypatch.setattr(sweeps, "zeno_run", strict_run)
+    monkeypatch.setattr(protocol, "EXTINCTION_THRESHOLD", 0.9)
     csv_path, _ = run_config(write_json(tmp_path, MINIMAL), tmp_path / "out")
     rows = read_rows(csv_path)
     assert len(rows) == 1
@@ -212,9 +206,17 @@ BATH = {"temperature": 1.0, "gamma": 1e-3}
     ({"axes": {"Jtau": [math.nan]}}, "axes.Jtau = nan"),
     ({"axes": {"N": [-2]}}, "axes.N"),
     ({"base": {"L": 5, "d": 3, "k": 2, "bath": BATH}}, r"D=729 needs about [\d,]+ bytes"),
+    ({"base": {"L": 8, "d": 3}}, r"closed run at D=19683 needs about [\d,]+ bytes"),
+    ({"base": {"L": 200, "d": 3, "k": 2, "bath": BATH}}, r"D=3\^201 needs more than 2\^132 bytes"),
+    ({"base": {"N": True}}, "base.N: expected int, got bool"),
+    ({"axes": {"d": [2.7]}}, "axes.d: expected int, got float"),
+    ({"axes": {"N": [1.5]}}, "axes.N: expected int, got float"),
+    ({"axes": {"Jtau": [True]}}, "axes.Jtau: expected float, got bool"),
+    ({"base": {"J": 1e308, "tau": 1e308}}, r"tau \* \|H\| must be finite"),
 ], ids=["tau-nan", "tau-inf", "J-nan", "temperature-nan", "temperature-negative", "gamma-nan",
         "site-7", "omega-inf", "axes-k-9", "axes-d-1", "axes-Jtau-nan", "axes-N-negative",
-        "bath-D729-memory"])
+        "bath-D729-memory", "closed-D19683-memory", "bath-L200-memory", "N-bool",
+        "axes-d-non-integral", "axes-N-non-integral", "axes-Jtau-bool", "phase-overflow"])
 def test_cli_rejects_non_finite_and_out_of_range_fields(tmp_path, capsys, doc, message):
     """Each input exits 1 at once, allocating little, with a message naming the field."""
     config = write_json(tmp_path, {**MINIMAL, **doc,
@@ -230,6 +232,33 @@ def test_cli_rejects_non_finite_and_out_of_range_fields(tmp_path, capsys, doc, m
     assert peak < 2**24
     assert re.search(message, capsys.readouterr().err)
     assert not (tmp_path / "o" / "results.csv").exists()
+
+
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3), st.integers(-3, 12),
+    st.integers(-2**1100, 2**1100), st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.5, 1.5, 2.0, 2.7, 1e308, -1e308]))
+_BASE_KEYS = ("topology", "model", "d", "L", "J", "h", "Delta", "theta", "tau", "N", "k",
+              "regulator_prep", "target_betas", "bath")
+
+
+@given(overrides=st.dictionaries(st.sampled_from(_BASE_KEYS), _JSON_VALUES, max_size=2),
+       bath=st.one_of(st.none(), st.dictionaries(
+           st.sampled_from(["temperature", "gamma", "omega", "site"]),
+           st.one_of(st.floats(0.1, 2.0), _JSON_VALUES), max_size=4)),
+       axes=st.dictionaries(
+           st.sampled_from(["d", "k", "theta", "Jtau", "N", "bogus"]),
+           st.one_of(_JSON_VALUES, st.lists(st.one_of(st.integers(0, 4), _JSON_VALUES),
+                                            max_size=3)), max_size=2))
+@settings(max_examples=300)
+def test_parse_config_returns_a_spec_or_raises_config_error(overrides, bath, axes):
+    """Arbitrary JSON values in a config either give a SweepSpec or a ConfigError."""
+    base = {**MINIMAL["base"], "bath": bath, **overrides}
+    try:
+        spec = parse_config({"base": base, "axes": axes})
+    except ConfigError:
+        return
+    assert isinstance(spec, SweepSpec)
 
 
 def test_cli_spectrum_json(tmp_path, capsys):
