@@ -33,20 +33,17 @@ from .protocol import (
     ProtocolConfig,
     TrajectoryRecord,
     ZenoSpectrum,
-    apply_measurement,
     delta_p,
     zeno_run,
     zeno_spectrum,
 )
 from .qudit import (
     DensityMatrix,
-    Projector,
     SpinOperatorSet,
     embed_operator,
-    local_energy_eigenbasis,
+    energy_order,
     low_lying_mixture,
     partial_trace,
-    projector,
     spin_operators,
     tensor_product,
     thermal_state,
@@ -65,14 +62,14 @@ from .sweeps import (
 
 __all__ = [
     "BBHSpec", "BathSpec", "ConfigError", "DensityMatrix", "ExtinctionError",
-    "HamiltonianSpec", "IntegrationError", "LindbladPropagator", "Projector",
+    "HamiltonianSpec", "IntegrationError", "LindbladPropagator",
     "ProtocolConfig", "SpinOperatorSet", "SpinStarSpec",
     "SweepSpec", "SystemLayout", "TrajectoryRecord", "XXZSpec", "ZenoSpectrum",
-    "apply_measurement", "build_bbh", "build_spin_star", "build_xxz",
-    "classify_regions", "delta_p", "dissipator", "embed_operator",
+    "build_bbh", "build_spin_star", "build_xxz",
+    "classify_regions", "delta_p", "dissipator", "embed_operator", "energy_order",
     "fidelity_bbh_rank1_d3", "fidelity_xx_rank1", "lindblad_evolve",
-    "liouvillian", "load_config", "local_energy_eigenbasis",
-    "low_lying_mixture", "oracle_check", "partial_trace", "projector",
+    "liouvillian", "load_config",
+    "low_lying_mixture", "oracle_check", "partial_trace",
     "run_config", "run_sweep", "spin_operators",
     "tensor_product", "thermal_state", "uhlmann_fidelity", "write_results",
     "zeno_run", "zeno_spectrum",

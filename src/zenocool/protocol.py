@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -32,10 +33,10 @@ from .evolution import BathSpec, LindbladPropagator
 from .hamiltonians import HamiltonianSpec, SystemLayout
 from .qudit import (
     DensityMatrix,
-    Projector,
     _zeroed,
+    embed_operator,
+    energy_order,
     low_lying_mixture,
-    projector,
     spin_operators,
     thermal_state,
 )
@@ -47,6 +48,10 @@ OPEN_BLOCK_COPIES = 4   # peak memory of the open set-up over its block (4.1 tra
 # (the star's H build), plus eigh's LAPACK workspace, which tracemalloc does not see
 # (6.2-6.6 by peak RSS)
 CLOSED_DENSE_COPIES = 7
+# expm_multiply picks its step count from 1-norms of (L tau)^p, p <= 9 (Al-Mohy & Higham's
+# p_max + 1): past the ninth root of the largest float these can overflow, and it fails on
+# a NaN or an infinity; a bath run's bound on |L tau| must stay below it
+EXPM_NORM_LIMIT = sys.float_info.max ** (1 / 9)
 
 
 class ExtinctionError(RuntimeError):
@@ -89,6 +94,8 @@ class ProtocolConfig:
         for name, value in (("tau", self.tau), *vars(self.hamiltonian).items()):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+        if self.hamiltonian.h == 0:
+            raise ValueError("h must be nonzero: h = 0 leaves the local levels degenerate")
         site = None if self.bath is None else self.bath.site
         if site is not None and not 0 <= site <= self.layout.L:
             raise ValueError(f"bath.site {site} out of range 0..{self.layout.L}")
@@ -121,6 +128,17 @@ class ProtocolConfig:
                  + sites * abs(ham.h) * d)
         if not math.isfinite(self.tau * bound):
             raise ValueError(f"tau * |H| must be finite: tau = {self.tau} with |H| <= {bound:.3g}")
+        if self.bath is not None:
+            bath = self.bath
+            with np.errstate(over="ignore"):
+                n = bath.occupancy()
+            norm = self.tau * (bound + bath.gamma * (2 * n + 1))
+            if not norm < EXPM_NORM_LIMIT:
+                raise ValueError(
+                    f"a bath run needs tau * (|H| + gamma * (2n + 1)) = {norm:.3g} below "
+                    f"{EXPM_NORM_LIMIT:.3g}: tau = {self.tau}, |H| <= {bound:.3g}, "
+                    f"bath.gamma = {bath.gamma}, occupancy n = {n:.3g} "
+                    f"from bath.temperature = {bath.temperature}, bath.omega = {bath.omega}")
 
     @property
     def prep_rank(self) -> int:
@@ -180,24 +198,16 @@ def initial_state(config: ProtocolConfig) -> DensityMatrix:
     return DensityMatrix(np.diag(_initial_populations(config)), config.layout.dims)
 
 
-def measurement_projector(config: ProtocolConfig) -> Projector:
-    return projector(config.layout.d, config.rank, site=config.layout.regulator_site,
-                     h=config.hamiltonian.h)
-
-
 def target_state(config: ProtocolConfig) -> DensityMatrix:
     """The state each target is driven toward (the regulator preparation)."""
     return low_lying_mixture(config.layout.d, config.prep_rank, config.hamiltonian.h)
 
 
-def apply_measurement(rho: DensityMatrix, proj: Projector) -> tuple[DensityMatrix, float]:
-    """Post-selected projective measurement: ((P x I) rho (P x I)/p, p)."""
-    P = proj.embedded(rho.dims)
-    out = P @ rho.data @ P
-    p = float(np.trace(out).real)
-    if p < EXTINCTION_THRESHOLD:
-        raise ExtinctionError(step=1, probability=p)
-    return DensityMatrix((out + out.conj().T) / (2 * p), rho.dims), p
+def _support(config: ProtocolConfig) -> np.ndarray:
+    """The projector support: ascending flat indices whose regulator digit is a k-lowest level."""
+    d, L = config.layout.d, config.layout.L
+    low = np.sort(energy_order(d, config.hamiltonian.h)[:config.rank])
+    return (low[:, None] * d ** L + np.arange(d ** L)).ravel()
 
 
 def _sz_total(layout: SystemLayout) -> np.ndarray:
@@ -218,7 +228,9 @@ def _hamiltonian(layout: SystemLayout, spec: HamiltonianSpec) -> np.ndarray:
     return H
 
 
-@lru_cache(maxsize=8)
+# one entry: the memory gate counts one D x D V, and sweeps enumerate Jtau innermost,
+# so consecutive points of one (d, k, theta) share it
+@lru_cache(maxsize=1)
 def _eigendecomposition(layout: SystemLayout, spec: HamiltonianSpec):
     return np.linalg.eigh(_hamiltonian(layout, spec))
 
@@ -238,7 +250,8 @@ def _site_fidelities(config: ProtocolConfig, pops: np.ndarray) -> np.ndarray:
     levels, with the zero cutoff of uhlmann_fidelity.
     """
     d, L = config.layout.d, config.layout.L
-    low = np.flatnonzero(np.diag(target_state(config).data).real)
+    # in index order, so the rounding of the sum below does not depend on the sign of h
+    low = np.sort(energy_order(d, config.hamiltonian.h)[:config.prep_rank])
     n, size = pops.shape        # target j's marginal sums the digits before and after it
     sites = [pops.reshape(n, size // d ** (L - j + 1), d, d ** (L - j)).sum(axis=(1, 3))
              for j in range(1, L + 1)]
@@ -262,9 +275,7 @@ def zeno_run(config: ProtocolConfig, *, retain_state: bool = True) -> Trajectory
             step_probabilities=np.zeros(0), log_cumulative=np.zeros(0), initial_fidelities=f0,
             final_state=initial_state(config) if retain_state else None)
 
-    # the projector support: flat indices whose regulator digit is one of the k lowest levels
-    low = np.diag(measurement_projector(config).local_matrix()).real > 0.5
-    support = np.flatnonzero(np.repeat(low, config.layout.d ** config.layout.L))
+    support = _support(config)
     rounds = _closed_rounds if config.bath is None else _open_rounds
     pops, probs, drift, block = rounds(config, w, support)
     n = len(pops)
@@ -350,9 +361,9 @@ def _open_rounds(config: ProtocolConfig, w: np.ndarray, support: np.ndarray):
 
 def direct_cumulative_probability(config: ProtocolConfig) -> float:
     """Tr[(P U)^N rho(0) (U^+ P)^N] evaluated literally (validation oracle)."""
-    U = _unitary(config)
-    P = measurement_projector(config).embedded(config.layout.dims)
-    M = P @ U
+    low = low_lying_mixture(config.layout.d, config.rank, config.hamiltonian.h).data != 0
+    P = embed_operator(low, config.layout.regulator_site, config.layout.dims)
+    M = P @ _unitary(config)
     MN = np.linalg.matrix_power(M, config.n_measurements)
     return float(np.trace(MN @ initial_state(config).data @ MN.conj().T).real)
 
@@ -371,9 +382,9 @@ def zeno_spectrum(config: ProtocolConfig) -> ZenoSpectrum:
     """General eigendecomposition of the round map (closed-system configs)."""
     if config.bath is not None:
         raise ValueError("the round-map spectrum is defined for closed-system configs")
-    U = _unitary(config)
-    P = measurement_projector(config).embedded(config.layout.dims)
-    M = P @ U
+    support, U = _support(config), _unitary(config)
+    M = np.zeros_like(U)        # P U: the support rows of U, without a D x D P
+    M[support] = U[support]
     vals, R = np.linalg.eig(M)
     order = np.argsort(-np.abs(vals), kind="stable")
     vals = vals[order]

@@ -7,7 +7,7 @@ h > 0 the local ground state |0> is the m = -s vector.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Sequence
 
@@ -48,17 +48,15 @@ def spin_operators(d: int) -> SpinOperatorSet:
     return SpinOperatorSet(d=d, s=s, sx=sx, sy=sy, sz=sz, splus=splus, sminus=sminus)
 
 
-def local_energy_eigenbasis(d: int, h: float) -> np.ndarray:
-    """Eigenbasis of h*S^z sorted by ascending energy, as columns of a d x d array.
+def energy_order(d: int, h: float) -> np.ndarray:
+    """Level indices of h*S^z by ascending energy; entry 0 is the local ground state.
 
-    Column 0 is the local ground state (m = -s for h > 0).
+    Level i is the S^z eigenvector m = s - i, so for h > 0 the order is d-1, ..., 0.
     """
     if h == 0:
-        raise ValueError("h = 0 leaves the local Hamiltonian degenerate; basis ordering undefined")
-    s = (d - 1) / 2
-    m = s - np.arange(d)
-    order = np.argsort(h * m, kind="stable")
-    return np.eye(d, dtype=complex)[:, order]
+        raise ValueError("h = 0 leaves the local Hamiltonian degenerate; level order undefined")
+    m = (d - 1) / 2 - np.arange(d)
+    return np.argsort(h * m, kind="stable")
 
 
 @dataclass(frozen=True)
@@ -103,10 +101,8 @@ def thermal_state(d: int, h: float, beta: float) -> DensityMatrix:
         raise ValueError("inverse temperature must be non-negative")
     if beta == 0:
         return DensityMatrix(np.eye(d, dtype=complex) / d, (d,))
-    basis = local_energy_eigenbasis(d, h)
     if np.isinf(beta):
-        g = basis[:, 0]
-        return DensityMatrix(np.outer(g, g.conj()), (d,))
+        return low_lying_mixture(d, 1, h)
     s = (d - 1) / 2
     m = s - np.arange(d)
     w = np.exp(-beta * h * m - np.max(-beta * h * m))
@@ -118,33 +114,9 @@ def low_lying_mixture(d: int, k: int, h: float = 1.0) -> DensityMatrix:
     """Equal mixture (1/k) sum of the k lowest local-energy eigenstates."""
     if not 1 <= k <= d:
         raise ValueError(f"rank k={k} out of range 1..{d}")
-    b = local_energy_eigenbasis(d, h)[:, :k]
-    return DensityMatrix((b @ b.conj().T) / k, (d,))
-
-
-@dataclass(frozen=True)
-class Projector:
-    """Rank-k projector onto the k lowest local-energy eigenstates of one site."""
-
-    site: int
-    rank: int
-    basis: np.ndarray = field(repr=False)  # columns: energy-ascending local eigenbasis
-
-    def __post_init__(self):
-        d = self.basis.shape[0]
-        if not 1 <= self.rank <= d:
-            raise ValueError(f"projector rank {self.rank} out of range 1..{d}")
-
-    def local_matrix(self) -> np.ndarray:
-        b = self.basis[:, : self.rank]
-        return b @ b.conj().T
-
-    def embedded(self, dims: Sequence[int]) -> np.ndarray:
-        return embed_operator(self.local_matrix(), self.site, dims)
-
-
-def projector(d: int, k: int, site: int = 0, h: float = 1.0) -> Projector:
-    return Projector(site=site, rank=k, basis=local_energy_eigenbasis(d, h))
+    w = np.zeros(d)
+    w[energy_order(d, h)[:k]] = 1 / k
+    return DensityMatrix(np.diag(w).astype(complex), (d,))
 
 
 def tensor_product(a, b):

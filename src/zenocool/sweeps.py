@@ -165,6 +165,7 @@ def _run_point(args) -> tuple[int, list[tuple]]:
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[tuple]:
     """All result rows of one sweep, in deterministic (grid, step, site) order."""
     indices = range(len(spec.grid()))
+    workers = min(workers, len(indices))    # a pool forks all its workers at once
     if workers <= 1:
         chunks = [_point_rows(spec, i) for i in indices]
     else:
@@ -250,10 +251,14 @@ def parse_config(doc: dict, preset_id: Optional[str] = None) -> SweepSpec:
         bath = None
         bath_doc = _require(base, "bath", dict, "base")
         if bath_doc is not None:
+            omega = _require(bath_doc, "omega", float, "base.bath")
+            if omega is None and not h > 0:
+                raise ConfigError(f"base.h: an omitted bath.omega defaults to h, "
+                                  f"which must then be positive, got {h}")
             bath = BathSpec(
                 temperature=_require(bath_doc, "temperature", float, "base.bath", required=True),
                 gamma=_require(bath_doc, "gamma", float, "base.bath", required=True),
-                omega=_require(bath_doc, "omega", float, "base.bath", default=h),
+                omega=h if omega is None else omega,
                 site=_require(bath_doc, "site", int, "base.bath"))
 
         axes = _require(doc, "axes", dict, "config", default={})

@@ -15,16 +15,13 @@ from zenocool import (
     SpinStarSpec,
     SystemLayout,
     XXZSpec,
-    apply_measurement,
     delta_p,
     embed_operator,
     fidelity_xx_rank1,
     liouvillian,
     low_lying_mixture,
     partial_trace,
-    projector,
     spin_operators,
-    tensor_product,
     thermal_state,
     uhlmann_fidelity,
     zeno_run,
@@ -34,7 +31,6 @@ import zenocool.protocol as protocol
 from zenocool.protocol import (
     direct_cumulative_probability,
     initial_state,
-    measurement_projector,
     target_state,
 )
 
@@ -43,37 +39,6 @@ def xx_config(d=3, jtau=1.2, N=10, k=1, L=1, Delta=0.0, **kw):
     return ProtocolConfig(layout=SystemLayout("chain", L, d),
                           hamiltonian=XXZSpec(J=1.0, Delta=Delta),
                           tau=jtau, n_measurements=N, rank=k, **kw)
-
-
-# ---- apply_measurement ----------------------------------------------------
-
-def test_full_rank_measurement_is_identity():
-    rho = tensor_product(low_lying_mixture(3, 2), thermal_state(3, 1.0, 0.0))
-    out, p = apply_measurement(rho, projector(3, 3, site=0))
-    assert p == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(out.data, rho.data)
-
-
-def test_measurement_absorbs_own_support():
-    rho = tensor_product(low_lying_mixture(4, 2), thermal_state(4, 1.0, 0.0))
-    out, p = apply_measurement(rho, projector(4, 2, site=0))
-    assert p == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(out.data, rho.data)
-
-
-@pytest.mark.parametrize("d,k", [(3, 1), (4, 2), (5, 3)])
-def test_measurement_probability_is_rank_fraction(d, k):
-    rho = tensor_product(thermal_state(d, 1.0, 0.0), thermal_state(d, 1.0, 0.0))
-    _, p = apply_measurement(rho, projector(d, k, site=0))
-    assert p == pytest.approx(k / d, abs=1e-12)
-
-
-def test_measurement_extinction():
-    excited = np.zeros((3, 3), dtype=complex)
-    excited[0, 0] = 1.0  # m=+1: orthogonal to the rank-1 ground projector
-    rho = tensor_product(DensityMatrix(excited, (3,)), thermal_state(3, 1.0, 0.0))
-    with pytest.raises(ExtinctionError):
-        apply_measurement(rho, projector(3, 1, site=0))
 
 
 # ---- zeno_run --------------------------------------------------------------
@@ -160,8 +125,9 @@ def test_round_loop_matches_dense_oracle(config):
     else:
         E = expm(liouvillian(H, config.bath, dims).toarray() * config.tau)
         evolve = lambda rho: (E @ rho.reshape(-1)).reshape(rho.shape)
-    P = measurement_projector(config).embedded(dims)
     sigma = target_state(config)
+    low = low_lying_mixture(config.layout.d, config.rank, config.hamiltonian.h).data != 0
+    P = embed_operator(low, 0, dims)
     rho = initial_state(config).data
     for n in range(config.n_measurements):
         rho = P @ evolve(rho) @ P

@@ -8,7 +8,7 @@ from conftest import random_density
 from zenocool import (
     DensityMatrix,
     embed_operator,
-    local_energy_eigenbasis,
+    energy_order,
     low_lying_mixture,
     partial_trace,
     spin_operators,
@@ -67,16 +67,12 @@ def test_spin_operators_rejects_bad_dimension():
 
 
 def test_local_basis_ordering():
-    b = local_energy_eigenbasis(3, 1.0)
     # ground state is m=-1, i.e. the last computational vector
-    assert np.allclose(b[:, 0], [0, 0, 1])
-    assert np.allclose(b[:, 2], [1, 0, 0])
-    rev = local_energy_eigenbasis(3, -1.0)
-    assert np.allclose(rev[:, 0], [1, 0, 0])
-    b2 = local_energy_eigenbasis(2, 1.0)
-    assert np.allclose(b2[:, 0], [0, 1])  # ground = m=-1/2
+    assert energy_order(3, 1.0).tolist() == [2, 1, 0]
+    assert energy_order(3, -1.0).tolist() == [0, 1, 2]
+    assert energy_order(2, 1.0)[0] == 1  # ground = m=-1/2
     with pytest.raises(ValueError):
-        local_energy_eigenbasis(3, 0.0)
+        energy_order(3, 0.0)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])

@@ -87,6 +87,41 @@ def test_worker_count_does_not_change_output(tmp_path):
     assert serial == parallel
 
 
+def test_run_sweep_caps_workers_at_grid_points(monkeypatch):
+    """A pool starts one process per grid point at most; one point runs in-process."""
+    import zenocool.sweeps as sweeps
+
+    opened = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", RecordingPool)
+    two = parse_config(dict(MINIMAL, axes={"Jtau": [0.4, 1.2]}))
+    assert run_sweep(two, workers=64) == run_sweep(two, workers=1)
+    assert opened == [2]
+    run_sweep(parse_config(MINIMAL), workers=64)
+    assert opened == [2]
+
+
+def test_theta_sweep_keeps_one_eigendecomposition():
+    from zenocool.protocol import _eigendecomposition
+
+    doc = {"base": dict(MINIMAL["base"], model="bbh", N=2), "axes": {"theta": [0.1, 0.2, 0.3]}}
+    run_sweep(parse_config(doc))
+    assert _eigendecomposition.cache_info().currsize == 1
+
+
 def test_n_axis_selects_recorded_steps(tmp_path):
     path = write_json(tmp_path, dict(MINIMAL, axes={"N": [2, 5]}))
     csv_path, _ = run_config(path, tmp_path / "out")
@@ -213,10 +248,18 @@ BATH = {"temperature": 1.0, "gamma": 1e-3}
     ({"axes": {"N": [1.5]}}, "axes.N: expected int, got float"),
     ({"axes": {"Jtau": [True]}}, "axes.Jtau: expected float, got bool"),
     ({"base": {"J": 1e308, "tau": 1e308}}, r"tau \* \|H\| must be finite"),
+    ({"base": {"h": 0.0}}, "h must be nonzero"),
+    ({"base": {"h": -1.0, "bath": BATH}}, r"base\.h: an omitted bath\.omega defaults to h"),
+    ({"base": {"bath": {"temperature": 1.0, "gamma": 1e300}}}, r"bath\.gamma = 1e\+300"),
+    ({"base": {"bath": {"temperature": 1e300, "gamma": 0.1, "omega": 1e-10}}},
+     r"occupancy n = inf from bath\.temperature = 1e\+300, bath\.omega = 1e-10"),
+    ({"base": {"J": 1e300, "bath": BATH}}, r"tau \* \(\|H\| \+ gamma \* \(2n \+ 1\)\)"),
 ], ids=["tau-nan", "tau-inf", "J-nan", "temperature-nan", "temperature-negative", "gamma-nan",
         "site-7", "omega-inf", "axes-k-9", "axes-d-1", "axes-Jtau-nan", "axes-N-negative",
         "bath-D729-memory", "closed-D19683-memory", "bath-L200-memory", "N-bool",
-        "axes-d-non-integral", "axes-N-non-integral", "axes-Jtau-bool", "phase-overflow"])
+        "axes-d-non-integral", "axes-N-non-integral", "axes-Jtau-bool", "phase-overflow",
+        "h-zero", "h-negative-omega-default", "gamma-huge", "occupancy-overflow",
+        "bath-phase-overflow"])
 def test_cli_rejects_non_finite_and_out_of_range_fields(tmp_path, capsys, doc, message):
     """Each input exits 1 at once, allocating little, with a message naming the field."""
     config = write_json(tmp_path, {**MINIMAL, **doc,
@@ -294,14 +337,14 @@ def test_mutation_guard_flipped_basis_detected():
     at the 1e-1 level, far beyond the 1e-8 oracle gate.
     """
     from zenocool.protocol import _unitary, initial_state
-    from zenocool.qudit import Projector, local_energy_eigenbasis
+    from zenocool.qudit import embed_operator
 
     config = ProtocolConfig(layout=SystemLayout("chain", 1, 3),
                             hamiltonian=XXZSpec(J=1.0, Delta=0.0), tau=1.2,
                             n_measurements=10, rank=1)
-    flipped = Projector(site=0, rank=1, basis=local_energy_eigenbasis(3, -1.0))
+    flipped = np.diag([1.0, 0.0, 0.0])  # the highest-energy level, m=+1, for h > 0
     U = _unitary(config)
-    P = flipped.embedded((3, 3))
+    P = embed_operator(flipped, 0, (3, 3))
     M = P @ U
     rho = initial_state(config).data
     ground = np.zeros((3, 3))
