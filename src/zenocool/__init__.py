@@ -11,10 +11,8 @@ __version__ = "0.1.0"
 
 from .evolution import (
     BathSpec,
-    IntegrationError,
     LindbladPropagator,
     dissipator,
-    lindblad_evolve,
     liouvillian,
 )
 from .hamiltonians import (
@@ -62,12 +60,12 @@ from .sweeps import (
 
 __all__ = [
     "BBHSpec", "BathSpec", "ConfigError", "DensityMatrix", "ExtinctionError",
-    "HamiltonianSpec", "IntegrationError", "LindbladPropagator",
+    "HamiltonianSpec", "LindbladPropagator",
     "ProtocolConfig", "SpinOperatorSet", "SpinStarSpec",
     "SweepSpec", "SystemLayout", "TrajectoryRecord", "XXZSpec", "ZenoSpectrum",
     "build_bbh", "build_spin_star", "build_xxz",
     "classify_regions", "delta_p", "dissipator", "embed_operator", "energy_order",
-    "fidelity_bbh_rank1_d3", "fidelity_xx_rank1", "lindblad_evolve",
+    "fidelity_bbh_rank1_d3", "fidelity_xx_rank1",
     "liouvillian", "load_config",
     "low_lying_mixture", "oracle_check", "partial_trace",
     "run_config", "run_sweep", "spin_operators",

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 validation error, 2 oracle-check failure,
-3 runtime/integration error.
+3 runtime error.
 """
 from __future__ import annotations
 
@@ -115,7 +115,7 @@ def main(argv=None) -> int:
     except ValueError as err:
         print(f"validation error: {err}", file=sys.stderr)
         code = EXIT_VALIDATION
-    except RuntimeError as err:         # IntegrationError and ExtinctionError included
+    except RuntimeError as err:         # ExtinctionError included
         print(f"runtime error: {err}", file=sys.stderr)
         code = EXIT_RUNTIME
     if argv is None:

@@ -19,10 +19,6 @@ import numpy as np
 from .qudit import DensityMatrix, embed_operator, spin_operators
 
 
-class IntegrationError(RuntimeError):
-    """Raised by `lindblad_evolve` when the trace drifts by more than 1e-8."""
-
-
 @dataclass(frozen=True)
 class BathSpec:
     """Thermal-bath dissipation on one site: rate gamma, temperature, channel frequency.
@@ -106,15 +102,3 @@ class LindbladPropagator:
         from scipy.sparse.linalg import expm_multiply
 
         return expm_multiply(self._generator, vectors)
-
-
-def lindblad_evolve(rho: DensityMatrix, H: np.ndarray, bath: BathSpec,
-                    tau: float) -> DensityMatrix:
-    """Solve the local master equation for duration tau; trace preserved to 1e-8."""
-    D = rho.data.shape[0]
-    out = LindbladPropagator(H, bath, rho.dims, tau).apply(rho.data.reshape(-1)).reshape(D, D)
-    out = (out + out.conj().T) / 2
-    tr = np.trace(out).real
-    if abs(tr - 1.0) > 1e-8:
-        raise IntegrationError(f"trace drift {abs(tr - 1.0):.3e} exceeds 1e-8 over tau={tau}")
-    return DensityMatrix(out / tr, rho.dims)

@@ -2,12 +2,14 @@
 
 Chains are open, with the regulator at site 0 and targets B_1..B_L at sites
 1..L; the star puts the regulator at the hub (site 0) with L ring sites.
-All builders return dense Hermitian arrays.
+Every model is a sum of two-site bonds and one-site fields, and every
+builder places each term with `qudit.embed_operator`: the d^2 x d^2 bond on
+(j, j+1) or (0, i), then h Sz on each field site.  All builders return
+dense Hermitian arrays.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Union
 
 import numpy as np
@@ -48,12 +50,6 @@ class SystemLayout:
         return tuple(range(1, self.L + 1))
 
 
-def _embed_pair(op2: np.ndarray, site: int, dims) -> np.ndarray:
-    """Two-site operator placed on (site, site+1)."""
-    eye = lambda ds: reduce(np.kron, [np.eye(dd, dtype=complex) for dd in ds], np.eye(1, dtype=complex))
-    return np.kron(np.kron(eye(dims[:site]), op2), eye(dims[site + 2:]))
-
-
 def build_xxz(layout: SystemLayout, J: float, Delta: float, h: float) -> np.ndarray:
     """Sum_j J [SxSx + SySy + Delta SzSz]_{j,j+1} + h sum_j Sz_j on the open chain.
 
@@ -64,7 +60,7 @@ def build_xxz(layout: SystemLayout, J: float, Delta: float, h: float) -> np.ndar
     ops = spin_operators(layout.d)
     bond = J * (np.kron(ops.sx, ops.sx) + np.kron(ops.sy, ops.sy)
                 + Delta * np.kron(ops.sz, ops.sz))
-    return _chain_sum(layout, bond, h, ops)
+    return _bonds_and_fields(layout, bond, h * ops.sz)
 
 
 def build_bbh(layout: SystemLayout, J: float, theta: float, h: float) -> np.ndarray:
@@ -74,18 +70,7 @@ def build_bbh(layout: SystemLayout, J: float, theta: float, h: float) -> np.ndar
     ops = spin_operators(layout.d)
     ss = (np.kron(ops.sx, ops.sx) + np.kron(ops.sy, ops.sy) + np.kron(ops.sz, ops.sz))
     bond = J * (np.cos(theta) * ss + np.sin(theta) * (ss @ ss))
-    return _chain_sum(layout, bond, h, ops)
-
-
-def _chain_sum(layout: SystemLayout, bond: np.ndarray, h: float, ops) -> np.ndarray:
-    dims = layout.dims
-    D = int(np.prod(dims))
-    H = np.zeros((D, D), dtype=complex)
-    for i in range(layout.L):
-        H += _embed_pair(bond, i, dims)
-    for i in range(layout.n_sites):
-        H += h * embed_operator(ops.sz, i, dims)
-    return H
+    return _bonds_and_fields(layout, bond, h * ops.sz)
 
 
 def build_spin_star(L: int, d: int, J: float, h: float) -> np.ndarray:
@@ -94,13 +79,20 @@ def build_spin_star(L: int, d: int, J: float, h: float) -> np.ndarray:
     Ring sites carry no local field.
     """
     layout = SystemLayout("star", L, d)
-    dims = layout.dims
     ops = spin_operators(d)
-    H = h * embed_operator(ops.sz, 0, dims)
-    sx0 = embed_operator(ops.sx, 0, dims)
-    sy0 = embed_operator(ops.sy, 0, dims)
-    for i in range(1, L + 1):
-        H += J * (sx0 @ embed_operator(ops.sx, i, dims) + sy0 @ embed_operator(ops.sy, i, dims))
+    bond = J * (np.kron(ops.sx, ops.sx) + np.kron(ops.sy, ops.sy))
+    return _bonds_and_fields(layout, bond, h * ops.sz)
+
+
+def _bonds_and_fields(layout: SystemLayout, bond: np.ndarray, field: np.ndarray) -> np.ndarray:
+    """`bond` on (j, j+1) or (0, i), then `field` on every chain site or on the star's hub."""
+    chain = layout.topology == "chain"
+    dims = layout.dims
+    H = np.zeros((layout.d ** layout.n_sites,) * 2, dtype=complex)
+    for j in range(layout.L):
+        H += embed_operator(bond, (j, j + 1) if chain else (0, j + 1), dims)
+    for site in range(layout.n_sites if chain else 1):
+        H += embed_operator(field, site, dims)
     return H
 
 

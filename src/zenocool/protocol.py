@@ -44,14 +44,18 @@ from .qudit import (
 EXTINCTION_THRESHOLD = 1e-14
 SZ_CONSERVATION_TOL = 1e-12
 OPEN_BLOCK_COPIES = 4   # peak memory of the open set-up over its block (4.1 traced at D=81)
-# peak memory of a closed run over one D x D complex array: 6.0 traced at D=729-2187
-# (the star's H build), plus eigh's LAPACK workspace, which tracemalloc does not see
-# (6.2-6.6 by peak RSS)
+# peak memory of a closed run over one D x D complex array: 3.45 traced at D=729-2187,
+# chain and star alike (H, V and U's support rows), plus eigh's LAPACK workspace, which
+# tracemalloc does not see (5.1-6.1 by peak RSS); the H build itself peaks at 2.1
 CLOSED_DENSE_COPIES = 7
 # expm_multiply picks its step count from 1-norms of (L tau)^p, p <= 9 (Al-Mohy & Higham's
 # p_max + 1): past the ninth root of the largest float these can overflow, and it fails on
 # a NaN or an infinity; a bath run's bound on |L tau| must stay below it
 EXPM_NORM_LIMIT = sys.float_info.max ** (1 / 9)
+# a bath run's bound tau |L| times its block's rows and columns: an L=4, d=3 chain at
+# Jtau = 2 pi reads 3.1e11; measured runs took 2e-9 (large blocks, |H| bound) to 3.4e-7
+# (D=9, gamma bound) seconds per unit, since the |H| bound is the looser one
+EXPM_COST_LIMIT = 1e12
 
 
 class ExtinctionError(RuntimeError):
@@ -118,7 +122,8 @@ class ProtocolConfig:
         # rows of support populations; Python integers, so nothing overflows
         need = 16 * CLOSED_DENSE_COPIES * D * D + 8 * self.n_measurements * self.rank * (D // d)
         if need <= have and self.bath is not None:
-            need = max(need, _open_set_up_bytes(self))
+            rows, cols = _open_block(self)
+            need = max(need, 16 * OPEN_BLOCK_COPIES * rows * cols)
         if need > have:
             raise ValueError(f"a {kind} run at D={D} needs about {need:,} bytes to set up, "
                              f"more than the {have:,} bytes of physical memory")
@@ -139,6 +144,12 @@ class ProtocolConfig:
                     f"{EXPM_NORM_LIMIT:.3g}: tau = {self.tau}, |H| <= {bound:.3g}, "
                     f"bath.gamma = {bath.gamma}, occupancy n = {n:.3g} "
                     f"from bath.temperature = {bath.temperature}, bath.omega = {bath.omega}")
+            cost = norm * rows * cols
+            if cost > EXPM_COST_LIMIT:
+                raise ValueError(
+                    f"a bath run at D={D} would take too long: tau * (|H| + gamma * (2n + 1)) "
+                    f"times its {rows} x {cols} block is {cost:.3g}, over {EXPM_COST_LIMIT:.3g}; "
+                    f"lower tau = {self.tau}, J = {ham.J} or bath.gamma = {bath.gamma}")
 
     @property
     def prep_rank(self) -> int:
@@ -149,8 +160,8 @@ class ProtocolConfig:
         return (0.0,) * self.layout.L if self.target_betas is None else self.target_betas
 
 
-def _open_set_up_bytes(config: ProtocolConfig) -> int:
-    """Memory of `_open_rounds`' block and its working copies, from the Sz-sector sizes.
+def _open_block(config: ProtocolConfig) -> tuple[int, int]:
+    """The shape of `_open_rounds`' block (sector-diagonal entries, support entries + 1).
 
     The sizes come from convolving the local Sz ladders as Python integers, so
     nothing D-sized is built and nothing overflows.
@@ -161,7 +172,7 @@ def _open_set_up_bytes(config: ProtocolConfig) -> int:
     rows = sum(n * n for n in np.convolve(ones(d), targets))
     # the support's sector sizes: its k levels are adjacent on the Sz ladder
     cols = sum(n * n for n in np.convolve(ones(config.rank), targets)) + 1
-    return 16 * OPEN_BLOCK_COPIES * rows * cols
+    return rows, cols
 
 
 @dataclass
@@ -240,6 +251,12 @@ def _unitary(config: ProtocolConfig) -> np.ndarray:
     return (V * np.exp(-1j * lam * config.tau)) @ V.conj().T
 
 
+def _support_rows(config: ProtocolConfig, support: np.ndarray):
+    """V[S] e^{-i lam tau} and V, for H = V diag(lam) V^+: U[S, c] is rows @ V[c]^+."""
+    lam, V = _eigendecomposition(config.layout, config.hamiltonian)
+    return V[support] * np.exp(-1j * lam * config.tau), V
+
+
 def _site_fidelities(config: ProtocolConfig, pops: np.ndarray) -> np.ndarray:
     """(n, L) Uhlmann fidelities of every target against the regulator preparation.
 
@@ -299,8 +316,7 @@ def _closed_rounds(config: ProtocolConfig, w: np.ndarray, support: np.ndarray):
     rho = X X^+ on the support S, from X = U[S, c] sqrt(w[c]) over the entries w[c] > 0 of
     rho(0) = diag(w); each later round is X <- M X, M = U[S, S], until p < EXTINCTION_THRESHOLD.
     """
-    lam, V = _eigendecomposition(config.layout, config.hamiltonian)
-    rows = V[support] * np.exp(-1j * lam * config.tau)      # U[S, :], without forming U
+    rows, V = _support_rows(config, support)
     X = (rows @ V[w > 0].conj().T) * np.sqrt(w[w > 0])
     if X.shape[1] > len(support):       # a wider preparation: s columns with the same X X^+
         X = np.linalg.qr(X.conj().T, mode="r").conj().T
@@ -379,13 +395,17 @@ class ZenoSpectrum:
 
 
 def zeno_spectrum(config: ProtocolConfig) -> ZenoSpectrum:
-    """General eigendecomposition of the round map (closed-system configs)."""
+    """General eigendecomposition of the round map M = P U (closed-system configs).
+
+    M is U[S, :] on the support rows and zero elsewhere: its eigenvalues are those of
+    U[S, S] plus D - s exact zeros, r lives on S, and l^+ = l_S^+ U[S, :] / a.
+    """
     if config.bath is not None:
         raise ValueError("the round-map spectrum is defined for closed-system configs")
-    support, U = _support(config), _unitary(config)
-    M = np.zeros_like(U)        # P U: the support rows of U, without a D x D P
-    M[support] = U[support]
-    vals, R = np.linalg.eig(M)
+    support = _support(config)
+    rows, V = _support_rows(config, support)
+    top = rows @ V.conj().T                     # U[S, :]
+    vals, R = np.linalg.eig(top[:, support])
     order = np.argsort(-np.abs(vals), kind="stable")
     vals = vals[order]
     R = R[:, order]
@@ -393,15 +413,16 @@ def zeno_spectrum(config: ProtocolConfig) -> ZenoSpectrum:
         left_rows = np.linalg.inv(R)
     except np.linalg.LinAlgError:
         left_rows = np.linalg.pinv(R)
-    simple = bool(len(vals) < 2 or abs(abs(vals[0]) - abs(vals[1])) > 1e-9)
+    simple = bool(abs(abs(vals[0]) - abs(vals[1])) > 1e-9)
     if not simple:
         warnings.warn("dominant eigenspace of the round map is not simple "
                       f"(|a0|={abs(vals[0]):.12f}, |a1|={abs(vals[1]):.12f})",
                       RuntimeWarning, stacklevel=2)
-    r = R[:, 0]
-    norm = np.linalg.norm(r)
-    r = r / norm
-    l = left_rows[0, :].conj() * norm
+    norm = np.linalg.norm(R[:, 0])
+    r = np.zeros(len(V), dtype=complex)
+    r[support] = R[:, 0] / norm
+    l = ((left_rows[0, :] * norm) @ top / vals[0]).conj()
+    vals = np.concatenate([vals, np.zeros(len(V) - len(support), dtype=complex)])
     return ZenoSpectrum(eigenvalues=vals, dominant_right=r, dominant_left=l,
                         dominant_is_simple=simple)
 

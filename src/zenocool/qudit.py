@@ -7,8 +7,8 @@ h > 0 the local ground state |0> is the m = -s vector.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -129,17 +129,28 @@ def tensor_product(a, b):
     return np.kron(np.asarray(a), np.asarray(b))
 
 
-def embed_operator(op: np.ndarray, site: int, dims: Sequence[int]) -> np.ndarray:
-    """I x ... x op x ... x I with `op` at the given slot."""
-    dims = tuple(dims)
-    if not 0 <= site < len(dims):
-        raise ValueError(f"site {site} out of range for {len(dims)} subsystems")
+def embed_operator(op: np.ndarray, sites, dims: Sequence[int]) -> np.ndarray:
+    """`op` on `sites` (one slot, or an ordered tuple of distinct slots), identity elsewhere.
+
+    `op` acts on the slots in the order given: `embed_operator(kron(a, b), (2, 0), dims)`
+    puts a on slot 2 and b on slot 0.
+    """
+    dims, n = tuple(dims), len(dims)
+    sites = (sites,) if isinstance(sites, (int, np.integer)) else tuple(sites)
+    if len(set(sites)) < len(sites) or not all(0 <= site < n for site in sites):
+        raise ValueError(f"sites {sites} must be distinct slots in 0..{n - 1}")
+    rest = [i for i in range(n) if i not in sites]
+    placed, kept = [dims[i] for i in sites], [dims[i] for i in rest]
     op = np.asarray(op, dtype=complex)
-    if op.shape != (dims[site], dims[site]):
-        raise ValueError(f"operator shape {op.shape} does not match dims[{site}]={dims[site]}")
-    mats = [np.eye(dd, dtype=complex) for dd in dims]
-    mats[site] = op
-    return reduce(np.kron, mats)
+    if op.shape != (math.prod(placed),) * 2:
+        raise ValueError(f"operator shape {op.shape} does not match dims {placed} of sites {sites}")
+    out = np.empty((math.prod(dims),) * 2, dtype=complex)
+    # op x identity written straight into out, viewed with its axes as (sites, rest) twice
+    order = list(sites) + rest
+    np.multiply(op.reshape((placed + [1] * len(rest)) * 2),
+                np.eye(math.prod(kept), dtype=complex).reshape(([1] * len(sites) + kept) * 2),
+                out=out.reshape(dims * 2).transpose(order + [n + i for i in order]))
+    return out
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:

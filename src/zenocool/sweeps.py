@@ -164,6 +164,8 @@ def _run_point(args) -> tuple[int, list[tuple]]:
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[tuple]:
     """All result rows of one sweep, in deterministic (grid, step, site) order."""
+    if workers < 1:
+        raise ValueError(f"workers (--workers) must be at least 1, got {workers}")
     indices = range(len(spec.grid()))
     workers = min(workers, len(indices))    # a pool forks all its workers at once
     if workers <= 1:
@@ -401,6 +403,8 @@ def classify_regions(rows: Iterable[dict], threshold: float = 0.96) -> list[Regi
     threshold.  Rows are mappings with at least the model/d/k/J/tau/fidelity
     columns (e.g. csv.DictReader output).
     """
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold (--threshold) must be finite, got {threshold}")
     best: dict[tuple, dict[float, float]] = {}
     count = 0
     for row in rows:

@@ -16,12 +16,22 @@ from zenocool import (
     SystemLayout,
     XXZSpec,
     dissipator,
-    lindblad_evolve,
     liouvillian,
     spin_operators,
     thermal_state,
 )
 from zenocool.protocol import _sz_total, _unitary
+
+
+def lindblad_evolve(rho: DensityMatrix, H: np.ndarray, bath: BathSpec,
+                    tau: float) -> DensityMatrix:
+    """exp(L tau) rho through the propagator, symmetrised; the trace must hold to 1e-8."""
+    D = rho.data.shape[0]
+    out = LindbladPropagator(H, bath, rho.dims, tau).apply(rho.data.reshape(-1)).reshape(D, D)
+    out = (out + out.conj().T) / 2
+    tr = np.trace(out).real
+    assert abs(tr - 1.0) <= 1e-8, f"trace drift {abs(tr - 1.0):.3e} over tau={tau}"
+    return DensityMatrix(out / tr, rho.dims)
 
 
 def model_config(seed: int, tau: float) -> ProtocolConfig:

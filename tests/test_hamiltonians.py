@@ -120,3 +120,16 @@ def test_builders_hermitian(J, Delta, h, theta):
     for H in (build_xxz(chain, J, Delta, h), build_bbh(chain, J, theta, h),
               build_spin_star(2, 2, J, h)):
         assert np.max(np.abs(H - H.conj().T)) < 1e-12
+
+
+@pytest.mark.parametrize("L, d, J, h", [(1, 2, 0.7, 1.1), (3, 3, -1.3, -0.4), (2, 4, 2.1, 0.9)])
+def test_star_matches_hub_ring_products(L, d, J, h):
+    """The star's bond terms, against products of single-site embeddings on the hub and ring."""
+    ops = spin_operators(d)
+    dims = [d] * (L + 1)
+    expect = h * embed_operator(ops.sz, 0, dims)
+    sx0 = embed_operator(ops.sx, 0, dims)
+    sy0 = embed_operator(ops.sy, 0, dims)
+    for i in range(1, L + 1):
+        expect += J * (sx0 @ embed_operator(ops.sx, i, dims) + sy0 @ embed_operator(ops.sy, i, dims))
+    assert np.array_equal(build_spin_star(L, d, J, h), expect)

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
+from scipy.optimize import linear_sum_assignment
 
 from zenocool import (
     BathSpec,
+    BBHSpec,
     DensityMatrix,
     ExtinctionError,
     ProtocolConfig,
@@ -264,6 +266,37 @@ def test_large_n_run_converges_to_dominant_eigenvector():
     red_eig = partial_trace(rho, {1})
     red_run = partial_trace(record.final_state, {1})
     assert uhlmann_fidelity(red_eig, red_run) > 1 - 1e-6
+
+
+@pytest.mark.parametrize("config", [
+    xx_config(d=3, jtau=1.3, N=1, k=2, Delta=0.6),
+    xx_config(d=3, jtau=0.9, N=1, k=1, L=2, Delta=1.0),
+    ProtocolConfig(layout=SystemLayout("star", 2, 3), hamiltonian=SpinStarSpec(J=0.8, h=-1.0),
+                   tau=1.7, n_measurements=1, rank=2),
+    ProtocolConfig(layout=SystemLayout("chain", 1, 4), hamiltonian=BBHSpec(J=1.0, theta=0.7),
+                   tau=2.3, n_measurements=1, rank=2),
+], ids=["chain-L1", "chain-L2", "star-L2", "bbh-d4"])
+def test_spectrum_matches_dense_round_map(config):
+    """Eigenvalues and dominant pair against a literal eig of P expm(-i H tau)."""
+    low = low_lying_mixture(config.layout.d, config.rank, config.hamiltonian.h).data != 0
+    P = embed_operator(low, 0, config.layout.dims)
+    M = P @ expm(-1j * config.hamiltonian.build(config.layout) * config.tau)
+    dense = np.linalg.eigvals(M)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)     # rank 2 keeps frozen states
+        spec = zeno_spectrum(config)
+    nonzero = spec.eigenvalues[np.abs(spec.eigenvalues) > 0]
+    assert len(nonzero) == np.count_nonzero(P.diagonal())
+    assert np.all(spec.eigenvalues[len(nonzero):] == 0)
+    # match every eigenvalue to its nearest dense partner, one to one
+    dense = dense[np.argsort(-np.abs(dense), kind="stable")][:len(nonzero)]
+    rows, cols = linear_sum_assignment(np.abs(nonzero[:, None] - dense[None, :]))
+    assert np.max(np.abs(nonzero[rows] - dense[cols])) < 1e-12
+    a, r, l = spec.eigenvalues[0], spec.dominant_right, spec.dominant_left
+    assert np.max(np.abs(M @ r - a * r)) < 1e-10
+    assert np.max(np.abs(l.conj() @ M - a * l.conj())) < 1e-10
+    assert np.linalg.norm(r) == pytest.approx(1.0, abs=1e-12)
+    assert np.vdot(l, r) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_spectrum_rejects_open_system():

@@ -157,6 +157,53 @@ def test_embed_identity_and_errors():
         embed_operator(np.eye(2), 2, [2, 3])
     with pytest.raises(ValueError):
         embed_operator(np.eye(2), 1, [2, 3])
+    for sites in ((1, 1), (0, 3), (-1, 0)):         # repeated, out of range, negative
+        with pytest.raises(ValueError):
+            embed_operator(np.eye(4), sites, [2, 2, 2])
+    with pytest.raises(ValueError):
+        embed_operator(np.eye(4), (0, 1), [2, 3, 2])
+
+
+def swap_to_system_order(order, dims):
+    """Permutation matrix taking kron over slots `order` to kron over slots 0..n-1."""
+    D = math.prod(dims)
+    perm = np.zeros((D, D))
+    for idx in range(D):
+        digits = np.unravel_index(idx, [dims[i] for i in order])
+        system = [0] * len(dims)
+        for slot, digit in zip(order, digits):
+            system[slot] = digit
+        perm[np.ravel_multi_index(system, dims), idx] = 1.0
+    return perm
+
+
+@pytest.mark.parametrize("sites, dims", [
+    ((0, 1), (2, 3, 2)), ((1, 2), (2, 3, 2)), ((1, 0), (2, 3, 2)), ((2, 1), (2, 3, 2)),
+    ((0, 2), (2, 3, 2)), ((2, 0), (2, 3, 2)), ((0, 3), (3, 3, 3, 3)), ((3, 1), (2, 3, 2, 3)),
+], ids=["adjacent", "adjacent-right", "reversed", "reversed-right", "non-adjacent",
+        "non-adjacent-reversed", "hub-to-ring", "mixed-reversed"])
+def test_embed_operator_on_a_site_pair_matches_kron_and_swap(sites, dims):
+    rng = np.random.default_rng(sum(sites) + len(dims))
+    size = dims[sites[0]] * dims[sites[1]]
+    op = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+    rest = [i for i in range(len(dims)) if i not in sites]
+    perm = swap_to_system_order(list(sites) + rest, dims)
+    expect = perm @ np.kron(op, np.eye(math.prod(dims[i] for i in rest))) @ perm.T
+    got = embed_operator(op, sites, dims)
+    assert np.max(np.abs(got - expect)) < 1e-14
+    if sites[1] == sites[0] + 1:        # adjacent and in order: a literal kron
+        eye = lambda ds: np.eye(math.prod(ds))
+        literal = np.kron(np.kron(eye(dims[:sites[0]]), op), eye(dims[sites[1] + 1:]))
+        assert np.array_equal(got, literal)
+
+
+def test_embed_operator_of_a_product_places_each_factor():
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    b = rng.normal(size=(3, 3))
+    dims = (3, 2, 2)
+    pair = embed_operator(np.kron(a, b), (2, 0), dims)
+    assert np.allclose(pair, embed_operator(a, 2, dims) @ embed_operator(b, 0, dims))
 
 
 @given(seed=st.integers(0, 2**32 - 1))

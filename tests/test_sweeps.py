@@ -254,20 +254,36 @@ BATH = {"temperature": 1.0, "gamma": 1e-3}
     ({"base": {"bath": {"temperature": 1e300, "gamma": 0.1, "omega": 1e-10}}},
      r"occupancy n = inf from bath\.temperature = 1e\+300, bath\.omega = 1e-10"),
     ({"base": {"J": 1e300, "bath": BATH}}, r"tau \* \(\|H\| \+ gamma \* \(2n \+ 1\)\)"),
+    ({"base": {"J": 1e30, "tau": 1.0, "N": 3, "bath": {"temperature": 1.0, "gamma": 0.1}}},
+     r"would take too long: .* tau = 1\.0, J = 1e\+30 or bath\.gamma = 0\.1"),
+    ({"base": {"bath": {"temperature": 1.0, "gamma": 1e20}}},
+     r"would take too long: .* bath\.gamma = 1e\+20"),
+    ({"argv": ["preset", "fig2", "--workers", "0", "--out", "{out}"]}, "--workers"),
+    ({"argv": ["run", "--config", "{config}", "--out", "{out}", "--workers", "-3"]},
+     "--workers"),
+    ({"argv": ["classify", "--in", "{config}", "--threshold", "nan"]}, "--threshold"),
+    ({"argv": ["classify", "--in", "{config}", "--threshold", "inf"]}, "--threshold"),
 ], ids=["tau-nan", "tau-inf", "J-nan", "temperature-nan", "temperature-negative", "gamma-nan",
         "site-7", "omega-inf", "axes-k-9", "axes-d-1", "axes-Jtau-nan", "axes-N-negative",
         "bath-D729-memory", "closed-D19683-memory", "bath-L200-memory", "N-bool",
         "axes-d-non-integral", "axes-N-non-integral", "axes-Jtau-bool", "phase-overflow",
         "h-zero", "h-negative-omega-default", "gamma-huge", "occupancy-overflow",
-        "bath-phase-overflow"])
+        "bath-phase-overflow", "bath-J-cost", "bath-gamma-cost", "preset-workers-0",
+        "run-workers-negative", "classify-threshold-nan", "classify-threshold-inf"])
 def test_cli_rejects_non_finite_and_out_of_range_fields(tmp_path, capsys, doc, message):
-    """Each input exits 1 at once, allocating little, with a message naming the field."""
+    """Each input exits 1 at once, allocating little, with a message naming the field.
+
+    `argv`, when given, replaces the `run` command line ({config} and {out} are filled in).
+    """
+    doc = dict(doc)
+    argv = doc.pop("argv", ["run", "--config", "{config}", "--out", "{out}"])
     config = write_json(tmp_path, {**MINIMAL, **doc,
                                    "base": dict(MINIMAL["base"], **doc.get("base", {}))})
+    argv = [arg.format(config=config, out=tmp_path / "o") for arg in argv]
     start = time.perf_counter()
     tracemalloc.start()
     try:
-        assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+        assert main(argv) == 1
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
