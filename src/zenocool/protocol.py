@@ -14,8 +14,14 @@ so rho stays block-diagonal in magnetization sectors: each target's reduced
 state is diagonal, and its fidelity is read off the site populations.
 Both are exact algebraic restrictions, not approximations.
 
-A closed run propagates X, with rho = X X^+ on the support, one matmul per
-round; `zeno_run` reads all fidelities off the support populations at once.
+A closed run works on those sectors, labelled by the digit sum of the flat
+index.  H is diagonalised once per (layout, Hamiltonian), as one batched
+eigh of its sector blocks zero-padded to the largest one.  It propagates X,
+with rho = X X^+ on the support, as a stack of sector blocks: each round is
+one batched matmul X <- M X, and `zeno_run` reads all fidelities off the
+support populations at once.  The round-map spectrum takes one eig per
+sector block of U[S, S].  Only `_unitary`, the tests' oracle, forms the
+D x D U.
 """
 from __future__ import annotations
 
@@ -25,7 +31,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -37,17 +43,19 @@ from .qudit import (
     embed_operator,
     energy_order,
     low_lying_mixture,
-    spin_operators,
     thermal_state,
 )
 
 EXTINCTION_THRESHOLD = 1e-14
 SZ_CONSERVATION_TOL = 1e-12
 OPEN_BLOCK_COPIES = 4   # peak memory of the open set-up over its block (4.1 traced at D=81)
-# peak memory of a closed run over one D x D complex array: 3.45 traced at D=729-2187,
-# chain and star alike (H, V and U's support rows), plus eigh's LAPACK workspace, which
-# tracemalloc does not see (5.1-6.1 by peak RSS); the H build itself peaks at 2.1
-CLOSED_DENSE_COPIES = 7
+# peak memory of a closed run: the dense H build holds H and one embedded term, besides
+# the d^2 x d^2 bond's temporaries (4.0 D x D arrays traced for BBH at L=1, where the bond
+# is D x D; 2.1 at L >= 2), and the set-up and rounds hold padded sector stacks
+# (6.3-6.6 n_sectors x A x A stacks traced at D=729-2187, chain and star alike)
+HAMILTONIAN_COPIES = 2
+BOND_COPIES = 2
+SECTOR_COPIES = 7
 # expm_multiply picks its step count from 1-norms of (L tau)^p, p <= 9 (Al-Mohy & Higham's
 # p_max + 1): past the ninth root of the largest float these can overflow, and it fails on
 # a NaN or an infinity; a bath run's bound on |L tau| must stay below it
@@ -113,17 +121,11 @@ class ProtocolConfig:
             raise ValueError(f"{self.hamiltonian.model} Hamiltonian requires the chain layout")
         sites = self.layout.n_sites
         kind = "closed" if self.bath is None else "bath"
-        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        have = physical_memory()
         if math.log2(d) > 64 / sites:       # D is not formed: 16 D^2 bytes exceed 2^132
             raise ValueError(f"a {kind} run at D={d}^{sites} needs more than 2^132 bytes "
                              f"to set up, more than the {have:,} bytes of physical memory")
-        D = d ** sites
-        # every run builds the dense D x D H (closed runs diagonalise it) and records N
-        # rows of support populations; Python integers, so nothing overflows
-        need = 16 * CLOSED_DENSE_COPIES * D * D + 8 * self.n_measurements * self.rank * (D // d)
-        if need <= have and self.bath is not None:
-            rows, cols = _open_block(self)
-            need = max(need, 16 * OPEN_BLOCK_COPIES * rows * cols)
+        D, need = d ** sites, run_bytes(self)
         if need > have:
             raise ValueError(f"a {kind} run at D={D} needs about {need:,} bytes to set up, "
                              f"more than the {have:,} bytes of physical memory")
@@ -144,6 +146,7 @@ class ProtocolConfig:
                     f"{EXPM_NORM_LIMIT:.3g}: tau = {self.tau}, |H| <= {bound:.3g}, "
                     f"bath.gamma = {bath.gamma}, occupancy n = {n:.3g} "
                     f"from bath.temperature = {bath.temperature}, bath.omega = {bath.omega}")
+            rows, cols = _open_block(self)
             cost = norm * rows * cols
             if cost > EXPM_COST_LIMIT:
                 raise ValueError(
@@ -160,19 +163,48 @@ class ProtocolConfig:
         return (0.0,) * self.layout.L if self.target_betas is None else self.target_betas
 
 
-def _open_block(config: ProtocolConfig) -> tuple[int, int]:
-    """The shape of `_open_rounds`' block (sector-diagonal entries, support entries + 1).
+def physical_memory() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
-    The sizes come from convolving the local Sz ladders as Python integers, so
-    nothing D-sized is built and nothing overflows.
+
+@lru_cache(maxsize=64)
+def _sector_sizes(d: int, L: int, rank: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Sizes of the total-Sz sectors of the whole space, and of the projector support.
+
+    They come from convolving the local Sz ladders as Python integers, so
+    nothing D-sized is built and nothing overflows.  The support's k levels
+    are adjacent on the ladder.
     """
-    d, L = config.layout.d, config.layout.L
     ones = lambda n: np.ones(n, dtype=object)
     targets = reduce(np.convolve, [ones(d)] * L)
-    rows = sum(n * n for n in np.convolve(ones(d), targets))
-    # the support's sector sizes: its k levels are adjacent on the Sz ladder
-    cols = sum(n * n for n in np.convolve(ones(config.rank), targets)) + 1
-    return rows, cols
+    return tuple(np.convolve(ones(d), targets)), tuple(np.convolve(ones(rank), targets))
+
+
+def _open_block(config: ProtocolConfig) -> tuple[int, int]:
+    """The shape of `_open_rounds`' block (sector-diagonal entries, support entries + 1)."""
+    full, support = _sector_sizes(config.layout.d, config.layout.L, config.rank)
+    return sum(n * n for n in full), sum(n * n for n in support) + 1
+
+
+def run_bytes(config: ProtocolConfig) -> int:
+    """Estimated peak memory of one run, in Python integers.
+
+    Every run builds the dense D x D H; a closed run then holds its sector
+    blocks, zero-padded to the largest sector, and records N rows of padded
+    and of plain support populations; a bath run holds the larger of that and
+    its exponential-action block.
+    """
+    d, L, N = config.layout.d, config.layout.L, config.n_measurements
+    full, support = _sector_sizes(d, L, config.rank)
+    D = d ** (L + 1)
+    need = 16 * (HAMILTONIAN_COPIES * D * D + BOND_COPIES * d ** 4
+                 + SECTOR_COPIES * len(full) * max(full) ** 2)
+    # the padded record, its scatter to the support, the normalised copy, the site marginals
+    need += 8 * N * (len(support) * max(support) + 2 * sum(support) + 4 * L * d)
+    if config.bath is not None:
+        rows, cols = _open_block(config)
+        need = max(need, 16 * OPEN_BLOCK_COPIES * rows * cols)
+    return need
 
 
 @dataclass
@@ -221,40 +253,119 @@ def _support(config: ProtocolConfig) -> np.ndarray:
     return (low[:, None] * d ** L + np.arange(d ** L)).ravel()
 
 
-def _sz_total(layout: SystemLayout) -> np.ndarray:
-    """Total Sz of every basis state, in the flat index order of rho."""
-    m = np.diag(spin_operators(layout.d).sz).real
-    return reduce(np.add.outer, [m] * layout.n_sites).ravel()
+def _sector_labels(layout: SystemLayout) -> np.ndarray:
+    """The sector of every basis state, in the flat index order of rho: its digit sum.
+
+    Digit i is the level m = s - i, so total Sz is n s minus the label, and
+    states of equal total Sz have equal integer labels.
+    """
+    digits = np.arange(layout.d)
+    return reduce(np.add.outer, [digits] * layout.n_sites).ravel()
 
 
 def _hamiltonian(layout: SystemLayout, spec: HamiltonianSpec) -> np.ndarray:
-    """The model's H, checked to conserve total Sz (the round loop relies on it)."""
+    """The model's H, checked to conserve total Sz (the sector blocks rely on it)."""
     H = spec.build(layout)
-    sz_tot = _sz_total(layout)
-    # [H, Sz_tot]_ij = H_ij (Sz_j - Sz_i) for the diagonal Sz_tot
-    leak = float(np.max(np.abs(H * (sz_tot[None, :] - sz_tot[:, None]))))
+    label = _sector_labels(layout)
+    # [H, Sz_tot]_ij = H_ij (Sz_j - Sz_i) = H_ij (label_i - label_j), read on H's nonzeros
+    i, j = np.nonzero(H)
+    leak = float(np.max(np.abs(H[i, j] * (label[i] - label[j])), initial=0.0))
     if not leak <= SZ_CONSERVATION_TOL:
         raise ValueError(f"{spec.model} Hamiltonian does not conserve total Sz: "
                          f"max |[H, Sz_tot]| = {leak:.3e} > {SZ_CONSERVATION_TOL:g}")
     return H
 
 
-# one entry: the memory gate counts one D x D V, and sweeps enumerate Jtau innermost,
-# so consecutive points of one (d, k, theta) share it
-@lru_cache(maxsize=1)
-def _eigendecomposition(layout: SystemLayout, spec: HamiltonianSpec):
-    return np.linalg.eigh(_hamiltonian(layout, spec))
-
-
 def _unitary(config: ProtocolConfig) -> np.ndarray:
-    lam, V = _eigendecomposition(config.layout, config.hamiltonian)
+    """U(tau) on the whole space, from one dense eigh: the oracle of the sector engine."""
+    lam, V = np.linalg.eigh(_hamiltonian(config.layout, config.hamiltonian))
     return (V * np.exp(-1j * lam * config.tau)) @ V.conj().T
 
 
-def _support_rows(config: ProtocolConfig, support: np.ndarray):
-    """V[S] e^{-i lam tau} and V, for H = V diag(lam) V^+: U[S, c] is rows @ V[c]^+."""
-    lam, V = _eigendecomposition(config.layout, config.hamiltonian)
-    return V[support] * np.exp(-1j * lam * config.tau), V
+def _stack_slots(label: np.ndarray, sectors: np.ndarray):
+    """Each state's place in a (len(sectors), width) stack: its sector's row, its slot in it.
+
+    Slots follow the order of `label`; width is the largest sector's count.
+    """
+    which = np.searchsorted(sectors, label)
+    sizes = np.bincount(which, minlength=len(sectors))
+    slot = np.empty_like(which)
+    slot[np.argsort(which, kind="stable")] = (np.arange(len(label))
+                                              - np.repeat(np.cumsum(sizes) - sizes, sizes))
+    return which, slot, int(sizes.max())
+
+
+class _Sectors(NamedTuple):
+    """H's total-Sz sector blocks, zero-padded to the largest sector A, diagonalised."""
+
+    label: np.ndarray       # (D,) sector of every basis state
+    slot: np.ndarray        # (D,) its row in the sector's block (ascending flat index)
+    lam: np.ndarray         # (n_sectors, A) eigenvalues of each padded block
+    V: np.ndarray           # (n_sectors, A, A) eigenvectors of each padded block
+
+
+# one entry: the memory gate counts one set of sector blocks, and sweeps enumerate Jtau
+# innermost, so consecutive points of one (d, k, theta) share it
+@lru_cache(maxsize=1)
+def _sector_eigh(layout: SystemLayout, spec: HamiltonianSpec) -> _Sectors:
+    """One batched eigh over H's sector blocks.
+
+    A padded block is diag(H_q, 0): its eigenvectors off the padding slots are
+    those of H_q, so V e^{-i lam tau} V^+ restricted to the real slots is U's
+    block exactly (also where H_q has an eigenvalue 0 that mixes with the padding).
+    """
+    H = _hamiltonian(layout, spec)
+    label = _sector_labels(layout)
+    _, slot, width = _stack_slots(label, np.arange(label[-1] + 1))
+    members = np.zeros((label[-1] + 1, width), dtype=int)      # padding slots read state 0
+    members[label, slot] = np.arange(len(label))
+    pad = np.arange(width) >= np.bincount(label)[:, None]
+    blocks = H[members[:, :, None], members[:, None, :]]
+    blocks[pad[:, :, None] | pad[:, None, :]] = 0
+    lam, V = np.linalg.eigh(blocks)
+    return _Sectors(label, slot, lam, V)
+
+
+class _SupportBlocks(NamedTuple):
+    """What a closed run needs of the sector eigenvectors, for every tau.
+
+    Stacked over the n sectors that meet the support S, each padded to the
+    largest one's a support states and c populated states of rho(0).
+    """
+
+    sectors: np.ndarray     # (n,) their labels, ascending
+    where: np.ndarray       # (s,) each support state's flat place in an (n, a) stack
+    lam: np.ndarray         # (n, A) eigenvalues of their blocks
+    rows: np.ndarray        # (n, a, A) V's support rows
+    cols: np.ndarray        # (n, A, c) V^+ at rho(0)'s populated states, times sqrt(w)
+
+
+# one entry, like `_sector_eigh`: consecutive points of a Jtau line share it
+@lru_cache(maxsize=1)
+def _support_blocks(layout: SystemLayout, spec: HamiltonianSpec, rank: int,
+                    regulator_prep: Optional[int], target_betas) -> _SupportBlocks:
+    config = ProtocolConfig(layout=layout, hamiltonian=spec, tau=0.0, n_measurements=0,
+                            rank=rank, regulator_prep=regulator_prep, target_betas=target_betas)
+    sec = _sector_eigh(layout, spec)
+    support, w = _support(config), _initial_populations(config)
+    sectors = np.flatnonzero(np.bincount(sec.label[support]))
+    which, slot, a = _stack_slots(sec.label[support], sectors)
+    rows = np.zeros((len(sectors), a, sec.V.shape[1]), dtype=complex)
+    rows[which, slot] = sec.V[sec.label[support], sec.slot[support]]
+    # rho(0)'s states in sectors without support states never reach the support
+    c = np.flatnonzero((w > 0) & np.isin(sec.label, sectors))
+    col_which, col_slot, width = _stack_slots(sec.label[c], sectors)
+    cols = np.zeros((len(sectors), sec.V.shape[1], width), dtype=complex)
+    cols[col_which, :, col_slot] = sec.V[sec.label[c], sec.slot[c]].conj() * np.sqrt(w[c])[:, None]
+    return _SupportBlocks(sectors, which * a + slot, sec.lam[sectors], rows, cols)
+
+
+def _round_map(config: ProtocolConfig):
+    """The support blocks, U's support rows R over the sector slots, and M = U[S, S] per sector."""
+    blocks = _support_blocks(config.layout, config.hamiltonian, config.rank,
+                             config.regulator_prep, config.target_betas)
+    R = blocks.rows * np.exp(-1j * blocks.lam * config.tau)[:, None, :]
+    return blocks, R, R @ blocks.rows.conj().transpose(0, 2, 1)
 
 
 def _site_fidelities(config: ProtocolConfig, pops: np.ndarray) -> np.ndarray:
@@ -293,8 +404,10 @@ def zeno_run(config: ProtocolConfig, *, retain_state: bool = True) -> Trajectory
             final_state=initial_state(config) if retain_state else None)
 
     support = _support(config)
-    rounds = _closed_rounds if config.bath is None else _open_rounds
-    pops, probs, drift, block = rounds(config, w, support)
+    if config.bath is None:
+        pops, probs, drift, block = _closed_rounds(config)
+    else:
+        pops, probs, drift, block = _open_rounds(config, w, support)
     n = len(pops)
     final = None
     if retain_state and block is not None:
@@ -310,27 +423,34 @@ def zeno_run(config: ProtocolConfig, *, retain_state: bool = True) -> Trajectory
     return record
 
 
-def _closed_rounds(config: ProtocolConfig, w: np.ndarray, support: np.ndarray):
+def _closed_rounds(config: ProtocolConfig):
     """Support populations (n, s) before normalization, every round's p, drift 0, final block.
 
-    rho = X X^+ on the support S, from X = U[S, c] sqrt(w[c]) over the entries w[c] > 0 of
-    rho(0) = diag(w); each later round is X <- M X, M = U[S, S], until p < EXTINCTION_THRESHOLD.
+    rho = X X^+ on the support S, one block per total-Sz sector, from X = U[S, c] sqrt(w[c])
+    over the entries w[c] > 0 of rho(0) = diag(w); each later round is X <- M X, M = U[S, S],
+    one batched matmul over the sector stack, until p < EXTINCTION_THRESHOLD.
     """
-    rows, V = _support_rows(config, support)
-    X = (rows @ V[w > 0].conj().T) * np.sqrt(w[w > 0])
-    if X.shape[1] > len(support):       # a wider preparation: s columns with the same X X^+
-        X = np.linalg.qr(X.conj().T, mode="r").conj().T
-    M = rows @ V[support].conj().T
-    pops, probs = np.zeros((config.n_measurements, len(support))), np.zeros(config.n_measurements)
-    for n in range(config.n_measurements):
+    blocks, R, M = _round_map(config)
+    X = R @ blocks.cols
+    if X.shape[2] > X.shape[1]:     # a wider preparation: a columns with the same X X^+
+        X = np.linalg.qr(X.conj().transpose(0, 2, 1), mode="r").conj().transpose(0, 2, 1).copy()
+    N = config.n_measurements
+    pops, probs = np.zeros((N,) + X.shape[:2]), np.zeros(N)
+    for n in range(N):
         if n > 0:
             X = M @ X
-        pops[n] = (X.real ** 2 + X.imag ** 2).sum(axis=1)
+        re_im = X.view(np.float64)      # |x|^2 summed over each row's real and imaginary parts
+        np.einsum("ijk,ijk->ij", re_im, re_im, out=pops[n])
         probs[n] = p = pops[n].sum()
         if p < EXTINCTION_THRESHOLD:
-            return pops[:n], probs[:n + 1], 0.0, None
+            return pops.reshape(N, -1)[:n, blocks.where], probs[:n + 1], 0.0, None
         X /= np.sqrt(p)
-    return pops, probs, 0.0, X @ X.conj().T
+    # X X^+ is block-diagonal over the sectors: assemble it on the support
+    sector, slot = np.divmod(blocks.where, X.shape[1])
+    i, j = np.nonzero(sector[:, None] == sector[None, :])
+    block = np.zeros((len(sector),) * 2, dtype=complex)
+    block[i, j] = (X @ X.conj().transpose(0, 2, 1))[sector[i], slot[i], slot[j]]
+    return pops.reshape(N, -1)[:, blocks.where], probs, 0.0, block
 
 
 def _open_rounds(config: ProtocolConfig, w: np.ndarray, support: np.ndarray):
@@ -343,10 +463,10 @@ def _open_rounds(config: ProtocolConfig, w: np.ndarray, support: np.ndarray):
     is then one dense matvec on the support entries.
     """
     D, s = len(w), len(support)
-    sz = _sz_total(config.layout)
-    kept = np.flatnonzero(sz[:, None] == sz[None, :])
+    label = _sector_labels(config.layout)
+    kept = np.flatnonzero(label[:, None] == label[None, :])
     diagonal = kept // D == kept % D
-    inner = np.flatnonzero(sz[support][:, None] == sz[support][None, :])
+    inner = np.flatnonzero(label[support][:, None] == label[support][None, :])
     i, j = np.divmod(inner, s)
     entries = np.searchsorted(kept, support[i] * D + support[j])
     block = np.zeros((len(kept), len(inner) + 1), dtype=complex)
@@ -388,7 +508,7 @@ def direct_cumulative_probability(config: ProtocolConfig) -> float:
 class ZenoSpectrum:
     """Spectral data of the nonunitary round map M = P U(tau)."""
 
-    eigenvalues: np.ndarray          # sorted by descending modulus
+    eigenvalues: np.ndarray          # by descending modulus; ties with the top ordered as below
     dominant_right: np.ndarray       # unit-norm right eigenvector of the top eigenvalue
     dominant_left: np.ndarray        # matching left eigenvector, <L|R> = 1
     dominant_is_simple: bool
@@ -397,32 +517,53 @@ class ZenoSpectrum:
 def zeno_spectrum(config: ProtocolConfig) -> ZenoSpectrum:
     """General eigendecomposition of the round map M = P U (closed-system configs).
 
-    M is U[S, :] on the support rows and zero elsewhere: its eigenvalues are those of
-    U[S, S] plus D - s exact zeros, r lives on S, and l^+ = l_S^+ U[S, :] / a.
+    M is U[S, :] on the support rows and zero elsewhere, and U keeps every
+    total-Sz sector: its eigenvalues are those of the sector blocks of U[S, S],
+    plus D - s exact zeros.  The dominant r lives on its sector's support
+    states, and l^+ = l_S^+ U[S, :] / a on that sector's states.
+
+    Eigenvalues within 1e-9 of the top modulus come first, by ascending sector
+    label, then by phase angle, so the dominant pair does not depend on the
+    order in which LAPACK lists tied eigenvalues.  An exactly degenerate
+    eigenspace (one sector, one eigenvalue) still has no preferred vector:
+    the pair is whichever basis vector `eig` returns first.
     """
     if config.bath is not None:
         raise ValueError("the round-map spectrum is defined for closed-system configs")
-    support = _support(config)
-    rows, V = _support_rows(config, support)
-    top = rows @ V.conj().T                     # U[S, :]
-    vals, R = np.linalg.eig(top[:, support])
-    order = np.argsort(-np.abs(vals), kind="stable")
+    blocks, R, M = _round_map(config)
+    a = R.shape[1]
+    sizes = np.bincount(blocks.where // a, minlength=len(blocks.sectors))
+    eigs = [np.linalg.eig(M[q, :b, :b]) for q, b in enumerate(sizes)]
+    vals = np.concatenate([v for v, _ in eigs])
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    modulus = np.abs(vals)
+    tied = modulus >= modulus.max() - 1e-9
+    order = np.lexsort((np.where(tied, np.angle(vals), 0.0),
+                        np.where(tied, blocks.sectors[owner], 0),
+                        np.where(tied, 0.0, -modulus), ~tied))
     vals = vals[order]
-    R = R[:, order]
-    try:
-        left_rows = np.linalg.inv(R)
-    except np.linalg.LinAlgError:
-        left_rows = np.linalg.pinv(R)
-    simple = bool(abs(abs(vals[0]) - abs(vals[1])) > 1e-9)
+    simple = bool(np.count_nonzero(tied) == 1)
     if not simple:
         warnings.warn("dominant eigenspace of the round map is not simple "
                       f"(|a0|={abs(vals[0]):.12f}, |a1|={abs(vals[1]):.12f})",
                       RuntimeWarning, stacklevel=2)
-    norm = np.linalg.norm(R[:, 0])
-    r = np.zeros(len(V), dtype=complex)
-    r[support] = R[:, 0] / norm
-    l = ((left_rows[0, :] * norm) @ top / vals[0]).conj()
-    vals = np.concatenate([vals, np.zeros(len(V) - len(support), dtype=complex)])
+    q = owner[order[0]]
+    R_q = eigs[q][1]
+    j = order[0] - (np.cumsum(sizes) - sizes)[q]
+    try:
+        left_rows = np.linalg.inv(R_q)
+    except np.linalg.LinAlgError:
+        left_rows = np.linalg.pinv(R_q)
+    sec = _sector_eigh(config.layout, config.hamiltonian)
+    D = len(sec.label)
+    norm = np.linalg.norm(R_q[:, j])
+    r = np.zeros(D, dtype=complex)
+    r[_support(config)[blocks.where // a == q]] = R_q[:, j] / norm
+    members = np.flatnonzero(sec.label == blocks.sectors[q])
+    top = R[q, :sizes[q]] @ sec.V[blocks.sectors[q], :len(members)].conj().T   # U[S_q, members]
+    l = np.zeros(D, dtype=complex)
+    l[members] = ((left_rows[j, :] * norm) @ top / vals[0]).conj()
+    vals = np.concatenate([vals, np.zeros(D - len(blocks.where), dtype=complex)])
     return ZenoSpectrum(eigenvalues=vals, dominant_right=r, dominant_left=l,
                         dominant_is_simple=simple)
 

@@ -22,7 +22,7 @@ from . import __version__
 from .evolution import BathSpec
 from .hamiltonians import BBHSpec, SpinStarSpec, SystemLayout, XXZSpec
 from .oracles import fidelity_bbh_rank1_d3, fidelity_xx_rank1
-from .protocol import ExtinctionError, ProtocolConfig, zeno_run
+from .protocol import ExtinctionError, ProtocolConfig, physical_memory, run_bytes, zeno_run
 
 COLUMNS = (
     "preset_id", "topology", "model", "d", "L", "k", "J", "Delta_or_theta",
@@ -168,6 +168,12 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[tuple]:
         raise ValueError(f"workers (--workers) must be at least 1, got {workers}")
     indices = range(len(spec.grid()))
     workers = min(workers, len(indices))    # a pool forks all its workers at once
+    if workers > 1:     # each worker runs one point at a time
+        need = workers * max(run_bytes(spec.config_at(point)) for point in spec.grid())
+        if need > physical_memory():
+            raise ValueError(f"workers (--workers) {workers} would run {workers} points at once "
+                             f"in about {need:,} bytes, more than the {physical_memory():,} "
+                             f"bytes of physical memory")
     if workers <= 1:
         chunks = [_point_rows(spec, i) for i in indices]
     else:

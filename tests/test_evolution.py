@@ -20,7 +20,7 @@ from zenocool import (
     spin_operators,
     thermal_state,
 )
-from zenocool.protocol import _sz_total, _unitary
+from zenocool.protocol import _sector_labels, _unitary
 
 
 def lindblad_evolve(rho: DensityMatrix, H: np.ndarray, bath: BathSpec,
@@ -188,8 +188,8 @@ def test_lindblad_propagator_matches_dense_expm():
 ], ids=["xxz", "bbh", "star"])
 def test_liouvillian_keeps_sector_diagonal_subspace(layout, ham, site):
     """Entries (i, j) with Sz_tot(i) = Sz_tot(j) map only into such entries: exactly."""
-    sz = _sz_total(layout)
-    kept = (sz[:, None] == sz[None, :]).ravel()
+    label = _sector_labels(layout)
+    kept = (label[:, None] == label[None, :]).ravel()
     bath = BathSpec(temperature=0.8, gamma=0.3, omega=1.1, site=site)
     L = liouvillian(ham.build(layout), bath, layout.dims).toarray()
     assert np.count_nonzero(L[np.ix_(~kept, kept)]) == 0

@@ -116,8 +116,31 @@ def test_trajectory_states_and_fidelities_valid(jtau, n):
 ], ids=["chain-L1", "chain-L2", "star-L2", "chain-L1-bath", "chain-L2-bath", "star-L2-bath",
         "chain-L2-prep3-rank1"])
 def test_round_loop_matches_dense_oracle(config):
+    assert_matches_literal_round_map(config)
+
+
+@given(model=st.sampled_from(["xxz", "bbh", "star"]), L=st.integers(1, 2), d=st.integers(2, 4),
+       data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_sector_engine_matches_literal_round_map(model, L, d, data):
+    """Random model, size, rank, wider preparation, target temperatures and tau."""
+    k = data.draw(st.integers(1, d), label="k")
+    h = data.draw(st.sampled_from([1.0, -0.7]), label="h")
+    ham = {"xxz": XXZSpec(J=1.0, Delta=data.draw(st.floats(-1.5, 1.5), label="Delta"), h=h),
+           "bbh": BBHSpec(J=1.0, theta=data.draw(st.floats(-3.0, 3.0), label="theta"), h=h),
+           "star": SpinStarSpec(J=1.0, h=h)}[model]
+    config = ProtocolConfig(
+        layout=SystemLayout("star" if model == "star" else "chain", L, d), hamiltonian=ham,
+        tau=data.draw(st.floats(0.1, 3.0), label="tau"), n_measurements=4, rank=k,
+        regulator_prep=data.draw(st.integers(k, d), label="prep"),
+        target_betas=tuple(data.draw(st.lists(st.floats(0.1, 2.0), min_size=L, max_size=L),
+                                     label="betas")))
+    assert_matches_literal_round_map(config)
+
+
+def assert_matches_literal_round_map(config):
     """The literal round map rho -> P E(rho) P / p on the full space, with
-    fidelities from partial_trace + uhlmann_fidelity."""
+    fidelities from partial_trace + uhlmann_fidelity, all at 1e-12."""
     record = zeno_run(config)
     dims = config.layout.dims
     H = config.hamiltonian.build(config.layout)
@@ -296,6 +319,28 @@ def test_spectrum_matches_dense_round_map(config):
     assert np.max(np.abs(M @ r - a * r)) < 1e-10
     assert np.max(np.abs(l.conj() @ M - a * l.conj())) < 1e-10
     assert np.linalg.norm(r) == pytest.approx(1.0, abs=1e-12)
+    assert np.vdot(l, r) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_spectrum_orders_tied_dominant_eigenvalues_by_sector_then_phase():
+    """Modulus 1 is shared by sector 5 (states 11 and 14, a unitary 2 x 2 block) and
+    sector 6 (state 15): sector 5 comes first, its two eigenvalues by phase."""
+    config = xx_config(d=4, jtau=0.7, N=1, k=2, Delta=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        spec, again = zeno_spectrum(config), zeno_spectrum(config)
+    assert spec.dominant_is_simple is False
+    for name in ("eigenvalues", "dominant_right", "dominant_left"):
+        assert getattr(spec, name).tobytes() == getattr(again, name).tobytes()
+    top = spec.eigenvalues[:4]
+    assert np.max(np.abs(np.abs(top[:3]) - 1)) < 1e-12 and abs(top[3]) < 1 - 1e-3
+    assert np.angle(top[0]) < np.angle(top[1])
+    assert set(np.flatnonzero(np.abs(spec.dominant_right) > 1e-12)) <= {11, 14}
+    low = low_lying_mixture(4, 2).data != 0
+    M = embed_operator(low, 0, (4, 4)) @ expm(-1j * config.hamiltonian.build(config.layout) * 0.7)
+    a, r, l = spec.eigenvalues[0], spec.dominant_right, spec.dominant_left
+    assert np.max(np.abs(M @ r - a * r)) < 1e-10
+    assert np.max(np.abs(l.conj() @ M - a * l.conj())) < 1e-10
     assert np.vdot(l, r) == pytest.approx(1.0, abs=1e-12)
 
 

@@ -115,11 +115,19 @@ def test_run_sweep_caps_workers_at_grid_points(monkeypatch):
 
 
 def test_theta_sweep_keeps_one_eigendecomposition():
-    from zenocool.protocol import _eigendecomposition
+    from zenocool.protocol import _sector_eigh
 
     doc = {"base": dict(MINIMAL["base"], model="bbh", N=2), "axes": {"theta": [0.1, 0.2, 0.3]}}
     run_sweep(parse_config(doc))
-    assert _eigendecomposition.cache_info().currsize == 1
+    assert _sector_eigh.cache_info().currsize == 1
+
+
+def test_jtau_line_runs_one_sector_eigh():
+    from zenocool.protocol import _sector_eigh
+
+    _sector_eigh.cache_clear()
+    run_sweep(parse_config(dict(MINIMAL, axes={"Jtau": [0.4, 0.8, 1.2, 1.6]})))
+    assert _sector_eigh.cache_info().misses == 1
 
 
 def test_n_axis_selects_recorded_steps(tmp_path):
@@ -261,6 +269,9 @@ BATH = {"temperature": 1.0, "gamma": 1e-3}
     ({"argv": ["preset", "fig2", "--workers", "0", "--out", "{out}"]}, "--workers"),
     ({"argv": ["run", "--config", "{config}", "--out", "{out}", "--workers", "-3"]},
      "--workers"),
+    ({"base": {"L": 7, "d": 3}, "axes": {"Jtau": [0.001 * i for i in range(1, 1001)]},
+      "argv": ["run", "--config", "{config}", "--out", "{out}", "--workers", "1000"]},
+     r"workers \(--workers\) 1000 would run 1000 points at once in about [\d,]+ bytes"),
     ({"argv": ["classify", "--in", "{config}", "--threshold", "nan"]}, "--threshold"),
     ({"argv": ["classify", "--in", "{config}", "--threshold", "inf"]}, "--threshold"),
 ], ids=["tau-nan", "tau-inf", "J-nan", "temperature-nan", "temperature-negative", "gamma-nan",
@@ -269,12 +280,21 @@ BATH = {"temperature": 1.0, "gamma": 1e-3}
         "axes-d-non-integral", "axes-N-non-integral", "axes-Jtau-bool", "phase-overflow",
         "h-zero", "h-negative-omega-default", "gamma-huge", "occupancy-overflow",
         "bath-phase-overflow", "bath-J-cost", "bath-gamma-cost", "preset-workers-0",
-        "run-workers-negative", "classify-threshold-nan", "classify-threshold-inf"])
-def test_cli_rejects_non_finite_and_out_of_range_fields(tmp_path, capsys, doc, message):
-    """Each input exits 1 at once, allocating little, with a message naming the field.
+        "run-workers-negative", "run-workers-memory", "classify-threshold-nan",
+        "classify-threshold-inf"])
+def test_cli_rejects_non_finite_and_out_of_range_fields(tmp_path, capsys, monkeypatch, doc,
+                                                       message):
+    """Each input exits 1 at once, allocating little and starting no worker process, with a
+    message naming the field.
 
     `argv`, when given, replaces the `run` command line ({config} and {out} are filled in).
     """
+    import zenocool.sweeps as sweeps
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a rejected input started a worker pool")
+
+    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", no_pool)
     doc = dict(doc)
     argv = doc.pop("argv", ["run", "--config", "{config}", "--out", "{out}"])
     config = write_json(tmp_path, {**MINIMAL, **doc,
