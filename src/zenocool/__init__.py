@@ -21,9 +21,6 @@ from .hamiltonians import (
     SpinStarSpec,
     SystemLayout,
     XXZSpec,
-    build_bbh,
-    build_spin_star,
-    build_xxz,
 )
 from .oracles import fidelity_bbh_rank1_d3, fidelity_xx_rank1
 from .protocol import (
@@ -63,7 +60,6 @@ __all__ = [
     "HamiltonianSpec", "LindbladPropagator",
     "ProtocolConfig", "SpinOperatorSet", "SpinStarSpec",
     "SweepSpec", "SystemLayout", "TrajectoryRecord", "XXZSpec", "ZenoSpectrum",
-    "build_bbh", "build_spin_star", "build_xxz",
     "classify_regions", "delta_p", "dissipator", "embed_operator", "energy_order",
     "fidelity_bbh_rank1_d3", "fidelity_xx_rank1",
     "liouvillian", "load_config",

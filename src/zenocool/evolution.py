@@ -63,11 +63,11 @@ def dissipator(rho: DensityMatrix, bath: BathSpec) -> np.ndarray:
     return out
 
 
-def liouvillian(H: np.ndarray, bath: BathSpec, dims: Sequence[int]):
+def liouvillian(H, bath: BathSpec, dims: Sequence[int]):
     """Sparse (CSR) superoperator on row-stacked rho: vec(A rho B) = (A kron B^T) vec(rho)."""
     from scipy import sparse     # loaded here: closed runs never need scipy (~0.4 s, 30 MB)
 
-    H = sparse.csr_matrix(np.asarray(H, dtype=complex))
+    H = sparse.csr_matrix(H, dtype=complex)
     eye = sparse.identity(H.shape[0], dtype=complex, format="csr")
     lk = lambda X, Y: sparse.kron(X, Y.T, format="csr")
     L = -1j * (lk(H, eye) - lk(eye, H))
@@ -91,7 +91,7 @@ class LindbladPropagator:
 
     method = "expm_multiply"
 
-    def __init__(self, H: np.ndarray, bath: BathSpec, dims: Sequence[int], tau: float,
+    def __init__(self, H, bath: BathSpec, dims: Sequence[int], tau: float,
                  subspace: Optional[np.ndarray] = None):
         L = liouvillian(H, bath, dims)
         if subspace is not None:

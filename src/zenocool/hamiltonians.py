@@ -2,10 +2,11 @@
 
 Chains are open, with the regulator at site 0 and targets B_1..B_L at sites
 1..L; the star puts the regulator at the hub (site 0) with L ring sites.
-Every model is a sum of two-site bonds and one-site fields, and every
-builder places each term with `qudit.embed_operator`: the d^2 x d^2 bond on
-(j, j+1) or (0, i), then h Sz on each field site.  All builders return
-dense Hermitian arrays.
+Every model is a sum of two-site bonds and one-site fields.  A spec gives
+its d^2 x d^2 bond and its topology; `entries` places each term with
+`qudit.operator_entries` (the bond on (j, j+1) or (0, i), then h Sz on every
+chain site or on the hub) and lists H's nonzero entries term by term.  That
+list is the one definition of H: `build` is its dense scatter.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from typing import Union
 
 import numpy as np
 
-from .qudit import embed_operator, spin_operators
+from .qudit import operator_entries, spin_operators
 
 
 @dataclass(frozen=True)
@@ -50,87 +51,77 @@ class SystemLayout:
         return tuple(range(1, self.L + 1))
 
 
-def build_xxz(layout: SystemLayout, J: float, Delta: float, h: float) -> np.ndarray:
+class _BondsAndFields:
+    """H = sum of `bond(ops)` on the topology's bonds plus `h Sz` on its field sites."""
+
+    def entries(self, layout: SystemLayout):
+        """(rows, cols, values) of every term in turn; entries of one element are summed."""
+        ops = spin_operators(layout.d)
+        chain = self.topology == "chain"
+        bond, field = self.bond(ops), self.h * ops.sz
+        terms = [(bond, (j, j + 1) if chain else (0, j + 1)) for j in range(layout.L)]
+        terms += [(field, site) for site in range(layout.n_sites if chain else 1)]
+        parts = [operator_entries(op, sites, layout.dims) for op, sites in terms]
+        return tuple(np.concatenate(column) for column in zip(*parts))
+
+    def build(self, layout: SystemLayout) -> np.ndarray:
+        """The dense H: the entries summed into zeros, in the order listed."""
+        rows, cols, values = self.entries(layout)
+        H = np.zeros((layout.d ** layout.n_sites,) * 2, dtype=complex)
+        np.add.at(H, (rows, cols), values)
+        return H
+
+
+@dataclass(frozen=True)
+class XXZSpec(_BondsAndFields):
     """Sum_j J [SxSx + SySy + Delta SzSz]_{j,j+1} + h sum_j Sz_j on the open chain.
 
     The regulator participates in both the bond chain and the field sum.
     """
-    if layout.topology != "chain":
-        raise ValueError("XXZ model is defined on the chain layout")
-    ops = spin_operators(layout.d)
-    bond = J * (np.kron(ops.sx, ops.sx) + np.kron(ops.sy, ops.sy)
-                + Delta * np.kron(ops.sz, ops.sz))
-    return _bonds_and_fields(layout, bond, h * ops.sz)
 
-
-def build_bbh(layout: SystemLayout, J: float, theta: float, h: float) -> np.ndarray:
-    """J sum_j [cos(theta) S_j.S_{j+1} + sin(theta) (S_j.S_{j+1})^2] + h sum_j Sz_j."""
-    if layout.topology != "chain":
-        raise ValueError("bilinear-biquadratic model is defined on the chain layout")
-    ops = spin_operators(layout.d)
-    ss = (np.kron(ops.sx, ops.sx) + np.kron(ops.sy, ops.sy) + np.kron(ops.sz, ops.sz))
-    bond = J * (np.cos(theta) * ss + np.sin(theta) * (ss @ ss))
-    return _bonds_and_fields(layout, bond, h * ops.sz)
-
-
-def build_spin_star(L: int, d: int, J: float, h: float) -> np.ndarray:
-    """h Sz on the hub plus J (SxSx + SySy) between the hub and each ring site.
-
-    Ring sites carry no local field.
-    """
-    layout = SystemLayout("star", L, d)
-    ops = spin_operators(d)
-    bond = J * (np.kron(ops.sx, ops.sx) + np.kron(ops.sy, ops.sy))
-    return _bonds_and_fields(layout, bond, h * ops.sz)
-
-
-def _bonds_and_fields(layout: SystemLayout, bond: np.ndarray, field: np.ndarray) -> np.ndarray:
-    """`bond` on (j, j+1) or (0, i), then `field` on every chain site or on the star's hub."""
-    chain = layout.topology == "chain"
-    dims = layout.dims
-    H = np.zeros((layout.d ** layout.n_sites,) * 2, dtype=complex)
-    for j in range(layout.L):
-        H += embed_operator(bond, (j, j + 1) if chain else (0, j + 1), dims)
-    for site in range(layout.n_sites if chain else 1):
-        H += embed_operator(field, site, dims)
-    return H
-
-
-@dataclass(frozen=True)
-class XXZSpec:
     J: float
     Delta: float
     h: float = 1.0
 
     model = "xxz"
+    topology = "chain"
 
-    def build(self, layout: SystemLayout) -> np.ndarray:
-        return build_xxz(layout, self.J, self.Delta, self.h)
+    def bond(self, ops) -> np.ndarray:
+        return self.J * (np.kron(ops.sx, ops.sx) + np.kron(ops.sy, ops.sy)
+                         + self.Delta * np.kron(ops.sz, ops.sz))
 
 
 @dataclass(frozen=True)
-class BBHSpec:
+class BBHSpec(_BondsAndFields):
+    """J sum_j [cos(theta) S_j.S_{j+1} + sin(theta) (S_j.S_{j+1})^2] + h sum_j Sz_j."""
+
     J: float
     theta: float
     h: float = 1.0
 
     model = "bbh"
+    topology = "chain"
 
-    def build(self, layout: SystemLayout) -> np.ndarray:
-        return build_bbh(layout, self.J, self.theta, self.h)
+    def bond(self, ops) -> np.ndarray:
+        ss = np.kron(ops.sx, ops.sx) + np.kron(ops.sy, ops.sy) + np.kron(ops.sz, ops.sz)
+        return self.J * (np.cos(self.theta) * ss + np.sin(self.theta) * (ss @ ss))
 
 
 @dataclass(frozen=True)
-class SpinStarSpec:
+class SpinStarSpec(_BondsAndFields):
+    """h Sz on the hub plus J (SxSx + SySy) between the hub and each ring site.
+
+    Ring sites carry no local field.
+    """
+
     J: float
     h: float = 1.0
 
     model = "spin_star"
+    topology = "star"
 
-    def build(self, layout: SystemLayout) -> np.ndarray:
-        if layout.topology != "star":
-            raise ValueError("spin-star model is defined on the star layout")
-        return build_spin_star(layout.L, layout.d, self.J, self.h)
+    def bond(self, ops) -> np.ndarray:
+        return self.J * (np.kron(ops.sx, ops.sx) + np.kron(ops.sy, ops.sy))
 
 
 HamiltonianSpec = Union[XXZSpec, BBHSpec, SpinStarSpec]

@@ -14,9 +14,11 @@ so rho stays block-diagonal in magnetization sectors: each target's reduced
 state is diagonal, and its fidelity is read off the site populations.
 Both are exact algebraic restrictions, not approximations.
 
-A closed run works on those sectors, labelled by the digit sum of the flat
-index.  H is diagonalised once per (layout, Hamiltonian), as one batched
-eigh of its sector blocks zero-padded to the largest one.  It propagates X,
+The engine reads H only as its nonzero entries; the dense `spec.build` is
+left to the oracles.  A closed run works on the sectors, labelled by the
+digit sum of the flat index.  H is diagonalised once per (layout,
+Hamiltonian), as one batched eigh of its sector blocks, scattered from the
+entries and zero-padded to the largest one.  It propagates X,
 with rho = X X^+ on the support, as a stack of sector blocks: each round is
 one batched matmul X <- M X, and `zeno_run` reads all fidelities off the
 support populations at once.  The round-map spectrum takes one eig per
@@ -49,13 +51,15 @@ from .qudit import (
 EXTINCTION_THRESHOLD = 1e-14
 SZ_CONSERVATION_TOL = 1e-12
 OPEN_BLOCK_COPIES = 4   # peak memory of the open set-up over its block (4.1 traced at D=81)
-# peak memory of a closed run: the dense H build holds H and one embedded term, besides
-# the d^2 x d^2 bond's temporaries (4.0 D x D arrays traced for BBH at L=1, where the bond
-# is D x D; 2.1 at L >= 2), and the set-up and rounds hold padded sector stacks
-# (6.3-6.6 n_sectors x A x A stacks traced at D=729-2187, chain and star alike)
-HAMILTONIAN_COPIES = 2
-BOND_COPIES = 2
+# peak memory of a closed run: the d^2 x d^2 bond's temporaries (3.0 bonds traced for XXZ
+# and 4.0 for BBH at L=1, d=31), H's entries with their sort (85-107 bytes per entry traced),
+# the padded sector stacks of the set-up and rounds (6.3-6.6 n_sectors x A x A stacks traced
+# at D=729-2187, chain and star alike), and the retained D x D state with DensityMatrix's
+# Hermiticity check (3.5 D x D traced for rho(0) at N=0, 4 with a full-rank support block)
+BOND_COPIES = 4
+ENTRY_BYTES = 96
 SECTOR_COPIES = 7
+STATE_COPIES = 4
 # expm_multiply picks its step count from 1-norms of (L tau)^p, p <= 9 (Al-Mohy & Higham's
 # p_max + 1): past the ninth root of the largest float these can overflow, and it fails on
 # a NaN or an infinity; a bath run's bound on |L tau| must stay below it
@@ -114,11 +118,9 @@ class ProtocolConfig:
         if self.target_betas is not None and len(self.target_betas) != self.layout.L:
             raise ValueError(
                 f"target_betas has {len(self.target_betas)} entries for {self.layout.L} targets")
-        if getattr(self.hamiltonian, "model", None) == "spin_star":
-            if self.layout.topology != "star":
-                raise ValueError("spin-star Hamiltonian requires the star layout")
-        elif self.layout.topology != "chain":
-            raise ValueError(f"{self.hamiltonian.model} Hamiltonian requires the chain layout")
+        if self.layout.topology != self.hamiltonian.topology:
+            raise ValueError(f"{self.hamiltonian.model} Hamiltonian requires the "
+                             f"{self.hamiltonian.topology} layout")
         sites = self.layout.n_sites
         kind = "closed" if self.bath is None else "bath"
         have = physical_memory()
@@ -189,16 +191,17 @@ def _open_block(config: ProtocolConfig) -> tuple[int, int]:
 def run_bytes(config: ProtocolConfig) -> int:
     """Estimated peak memory of one run, in Python integers.
 
-    Every run builds the dense D x D H; a closed run then holds its sector
-    blocks, zero-padded to the largest sector, and records N rows of padded
-    and of plain support populations; a bath run holds the larger of that and
-    its exponential-action block.
+    Every run lists H's entries: each Sz-conserving bond has at most d per
+    row, each field one.  A closed run then holds its sector blocks,
+    zero-padded to the largest sector, records N rows of padded and of plain
+    support populations, and returns the D x D state; a bath run holds the
+    larger of that and its exponential-action block.
     """
     d, L, N = config.layout.d, config.layout.L, config.n_measurements
     full, support = _sector_sizes(d, L, config.rank)
     D = d ** (L + 1)
-    need = 16 * (HAMILTONIAN_COPIES * D * D + BOND_COPIES * d ** 4
-                 + SECTOR_COPIES * len(full) * max(full) ** 2)
+    need = (16 * (BOND_COPIES * d ** 4 + SECTOR_COPIES * len(full) * max(full) ** 2
+                  + STATE_COPIES * D * D) + ENTRY_BYTES * (L * d + L + 1) * D)
     # the padded record, its scatter to the support, the normalised copy, the site marginals
     need += 8 * N * (len(support) * max(support) + 2 * sum(support) + 4 * L * d)
     if config.bath is not None:
@@ -263,22 +266,31 @@ def _sector_labels(layout: SystemLayout) -> np.ndarray:
     return reduce(np.add.outer, [digits] * layout.n_sites).ravel()
 
 
-def _hamiltonian(layout: SystemLayout, spec: HamiltonianSpec) -> np.ndarray:
-    """The model's H, checked to conserve total Sz (the sector blocks rely on it)."""
-    H = spec.build(layout)
+def _hamiltonian(layout: SystemLayout, spec: HamiltonianSpec):
+    """H's nonzero elements (rows, cols, values) in row-major order, checked to conserve total Sz.
+
+    The spec's entries of one element are summed in the order it lists them,
+    as `spec.build` sums them, so the values are H's elements bit for bit.
+    """
+    rows, cols, values = spec.entries(layout)
+    D = layout.d ** layout.n_sites
+    keys, where = np.unique(rows * D + cols, return_inverse=True)
+    summed = np.zeros(len(keys), dtype=complex)
+    np.add.at(summed, where, values)
+    rows, cols = np.divmod(keys[summed != 0], D)
+    values = summed[summed != 0]
     label = _sector_labels(layout)
-    # [H, Sz_tot]_ij = H_ij (Sz_j - Sz_i) = H_ij (label_i - label_j), read on H's nonzeros
-    i, j = np.nonzero(H)
-    leak = float(np.max(np.abs(H[i, j] * (label[i] - label[j])), initial=0.0))
+    # [H, Sz_tot]_ij = H_ij (Sz_j - Sz_i) = H_ij (label_i - label_j)
+    leak = float(np.max(np.abs(values * (label[rows] - label[cols])), initial=0.0))
     if not leak <= SZ_CONSERVATION_TOL:
         raise ValueError(f"{spec.model} Hamiltonian does not conserve total Sz: "
                          f"max |[H, Sz_tot]| = {leak:.3e} > {SZ_CONSERVATION_TOL:g}")
-    return H
+    return rows, cols, values
 
 
 def _unitary(config: ProtocolConfig) -> np.ndarray:
     """U(tau) on the whole space, from one dense eigh: the oracle of the sector engine."""
-    lam, V = np.linalg.eigh(_hamiltonian(config.layout, config.hamiltonian))
+    lam, V = np.linalg.eigh(config.hamiltonian.build(config.layout))
     return (V * np.exp(-1j * lam * config.tau)) @ V.conj().T
 
 
@@ -314,14 +326,13 @@ def _sector_eigh(layout: SystemLayout, spec: HamiltonianSpec) -> _Sectors:
     those of H_q, so V e^{-i lam tau} V^+ restricted to the real slots is U's
     block exactly (also where H_q has an eigenvalue 0 that mixes with the padding).
     """
-    H = _hamiltonian(layout, spec)
+    rows, cols, values = _hamiltonian(layout, spec)
     label = _sector_labels(layout)
     _, slot, width = _stack_slots(label, np.arange(label[-1] + 1))
-    members = np.zeros((label[-1] + 1, width), dtype=int)      # padding slots read state 0
-    members[label, slot] = np.arange(len(label))
-    pad = np.arange(width) >= np.bincount(label)[:, None]
-    blocks = H[members[:, :, None], members[:, None, :]]
-    blocks[pad[:, :, None] | pad[:, None, :]] = 0
+    inside = label[rows] == label[cols]
+    rows, cols = rows[inside], cols[inside]
+    blocks = np.zeros((label[-1] + 1, width, width), dtype=complex)
+    blocks[label[rows], slot[rows], slot[cols]] = values[inside]
     lam, V = np.linalg.eigh(blocks)
     return _Sectors(label, slot, lam, V)
 
@@ -472,7 +483,9 @@ def _open_rounds(config: ProtocolConfig, w: np.ndarray, support: np.ndarray):
     block = np.zeros((len(kept), len(inner) + 1), dtype=complex)
     block[entries, np.arange(len(inner))] = 1.0
     block[diagonal, -1] = w
-    H = _hamiltonian(config.layout, config.hamiltonian)
+    from scipy import sparse
+    rows, cols, values = _hamiltonian(config.layout, config.hamiltonian)
+    H = sparse.csr_matrix((values, (rows, cols)), shape=(D, D))
     prop = LindbladPropagator(H, config.bath, config.layout.dims, config.tau, subspace=kept)
     evolved = prop.apply(block)
     traces = evolved[diagonal].sum(axis=0)

@@ -129,27 +129,33 @@ def tensor_product(a, b):
     return np.kron(np.asarray(a), np.asarray(b))
 
 
-def embed_operator(op: np.ndarray, sites, dims: Sequence[int]) -> np.ndarray:
-    """`op` on `sites` (one slot, or an ordered tuple of distinct slots), identity elsewhere.
+def operator_entries(op: np.ndarray, sites, dims: Sequence[int]):
+    """The nonzero entries (rows, cols, values) of `op` on `sites`, identity elsewhere.
 
-    `op` acts on the slots in the order given: `embed_operator(kron(a, b), (2, 0), dims)`
-    puts a on slot 2 and b on slot 0.
+    `sites` is one slot, or an ordered tuple of distinct slots; `op` acts on
+    them in the order given: `operator_entries(kron(a, b), (2, 0), dims)` puts
+    a on slot 2 and b on slot 0.  No two entries share a (row, col).
     """
     dims, n = tuple(dims), len(dims)
     sites = (sites,) if isinstance(sites, (int, np.integer)) else tuple(sites)
     if len(set(sites)) < len(sites) or not all(0 <= site < n for site in sites):
         raise ValueError(f"sites {sites} must be distinct slots in 0..{n - 1}")
-    rest = [i for i in range(n) if i not in sites]
-    placed, kept = [dims[i] for i in sites], [dims[i] for i in rest]
+    placed = [dims[i] for i in sites]
     op = np.asarray(op, dtype=complex)
     if op.shape != (math.prod(placed),) * 2:
         raise ValueError(f"operator shape {op.shape} does not match dims {placed} of sites {sites}")
-    out = np.empty((math.prod(dims),) * 2, dtype=complex)
-    # op x identity written straight into out, viewed with its axes as (sites, rest) twice
-    order = list(sites) + rest
-    np.multiply(op.reshape((placed + [1] * len(rest)) * 2),
-                np.eye(math.prod(kept), dtype=complex).reshape(([1] * len(sites) + kept) * 2),
-                out=out.reshape(dims * 2).transpose(order + [n + i for i in order]))
+    # row a: the flat indices whose digits on `sites` spell op's index a, over the other digits
+    grid = np.moveaxis(np.arange(math.prod(dims)).reshape(dims), sites, range(len(sites)))
+    grid = grid.reshape(len(op), -1)
+    a, b = np.nonzero(op)
+    return grid[a].ravel(), grid[b].ravel(), np.repeat(op[a, b], grid.shape[1])
+
+
+def embed_operator(op: np.ndarray, sites, dims: Sequence[int]) -> np.ndarray:
+    """`op` on `sites` as a dense array: the scatter of `operator_entries(op, sites, dims)`."""
+    rows, cols, values = operator_entries(op, sites, dims)
+    out = np.zeros((math.prod(dims),) * 2, dtype=complex)
+    out[rows, cols] = values
     return out
 
 
@@ -158,30 +164,16 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     keep = sorted(set(int(i) for i in keep))
     if not keep:
         raise ValueError("keep set must be non-empty")
-    n = len(rho.dims)
+    dims, n = rho.dims, len(rho.dims)
     if keep[0] < 0 or keep[-1] >= n:
         raise ValueError(f"keep sites {keep} out of range for {n} subsystems")
-    reduced = _partial_trace_array(rho.data, rho.dims, keep)
-    return DensityMatrix(reduced, tuple(rho.dims[i] for i in keep))
-
-
-def _partial_trace_array(data: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
-    n = len(dims)
-    t = data.reshape(tuple(dims) * 2)
     letters = "abcdefghijklmnopqrstuvwxyz"
     row = list(letters[:n])
     col = [letters[n + i] if i in keep else row[i] for i in range(n)]
     out = "".join(row[i] for i in keep) + "".join(col[i] for i in keep)
-    red = np.einsum("".join(row) + "".join(col) + "->" + out, t)
+    red = np.einsum("".join(row) + "".join(col) + "->" + out, rho.data.reshape(dims * 2))
     dk = int(np.prod([dims[i] for i in keep]))
-    return red.reshape(dk, dk)
-
-
-def uhlmann_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """(Tr sqrt(sqrt(sigma) rho sqrt(sigma)))^2 via Hermitian eigendecompositions."""
-    if rho.dim != sigma.dim:
-        raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    return _uhlmann_array(rho.data, sigma.data)
+    return DensityMatrix(red.reshape(dk, dk), tuple(dims[i] for i in keep))
 
 
 def _zeroed(w: np.ndarray) -> np.ndarray:
@@ -191,12 +183,15 @@ def _zeroed(w: np.ndarray) -> np.ndarray:
     return np.where(w > cutoff, w, 0.0)
 
 
-def _uhlmann_array(rho: np.ndarray, sigma: np.ndarray) -> float:
-    w, v = np.linalg.eigh(sigma)
+def uhlmann_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
+    """(Tr sqrt(sqrt(sigma) rho sqrt(sigma)))^2 via Hermitian eigendecompositions."""
+    if rho.dim != sigma.dim:
+        raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
+    w, v = np.linalg.eigh(sigma.data)
     if w[0] < -PSD_TOL:
         raise ValueError(f"state has eigenvalue {w[0]:.3e} below -1e-10")
     sq = (v * np.sqrt(_zeroed(w))) @ v.conj().T
-    inner = sq @ rho @ sq
+    inner = sq @ rho.data @ sq
     ev = np.linalg.eigvalsh((inner + inner.conj().T) / 2)
     if ev[0] < -PSD_TOL:
         raise ValueError(f"state has eigenvalue {ev[0]:.3e} below -1e-10")

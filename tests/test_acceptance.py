@@ -227,15 +227,15 @@ def test_criterion_9_property_suites():
                    - ops.s * (ops.s + 1) * np.eye(d))
         assert np.max(np.abs(comm)) < 1e-12 and np.max(np.abs(casimir)) < 1e-12
     # Hamiltonian symmetries
-    from zenocool import build_bbh, build_xxz, embed_operator
+    from zenocool import BBHSpec, embed_operator
     layout = SystemLayout("chain", 2, 3)
     sz_tot = sum(embed_operator(spin_operators(3).sz, i, layout.dims) for i in range(3))
-    for H in (build_xxz(layout, 0.9, 0.4, 1.2), build_bbh(layout, 0.9, 0.7, 1.2)):
+    for H in (XXZSpec(0.9, 0.4, 1.2).build(layout), BBHSpec(0.9, 0.7, 1.2).build(layout)):
         assert np.max(np.abs(H - H.conj().T)) < 1e-12
         assert np.max(np.abs(H @ sz_tot - sz_tot @ H)) < 1e-12
     # U(tau) unitarity + group law, and agreement with scipy's expm
     U1, U2, U12 = (_unitary(chain_config(3, t, 1, 1, Delta=0.4, L=2)) for t in (0.7, 1.1, 1.8))
-    H = build_xxz(layout, 1.0, 0.4, 1.0)
+    H = XXZSpec(1.0, 0.4, 1.0).build(layout)
     assert np.max(np.abs(U1 @ U1.conj().T - np.eye(27))) < 1e-10
     assert np.max(np.abs(U1 @ U2 - U12)) < 1e-9
     assert np.max(np.abs(U1 - expm(-1j * H * 0.7))) < 1e-10

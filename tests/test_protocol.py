@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 import warnings
 from dataclasses import dataclass
 
@@ -35,6 +37,7 @@ from zenocool.protocol import (
     initial_state,
     target_state,
 )
+from zenocool.qudit import operator_entries
 
 
 def xx_config(d=3, jtau=1.2, N=10, k=1, L=1, Delta=0.0, **kw):
@@ -175,10 +178,12 @@ class XXZPlusSxSpec:
     h: float = 1.0
 
     model = "xxz_sx"
+    topology = "chain"
 
-    def build(self, layout):
-        H = XXZSpec(J=self.J, Delta=self.Delta, h=self.h).build(layout)
-        return H + 0.3 * embed_operator(spin_operators(layout.d).sx, 1, layout.dims)
+    def entries(self, layout):
+        xxz = XXZSpec(J=self.J, Delta=self.Delta, h=self.h).entries(layout)
+        sx = operator_entries(0.3 * spin_operators(layout.d).sx, 1, layout.dims)
+        return tuple(np.concatenate(column) for column in zip(xxz, sx))
 
 
 @pytest.mark.parametrize("bath", [None, BathSpec(temperature=1.0, gamma=1e-3, omega=1.0)],
@@ -189,6 +194,44 @@ def test_sz_breaking_hamiltonian_raises_at_setup(bath):
                             n_measurements=3, rank=1, bath=bath)
     with pytest.raises(ValueError, match="xxz_sx Hamiltonian does not conserve total Sz"):
         zeno_run(config)
+
+
+@pytest.mark.filterwarnings("ignore:dominant eigenspace of the round map is not simple")
+@pytest.mark.parametrize("ham", [XXZSpec(J=0.8, Delta=0.3), SpinStarSpec(J=0.8)],
+                         ids=["chain", "star"])
+def test_engine_never_builds_a_dense_hamiltonian(ham, monkeypatch):
+    """Closed and bath runs and the spectrum read H's entries, never the dense `build`."""
+    def refuse(self, layout):
+        raise AssertionError(f"dense H built for {self.model}")
+
+    for spec in (XXZSpec, BBHSpec, SpinStarSpec):
+        monkeypatch.setattr(spec, "build", refuse)
+    protocol._sector_eigh.cache_clear()
+    protocol._support_blocks.cache_clear()
+    config = ProtocolConfig(layout=SystemLayout(ham.topology, 2, 3), hamiltonian=ham, tau=0.9,
+                            n_measurements=3, rank=2)
+    bath = BathSpec(temperature=1.0, gamma=0.05, omega=1.0)
+    assert len(zeno_run(config).steps) == 3
+    assert len(zeno_run(dataclasses.replace(config, bath=bath)).steps) == 3
+    assert len(zeno_spectrum(config).eigenvalues) == 27
+
+
+@pytest.mark.parametrize("N", [0, 2])
+@pytest.mark.parametrize("ham", [XXZSpec(J=1.0, Delta=1.0), SpinStarSpec(J=1.0)],
+                         ids=["chain", "star"])
+def test_run_peak_memory_stays_below_its_estimate(ham, N):
+    """A default run returns its D x D state (rho(0) when N = 0); the memory gate counts it."""
+    config = ProtocolConfig(layout=SystemLayout(ham.topology, 5, 3), hamiltonian=ham, tau=0.9,
+                            n_measurements=N, rank=2)
+    protocol._sector_eigh.cache_clear()
+    protocol._support_blocks.cache_clear()
+    tracemalloc.start()
+    try:
+        zeno_run(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= protocol.run_bytes(config)
 
 
 def test_star_ring_fidelities_identical():
