@@ -23,7 +23,7 @@ def main() -> int:
     ids = args.only if args.only else sorted(PRESETS)
     for preset_id in ids:
         t0 = time.time()
-        sweeps = preset_sweeps(preset_id, include_d5=args.include_d5)
+        sweeps = preset_sweeps(preset_id, include_d5=args.include_d5 and preset_id == "fig4")
         csv_path, _ = write_results(sweeps, f"{args.out}/{preset_id}", workers=args.workers)
         print(f"{preset_id}: {csv_path} ({time.time() - t0:.1f}s)")
     return 0

@@ -13,7 +13,8 @@ from pathlib import Path
 
 from .presets import PRESETS, preset_sweeps
 from .protocol import zeno_spectrum
-from .sweeps import ConfigError, classify_regions, load_config, oracle_check, run_config, write_results
+from .sweeps import (AXES, ConfigError, classify_regions, load_config, oracle_check, run_config,
+                     write_results)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -72,8 +73,9 @@ def _cmd_oracle_check() -> int:
 
 def _cmd_spectrum(args) -> int:
     spec = load_config(args.config)
-    if spec.grid() != [(None, None, None, None)]:
-        raise ConfigError("spectrum takes a single-point config (no axes)")
+    for label, name, _ in AXES:
+        if getattr(spec, name) is not None:
+            raise ConfigError(f"axes.{label}: spectrum takes a single-point config (no axes)")
     result = zeno_spectrum(spec.base)
     doc = {
         "eigenvalues": [[v.real, v.imag] for v in result.eigenvalues],

@@ -7,6 +7,10 @@ its d^2 x d^2 bond and its topology; `entries` places each term with
 `qudit.operator_entries` (the bond on (j, j+1) or (0, i), then h Sz on every
 chain site or on the hub) and lists H's nonzero entries term by term.  That
 list is the one definition of H: `build` is its dense scatter.
+
+A spec's dataclass fields are its model's parameters, with their defaults:
+`MODELS` maps each model name to its spec, and a config's `base` takes
+exactly those fields (`sweeps.parse_config`).
 """
 from __future__ import annotations
 
@@ -79,8 +83,8 @@ class XXZSpec(_BondsAndFields):
     The regulator participates in both the bond chain and the field sum.
     """
 
-    J: float
-    Delta: float
+    J: float = 1.0
+    Delta: float = 0.0
     h: float = 1.0
 
     model = "xxz"
@@ -95,8 +99,8 @@ class XXZSpec(_BondsAndFields):
 class BBHSpec(_BondsAndFields):
     """J sum_j [cos(theta) S_j.S_{j+1} + sin(theta) (S_j.S_{j+1})^2] + h sum_j Sz_j."""
 
-    J: float
-    theta: float
+    J: float = 1.0
+    theta: float = 0.0
     h: float = 1.0
 
     model = "bbh"
@@ -114,7 +118,7 @@ class SpinStarSpec(_BondsAndFields):
     Ring sites carry no local field.
     """
 
-    J: float
+    J: float = 1.0
     h: float = 1.0
 
     model = "spin_star"
@@ -125,3 +129,4 @@ class SpinStarSpec(_BondsAndFields):
 
 
 HamiltonianSpec = Union[XXZSpec, BBHSpec, SpinStarSpec]
+MODELS = {spec.model: spec for spec in (XXZSpec, BBHSpec, SpinStarSpec)}

@@ -1,8 +1,10 @@
-"""Pinned figure-style experiment grids.
+"""Pinned figure-style experiment grids, as config documents.
 
-Contour presets use Jtau in [0, 2pi] at 64 points and rounds up to 200;
-line presets pin whatever the underlying experiment fixes.  Each preset is
-a list of sweeps whose rows are concatenated into one CSV.
+Each preset is a list of documents in the `zenocool run` config format
+(docs/config_schema.json); `preset_sweeps` reads them with
+`sweeps.parse_config`, and the rows of their sweeps are concatenated into
+one CSV.  Contour presets use Jtau in [0, 2pi] at 64 points and rounds up
+to 200; line presets pin whatever the underlying experiment fixes.
 """
 from __future__ import annotations
 
@@ -10,118 +12,57 @@ import math
 
 import numpy as np
 
-from .evolution import BathSpec
-from .hamiltonians import BBHSpec, SpinStarSpec, SystemLayout, XXZSpec
-from .protocol import ProtocolConfig
-from .sweeps import ConfigError, SweepSpec
+from .sweeps import ConfigError, SweepSpec, parse_config
 
 JTAU_CONTOUR = tuple(float(x) for x in np.linspace(0.0, 2.0 * math.pi, 64))
 THETA_CONTOUR = tuple(float(x) for x in np.linspace(-math.pi, math.pi, 64))
 
-
-def _chain(d: int, L: int = 1) -> SystemLayout:
-    return SystemLayout("chain", L, d)
-
-
-def _fig2() -> list[SweepSpec]:
-    """Rank-1 XX cooling vs rounds for two couplings, d = 2..5."""
-    base = ProtocolConfig(layout=_chain(3), hamiltonian=XXZSpec(J=1.0, Delta=0.0),
-                          tau=1.2, n_measurements=200, rank=1)
-    return [SweepSpec(base=base, preset_id="fig2", d_axis=(2, 3, 4, 5),
-                      jtau_axis=(1.2, 4.5))]
-
-
-def _fig3() -> list[SweepSpec]:
-    """Rank-1 bilinear-biquadratic cooling vs rounds across phase parameters."""
-    base = ProtocolConfig(layout=_chain(3), hamiltonian=BBHSpec(J=1.0, theta=0.0),
-                          tau=1.0, n_measurements=100, rank=1)
-    thetas = (-5 * math.pi / 8, -math.pi / 8, math.pi / 2, 3 * math.pi / 4)
-    return [SweepSpec(base=base, preset_id="fig3", d_axis=(3, 4), theta_axis=thetas)]
-
-
-def _fig4(include_d5: bool = False) -> list[SweepSpec]:
-    """Rank-2 XXZ (Delta=1) fidelity contours over (Jtau, N)."""
-    base = ProtocolConfig(layout=_chain(3), hamiltonian=XXZSpec(J=1.0, Delta=1.0),
-                          tau=1.0, n_measurements=200, rank=2)
-    ds = (2, 3, 4, 5) if include_d5 else (2, 3, 4)
-    return [SweepSpec(base=base, preset_id="fig4", d_axis=ds, jtau_axis=JTAU_CONTOUR)]
-
-
-def _fig5() -> list[SweepSpec]:
-    """Rank-2 fidelity vs Jtau after 100 rounds, Delta in {0, 1}."""
-    specs = []
-    for delta in (0.0, 1.0):
-        base = ProtocolConfig(layout=_chain(3), hamiltonian=XXZSpec(J=1.0, Delta=delta),
-                              tau=1.0, n_measurements=100, rank=2)
-        specs.append(SweepSpec(base=base, preset_id="fig5", d_axis=(2, 3, 4, 5),
-                               jtau_axis=JTAU_CONTOUR, recorded_steps=(100,)))
-    return specs
-
-
-def _fig6() -> list[SweepSpec]:
-    """Success-probability data for the rank-2 vs rank-1 gap across d and N.
-
-    The gap is obtained from the CSV by differencing cum_probability between
-    the k=2 and k=1 rows at matched (d, N_step).
-    """
-    base = ProtocolConfig(layout=_chain(3), hamiltonian=XXZSpec(J=1.0, Delta=1.0),
-                          tau=1.0, n_measurements=50, rank=2)
-    return [SweepSpec(base=base, preset_id="fig6", d_axis=(3, 4, 5, 6, 7, 8),
-                      k_axis=(1, 2))]
-
-
-def _fig7() -> list[SweepSpec]:
-    """d=31 XX rank sweep at Jtau=3: probability and fidelity vs projector rank."""
-    base = ProtocolConfig(layout=_chain(31), hamiltonian=XXZSpec(J=1.0, Delta=0.0),
-                          tau=3.0, n_measurements=50, rank=1)
-    return [SweepSpec(base=base, preset_id="fig7", k_axis=tuple(range(1, 16)),
-                      recorded_steps=(20, 50))]
-
-
-def _fig_chain() -> list[SweepSpec]:
-    """L=4 rank-2 chains: XXZ contour over (Jtau, N) and BBH contour over (theta, N)."""
-    xxz = ProtocolConfig(layout=_chain(3, L=4), hamiltonian=XXZSpec(J=1.0, Delta=1.0),
-                         tau=1.0, n_measurements=200, rank=2)
-    bbh = ProtocolConfig(layout=_chain(3, L=4), hamiltonian=BBHSpec(J=1.0, theta=0.0),
-                         tau=1.0, n_measurements=200, rank=2)
-    return [
-        SweepSpec(base=xxz, preset_id="fig_chain", jtau_axis=JTAU_CONTOUR),
-        SweepSpec(base=bbh, preset_id="fig_chain", theta_axis=THETA_CONTOUR),
-    ]
-
-
-def _fig_star() -> list[SweepSpec]:
-    """L=4 star with the regulator at the hub, rank-2, contour over (Jtau, N)."""
-    base = ProtocolConfig(layout=SystemLayout("star", 4, 3),
-                          hamiltonian=SpinStarSpec(J=1.0), tau=1.0,
-                          n_measurements=200, rank=2)
-    return [SweepSpec(base=base, preset_id="fig_star", jtau_axis=JTAU_CONTOUR)]
-
-
-def _fig8() -> list[SweepSpec]:
-    """Open-system rank-2 XXZ contours: bath on the target at T=1, gamma=1e-3."""
-    bath = BathSpec(temperature=1.0, gamma=1e-3, omega=1.0)
-    base = ProtocolConfig(layout=_chain(3), hamiltonian=XXZSpec(J=1.0, Delta=1.0),
-                          tau=1.0, n_measurements=200, rank=2, bath=bath)
-    return [SweepSpec(base=base, preset_id="fig8", d_axis=(3, 4), jtau_axis=JTAU_CONTOUR)]
-
-
 PRESETS = {
-    "fig2": _fig2,
-    "fig3": _fig3,
-    "fig4": _fig4,
-    "fig5": _fig5,
-    "fig6": _fig6,
-    "fig7": _fig7,
-    "fig_chain": _fig_chain,
-    "fig_star": _fig_star,
-    "fig8": _fig8,
+    # rank-1 XX cooling vs rounds for two couplings, d = 2..5
+    "fig2": [{"base": {"model": "xxz", "d": 3, "tau": 1.2, "N": 200, "k": 1},
+              "axes": {"d": [2, 3, 4, 5], "Jtau": [1.2, 4.5]}}],
+    # rank-1 bilinear-biquadratic cooling vs rounds across phase parameters
+    "fig3": [{"base": {"model": "bbh", "d": 3, "tau": 1.0, "N": 100, "k": 1},
+              "axes": {"d": [3, 4], "theta": [-5 * math.pi / 8, -math.pi / 8,
+                                              math.pi / 2, 3 * math.pi / 4]}}],
+    # rank-2 XXZ (Delta = 1) fidelity contours over (Jtau, N); `include_d5` adds d = 5
+    "fig4": [{"base": {"model": "xxz", "Delta": 1.0, "d": 3, "N": 200, "k": 2},
+              "axes": {"d": [2, 3, 4], "Jtau": list(JTAU_CONTOUR)}}],
+    # rank-2 fidelity vs Jtau after 100 rounds, Delta in {0, 1}
+    "fig5": [{"base": {"model": "xxz", "Delta": delta, "d": 3, "N": 100, "k": 2},
+              "axes": {"d": [2, 3, 4, 5], "Jtau": list(JTAU_CONTOUR), "N": [100]}}
+             for delta in (0.0, 1.0)],
+    # success-probability data for the rank-2 vs rank-1 gap across d and N; the gap is
+    # obtained from the CSV by differencing cum_probability between the k=2 and k=1 rows
+    # at matched (d, N_step)
+    "fig6": [{"base": {"model": "xxz", "Delta": 1.0, "d": 3, "N": 50, "k": 2},
+              "axes": {"d": [3, 4, 5, 6, 7, 8], "k": [1, 2]}}],
+    # d = 31 XX rank sweep at Jtau = 3: probability and fidelity vs projector rank
+    "fig7": [{"base": {"model": "xxz", "d": 31, "tau": 3.0, "N": 50, "k": 1},
+              "axes": {"k": list(range(1, 16)), "N": [20, 50]}}],
+    # L = 4 rank-2 chains: XXZ contour over (Jtau, N) and BBH contour over (theta, N)
+    "fig_chain": [{"base": {"model": "xxz", "Delta": 1.0, "d": 3, "L": 4, "N": 200, "k": 2},
+                   "axes": {"Jtau": list(JTAU_CONTOUR)}},
+                  {"base": {"model": "bbh", "d": 3, "L": 4, "N": 200, "k": 2},
+                   "axes": {"theta": list(THETA_CONTOUR)}}],
+    # L = 4 star with the regulator at the hub, rank 2, contour over (Jtau, N)
+    "fig_star": [{"base": {"topology": "star", "model": "spin_star", "d": 3, "L": 4,
+                           "N": 200, "k": 2},
+                  "axes": {"Jtau": list(JTAU_CONTOUR)}}],
+    # open-system rank-2 XXZ contours: bath on the target at T = 1, gamma = 1e-3
+    "fig8": [{"base": {"model": "xxz", "Delta": 1.0, "d": 3, "N": 200, "k": 2,
+                       "bath": {"temperature": 1.0, "gamma": 1e-3, "omega": 1.0}},
+              "axes": {"d": [3, 4], "Jtau": list(JTAU_CONTOUR)}}],
 }
 
 
 def preset_sweeps(preset_id: str, include_d5: bool = False) -> list[SweepSpec]:
+    """The preset's sweeps; `include_d5` adds fig4's d = 5 panel."""
     if preset_id not in PRESETS:
         raise ConfigError(f"unknown preset id {preset_id!r}; available: {sorted(PRESETS)}")
-    if preset_id == "fig4":
-        return PRESETS[preset_id](include_d5=include_d5)
-    return PRESETS[preset_id]()
+    docs = PRESETS[preset_id]
+    if include_d5:
+        if preset_id != "fig4":
+            raise ConfigError(f"--include-d5: only fig4 has a d=5 panel, not {preset_id}")
+        docs = [{**doc, "axes": {**doc["axes"], "d": doc["axes"]["d"] + [5]}} for doc in docs]
+    return [parse_config(doc, preset_id=preset_id) for doc in docs]

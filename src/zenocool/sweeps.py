@@ -1,5 +1,11 @@
 """Parameter sweeps: JSON configs in, deterministic CSV + manifest out.
 
+Every sweep, a user's config or a preset, is read by `parse_config`, which
+takes exactly the keys its tables name: `_ROOT`, `_BASE` and `_BATH` for
+the fixed fields, the model's spec dataclass (`hamiltonians.MODELS`) for
+its parameters, and `AXES` for the grids; any other key is rejected,
+naming its path.  `spec_manifest` writes a sweep back as such a config.
+
 Grid axes are enumerated in the fixed order (d, k, theta, Jtau); an `N`
 axis selects which measurement rounds are emitted (the engine always runs
 to the largest requested round).  Rows are sorted by (grid index, step,
@@ -9,10 +15,11 @@ digits, and reruns of the same config are byte-identical.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -20,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .evolution import BathSpec
-from .hamiltonians import BBHSpec, SpinStarSpec, SystemLayout, XXZSpec
+from .hamiltonians import MODELS, BBHSpec, SystemLayout, XXZSpec
 from .oracles import fidelity_bbh_rank1_d3, fidelity_xx_rank1
 from .protocol import ExtinctionError, ProtocolConfig, physical_memory, run_bytes, zeno_run
 
@@ -33,6 +40,13 @@ COLUMNS = (
 
 class ConfigError(ValueError):
     """Config validation failure; the message names the offending field path."""
+
+
+# (config name, SweepSpec field, element type); the first four span the grid in this
+# order, N selects the recorded rounds
+AXES = (("d", "d_axis", int), ("k", "k_axis", int), ("theta", "theta_axis", float),
+        ("Jtau", "jtau_axis", float), ("N", "recorded_steps", int))
+_GRID_AXES = AXES[:4]
 
 
 @dataclass(frozen=True)
@@ -48,13 +62,13 @@ class SweepSpec:
     recorded_steps: Optional[tuple[int, ...]] = None  # None -> rounds 1..base N
 
     def __post_init__(self):
-        for name, label in (("d_axis", "d"), ("k_axis", "k"), ("theta_axis", "theta"),
-                            ("jtau_axis", "Jtau"), ("recorded_steps", "N")):
+        for label, name, _ in AXES:
             ax = getattr(self, name)
             if ax is not None and len(ax) == 0:
                 raise ConfigError(f"axes.{label}: grid must be non-empty")
-        if self.theta_axis is not None and self.base.hamiltonian.model != "bbh":
-            raise ConfigError("axes.theta: only meaningful for the bbh model")
+        ham = self.base.hamiltonian
+        if self.theta_axis is not None and "theta" not in asdict(ham):
+            raise ConfigError(f"axes.theta: the {ham.model} model has no theta parameter")
         if self.jtau_axis is not None and self.base.hamiltonian.J == 0:
             raise ConfigError("axes.Jtau: base.J must be nonzero to convert Jtau to tau")
         if self.recorded_steps is not None and min(self.recorded_steps) < 0:
@@ -64,20 +78,14 @@ class SweepSpec:
             try:
                 self.config_at(point)
             except ValueError as err:
-                where = ", ".join(f"axes.{label} = {value}" for label, value
-                                  in zip(("d", "k", "theta", "Jtau"), point) if value is not None)
+                where = ", ".join(f"axes.{label} = {value}" for (label, _, _), value
+                                  in zip(_GRID_AXES, point) if value is not None)
                 raise ConfigError(f"{where}: {err}") from err
 
     def grid(self) -> list[tuple]:
-        axes = [
-            self.d_axis if self.d_axis is not None else (None,),
-            self.k_axis if self.k_axis is not None else (None,),
-            self.theta_axis if self.theta_axis is not None else (None,),
-            self.jtau_axis if self.jtau_axis is not None else (None,),
-        ]
-        points = [(d, k, th, jt) for d in axes[0] for k in axes[1]
-                  for th in axes[2] for jt in axes[3]]
-        return points
+        """Every (d, k, theta, Jtau) point; None where the sweep has no such axis."""
+        axes = [getattr(self, name) for _, name, _ in _GRID_AXES]
+        return list(itertools.product(*(ax if ax is not None else (None,) for ax in axes)))
 
     def config_at(self, point: tuple) -> ProtocolConfig:
         d, k, theta, jtau = point
@@ -87,15 +95,13 @@ class SweepSpec:
         if d is not None:
             layout = SystemLayout(layout.topology, layout.L, int(d))
         if theta is not None:
-            ham = BBHSpec(J=ham.J, theta=float(theta), h=ham.h)
+            ham = replace(ham, theta=float(theta))
         tau = base.tau if jtau is None else float(jtau) / ham.J
         n_max = base.n_measurements if self.recorded_steps is None \
             else max(self.recorded_steps)
         rank = base.rank if k is None else int(k)
-        return ProtocolConfig(layout=layout, hamiltonian=ham, tau=tau,
-                              n_measurements=n_max, rank=rank,
-                              regulator_prep=base.regulator_prep,
-                              target_betas=base.target_betas, bath=base.bath)
+        return replace(base, layout=layout, hamiltonian=ham, tau=tau,
+                       n_measurements=n_max, rank=rank)
 
     def steps_for(self, config: ProtocolConfig) -> list[int]:
         if self.recorded_steps is not None:
@@ -118,10 +124,10 @@ def _point_rows(spec: SweepSpec, index: int) -> list[tuple]:
     config = spec.config_at(point)
     steps = spec.steps_for(config)
     ham = config.hamiltonian
-    dort = "" if ham.model == "spin_star" else (
-        ham.Delta if ham.model == "xxz" else ham.theta)
+    params = asdict(ham)
+    dort = params.get("Delta", params.get("theta"))
     meta = (spec.preset_id, config.layout.topology, ham.model, config.layout.d,
-            config.layout.L, config.rank, _fmt(ham.J), _fmt(dort) if dort != "" else "",
+            config.layout.L, config.rank, _fmt(ham.J), "" if dort is None else _fmt(dort),
             _fmt(config.tau))
     rows: list[tuple] = []
 
@@ -187,19 +193,42 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[tuple]:
 # JSON config ingestion
 # ---------------------------------------------------------------------------
 
-_MODELS = ("xxz", "bbh", "spin_star")
+_REQUIRED = object()    # a table default: the key must be given
+
+# {key: (type, default)} of a config's fixed fields; `base` also takes its model's
+# parameters, the fields of `MODELS[model]`, and an omitted bath omega takes base.h
+_ROOT = {"preset_id": (str, "custom"), "base": (dict, _REQUIRED), "axes": (dict, {})}
+_BASE = {"topology": (str, "chain"), "model": (str, _REQUIRED), "d": (int, _REQUIRED),
+         "L": (int, 1), "tau": (float, 1.0), "N": (int, _REQUIRED), "k": (int, 1),
+         "regulator_prep": (int, None), "target_betas": (list, None), "bath": (dict, None)}
+_BATH = {"temperature": (float, _REQUIRED), "gamma": (float, _REQUIRED),
+         "omega": (float, None), "site": (int, None)}
 
 
-def _require(mapping, key, kind, path, default=None, required=False):
-    if key not in mapping or mapping[key] is None:
-        if required:
+def _reject_unknown(mapping, known, path):
+    for key in mapping:
+        if key not in known:
+            raise ConfigError(f"{path}.{key}: unknown field (known: {', '.join(known)})")
+
+
+def _read(mapping, table, path) -> dict:
+    """Every key of `table` as its type (or default); a key the table lacks is an error."""
+    _reject_unknown(mapping, table, path)
+    return {key: _require(mapping, key, kind, path, default)
+            for key, (kind, default) in table.items()}
+
+
+def _require(mapping, key, kind, path, default):
+    if mapping.get(key) is None:
+        if default is _REQUIRED:
             raise ConfigError(f"{path}.{key}: required field missing")
         return default
     return _typed(mapping[key], kind, f"{path}.{key}")
 
 
 def _typed(value, kind, where):
-    """value as JSON Schema's integer (kind int), number (float), string (str) or object (dict)."""
+    """value as JSON Schema's integer (kind int), number (float), string (str), array (list)
+    or object (dict)."""
     accepted = (int, float) if kind is float else kind
     # JSON Schema counts true and false as neither integers nor numbers
     if isinstance(value, bool) or not isinstance(value, accepted):
@@ -225,55 +254,35 @@ def parse_config(doc: dict, preset_id: Optional[str] = None) -> SweepSpec:
     """Validate a parsed JSON document and build the SweepSpec."""
     if not isinstance(doc, dict):
         raise ConfigError("config root: expected a JSON object")
-    base = _require(doc, "base", dict, "config", required=True)
-    topology = _require(base, "topology", str, "base", default="chain")
-    if topology not in ("chain", "star"):
-        raise ConfigError(f"base.topology: must be 'chain' or 'star', got {topology!r}")
-    model = _require(base, "model", str, "base", required=True)
-    if model not in _MODELS:
-        raise ConfigError(f"base.model: must be one of {_MODELS}, got {model!r}")
-    d = _require(base, "d", int, "base", required=True)
-    L = _require(base, "L", int, "base", default=1)
-    J = _require(base, "J", float, "base", default=1.0)
-    h = _require(base, "h", float, "base", default=1.0)
-    tau = _require(base, "tau", float, "base", default=1.0)
-    N = _require(base, "N", int, "base", required=True)
-    k = _require(base, "k", int, "base", default=1)
-    prep = _require(base, "regulator_prep", int, "base")
+    root = _read(doc, _ROOT, "config")
+    model = _require(root["base"], "model", str, "base", _REQUIRED)
+    if model not in MODELS:
+        raise ConfigError(f"base.model: must be one of {tuple(MODELS)}, got {model!r}")
+    params = {f.name: (float, f.default) for f in fields(MODELS[model])}
+    base = _read(root["base"], {**_BASE, **params}, "base")
+    if base["topology"] not in ("chain", "star"):
+        raise ConfigError(f"base.topology: must be 'chain' or 'star', got {base['topology']!r}")
 
     try:
-        layout = SystemLayout(topology, L, d)
-        if model == "xxz":
-            ham = XXZSpec(J=J, Delta=_require(base, "Delta", float, "base", default=0.0), h=h)
-        elif model == "bbh":
-            ham = BBHSpec(J=J, theta=_require(base, "theta", float, "base", default=0.0), h=h)
-        else:
-            ham = SpinStarSpec(J=J, h=h)
+        layout = SystemLayout(base["topology"], base["L"], base["d"])
+        ham = MODELS[model](**{name: base[name] for name in params})
 
-        betas = base.get("target_betas")
+        betas = base["target_betas"]
         if betas is not None:
-            if not isinstance(betas, list):
-                raise ConfigError("base.target_betas: expected a list")
             betas = tuple(_parse_beta(b, f"base.target_betas[{i}]") for i, b in enumerate(betas))
 
-        bath = None
-        bath_doc = _require(base, "bath", dict, "base")
-        if bath_doc is not None:
-            omega = _require(bath_doc, "omega", float, "base.bath")
-            if omega is None and not h > 0:
-                raise ConfigError(f"base.h: an omitted bath.omega defaults to h, "
-                                  f"which must then be positive, got {h}")
-            bath = BathSpec(
-                temperature=_require(bath_doc, "temperature", float, "base.bath", required=True),
-                gamma=_require(bath_doc, "gamma", float, "base.bath", required=True),
-                omega=h if omega is None else omega,
-                site=_require(bath_doc, "site", int, "base.bath"))
+        bath = base["bath"]
+        if bath is not None:
+            bath = _read(bath, _BATH, "base.bath")
+            if bath["omega"] is None:
+                if not base["h"] > 0:
+                    raise ConfigError(f"base.h: an omitted bath.omega defaults to h, "
+                                      f"which must then be positive, got {base['h']}")
+                bath["omega"] = base["h"]
+            bath = BathSpec(**bath)
 
-        axes = _require(doc, "axes", dict, "config", default={})
-        known = {"d", "k", "theta", "Jtau", "N"}
-        for name in axes:
-            if name not in known:
-                raise ConfigError(f"axes.{name}: unknown axis (known: {sorted(known)})")
+        axes = root["axes"]
+        _reject_unknown(axes, [label for label, _, _ in AXES], "axes")
 
         def axis(name, kind):
             values = axes.get(name)
@@ -283,15 +292,12 @@ def parse_config(doc: dict, preset_id: Optional[str] = None) -> SweepSpec:
                 raise ConfigError(f"axes.{name}: grid must be a non-empty list")
             return tuple(_typed(v, kind, f"axes.{name}") for v in values)
 
-        config = ProtocolConfig(layout=layout, hamiltonian=ham, tau=tau,
-                                n_measurements=N, rank=k, regulator_prep=prep,
+        config = ProtocolConfig(layout=layout, hamiltonian=ham, tau=base["tau"],
+                                n_measurements=base["N"], rank=base["k"],
+                                regulator_prep=base["regulator_prep"],
                                 target_betas=betas, bath=bath)
-        return SweepSpec(
-            base=config,
-            preset_id=preset_id or _require(doc, "preset_id", str, "config", default="custom"),
-            d_axis=axis("d", int), k_axis=axis("k", int),
-            theta_axis=axis("theta", float), jtau_axis=axis("Jtau", float),
-            recorded_steps=axis("N", int))
+        return SweepSpec(base=config, preset_id=preset_id or root["preset_id"],
+                         **{name: axis(label, kind) for label, name, kind in AXES})
     except ConfigError:
         raise
     except ValueError as err:
@@ -325,31 +331,22 @@ def _json_safe(obj):
 
 
 def spec_manifest(spec: SweepSpec) -> dict:
+    """The sweep as a config document: `parse_config` reads it back to an equal manifest."""
     base = spec.base
-    ham = base.hamiltonian
     doc = {
         "preset_id": spec.preset_id,
         "base": {
-            "topology": base.layout.topology, "model": ham.model,
-            "d": base.layout.d, "L": base.layout.L, "J": ham.J, "h": ham.h,
+            "topology": base.layout.topology, "model": base.hamiltonian.model,
+            "d": base.layout.d, "L": base.layout.L, **asdict(base.hamiltonian),
             "tau": base.tau, "N": base.n_measurements, "k": base.rank,
             "regulator_prep": base.regulator_prep,
             "target_betas": list(base.betas),
         },
-        "axes": {},
+        "axes": {label: list(getattr(spec, name)) for label, name, _ in AXES
+                 if getattr(spec, name) is not None},
     }
-    if ham.model == "xxz":
-        doc["base"]["Delta"] = ham.Delta
-    if ham.model == "bbh":
-        doc["base"]["theta"] = ham.theta
     if base.bath is not None:
-        doc["base"]["bath"] = {
-            "temperature": base.bath.temperature, "gamma": base.bath.gamma,
-            "omega": base.bath.omega, "site": base.bath.site}
-    for name, ax in (("d", spec.d_axis), ("k", spec.k_axis), ("theta", spec.theta_axis),
-                     ("Jtau", spec.jtau_axis), ("N", spec.recorded_steps)):
-        if ax is not None:
-            doc["axes"][name] = list(ax)
+        doc["base"]["bath"] = asdict(base.bath)
     return _json_safe(doc)
 
 

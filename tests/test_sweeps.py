@@ -2,8 +2,10 @@ import csv
 import json
 import math
 import re
+import tempfile
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from zenocool import (
 )
 from zenocool.cli import main
 from zenocool.presets import PRESETS, preset_sweeps
-from zenocool.sweeps import COLUMNS, load_config, parse_config
+from zenocool.sweeps import COLUMNS, load_config, parse_config, spec_manifest
 
 MINIMAL = {
     "base": {"topology": "chain", "model": "xxz", "d": 3, "L": 1,
@@ -117,7 +119,8 @@ def test_run_sweep_caps_workers_at_grid_points(monkeypatch):
 def test_theta_sweep_keeps_one_eigendecomposition():
     from zenocool.protocol import _sector_eigh
 
-    doc = {"base": dict(MINIMAL["base"], model="bbh", N=2), "axes": {"theta": [0.1, 0.2, 0.3]}}
+    base = {key: value for key, value in MINIMAL["base"].items() if key != "Delta"}
+    doc = {"base": dict(base, model="bbh", N=2), "axes": {"theta": [0.1, 0.2, 0.3]}}
     run_sweep(parse_config(doc))
     assert _sector_eigh.cache_info().currsize == 1
 
@@ -274,6 +277,14 @@ BATH = {"temperature": 1.0, "gamma": 1e-3}
      r"workers \(--workers\) 1000 would run 1000 points at once in about [\d,]+ bytes"),
     ({"argv": ["classify", "--in", "{config}", "--threshold", "nan"]}, "--threshold"),
     ({"argv": ["classify", "--in", "{config}", "--threshold", "inf"]}, "--threshold"),
+    ({"base": {"Jtua": 1.0}}, r"base\.Jtua: unknown field"),
+    ({"preset": "fig2"}, r"config\.preset: unknown field"),
+    ({"base": {"bath": dict(BATH, sight=1)}}, r"base\.bath\.sight: unknown field"),
+    ({"base": {"model": "bbh"}}, r"base\.Delta: unknown field"),
+    ({"base": {"topology": "star", "model": "spin_star"}}, r"base\.Delta: unknown field"),
+    ({"base": {"theta": 0.3}}, r"base\.theta: unknown field"),
+    ({"argv": ["preset", "fig2", "--include-d5", "--out", "{out}"]}, "--include-d5"),
+    ({"axes": {"N": [3]}, "argv": ["spectrum", "--config", "{config}"]}, r"axes\.N"),
 ], ids=["tau-nan", "tau-inf", "J-nan", "temperature-nan", "temperature-negative", "gamma-nan",
         "site-7", "omega-inf", "axes-k-9", "axes-d-1", "axes-Jtau-nan", "axes-N-negative",
         "bath-D729-memory", "closed-D19683-memory", "bath-L200-memory", "N-bool",
@@ -281,7 +292,9 @@ BATH = {"temperature": 1.0, "gamma": 1e-3}
         "h-zero", "h-negative-omega-default", "gamma-huge", "occupancy-overflow",
         "bath-phase-overflow", "bath-J-cost", "bath-gamma-cost", "preset-workers-0",
         "run-workers-negative", "run-workers-memory", "classify-threshold-nan",
-        "classify-threshold-inf"])
+        "classify-threshold-inf", "base-unknown-key", "root-unknown-key", "bath-unknown-key",
+        "bbh-Delta", "spin_star-Delta", "xxz-theta", "preset-include-d5-off-fig4",
+        "spectrum-N-axis"])
 def test_cli_rejects_non_finite_and_out_of_range_fields(tmp_path, capsys, monkeypatch, doc,
                                                        message):
     """Each input exits 1 at once, allocating little and starting no worker process, with a
@@ -321,14 +334,17 @@ _BASE_KEYS = ("topology", "model", "d", "L", "J", "h", "Delta", "theta", "tau", 
               "regulator_prep", "target_betas", "bath")
 
 
-@given(overrides=st.dictionaries(st.sampled_from(_BASE_KEYS), _JSON_VALUES, max_size=2),
-       bath=st.one_of(st.none(), st.dictionaries(
-           st.sampled_from(["temperature", "gamma", "omega", "site"]),
-           st.one_of(st.floats(0.1, 2.0), _JSON_VALUES), max_size=4)),
-       axes=st.dictionaries(
-           st.sampled_from(["d", "k", "theta", "Jtau", "N", "bogus"]),
-           st.one_of(_JSON_VALUES, st.lists(st.one_of(st.integers(0, 4), _JSON_VALUES),
-                                            max_size=3)), max_size=2))
+_OVERRIDES = st.dictionaries(st.sampled_from(_BASE_KEYS), _JSON_VALUES, max_size=2)
+_BATHS = st.one_of(st.none(), st.dictionaries(
+    st.sampled_from(["temperature", "gamma", "omega", "site"]),
+    st.one_of(st.floats(0.1, 2.0), _JSON_VALUES), max_size=4))
+_AXES = st.dictionaries(
+    st.sampled_from(["d", "k", "theta", "Jtau", "N", "bogus"]),
+    st.one_of(_JSON_VALUES, st.lists(st.one_of(st.integers(0, 4), _JSON_VALUES), max_size=3)),
+    max_size=2)
+
+
+@given(overrides=_OVERRIDES, bath=_BATHS, axes=_AXES)
 @settings(max_examples=300)
 def test_parse_config_returns_a_spec_or_raises_config_error(overrides, bath, axes):
     """Arbitrary JSON values in a config either give a SweepSpec or a ConfigError."""
@@ -338,6 +354,67 @@ def test_parse_config_returns_a_spec_or_raises_config_error(overrides, bath, axe
     except ConfigError:
         return
     assert isinstance(spec, SweepSpec)
+
+
+def _clamped(value, cap):
+    if isinstance(value, list):
+        return [_clamped(v, cap) for v in value]
+    if cap is not None and isinstance(value, int) and not isinstance(value, bool):
+        return min(value, cap)
+    return value
+
+
+@given(overrides=_OVERRIDES, bath=_BATHS, axes=_AXES, command=st.sampled_from(["run", "spectrum"]))
+@settings(max_examples=200, deadline=None)
+def test_cli_exits_with_a_known_code(overrides, bath, axes, command):
+    """The same arbitrary configs through `zenocool run` and `spectrum` end in exit code 0-3.
+
+    Sizes are clamped to d <= 4, L <= 2 and N <= 5 (as integers, in base and axes) so that
+    the accepted configs run at once; the rejection tests above cover the large ones.
+    """
+    caps = {"d": 4, "L": 2, "N": 5}
+    base = {**MINIMAL["base"], "bath": bath, **overrides}
+    doc = {"base": {key: _clamped(value, caps.get(key)) for key, value in base.items()},
+           "axes": {name: _clamped(values, caps.get(name)) for name, values in axes.items()}}
+    with tempfile.TemporaryDirectory() as out:
+        config = Path(out) / "config.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["run", "--config", str(config), "--out", out] if command == "run" \
+            else ["spectrum", "--config", str(config)]
+        assert main(argv) in (0, 1, 2, 3)
+
+
+def test_schema_names_the_parsers_fields():
+    """docs/config_schema.json lists, level by level, exactly the keys `parse_config` reads."""
+    from dataclasses import fields
+
+    from zenocool.hamiltonians import MODELS
+    from zenocool.sweeps import _BASE, _BATH, _ROOT, AXES
+
+    schema = json.loads((Path(__file__).parents[1] / "docs" / "config_schema.json")
+                        .read_text(encoding="utf-8"))
+    base = schema["properties"]["base"]
+    params = {f.name for spec in MODELS.values() for f in fields(spec)}
+    assert set(schema["properties"]) == set(_ROOT)
+    assert set(base["properties"]) == set(_BASE) | params
+    assert set(base["properties"]["bath"]["properties"]) == set(_BATH)
+    assert list(schema["properties"]["axes"]["properties"]) == [label for label, _, _ in AXES]
+    assert base["properties"]["model"]["enum"] == list(MODELS)
+    forbidden = {rule["if"]["properties"]["model"]["const"]: set(rule["then"]["properties"])
+                 for rule in base["allOf"]}
+    for model, spec in MODELS.items():
+        own = {f.name for f in fields(spec)}
+        assert forbidden[model] == params - own
+        for f in fields(spec):
+            assert base["properties"][f.name]["default"] == f.default
+
+
+@pytest.mark.parametrize("preset_id", sorted(PRESETS))
+def test_manifest_sweep_is_a_config(preset_id):
+    """Each manifest.json sweep entry reads back, through parse_config, to the same entry."""
+    for spec in preset_sweeps(preset_id):
+        manifest = json.loads(json.dumps(spec_manifest(spec)))
+        assert spec_manifest(parse_config(manifest)) == manifest
 
 
 def test_cli_spectrum_json(tmp_path, capsys):
