@@ -9,7 +9,7 @@ import sys
 import time
 
 from zenocool.presets import PRESETS, preset_sweeps
-from zenocool.sweeps import write_results
+from zenocool.sweeps import ConfigError, write_results
 
 
 def main() -> int:
@@ -21,11 +21,19 @@ def main() -> int:
     args = parser.parse_args()
 
     ids = args.only if args.only else sorted(PRESETS)
-    for preset_id in ids:
-        t0 = time.time()
-        sweeps = preset_sweeps(preset_id, include_d5=args.include_d5 and preset_id == "fig4")
-        csv_path, _ = write_results(sweeps, f"{args.out}/{preset_id}", workers=args.workers)
-        print(f"{preset_id}: {csv_path} ({time.time() - t0:.1f}s)")
+    try:    # every preset is read before the first one runs
+        sweeps = {preset_id: preset_sweeps(preset_id, include_d5=args.include_d5
+                                           and preset_id == "fig4") for preset_id in ids}
+        for preset_id, specs in sweeps.items():
+            t0 = time.time()
+            csv_path, _ = write_results(specs, f"{args.out}/{preset_id}", workers=args.workers)
+            print(f"{preset_id}: {csv_path} ({time.time() - t0:.1f}s)")
+    except ConfigError as err:      # the one-line messages and exit code of the CLI
+        print(f"config error: {err}", file=sys.stderr)
+        return 1
+    except ValueError as err:
+        print(f"validation error: {err}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -84,21 +84,23 @@ def liouvillian(H, bath: BathSpec, dims: Sequence[int]):
 class LindbladPropagator:
     """The action of exp(L tau) on vec(rho), by Al-Mohy & Higham's `expm_multiply`.
 
-    `subspace` (flat indices into row-stacked rho) restricts the generator to
-    entries that it maps into themselves; `apply` then acts on vectors, or on
-    blocks of column vectors, over that subspace instead of the full D^2 space.
+    The generator L is built once; each `apply` scales it by its own tau and
+    starts from tau = 0.  `subspace` (flat indices into row-stacked rho)
+    restricts L to entries that it maps into themselves; `apply` then acts on
+    vectors, or on blocks of column vectors, over that subspace instead of the
+    full D^2 space.
     """
 
     method = "expm_multiply"
 
-    def __init__(self, H, bath: BathSpec, dims: Sequence[int], tau: float,
+    def __init__(self, H, bath: BathSpec, dims: Sequence[int],
                  subspace: Optional[np.ndarray] = None):
         L = liouvillian(H, bath, dims)
         if subspace is not None:
             L = L[subspace][:, subspace]
-        self._generator = L * float(tau)
+        self._generator = L
 
-    def apply(self, vectors: np.ndarray) -> np.ndarray:
+    def apply(self, vectors: np.ndarray, tau: float) -> np.ndarray:
         from scipy.sparse.linalg import expm_multiply
 
-        return expm_multiply(self._generator, vectors)
+        return expm_multiply(self._generator * float(tau), vectors)

@@ -18,12 +18,15 @@ The engine reads H only as its nonzero entries; the dense `spec.build` is
 left to the oracles.  A closed run works on the sectors, labelled by the
 digit sum of the flat index.  H is diagonalised once per (layout,
 Hamiltonian), as one batched eigh of its sector blocks, scattered from the
-entries and zero-padded to the largest one.  It propagates X,
-with rho = X X^+ on the support, as a stack of sector blocks: each round is
-one batched matmul X <- M X, and `zeno_run` reads all fidelities off the
+entries and zero-padded to the largest one.  It propagates X, with
+rho = X X^+ on the support, in groups of sectors of one exact size, so a
+round costs the sum of the sector sizes cubed: a block of up to
+ROUNDS_PER_CALL rounds is one matmul per group against the powers of the
+round map M, formed once per run.  `zeno_run` reads all fidelities off the
 support populations at once.  The round-map spectrum takes one eig per
 sector block of U[S, S].  Only `_unitary`, the tests' oracle, forms the
-D x D U.
+D x D U.  A bath run builds its sector-restricted generator once per
+(layout, Hamiltonian, bath) and scales it by tau at each point.
 """
 from __future__ import annotations
 
@@ -49,6 +52,11 @@ from .qudit import (
 )
 
 EXTINCTION_THRESHOLD = 1e-14
+# closed rounds per batched matmul: a block pays numpy's per-call costs once for this many
+# rounds, against the powers M^1..M^K formed once per run.  A block's traces are the
+# products of its p's, so K p's >= EXTINCTION_THRESHOLD must stay above the smallest
+# normal float: K <= 21, since 1e-14^22 < 2.2e-308
+ROUNDS_PER_CALL = 8
 SZ_CONSERVATION_TOL = 1e-12
 OPEN_BLOCK_COPIES = 4   # peak memory of the open set-up over its block (4.1 traced at D=81)
 # peak memory of a closed run: the d^2 x d^2 bond's temporaries (3.0 bonds traced for XXZ
@@ -193,17 +201,20 @@ def run_bytes(config: ProtocolConfig) -> int:
 
     Every run lists H's entries: each Sz-conserving bond has at most d per
     row, each field one.  A closed run then holds its sector blocks,
-    zero-padded to the largest sector, records N rows of padded and of plain
-    support populations, and returns the D x D state; a bath run holds the
-    larger of that and its exponential-action block.
+    zero-padded to the largest sector, the powers M^1..M^K of each support
+    sector block and a block of K rounds of X (at most as wide as M), N rows
+    of support populations, and returns the D x D state; a bath run holds
+    the larger of that and its exponential-action block.
     """
     d, L, N = config.layout.d, config.layout.L, config.n_measurements
     full, support = _sector_sizes(d, L, config.rank)
     D = d ** (L + 1)
     need = (16 * (BOND_COPIES * d ** 4 + SECTOR_COPIES * len(full) * max(full) ** 2
                   + STATE_COPIES * D * D) + ENTRY_BYTES * (L * d + L + 1) * D)
-    # the padded record, its scatter to the support, the normalised copy, the site marginals
-    need += 8 * N * (len(support) * max(support) + 2 * sum(support) + 4 * L * d)
+    K = max(min(ROUNDS_PER_CALL, N - 1), 0)
+    need += 16 * K * 2 * sum(n * n for n in support)
+    # the record in group order, its gather to support order, the site marginals
+    need += 8 * N * (2 * sum(support) + 4 * L * d)
     if config.bath is not None:
         rows, cols = _open_block(config)
         need = max(need, 16 * OPEN_BLOCK_COPIES * rows * cols)
@@ -337,11 +348,22 @@ def _sector_eigh(layout: SystemLayout, spec: HamiltonianSpec) -> _Sectors:
     return _Sectors(label, slot, lam, V)
 
 
+class _Group(NamedTuple):
+    """Sectors of the padded stacks that share a support size a and a column count of X."""
+
+    stack: np.ndarray       # (n_g,) their rows in the padded stacks, ascending
+    a: int                  # support states per sector
+    c: int                  # padded columns that X reads; more than a calls for a QR
+    start: int              # the group's first column in a run's group-ordered record
+
+
 class _SupportBlocks(NamedTuple):
     """What a closed run needs of the sector eigenvectors, for every tau.
 
     Stacked over the n sectors that meet the support S, each padded to the
-    largest one's a support states and c populated states of rho(0).
+    largest one's a support states and c populated states of rho(0).  The
+    rounds run on the unpadded groups: the support states in group order
+    are (group, sector, slot) ascending, and `order` reads them back.
     """
 
     sectors: np.ndarray     # (n,) their labels, ascending
@@ -349,6 +371,8 @@ class _SupportBlocks(NamedTuple):
     lam: np.ndarray         # (n, A) eigenvalues of their blocks
     rows: np.ndarray        # (n, a, A) V's support rows
     cols: np.ndarray        # (n, A, c) V^+ at rho(0)'s populated states, times sqrt(w)
+    groups: tuple           # the _Groups whose sectors hold populated states
+    order: np.ndarray       # (s,) each support state's place in group order
 
 
 # one entry, like `_sector_eigh`: consecutive points of a Jtau line share it
@@ -368,7 +392,20 @@ def _support_blocks(layout: SystemLayout, spec: HamiltonianSpec, rank: int,
     col_which, col_slot, width = _stack_slots(sec.label[c], sectors)
     cols = np.zeros((len(sectors), sec.V.shape[1], width), dtype=complex)
     cols[col_which, :, col_slot] = sec.V[sec.label[c], sec.slot[c]].conj() * np.sqrt(w[c])[:, None]
-    return _SupportBlocks(sectors, which * a + slot, sec.lam[sectors], rows, cols)
+    size = np.bincount(which, minlength=len(sectors))
+    count = np.bincount(col_which, minlength=len(sectors))
+    b = np.minimum(size, count)         # X's columns after a wider preparation's QR
+    in_order = np.lexsort((slot, which, b[which], size[which]))
+    order = np.empty_like(in_order)
+    order[in_order] = np.arange(len(in_order))
+    groups, start = [], 0
+    for a_g, b_g in np.unique(np.stack([size, b], axis=1), axis=0):
+        stack = np.flatnonzero((size == a_g) & (b == b_g))
+        if b_g > 0:         # sectors without populated states keep zero populations
+            groups.append(_Group(stack, int(a_g), int(count[stack].max()), start))
+        start += len(stack) * int(a_g)
+    return _SupportBlocks(sectors, which * a + slot, sec.lam[sectors], rows, cols,
+                          tuple(groups), order)
 
 
 def _round_map(config: ProtocolConfig):
@@ -426,7 +463,7 @@ def zeno_run(config: ProtocolConfig, *, retain_state: bool = True) -> Trajectory
         final[np.ix_(support, support)] = (block + block.conj().T) / 2
         final = DensityMatrix(final, config.layout.dims)
     record = TrajectoryRecord(
-        steps=np.arange(1, n + 1), fidelities=_site_fidelities(config, pops / probs[:n, None]),
+        steps=np.arange(1, n + 1), fidelities=_site_fidelities(config, pops),
         step_probabilities=probs[:n], log_cumulative=np.cumsum(np.log(probs[:n])),
         initial_fidelities=f0, final_state=final, max_trace_drift=drift)
     if len(probs) > n:
@@ -435,33 +472,74 @@ def zeno_run(config: ProtocolConfig, *, retain_state: bool = True) -> Trajectory
 
 
 def _closed_rounds(config: ProtocolConfig):
-    """Support populations (n, s) before normalization, every round's p, drift 0, final block.
+    """Normalised support populations (n, s), every round's p, drift 0, final block.
 
     rho = X X^+ on the support S, one block per total-Sz sector, from X = U[S, c] sqrt(w[c])
-    over the entries w[c] > 0 of rho(0) = diag(w); each later round is X <- M X, M = U[S, S],
-    one batched matmul over the sector stack, until p < EXTINCTION_THRESHOLD.
+    over the entries w[c] > 0 of rho(0) = diag(w); each later round is X <- M X, M = U[S, S].
+    X lives in unpadded groups of n_g sectors with a support states and b columns each.
+    After round 0, a block of k <= ROUNDS_PER_CALL rounds is one (k, n_g, a, a) @ (n_g, a, b)
+    matmul per group, of the powers M^1..M^k and the block's unit-trace start.  Round j's p
+    is the ratio of the traces after j and j - 1 rounds, and X is renormalised once per
+    block.  The first p below EXTINCTION_THRESHOLD ends the run.
     """
     blocks, R, M = _round_map(config)
-    X = R @ blocks.cols
-    if X.shape[2] > X.shape[1]:     # a wider preparation: a columns with the same X X^+
-        X = np.linalg.qr(X.conj().transpose(0, 2, 1), mode="r").conj().transpose(0, 2, 1).copy()
-    N = config.n_measurements
-    pops, probs = np.zeros((N,) + X.shape[:2]), np.zeros(N)
-    for n in range(N):
-        if n > 0:
-            X = M @ X
-        re_im = X.view(np.float64)      # |x|^2 summed over each row's real and imaginary parts
-        np.einsum("ijk,ijk->ij", re_im, re_im, out=pops[n])
-        probs[n] = p = pops[n].sum()
-        if p < EXTINCTION_THRESHOLD:
-            return pops.reshape(N, -1)[:n, blocks.where], probs[:n + 1], 0.0, None
-        X /= np.sqrt(p)
+    X0, N = R @ blocks.cols, config.n_measurements
+    K = min(ROUNDS_PER_CALL, N - 1)
+    Zs, powers = [], []
+    for g in blocks.groups:
+        X = X0[g.stack, :g.a, :g.c]
+        if g.c > g.a:       # a wider preparation: a columns with the same X X^+
+            X = np.linalg.qr(X.conj().transpose(0, 2, 1), mode="r").conj().transpose(0, 2, 1)
+        Zs.append(np.ascontiguousarray(X[None]))
+        P = np.empty((K, len(g.stack), g.a, g.a), dtype=complex)     # P[j] = M^(j+1)
+        if K:
+            P[0] = M[g.stack, :g.a, :g.a]
+        for j in range(1, K):
+            np.matmul(P[j - 1], P[0], out=P[j])
+        powers.append(P)
+    pops, probs = np.zeros((N, len(blocks.where))), np.zeros(N)     # in group order
+    n, k = 0, 1             # round 0 reads rho(0)'s image, whose trace is p_0
+    with np.errstate(divide="ignore", invalid="ignore"):   # 0/0 past an extinction
+        while True:
+            for g, Z in zip(blocks.groups, Zs):
+                re_im = Z.view(np.float64)      # |x|^2 summed over real and imaginary parts
+                out = pops[n:n + k, g.start:g.start + len(g.stack) * g.a]
+                np.einsum("hijk,hijk->hij", re_im, re_im, out=out.reshape(k, len(g.stack), g.a))
+            trace = pops[n:n + k].sum(axis=1)
+            probs[n:n + k] = trace / np.concatenate(([1.0], trace[:-1]))
+            pops[n:n + k] /= trace[:, None]
+            dead = np.flatnonzero(probs[n:n + k] < EXTINCTION_THRESHOLD)
+            if len(dead):
+                n += int(dead[0])
+                return pops[:n, blocks.order], probs[:n + 1], 0.0, None
+            Xs = [Z[-1] / np.sqrt(trace[-1]) for Z in Zs]
+            n, k = n + k, min(K, N - n - k)
+            if not k:
+                break
+            # k n_g products of a x a by a x b: stacking the powers as (k a, a) rows instead
+            # makes products that BLAS splits over threads, and two workers on two cores
+            # then ran fig_chain 3x slower
+            Zs = [P[:k] @ X for P, X in zip(powers, Xs)]
     # X X^+ is block-diagonal over the sectors: assemble it on the support
-    sector, slot = np.divmod(blocks.where, X.shape[1])
-    i, j = np.nonzero(sector[:, None] == sector[None, :])
-    block = np.zeros((len(sector),) * 2, dtype=complex)
-    block[i, j] = (X @ X.conj().transpose(0, 2, 1))[sector[i], slot[i], slot[j]]
-    return pops.reshape(N, -1)[:, blocks.where], probs, 0.0, block
+    in_order = np.argsort(blocks.order)
+    block = np.zeros((len(in_order),) * 2, dtype=complex)
+    for g, X in zip(blocks.groups, Xs):
+        at = in_order[g.start:g.start + len(g.stack) * g.a].reshape(-1, g.a)
+        block[at[:, :, None], at[:, None, :]] = X @ X.conj().transpose(0, 2, 1)
+    return pops[:, blocks.order], probs, 0.0, block
+
+
+# one entry, like `_sector_eigh`: the points of a bath's Jtau line share L and scale it by tau
+@lru_cache(maxsize=1)
+def _open_generator(layout: SystemLayout, spec: HamiltonianSpec, bath: BathSpec):
+    """The sector labels, the sector-diagonal entries of rho, and L restricted to them."""
+    from scipy import sparse
+    D = layout.d ** layout.n_sites
+    label = _sector_labels(layout)
+    kept = np.flatnonzero(label[:, None] == label[None, :])
+    rows, cols, values = _hamiltonian(layout, spec)
+    H = sparse.csr_matrix((values, (rows, cols)), shape=(D, D))
+    return label, kept, LindbladPropagator(H, bath, layout.dims, subspace=kept)
 
 
 def _open_rounds(config: ProtocolConfig, w: np.ndarray, support: np.ndarray):
@@ -474,8 +552,7 @@ def _open_rounds(config: ProtocolConfig, w: np.ndarray, support: np.ndarray):
     is then one dense matvec on the support entries.
     """
     D, s = len(w), len(support)
-    label = _sector_labels(config.layout)
-    kept = np.flatnonzero(label[:, None] == label[None, :])
+    label, kept, prop = _open_generator(config.layout, config.hamiltonian, config.bath)
     diagonal = kept // D == kept % D
     inner = np.flatnonzero(label[support][:, None] == label[support][None, :])
     i, j = np.divmod(inner, s)
@@ -483,11 +560,7 @@ def _open_rounds(config: ProtocolConfig, w: np.ndarray, support: np.ndarray):
     block = np.zeros((len(kept), len(inner) + 1), dtype=complex)
     block[entries, np.arange(len(inner))] = 1.0
     block[diagonal, -1] = w
-    from scipy import sparse
-    rows, cols, values = _hamiltonian(config.layout, config.hamiltonian)
-    H = sparse.csr_matrix((values, (rows, cols)), shape=(D, D))
-    prop = LindbladPropagator(H, config.bath, config.layout.dims, config.tau, subspace=kept)
-    evolved = prop.apply(block)
+    evolved = prop.apply(block, config.tau)
     traces = evolved[diagonal].sum(axis=0)
     M, y, trace = evolved[entries, :-1], evolved[entries, -1], traces[-1]
     del block, evolved      # the rounds need only M, y and the trace row
@@ -502,6 +575,7 @@ def _open_rounds(config: ProtocolConfig, w: np.ndarray, support: np.ndarray):
         probs[n] = p = pops[n].sum()
         if p < EXTINCTION_THRESHOLD:
             return pops[:n], probs[:n + 1], drift, None
+        pops[n] /= p
         x = (y + y[swap].conj()) / (2 * p)
     rho = np.zeros((s, s), dtype=complex)
     rho.flat[inner] = x

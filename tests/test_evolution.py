@@ -27,7 +27,7 @@ def lindblad_evolve(rho: DensityMatrix, H: np.ndarray, bath: BathSpec,
                     tau: float) -> DensityMatrix:
     """exp(L tau) rho through the propagator, symmetrised; the trace must hold to 1e-8."""
     D = rho.data.shape[0]
-    out = LindbladPropagator(H, bath, rho.dims, tau).apply(rho.data.reshape(-1)).reshape(D, D)
+    out = LindbladPropagator(H, bath, rho.dims).apply(rho.data.reshape(-1), tau).reshape(D, D)
     out = (out + out.conj().T) / 2
     tr = np.trace(out).real
     assert abs(tr - 1.0) <= 1e-8, f"trace drift {abs(tr - 1.0):.3e} over tau={tau}"
@@ -176,7 +176,7 @@ def test_lindblad_propagator_matches_dense_expm():
         bath = BathSpec(temperature=1.0, gamma=0.2, omega=1.0, site=1)
         for tau in (0.8, 2 * math.pi):
             ref = expm(liouvillian(H, bath, dims).toarray() * tau) @ rho.data.reshape(-1)
-            got = LindbladPropagator(H, bath, dims, tau).apply(rho.data.reshape(-1))
+            got = LindbladPropagator(H, bath, dims).apply(rho.data.reshape(-1), tau)
             assert np.max(np.abs(got - ref)) < 1e-12
 
 

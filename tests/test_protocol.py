@@ -116,8 +116,14 @@ def test_trajectory_states_and_fidelities_valid(jtau, n):
                    tau=0.9, n_measurements=8, rank=2,
                    bath=BathSpec(temperature=1.0, gamma=0.05, omega=1.0, site=0)),
     xx_config(d=3, jtau=0.9, N=8, k=1, Delta=1.0, L=2, regulator_prep=3),
+    # support sectors of 1, 3 and 5 states, each group run across two full blocks of rounds
+    xx_config(d=3, jtau=0.9, N=2 * protocol.ROUNDS_PER_CALL + 3, k=2, Delta=1.0, L=2,
+              regulator_prep=3),
+    # a ground-state first target leaves support sectors without any populated state
+    xx_config(d=3, jtau=0.9, N=2 * protocol.ROUNDS_PER_CALL + 3, k=2, L=2,
+              target_betas=(math.inf, 0.0)),
 ], ids=["chain-L1", "chain-L2", "star-L2", "chain-L1-bath", "chain-L2-bath", "star-L2-bath",
-        "chain-L2-prep3-rank1"])
+        "chain-L2-prep3-rank1", "chain-L2-prep3-rank2", "chain-L2-ground-target"])
 def test_round_loop_matches_dense_oracle(config):
     assert_matches_literal_round_map(config)
 
@@ -126,7 +132,8 @@ def test_round_loop_matches_dense_oracle(config):
        data=st.data())
 @settings(max_examples=30, deadline=None)
 def test_sector_engine_matches_literal_round_map(model, L, d, data):
-    """Random model, size, rank, wider preparation, target temperatures and tau."""
+    """Random model, size, rank, wider preparation, target temperatures, tau and a number of
+    rounds that ends in the first, second or third block of ROUNDS_PER_CALL rounds."""
     k = data.draw(st.integers(1, d), label="k")
     h = data.draw(st.sampled_from([1.0, -0.7]), label="h")
     ham = {"xxz": XXZSpec(J=1.0, Delta=data.draw(st.floats(-1.5, 1.5), label="Delta"), h=h),
@@ -134,7 +141,8 @@ def test_sector_engine_matches_literal_round_map(model, L, d, data):
            "star": SpinStarSpec(J=1.0, h=h)}[model]
     config = ProtocolConfig(
         layout=SystemLayout("star" if model == "star" else "chain", L, d), hamiltonian=ham,
-        tau=data.draw(st.floats(0.1, 3.0), label="tau"), n_measurements=4, rank=k,
+        tau=data.draw(st.floats(0.1, 3.0), label="tau"), rank=k,
+        n_measurements=data.draw(st.integers(1, 3 * protocol.ROUNDS_PER_CALL + 2), label="N"),
         regulator_prep=data.draw(st.integers(k, d), label="prep"),
         target_betas=tuple(data.draw(st.lists(st.floats(0.1, 2.0), min_size=L, max_size=L),
                                      label="betas")))
@@ -216,15 +224,18 @@ def test_engine_never_builds_a_dense_hamiltonian(ham, monkeypatch):
     assert len(zeno_spectrum(config).eigenvalues) == 27
 
 
-@pytest.mark.parametrize("N", [0, 2])
+@pytest.mark.parametrize("N, k", [(0, 2), (2, 2), (40, 2), (40, 3)],
+                         ids=["0", "2", "40", "40-rank3"])
 @pytest.mark.parametrize("ham", [XXZSpec(J=1.0, Delta=1.0), SpinStarSpec(J=1.0)],
                          ids=["chain", "star"])
-def test_run_peak_memory_stays_below_its_estimate(ham, N):
-    """A default run returns its D x D state (rho(0) when N = 0); the memory gate counts it."""
+def test_run_peak_memory_stays_below_its_estimate(ham, N, k):
+    """A default run returns its D x D state (rho(0) when N = 0); the memory gate counts it,
+    and the round blocks' powers of M (N = 40 runs several blocks; rank 3 is the whole space)."""
     config = ProtocolConfig(layout=SystemLayout(ham.topology, 5, 3), hamiltonian=ham, tau=0.9,
-                            n_measurements=N, rank=2)
+                            n_measurements=N, rank=k)
     protocol._sector_eigh.cache_clear()
     protocol._support_blocks.cache_clear()
+    protocol._open_generator.cache_clear()
     tracemalloc.start()
     try:
         zeno_run(config)
@@ -270,6 +281,41 @@ def test_mid_run_extinction_keeps_the_completed_prefix(monkeypatch, bath):
     for name in ("fidelities", "step_probabilities", "log_cumulative"):
         np.testing.assert_array_equal(getattr(partial, name), getattr(full, name)[:1])
     assert partial.max_trace_drift <= 1e-8
+
+
+def test_extinction_inside_a_later_block_keeps_the_prefix_bit_for_bit(monkeypatch):
+    """The far target's excitation reaches the regulator late, so p sets a new low mid-block."""
+    K = protocol.ROUNDS_PER_CALL
+    config = xx_config(d=3, jtau=0.1, N=3 * K + 2, k=2, L=2, target_betas=(math.inf, 0.0))
+    full = zeno_run(config)
+    p = full.step_probabilities
+    # rounds 1..K form the first block after round 0; n - 1 = 0 mod K starts a block
+    n = next(n for n in range(K + 1, len(p)) if p[n] < p[:n].min() and (n - 1) % K)
+    monkeypatch.setattr(protocol, "EXTINCTION_THRESHOLD", (p[n] + p[:n].min()) / 2)
+    with pytest.raises(ExtinctionError) as err:
+        zeno_run(config)
+    assert err.value.step == n + 1
+    assert err.value.probability == p[n]
+    partial = err.value.partial
+    for name in ("steps", "fidelities", "step_probabilities", "log_cumulative"):
+        np.testing.assert_array_equal(getattr(partial, name), getattr(full, name)[:n])
+
+
+def test_closed_rounds_do_not_warn_past_an_extinction(monkeypatch):
+    """A zero round map empties the branch at round 2; the rest of its block divides 0 by 0."""
+    def zero_map(config):
+        blocks, R, M = round_map(config)
+        return blocks, R, np.zeros_like(M)
+
+    round_map = protocol._round_map
+    monkeypatch.setattr(protocol, "_round_map", zero_map)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ExtinctionError) as err:
+            zeno_run(xx_config(d=3, N=10, k=2))
+    assert err.value.step == 2
+    assert err.value.probability == 0.0
+    assert len(err.value.partial.steps) == 1
 
 
 def test_long_run_log_probability_consistent():

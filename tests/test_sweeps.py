@@ -1,7 +1,10 @@
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -131,6 +134,16 @@ def test_jtau_line_runs_one_sector_eigh():
     _sector_eigh.cache_clear()
     run_sweep(parse_config(dict(MINIMAL, axes={"Jtau": [0.4, 0.8, 1.2, 1.6]})))
     assert _sector_eigh.cache_info().misses == 1
+
+
+def test_bath_jtau_line_builds_one_generator():
+    from zenocool.protocol import _open_generator
+
+    _open_generator.cache_clear()
+    bath = {"temperature": 1.0, "gamma": 0.05, "omega": 1.0}
+    run_sweep(parse_config({"base": dict(MINIMAL["base"], bath=bath),
+                            "axes": {"Jtau": [0.4, 0.8, 1.2]}}))
+    assert _open_generator.cache_info().misses == 1
 
 
 def test_n_axis_selects_recorded_steps(tmp_path):
@@ -415,6 +428,22 @@ def test_manifest_sweep_is_a_config(preset_id):
     for spec in preset_sweeps(preset_id):
         manifest = json.loads(json.dumps(spec_manifest(spec)))
         assert spec_manifest(parse_config(manifest)) == manifest
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--only", "fig99"], "config error: unknown preset id 'fig99'"),
+    (["--only", "fig2", "--workers", "0"], "validation error: workers (--workers) must be"),
+], ids=["unknown-preset", "no-workers"])
+def test_run_all_presets_reports_bad_input_in_one_line(tmp_path, args, message):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src")] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    done = subprocess.run([sys.executable, str(root / "scripts" / "run_all_presets.py"), *args,
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 1
+    assert done.stderr.startswith(message)
+    assert len(done.stderr.splitlines()) == 1
 
 
 def test_cli_spectrum_json(tmp_path, capsys):
