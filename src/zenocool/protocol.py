@@ -20,13 +20,15 @@ digit sum of the flat index.  H is diagonalised once per (layout,
 Hamiltonian), as one batched eigh of its sector blocks, scattered from the
 entries and zero-padded to the largest one.  It propagates X, with
 rho = X X^+ on the support, in groups of sectors of one exact size, so a
-round costs the sum of the sector sizes cubed: a block of up to
-ROUNDS_PER_CALL rounds is one matmul per group against the powers of the
-round map M, formed once per run.  `zeno_run` reads all fidelities off the
-support populations at once.  The round-map spectrum takes one eig per
-sector block of U[S, S].  Only `_unitary`, the tests' oracle, forms the
-D x D U.  A bath run builds its sector-restricted generator once per
-(layout, Hamiltonian, bath) and scales it by tau at each point.
+round costs the sum of the sector sizes cubed: a block of K rounds is one
+matmul per group against the powers of the round map M, formed once per
+run, with K as large as POWERS_BYTES lets those powers be (at most
+ROUNDS_PER_CALL, and 1 once the sectors are large).  `zeno_run` reads all
+fidelities off the support populations at once.  The round-map spectrum
+takes one eig per sector block of U[S, S].  Only `_unitary`, the tests'
+oracle, forms the D x D U.  A bath run builds its sector-restricted
+generator once per (layout, Hamiltonian, bath) and scales it by tau at each
+point.
 """
 from __future__ import annotations
 
@@ -52,11 +54,14 @@ from .qudit import (
 )
 
 EXTINCTION_THRESHOLD = 1e-14
-# closed rounds per batched matmul: a block pays numpy's per-call costs once for this many
-# rounds, against the powers M^1..M^K formed once per run.  A block's traces are the
-# products of its p's, so K p's >= EXTINCTION_THRESHOLD must stay above the smallest
-# normal float: K <= 21, since 1e-14^22 < 2.2e-308
-ROUNDS_PER_CALL = 8
+# most closed rounds per batched matmul.  A block's traces are the products of its p's, so
+# K p's >= EXTINCTION_THRESHOLD must stay above the smallest normal float: K <= 21, since
+# 1e-14^22 < 2.2e-308
+ROUNDS_PER_CALL = 21
+# bytes of a run's powers M^1..M^K and block of K rounds, 32 K sum(a^2): a block pays
+# numpy's per-call costs once for K rounds, which matters on small sectors only, so K
+# shrinks as the sectors grow, down to 1
+POWERS_BYTES = 2 ** 20
 SZ_CONSERVATION_TOL = 1e-12
 OPEN_BLOCK_COPIES = 4   # peak memory of the open set-up over its block (4.1 traced at D=81)
 # peak memory of a closed run: the d^2 x d^2 bond's temporaries (3.0 bonds traced for XXZ
@@ -148,7 +153,8 @@ class ProtocolConfig:
         if self.bath is not None:
             bath = self.bath
             with np.errstate(over="ignore"):
-                n = bath.occupancy()
+                n = float(bath.occupancy())
+            # in Python floats, which overflow to inf without a warning
             norm = self.tau * (bound + bath.gamma * (2 * n + 1))
             if not norm < EXPM_NORM_LIMIT:
                 raise ValueError(
@@ -196,6 +202,14 @@ def _open_block(config: ProtocolConfig) -> tuple[int, int]:
     return sum(n * n for n in full), sum(n * n for n in support) + 1
 
 
+def _rounds_per_call(config: ProtocolConfig) -> int:
+    """K, the closed rounds per matmul: 32 K sum(a^2) within POWERS_BYTES, at least 1, and at
+    most ROUNDS_PER_CALL and N - 1, over the support sectors' sizes a."""
+    _, support = _sector_sizes(config.layout.d, config.layout.L, config.rank)
+    fit = max(1, POWERS_BYTES // (32 * sum(a * a for a in support)))
+    return max(0, min(ROUNDS_PER_CALL, config.n_measurements - 1, fit))
+
+
 def run_bytes(config: ProtocolConfig) -> int:
     """Estimated peak memory of one run, in Python integers.
 
@@ -211,8 +225,7 @@ def run_bytes(config: ProtocolConfig) -> int:
     D = d ** (L + 1)
     need = (16 * (BOND_COPIES * d ** 4 + SECTOR_COPIES * len(full) * max(full) ** 2
                   + STATE_COPIES * D * D) + ENTRY_BYTES * (L * d + L + 1) * D)
-    K = max(min(ROUNDS_PER_CALL, N - 1), 0)
-    need += 16 * K * 2 * sum(n * n for n in support)
+    need += 32 * _rounds_per_call(config) * sum(n * n for n in support)
     # the record in group order, its gather to support order, the site marginals
     need += 8 * N * (2 * sum(support) + 4 * L * d)
     if config.bath is not None:
@@ -477,14 +490,15 @@ def _closed_rounds(config: ProtocolConfig):
     rho = X X^+ on the support S, one block per total-Sz sector, from X = U[S, c] sqrt(w[c])
     over the entries w[c] > 0 of rho(0) = diag(w); each later round is X <- M X, M = U[S, S].
     X lives in unpadded groups of n_g sectors with a support states and b columns each.
-    After round 0, a block of k <= ROUNDS_PER_CALL rounds is one (k, n_g, a, a) @ (n_g, a, b)
-    matmul per group, of the powers M^1..M^k and the block's unit-trace start.  Round j's p
+    After round 0, a block of k <= K rounds is one (k, n_g, a, a) @ (n_g, a, b) matmul per
+    group, of the powers M^1..M^k and the block's unit-trace start.  K comes from the
+    sectors' bytes (`_rounds_per_call`): 21 on the D <= 64 chains, 7 on an L=4, d=3 chain
+    at rank 2 and 1 from L=5 on, so the powers stay within POWERS_BYTES.  Round j's p
     is the ratio of the traces after j and j - 1 rounds, and X is renormalised once per
     block.  The first p below EXTINCTION_THRESHOLD ends the run.
     """
     blocks, R, M = _round_map(config)
-    X0, N = R @ blocks.cols, config.n_measurements
-    K = min(ROUNDS_PER_CALL, N - 1)
+    X0, N, K = R @ blocks.cols, config.n_measurements, _rounds_per_call(config)
     Zs, powers = [], []
     for g in blocks.groups:
         X = X0[g.stack, :g.a, :g.c]

@@ -11,10 +11,20 @@ axis selects which measurement rounds are emitted (the engine always runs
 to the largest requested round).  Rows are sorted by (grid index, step,
 site) regardless of worker count, floats are written with 17 significant
 digits, and reruns of the same config are byte-identical.
+
+A point's rows are CSV text, one line each.  Its fixed fields, preset_id
+to tau, go through csv.writer once, so they are quoted as csv.writer
+quotes them; each row then appends N_step, site and fidelity from a `%`
+template, and the step's probabilities and extinct flag, formatted once
+per step ('%.17g' % x equals f'{x:.17g}' for every float, nan and the
+infinities included).  `run_sweep` returns these lines and `write_results`
+writes them after the header.
 """
 from __future__ import annotations
 
 import csv
+import ctypes
+import io
 import itertools
 import json
 import math
@@ -111,65 +121,93 @@ class SweepSpec:
         return list(range(1, config.n_measurements + 1))
 
 
-def _fmt(x) -> str:
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.17g}"
+# a grid point's fixed fields, rendered once, are the prefix; each row adds these fields
+_ROUND = ",%d,%d,%.17g"                     # N_step, site, fidelity
+_STEP = ",%.17g,%.17g,%.17g,%d\n"           # step_probability .. extinct, once per step
 
 
-def _point_rows(spec: SweepSpec, index: int) -> list[tuple]:
-    point = spec.grid()[index]
-    config = spec.config_at(point)
-    steps = spec.steps_for(config)
+def _row_prefix(spec: SweepSpec, config: ProtocolConfig) -> str:
+    """The point's fields preset_id .. tau as CSV text, quoted as csv.writer quotes them."""
     ham = config.hamiltonian
     params = asdict(ham)
     dort = params.get("Delta", params.get("theta"))
-    meta = (spec.preset_id, config.layout.topology, ham.model, config.layout.d,
-            config.layout.L, config.rank, _fmt(ham.J), "" if dort is None else _fmt(dort),
-            _fmt(config.tau))
-    rows: list[tuple] = []
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow(
+        (spec.preset_id, config.layout.topology, ham.model, config.layout.d, config.layout.L,
+         config.rank, "%.17g" % ham.J, "" if dort is None else "%.17g" % dort,
+         "%.17g" % config.tau))
+    return out.getvalue()[:-1]
 
-    def emit(step, site, fid, p_step, p_cum, log_cum, extinct):
-        rows.append(meta + (step, site, _fmt(fid), _fmt(p_step), _fmt(p_cum),
-                            _fmt(log_cum), extinct))
 
+def _point_rows(spec: SweepSpec, index: int) -> list[str]:
+    """The point's CSV lines, one per (step, site), each ending in a newline."""
+    config = spec.config_at(spec.grid()[index])
+    round_row = _row_prefix(spec, config).replace("%", "%%") + _ROUND
     try:
         record = zeno_run(config, retain_state=False)
         extinction = None
     except ExtinctionError as err:
         record = err.partial
         extinction = err
-    cum = record.cumulative_probabilities
-    for n in steps:
+    fids = record.fidelities.tolist()
+    probs = record.step_probabilities.tolist()
+    cum = record.cumulative_probabilities.tolist()
+    log_cum = record.log_cumulative.tolist()
+    steps = []          # (N_step, fidelity per site, step_probability .. extinct)
+    for n in spec.steps_for(config):
         if n == 0:
-            for site in range(1, config.layout.L + 1):
-                emit(0, site, record.initial_fidelities[site - 1], 1.0, 1.0, 0.0, 0)
-            continue
-        if n <= len(record.steps):
-            i = n - 1
-            for site in range(1, config.layout.L + 1):
-                emit(n, site, record.fidelities[i, site - 1], record.step_probabilities[i],
-                     cum[i], record.log_cumulative[i], 0)
+            steps.append((0, record.initial_fidelities.tolist(), 1.0, 1.0, 0.0, 0))
+        elif n <= len(probs):
+            steps.append((n, fids[n - 1], probs[n - 1], cum[n - 1], log_cum[n - 1], 0))
     if extinction is not None:
-        log_prev = record.log_cumulative[-1] if len(record.steps) else 0.0
+        log_prev = log_cum[-1] if log_cum else 0.0
         dead_log = log_prev + (math.log(extinction.probability)
                                if extinction.probability > 0 else -math.inf)
-        for site in range(1, config.layout.L + 1):
-            emit(extinction.step, site, math.nan, extinction.probability,
-                 math.exp(dead_log) if math.isfinite(dead_log) else 0.0,
-                 dead_log, 1)
+        steps.append((extinction.step, [math.nan] * config.layout.L, extinction.probability,
+                      math.exp(dead_log) if math.isfinite(dead_log) else 0.0, dead_log, 1))
+    rows: list[str] = []
+    for n, site_fids, *step_fields in steps:
+        tail = _STEP % tuple(step_fields)
+        rows.extend([round_row % (n, site, f) + tail for site, f in enumerate(site_fids, 1)])
     return rows
 
 
-def _run_point(args) -> tuple[int, list[tuple]]:
+def _run_point(args) -> tuple[int, list[str]]:
     spec, index = args
     return index, _point_rows(spec, index)
 
 
-def run_sweep(spec: SweepSpec, workers: int = 1) -> list[tuple]:
-    """All result rows of one sweep, in deterministic (grid, step, site) order."""
+# the OpenBLAS builds numpy and scipy load, by their thread-count setters
+_BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                        "openblas_set_num_threads")
+
+
+def _one_blas_thread() -> None:
+    """Run this process's OpenBLAS on one thread: each worker of a pool takes one core.
+
+    The libraries are found by name in the process's memory map and set
+    through their own symbol; where none is found, nothing changes.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return
+    for path in sorted(libs):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in _BLAS_THREAD_SETTERS:
+            setter = getattr(lib, symbol, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                break
+
+
+def run_sweep(spec: SweepSpec, workers: int = 1) -> list[str]:
+    """The sweep's CSV lines, one per result row, in deterministic (grid, step, site) order."""
     if workers < 1:
         raise ValueError(f"workers (--workers) must be at least 1, got {workers}")
     indices = range(len(spec.grid()))
@@ -183,7 +221,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[tuple]:
     if workers <= 1:
         chunks = [_point_rows(spec, i) for i in indices]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
             results = dict(pool.map(_run_point, [(spec, i) for i in indices]))
         chunks = [results[i] for i in indices]
     return [row for chunk in chunks for row in chunk]
@@ -196,9 +234,10 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[tuple]:
 _REQUIRED = object()    # a table default: the key must be given
 
 # {key: (type, default)} of a config's fixed fields; `base` also takes its model's
-# parameters, the fields of `MODELS[model]`, and an omitted bath omega takes base.h
+# parameters, the fields of `MODELS[model]`, an omitted topology takes the model's and an
+# omitted bath omega takes base.h
 _ROOT = {"preset_id": (str, "custom"), "base": (dict, _REQUIRED), "axes": (dict, {})}
-_BASE = {"topology": (str, "chain"), "model": (str, _REQUIRED), "d": (int, _REQUIRED),
+_BASE = {"topology": (str, None), "model": (str, _REQUIRED), "d": (int, _REQUIRED),
          "L": (int, 1), "tau": (float, 1.0), "N": (int, _REQUIRED), "k": (int, 1),
          "regulator_prep": (int, None), "target_betas": (list, None), "bath": (dict, None)}
 _BATH = {"temperature": (float, _REQUIRED), "gamma": (float, _REQUIRED),
@@ -260,11 +299,13 @@ def parse_config(doc: dict, preset_id: Optional[str] = None) -> SweepSpec:
         raise ConfigError(f"base.model: must be one of {tuple(MODELS)}, got {model!r}")
     params = {f.name: (float, f.default) for f in fields(MODELS[model])}
     base = _read(root["base"], {**_BASE, **params}, "base")
-    if base["topology"] not in ("chain", "star"):
-        raise ConfigError(f"base.topology: must be 'chain' or 'star', got {base['topology']!r}")
+    topology = MODELS[model].topology
+    if base["topology"] not in (None, topology):
+        raise ConfigError(f"base.topology: the {model} model runs on the {topology}, got "
+                          f"{base['topology']!r}; omit base.topology to take the {topology}")
 
     try:
-        layout = SystemLayout(base["topology"], base["L"], base["d"])
+        layout = SystemLayout(topology, base["L"], base["d"])
         ham = MODELS[model](**{name: base[name] for name in params})
 
         betas = base["target_betas"]
@@ -354,19 +395,17 @@ def write_results(sweeps: Sequence[SweepSpec], out_dir, workers: int = 1) -> tup
     """Run every sweep, write results.csv and manifest.json; returns the paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    all_rows: list[tuple] = []
-    for spec in sweeps:
-        all_rows.extend(run_sweep(spec, workers=workers))
+    lines = [run_sweep(spec, workers=workers) for spec in sweeps]
     csv_path = out / "results.csv"
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(COLUMNS)
-        writer.writerows(all_rows)
+        fh.write(",".join(COLUMNS) + "\n")
+        for sweep_lines in lines:
+            fh.writelines(sweep_lines)
     manifest = {
         "engine": "zenocool",
         "version": __version__,
         "columns": list(COLUMNS),
-        "rows": len(all_rows),
+        "rows": sum(len(sweep_lines) for sweep_lines in lines),
         "sweeps": [spec_manifest(s) for s in sweeps],
     }
     manifest_path = out / "manifest.json"

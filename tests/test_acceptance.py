@@ -6,6 +6,7 @@ pinned grids (see the test docstring); everything else passes.  The heavy
 grids (criteria 5-8) dominate the runtime; the whole module finishes in a
 few minutes on a desktop CPU.
 """
+import csv
 import math
 
 import numpy as np
@@ -82,7 +83,7 @@ def _rank2_grid_rows(d):
                           hamiltonian=XXZSpec(J=1.0, Delta=1.0),
                           tau=1.0, n_measurements=200, rank=2)
     spec = SweepSpec(base=base, preset_id="fig4", jtau_axis=JTAU_CONTOUR)
-    return [dict(zip(COLUMNS, row)) for row in run_sweep(spec)]
+    return list(csv.DictReader(run_sweep(spec), fieldnames=COLUMNS))
 
 
 def test_criterion_4_rank2_cooling_and_imperfect_regions():

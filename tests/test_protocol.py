@@ -245,6 +245,27 @@ def test_run_peak_memory_stays_below_its_estimate(ham, N, k):
     assert peak <= protocol.run_bytes(config)
 
 
+@pytest.mark.parametrize("L, d, k, N, K", [
+    (1, 2, 1, 200, 21), (1, 8, 2, 200, 21), (2, 3, 2, 45, 21),   # the D <= 64 grids
+    (2, 3, 2, 10, 9), (2, 3, 2, 1, 0),                          # capped at N - 1
+    (4, 3, 2, 200, 7), (5, 3, 2, 200, 1), (6, 3, 2, 50, 1),     # sized by the sectors
+])
+def test_rounds_per_call_fits_the_powers_in_their_bytes(L, d, k, N, K):
+    config = xx_config(d=d, jtau=0.9, N=N, k=k, L=L, Delta=1.0)
+    assert protocol._rounds_per_call(config) == K
+    _, support = protocol._sector_sizes(d, L, k)
+    assert K <= 1 or 32 * K * sum(a * a for a in support) <= protocol.POWERS_BYTES
+
+
+def test_bath_check_rejects_an_overflowing_bound_without_a_warning():
+    """gamma (2n + 1) overflows the floats: the check reports inf, and nothing warns first."""
+    bath = BathSpec(temperature=1e10, gamma=1e300, omega=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"gamma \* \(2n \+ 1\)\) = inf below"):
+            xx_config(d=3, jtau=1.0, N=3, bath=bath)
+
+
 def test_star_ring_fidelities_identical():
     config = ProtocolConfig(layout=SystemLayout("star", 3, 3),
                             hamiltonian=SpinStarSpec(J=1.0), tau=1.1,
@@ -285,12 +306,14 @@ def test_mid_run_extinction_keeps_the_completed_prefix(monkeypatch, bath):
 
 def test_extinction_inside_a_later_block_keeps_the_prefix_bit_for_bit(monkeypatch):
     """The far target's excitation reaches the regulator late, so p sets a new low mid-block."""
-    K = protocol.ROUNDS_PER_CALL
-    config = xx_config(d=3, jtau=0.1, N=3 * K + 2, k=2, L=2, target_betas=(math.inf, 0.0))
+    config = xx_config(d=3, jtau=0.05, N=3 * protocol.ROUNDS_PER_CALL + 2, k=2, L=2,
+                       target_betas=(math.inf, 0.0))
+    K = protocol._rounds_per_call(config)
     full = zeno_run(config)
     p = full.step_probabilities
-    # rounds 1..K form the first block after round 0; n - 1 = 0 mod K starts a block
+    # p[1..K] form the first block after round 0's p[0]; n - 1 = 0 mod K starts a block
     n = next(n for n in range(K + 1, len(p)) if p[n] < p[:n].min() and (n - 1) % K)
+    assert K == protocol.ROUNDS_PER_CALL and (n - 1) // K == 1     # inside the second block
     monkeypatch.setattr(protocol, "EXTINCTION_THRESHOLD", (p[n] + p[:n].min()) / 2)
     with pytest.raises(ExtinctionError) as err:
         zeno_run(config)

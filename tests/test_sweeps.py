@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from zenocool import (
     ConfigError,
+    ExtinctionError,
     ProtocolConfig,
     SweepSpec,
     SystemLayout,
@@ -24,6 +27,8 @@ from zenocool import (
     fidelity_xx_rank1,
     run_config,
     run_sweep,
+    write_results,
+    zeno_run,
 )
 from zenocool.cli import main
 from zenocool.presets import PRESETS, preset_sweeps
@@ -93,13 +98,15 @@ def test_worker_count_does_not_change_output(tmp_path):
 
 
 def test_run_sweep_caps_workers_at_grid_points(monkeypatch):
-    """A pool starts one process per grid point at most; one point runs in-process."""
+    """A pool starts one process per grid point at most, each on one BLAS thread; one point
+    runs in-process."""
     import zenocool.sweeps as sweeps
 
     opened = []
 
     class RecordingPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer):
+            assert initializer is sweeps._one_blas_thread
             opened.append(max_workers)
 
         def __enter__(self):
@@ -184,16 +191,75 @@ def test_extinction_rows_flagged_not_fatal(tmp_path, monkeypatch):
     assert float(rows[0]["step_probability"]) == pytest.approx(0.4408, abs=1e-3)
 
 
+def _per_field_csv(spec: SweepSpec) -> str:
+    """The sweep's rows rendered field by field through csv.writer: the emitter's oracle."""
+    fmt = lambda x: f"{float(x):.17g}"
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    for point in spec.grid():
+        config = spec.config_at(point)
+        ham, sites = config.hamiltonian, range(1, config.layout.L + 1)
+        params = asdict(ham)
+        dort = params.get("Delta", params.get("theta"))
+        meta = (spec.preset_id, config.layout.topology, ham.model, config.layout.d,
+                config.layout.L, config.rank, fmt(ham.J), "" if dort is None else fmt(dort),
+                fmt(config.tau))
+        try:
+            record, extinction = zeno_run(config, retain_state=False), None
+        except ExtinctionError as err:
+            record, extinction = err.partial, err
+        cum = record.cumulative_probabilities
+        for n in spec.steps_for(config):
+            if n == 0:
+                writer.writerows(meta + (0, j, fmt(record.initial_fidelities[j - 1]), fmt(1.0),
+                                         fmt(1.0), fmt(0.0), 0) for j in sites)
+            elif n <= len(record.steps):
+                writer.writerows(meta + (n, j, fmt(record.fidelities[n - 1, j - 1]),
+                                         fmt(record.step_probabilities[n - 1]), fmt(cum[n - 1]),
+                                         fmt(record.log_cumulative[n - 1]), 0) for j in sites)
+        if extinction is not None:
+            log_prev = record.log_cumulative[-1] if len(record.steps) else 0.0
+            dead_log = log_prev + (math.log(extinction.probability)
+                                   if extinction.probability > 0 else -math.inf)
+            writer.writerows(meta + (extinction.step, j, fmt(math.nan),
+                                     fmt(extinction.probability),
+                                     fmt(math.exp(dead_log) if math.isfinite(dead_log) else 0.0),
+                                     fmt(dead_log), 1) for j in sites)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("doc, threshold", [
+    ({"base": dict(MINIMAL["base"], N=0)}, None),
+    (dict(MINIMAL, axes={"Jtau": [0.0, 0.9], "N": [0, 2, 5]}), None),
+    (MINIMAL, 0.9),
+    ({"base": dict(MINIMAL["base"], L=4, k=2, Delta=1.0, N=3), "axes": {"Jtau": [0.7, 2.1]}},
+     None),
+    ({"base": {"model": "bbh", "d": 3, "N": 4}, "axes": {"theta": [-1.9, 0.0, 2.3]}}, None),
+    (dict(MINIMAL, preset_id='a,b "c"\nd %s 100%'), None),
+], ids=["N0", "N-axis", "extinct", "chain-L4", "theta", "preset-id-quoted"])
+def test_row_template_writes_the_per_field_bytes(tmp_path, monkeypatch, doc, threshold):
+    import zenocool.protocol as protocol
+
+    if threshold is not None:       # the first round dies, as in the extinction test above
+        monkeypatch.setattr(protocol, "EXTINCTION_THRESHOLD", threshold)
+    spec = parse_config(doc)
+    expected = _per_field_csv(spec)
+    assert "".join(run_sweep(spec)) == expected
+    csv_path, _ = write_results([spec, spec], tmp_path / "out")
+    header = ",".join(COLUMNS) + "\n"
+    assert csv_path.read_bytes() == (header + 2 * expected).encode("utf-8")
+
+
 def test_classify_regions_threshold_zero_flags_nothing():
     spec = parse_config(dict(MINIMAL, axes={"Jtau": [0.5, 1.2]}))
-    rows = [dict(zip(COLUMNS, row)) for row in run_sweep(spec)]
+    rows = csv.DictReader(run_sweep(spec), fieldnames=COLUMNS)
     for summary in classify_regions(rows, threshold=0.0):
         assert summary.imperfect == []
 
 
 def test_classify_regions_finds_frozen_point():
     spec = parse_config(dict(MINIMAL, axes={"Jtau": [0.0, 1.2]}))
-    rows = [dict(zip(COLUMNS, row)) for row in run_sweep(spec)]
+    rows = csv.DictReader(run_sweep(spec), fieldnames=COLUMNS)
     (summary,) = classify_regions(rows, threshold=0.96)
     assert summary.imperfect == [0.0]  # J*tau = 0 never cools
     assert summary.jtau == [0.0, pytest.approx(1.2)]
@@ -228,7 +294,7 @@ def test_star_preset_ring_columns_identical(tmp_path):
     spec = preset_sweeps("fig_star")[0]
     trimmed = SweepSpec(base=spec.base, preset_id="fig_star",
                         jtau_axis=(1.5,), recorded_steps=(5, 25))
-    rows = [dict(zip(COLUMNS, row)) for row in run_sweep(trimmed)]
+    rows = csv.DictReader(run_sweep(trimmed), fieldnames=COLUMNS)
     by_step = {}
     for row in rows:
         by_step.setdefault(int(row["N_step"]), []).append(float(row["fidelity"]))
@@ -238,6 +304,15 @@ def test_star_preset_ring_columns_identical(tmp_path):
 
 
 # ---- CLI -------------------------------------------------------------------
+
+def test_topology_defaults_to_the_models(tmp_path):
+    config = write_json(tmp_path, {"base": {"model": "spin_star", "d": 3, "N": 1}})
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+    (row,) = read_rows(tmp_path / "o" / "results.csv")
+    assert row["topology"] == "star"
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["sweeps"][0]["base"]["topology"] == "star"
+
 
 def test_cli_run_and_exit_codes(tmp_path):
     config = write_json(tmp_path, MINIMAL)
@@ -296,6 +371,7 @@ BATH = {"temperature": 1.0, "gamma": 1e-3}
     ({"base": {"model": "bbh"}}, r"base\.Delta: unknown field"),
     ({"base": {"topology": "star", "model": "spin_star"}}, r"base\.Delta: unknown field"),
     ({"base": {"theta": 0.3}}, r"base\.theta: unknown field"),
+    ({"base": {"topology": "star"}}, r"base\.topology: the xxz model runs on the chain"),
     ({"argv": ["preset", "fig2", "--include-d5", "--out", "{out}"]}, "--include-d5"),
     ({"axes": {"N": [3]}, "argv": ["spectrum", "--config", "{config}"]}, r"axes\.N"),
 ], ids=["tau-nan", "tau-inf", "J-nan", "temperature-nan", "temperature-negative", "gamma-nan",
@@ -306,8 +382,8 @@ BATH = {"temperature": 1.0, "gamma": 1e-3}
         "bath-phase-overflow", "bath-J-cost", "bath-gamma-cost", "preset-workers-0",
         "run-workers-negative", "run-workers-memory", "classify-threshold-nan",
         "classify-threshold-inf", "base-unknown-key", "root-unknown-key", "bath-unknown-key",
-        "bbh-Delta", "spin_star-Delta", "xxz-theta", "preset-include-d5-off-fig4",
-        "spectrum-N-axis"])
+        "bbh-Delta", "spin_star-Delta", "xxz-theta", "xxz-on-star",
+        "preset-include-d5-off-fig4", "spectrum-N-axis"])
 def test_cli_rejects_non_finite_and_out_of_range_fields(tmp_path, capsys, monkeypatch, doc,
                                                        message):
     """Each input exits 1 at once, allocating little and starting no worker process, with a
