@@ -16,19 +16,20 @@ Both are exact algebraic restrictions, not approximations.
 
 The engine reads H only as its nonzero entries; the dense `spec.build` is
 left to the oracles.  A closed run works on the sectors, labelled by the
-digit sum of the flat index.  H is diagonalised once per (layout,
-Hamiltonian), as one batched eigh of its sector blocks, scattered from the
-entries and zero-padded to the largest one.  It propagates X, with
-rho = X X^+ on the support, in groups of sectors of one exact size, so a
-round costs the sum of the sector sizes cubed: a block of K rounds is one
-matmul per group against the powers of the round map M, formed once per
-run, with K as large as POWERS_BYTES lets those powers be (at most
-ROUNDS_PER_CALL, and 1 once the sectors are large).  `zeno_run` reads all
-fidelities off the support populations at once.  The round-map spectrum
-takes one eig per sector block of U[S, S].  Only `_unitary`, the tests'
-oracle, forms the D x D U.  A bath run builds its sector-restricted
-generator once per (layout, Hamiltonian, bath) and scales it by tau at each
-point.
+digit sum of the flat index.  Every model's H is real: it is diagonalised
+once per (layout, Hamiltonian), by one float64 eigh per set of sector
+blocks of one size, scattered from the entries.  The support's sectors
+fall into groups of one support size, whose eigenvector rows are gathered
+once per preparation; a point forms each group's round map M = U[S, S] and
+propagates X, with rho = X X^+ on the support, so a round costs the sum of
+the sector sizes cubed: a block of K rounds is one matmul per group
+against the powers of M, with K as large as POWERS_BYTES lets those powers
+be (at most ROUNDS_PER_CALL, and 1 once the sectors are large).
+`zeno_run` reads all fidelities off the support populations at once, and
+forms the D x D state only when it is retained.  The round-map spectrum
+takes one eig per sector block of M.  Only `_unitary`, the tests' oracle,
+forms the D x D U.  A bath run builds its sector-restricted generator once
+per (layout, Hamiltonian, bath) and scales it by tau at each point.
 """
 from __future__ import annotations
 
@@ -38,6 +39,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import accumulate
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -66,12 +68,14 @@ SZ_CONSERVATION_TOL = 1e-12
 OPEN_BLOCK_COPIES = 4   # peak memory of the open set-up over its block (4.1 traced at D=81)
 # peak memory of a closed run: the d^2 x d^2 bond's temporaries (3.0 bonds traced for XXZ
 # and 4.0 for BBH at L=1, d=31), H's entries with their sort (85-107 bytes per entry traced),
-# the padded sector stacks of the set-up and rounds (6.3-6.6 n_sectors x A x A stacks traced
-# at D=729-2187, chain and star alike), and the retained D x D state with DensityMatrix's
-# Hermiticity check (3.5 D x D traced for rho(0) at N=0, 4 with a full-rank support block)
+# the sector blocks, eigenvectors and eigh workspace (1.5-2.6 float64 sum(n^2) traced at
+# D=243-2187) and the support groups' V rows, R and first X (float64 sum(a w)); apart, a
+# retained D x D state with DensityMatrix's Hermiticity check (3.5 D x D traced for rho(0)
+# at N=0, 4 with a full-rank support block)
 BOND_COPIES = 4
 ENTRY_BYTES = 96
-SECTOR_COPIES = 7
+EIGH_COPIES = 3
+ROW_COPIES = 6
 STATE_COPIES = 4
 # expm_multiply picks its step count from 1-norms of (L tau)^p, p <= 9 (Al-Mohy & Higham's
 # p_max + 1): past the ninth root of the largest float these can overflow, and it fails on
@@ -137,8 +141,8 @@ class ProtocolConfig:
         sites = self.layout.n_sites
         kind = "closed" if self.bath is None else "bath"
         have = physical_memory()
-        if math.log2(d) > 64 / sites:       # D is not formed: 16 D^2 bytes exceed 2^132
-            raise ValueError(f"a {kind} run at D={d}^{sites} needs more than 2^132 bytes "
+        if math.log2(d) > 64 / sites:       # D is not formed: H's entries exceed 2^64 bytes
+            raise ValueError(f"a {kind} run at D={d}^{sites} needs more than 2^64 bytes "
                              f"to set up, more than the {have:,} bytes of physical memory")
         D, need = d ** sites, run_bytes(self)
         if need > have:
@@ -210,28 +214,32 @@ def _rounds_per_call(config: ProtocolConfig) -> int:
     return max(0, min(ROUNDS_PER_CALL, config.n_measurements - 1, fit))
 
 
-def run_bytes(config: ProtocolConfig) -> int:
+def run_bytes(config: ProtocolConfig, retain_state: bool = False) -> int:
     """Estimated peak memory of one run, in Python integers.
 
-    Every run lists H's entries: each Sz-conserving bond has at most d per
-    row, each field one.  A closed run then holds its sector blocks,
-    zero-padded to the largest sector, the powers M^1..M^K of each support
-    sector block and a block of K rounds of X (at most as wide as M), N rows
-    of support populations, and returns the D x D state; a bath run holds
-    the larger of that and its exponential-action block.
+    Every run lists H's entries: each Sz-conserving bond has at most d per row, each field
+    one.  A closed run then holds its sector blocks and eigenvectors, sum(n^2); per support
+    sector of a states, its rows of V and R, padded to the widest sector w of that support
+    size, and at most w populated columns; M, its powers and a block of K rounds of X; and N
+    rows of populations.  A bath run holds the larger of that and its exponential-action block.
+    A retained state adds the D x D `final_state` and its checks.
     """
     d, L, N = config.layout.d, config.layout.L, config.n_measurements
     full, support = _sector_sizes(d, L, config.rank)
-    D = d ** (L + 1)
-    need = (16 * (BOND_COPIES * d ** 4 + SECTOR_COPIES * len(full) * max(full) ** 2
-                  + STATE_COPIES * D * D) + ENTRY_BYTES * (L * d + L + 1) * D)
-    need += 32 * _rounds_per_call(config) * sum(n * n for n in support)
+    # support sector t is full sector t for h < 0 and, mirrored, the same sizes for h > 0
+    widest = {}
+    for a, n in zip(support, full):
+        widest[a] = max(widest.get(a, 0), n)
+    need = (16 * BOND_COPIES * d ** 4 + ENTRY_BYTES * (L * d + L + 1) * d ** (L + 1)
+            + 8 * (EIGH_COPIES * sum(n * n for n in full)
+                   + sum(widest[a] * (ROW_COPIES * a + widest[a]) for a in support)))
+    need += 32 * (_rounds_per_call(config) + 1) * sum(a * a for a in support)
     # the record in group order, its gather to support order, the site marginals
     need += 8 * N * (2 * sum(support) + 4 * L * d)
     if config.bath is not None:
         rows, cols = _open_block(config)
         need = max(need, 16 * OPEN_BLOCK_COPIES * rows * cols)
-    return need
+    return need + retain_state * 16 * STATE_COPIES * d ** (2 * L + 2)
 
 
 @dataclass
@@ -318,115 +326,103 @@ def _unitary(config: ProtocolConfig) -> np.ndarray:
     return (V * np.exp(-1j * lam * config.tau)) @ V.conj().T
 
 
-def _stack_slots(label: np.ndarray, sectors: np.ndarray):
-    """Each state's place in a (len(sectors), width) stack: its sector's row, its slot in it.
-
-    Slots follow the order of `label`; width is the largest sector's count.
-    """
-    which = np.searchsorted(sectors, label)
-    sizes = np.bincount(which, minlength=len(sectors))
-    slot = np.empty_like(which)
-    slot[np.argsort(which, kind="stable")] = (np.arange(len(label))
-                                              - np.repeat(np.cumsum(sizes) - sizes, sizes))
-    return which, slot, int(sizes.max())
-
-
-class _Sectors(NamedTuple):
-    """H's total-Sz sector blocks, zero-padded to the largest sector A, diagonalised."""
-
-    label: np.ndarray       # (D,) sector of every basis state
-    slot: np.ndarray        # (D,) its row in the sector's block (ascending flat index)
-    lam: np.ndarray         # (n_sectors, A) eigenvalues of each padded block
-    V: np.ndarray           # (n_sectors, A, A) eigenvectors of each padded block
-
-
-# one entry: the memory gate counts one set of sector blocks, and sweeps enumerate Jtau
-# innermost, so consecutive points of one (d, k, theta) share it
+# one entry: the memory gate counts one set of sector eigenvectors, sum(n^2) floats, and
+# sweeps enumerate Jtau innermost, so consecutive points of one (d, k, theta) share it
 @lru_cache(maxsize=1)
-def _sector_eigh(layout: SystemLayout, spec: HamiltonianSpec) -> _Sectors:
-    """One batched eigh over H's sector blocks.
+def _sector_eigh(layout: SystemLayout, spec: HamiltonianSpec):
+    """H's sector blocks, scattered from its entries, with one float64 eigh per block size.
 
-    A padded block is diag(H_q, 0): its eigenvectors off the padding slots are
-    those of H_q, so V e^{-i lam tau} V^+ restricted to the real slots is U's
-    block exactly (also where H_q has an eigenvalue 0 that mixes with the padding).
+    Returns every state's sector label and its slot (its row in its sector's block, by
+    ascending flat index), and a dict from each label to its eigenvalues and real eigenvectors.
     """
     rows, cols, values = _hamiltonian(layout, spec)
+    if np.any(values.imag):
+        raise ValueError(f"{spec.model} Hamiltonian has complex entries (max |Im H| = "
+                         f"{np.abs(values.imag).max():.3e}): a closed run needs a real H")
     label = _sector_labels(layout)
-    _, slot, width = _stack_slots(label, np.arange(label[-1] + 1))
+    sizes = np.bincount(label)
+    slot = np.empty_like(label)
+    slot[np.argsort(label, kind="stable")] = (np.arange(len(label))
+                                              - np.repeat(np.cumsum(sizes) - sizes, sizes))
     inside = label[rows] == label[cols]
-    rows, cols = rows[inside], cols[inside]
-    blocks = np.zeros((label[-1] + 1, width, width), dtype=complex)
-    blocks[label[rows], slot[rows], slot[cols]] = values[inside]
-    lam, V = np.linalg.eigh(blocks)
-    return _Sectors(label, slot, lam, V)
+    rows, cols, values = rows[inside], cols[inside], values[inside].real
+    eigs = {}
+    for n in np.unique(sizes):
+        same = np.flatnonzero(sizes == n)
+        at = np.flatnonzero(sizes[label[rows]] == n)
+        blocks = np.zeros((len(same), n, n))
+        blocks[np.searchsorted(same, label[rows[at]]), slot[rows[at]], slot[cols[at]]] = values[at]
+        eigs.update(zip(same, zip(*np.linalg.eigh(blocks))))
+    return label, slot, eigs
 
 
 class _Group(NamedTuple):
-    """Sectors of the padded stacks that share a support size a and a column count of X."""
+    """The support's sectors of one support size a and one column count of X.
 
-    stack: np.ndarray       # (n_g,) their rows in the padded stacks, ascending
-    a: int                  # support states per sector
-    c: int                  # padded columns that X reads; more than a calls for a QR
-    start: int              # the group's first column in a run's group-ordered record
-
-
-class _SupportBlocks(NamedTuple):
-    """What a closed run needs of the sector eigenvectors, for every tau.
-
-    Stacked over the n sectors that meet the support S, each padded to the
-    largest one's a support states and c populated states of rho(0).  The
-    rounds run on the unpadded groups: the support states in group order
-    are (group, sector, slot) ascending, and `order` reads them back.
+    Their arrays are zero-padded to the group's widest sector n and most populated one c:
+    a zero column adds nothing to R or M.
     """
 
-    sectors: np.ndarray     # (n,) their labels, ascending
-    where: np.ndarray       # (s,) each support state's flat place in an (n, a) stack
-    lam: np.ndarray         # (n, A) eigenvalues of their blocks
-    rows: np.ndarray        # (n, a, A) V's support rows
-    cols: np.ndarray        # (n, A, c) V^+ at rho(0)'s populated states, times sqrt(w)
-    groups: tuple           # the _Groups whose sectors hold populated states
-    order: np.ndarray       # (s,) each support state's place in group order
+    sectors: np.ndarray     # (m,) their labels, ascending
+    a: int                  # support states per sector
+    start: int              # the group's first column in a run's group-ordered record
+    lam: np.ndarray         # (m, n) eigenvalues of their blocks
+    rows: np.ndarray        # (m, a, n) V's support rows
+    cols: np.ndarray        # (m, n, c) V^T at rho(0)'s populated states, times sqrt(w)
 
 
 # one entry, like `_sector_eigh`: consecutive points of a Jtau line share it
 @lru_cache(maxsize=1)
 def _support_blocks(layout: SystemLayout, spec: HamiltonianSpec, rank: int,
-                    regulator_prep: Optional[int], target_betas) -> _SupportBlocks:
+                    regulator_prep: Optional[int], target_betas):
+    """What a closed run needs of the sector eigenvectors, for every tau: the _Groups of the
+    sectors that meet the support S, and each support state's place in group order,
+    (group, sector, slot) ascending."""
     config = ProtocolConfig(layout=layout, hamiltonian=spec, tau=0.0, n_measurements=0,
                             rank=rank, regulator_prep=regulator_prep, target_betas=target_betas)
-    sec = _sector_eigh(layout, spec)
+    label, slot, eigs = _sector_eigh(layout, spec)
     support, w = _support(config), _initial_populations(config)
-    sectors = np.flatnonzero(np.bincount(sec.label[support]))
-    which, slot, a = _stack_slots(sec.label[support], sectors)
-    rows = np.zeros((len(sectors), a, sec.V.shape[1]), dtype=complex)
-    rows[which, slot] = sec.V[sec.label[support], sec.slot[support]]
     # rho(0)'s states in sectors without support states never reach the support
-    c = np.flatnonzero((w > 0) & np.isin(sec.label, sectors))
-    col_which, col_slot, width = _stack_slots(sec.label[c], sectors)
-    cols = np.zeros((len(sectors), sec.V.shape[1], width), dtype=complex)
-    cols[col_which, :, col_slot] = sec.V[sec.label[c], sec.slot[c]].conj() * np.sqrt(w[c])[:, None]
-    size = np.bincount(which, minlength=len(sectors))
-    count = np.bincount(col_which, minlength=len(sectors))
+    populated = np.flatnonzero(w > 0)
+    size = np.bincount(label[support], minlength=len(eigs))
+    count = np.bincount(label[populated], minlength=len(eigs))
     b = np.minimum(size, count)         # X's columns after a wider preparation's QR
-    in_order = np.lexsort((slot, which, b[which], size[which]))
-    order = np.empty_like(in_order)
-    order[in_order] = np.arange(len(in_order))
-    groups, start = [], 0
-    for a_g, b_g in np.unique(np.stack([size, b], axis=1), axis=0):
-        stack = np.flatnonzero((size == a_g) & (b == b_g))
-        if b_g > 0:         # sectors without populated states keep zero populations
-            groups.append(_Group(stack, int(a_g), int(count[stack].max()), start))
-        start += len(stack) * int(a_g)
-    return _SupportBlocks(sectors, which * a + slot, sec.lam[sectors], rows, cols,
-                          tuple(groups), order)
+    groups, placed, start = [], [], 0
+    for a_g, b_g in np.unique(np.stack([size, b], axis=1)[size > 0], axis=0):
+        members = np.flatnonzero((size == a_g) & (b == b_g))
+        m, n, c = len(members), max(len(eigs[q][0]) for q in members), count[members].max()
+        lam, rows, cols = np.zeros((m, n)), np.zeros((m, a_g, n)), np.zeros((m, n, c))
+        for i, q in enumerate(members):
+            (vals, V), ours = eigs[q], np.flatnonzero(label[support] == q)
+            at = populated[label[populated] == q]
+            lam[i, :len(V)] = vals
+            rows[i, :, :len(V)] = V[slot[support[ours]]]
+            cols[i, :len(V), :len(at)] = V[slot[at]].T * np.sqrt(w[at])
+            placed.append(ours)
+        groups.append(_Group(members, int(a_g), start, lam, rows, cols))
+        start += m * int(a_g)
+    return tuple(groups), np.argsort(np.concatenate(placed))
+
+
+def _pair(x: np.ndarray) -> np.ndarray:
+    """The complex array whose real and imaginary parts are x[0] and x[1]."""
+    out = np.empty(x.shape[1:], dtype=complex)
+    out.real, out.imag = x
+    return out
 
 
 def _round_map(config: ProtocolConfig):
-    """The support blocks, U's support rows R over the sector slots, and M = U[S, S] per sector."""
-    blocks = _support_blocks(config.layout, config.hamiltonian, config.rank,
-                             config.regulator_prep, config.target_betas)
-    R = blocks.rows * np.exp(-1j * blocks.lam * config.tau)[:, None, :]
-    return blocks, R, R @ blocks.rows.conj().transpose(0, 2, 1)
+    """The support groups and order, and per group U's support rows R and M = U[S, S]: R is
+    V_S e^{-i lam tau} as its real and imaginary parts, (2, m, a, n), so a product with the
+    real V is one call of two real matmuls."""
+    groups, order = _support_blocks(config.layout, config.hamiltonian, config.rank,
+                                    config.regulator_prep, config.target_betas)
+    maps = []
+    for g in groups:
+        phase = g.lam * config.tau
+        R = g.rows * np.stack([np.cos(phase), -np.sin(phase)])[:, :, None, :]
+        maps.append((R, _pair(R @ g.rows.transpose(0, 2, 1))))
+    return groups, order, maps
 
 
 def _site_fidelities(config: ProtocolConfig, pops: np.ndarray) -> np.ndarray:
@@ -454,8 +450,13 @@ def zeno_run(config: ProtocolConfig, *, retain_state: bool = True) -> Trajectory
     Records per-round conditional probabilities, their running log-sum, and
     the Uhlmann fidelity of every target site against the regulator
     preparation.  Raises ExtinctionError (carrying the completed prefix) if
-    a round's outcome probability drops below EXTINCTION_THRESHOLD.
+    a round's outcome probability drops below EXTINCTION_THRESHOLD.  With
+    retain_state it also returns the D x D final state, and first checks that
+    the run and that state fit in physical memory.
     """
+    if retain_state and (need := run_bytes(config, retain_state)) > physical_memory():
+        raise ValueError(f"retain_state=True keeps the D x D state: about {need:,} bytes with "
+                         f"the run, more than the {physical_memory():,} bytes of physical memory")
     w = _initial_populations(config)
     f0 = _site_fidelities(config, w[None])[0]
     if config.n_measurements == 0:
@@ -466,7 +467,7 @@ def zeno_run(config: ProtocolConfig, *, retain_state: bool = True) -> Trajectory
 
     support = _support(config)
     if config.bath is None:
-        pops, probs, drift, block = _closed_rounds(config)
+        pops, probs, drift, block = _closed_rounds(config, retain_state)
     else:
         pops, probs, drift, block = _open_rounds(config, w, support)
     n = len(pops)
@@ -484,63 +485,60 @@ def zeno_run(config: ProtocolConfig, *, retain_state: bool = True) -> Trajectory
     return record
 
 
-def _closed_rounds(config: ProtocolConfig):
-    """Normalised support populations (n, s), every round's p, drift 0, final block.
+def _closed_rounds(config: ProtocolConfig, retain_state: bool):
+    """Normalised support populations (n, s), every round's p, drift 0, final block or None.
 
     rho = X X^+ on the support S, one block per total-Sz sector, from X = U[S, c] sqrt(w[c])
     over the entries w[c] > 0 of rho(0) = diag(w); each later round is X <- M X, M = U[S, S].
-    X lives in unpadded groups of n_g sectors with a support states and b columns each.
-    After round 0, a block of k <= K rounds is one (k, n_g, a, a) @ (n_g, a, b) matmul per
-    group, of the powers M^1..M^k and the block's unit-trace start.  K comes from the
-    sectors' bytes (`_rounds_per_call`): 21 on the D <= 64 chains, 7 on an L=4, d=3 chain
-    at rank 2 and 1 from L=5 on, so the powers stay within POWERS_BYTES.  Round j's p
-    is the ratio of the traces after j and j - 1 rounds, and X is renormalised once per
-    block.  The first p below EXTINCTION_THRESHOLD ends the run.
+    X lives in groups of m sectors with a support states and b columns each (b = 0 where
+    rho(0) leaves a sector empty).  After round 0, a block of k <= K rounds
+    (`_rounds_per_call`) is one (k, m, a, a) @ (m, a, b) matmul per group, of the powers
+    M^1..M^k and the block's unit-trace start.  Round j's p is the ratio of the traces after
+    j and j - 1 rounds, and X is renormalised once per block.  The first p below
+    EXTINCTION_THRESHOLD ends the run.  The final block is assembled only if it is retained.
     """
-    blocks, R, M = _round_map(config)
-    X0, N, K = R @ blocks.cols, config.n_measurements, _rounds_per_call(config)
+    groups, order, maps = _round_map(config)
+    N, K = config.n_measurements, _rounds_per_call(config)
     Zs, powers = [], []
-    for g in blocks.groups:
-        X = X0[g.stack, :g.a, :g.c]
-        if g.c > g.a:       # a wider preparation: a columns with the same X X^+
+    for g, (R, M) in zip(groups, maps):
+        X = _pair(R @ g.cols)       # no columns in sectors that rho(0) leaves empty
+        if X.shape[2] > g.a:        # a wider preparation: a columns with the same X X^+
             X = np.linalg.qr(X.conj().transpose(0, 2, 1), mode="r").conj().transpose(0, 2, 1)
         Zs.append(np.ascontiguousarray(X[None]))
-        P = np.empty((K, len(g.stack), g.a, g.a), dtype=complex)     # P[j] = M^(j+1)
-        if K:
-            P[0] = M[g.stack, :g.a, :g.a]
-        for j in range(1, K):
-            np.matmul(P[j - 1], P[0], out=P[j])
-        powers.append(P)
-    pops, probs = np.zeros((N, len(blocks.where))), np.zeros(N)     # in group order
+        # P[j] = M^(j+1); from L=5 on K = 1, and M is the one power
+        powers.append(np.stack(list(accumulate([M] * K, np.matmul))) if K > 1 else M[None])
+    del maps                # the rounds need only the powers
+    pops, probs = np.zeros((N, len(order))), np.zeros(N)     # in group order
     n, k = 0, 1             # round 0 reads rho(0)'s image, whose trace is p_0
     with np.errstate(divide="ignore", invalid="ignore"):   # 0/0 past an extinction
         while True:
-            for g, Z in zip(blocks.groups, Zs):
+            for g, Z in zip(groups, Zs):
                 re_im = Z.view(np.float64)      # |x|^2 summed over real and imaginary parts
-                out = pops[n:n + k, g.start:g.start + len(g.stack) * g.a]
-                np.einsum("hijk,hijk->hij", re_im, re_im, out=out.reshape(k, len(g.stack), g.a))
+                out = pops[n:n + k, g.start:g.start + len(g.sectors) * g.a]
+                np.einsum("hijk,hijk->hij", re_im, re_im, out=out.reshape(k, -1, g.a))
             trace = pops[n:n + k].sum(axis=1)
             probs[n:n + k] = trace / np.concatenate(([1.0], trace[:-1]))
             pops[n:n + k] /= trace[:, None]
             dead = np.flatnonzero(probs[n:n + k] < EXTINCTION_THRESHOLD)
             if len(dead):
                 n += int(dead[0])
-                return pops[:n, blocks.order], probs[:n + 1], 0.0, None
+                return pops[:n, order], probs[:n + 1], 0.0, None
             Xs = [Z[-1] / np.sqrt(trace[-1]) for Z in Zs]
             n, k = n + k, min(K, N - n - k)
             if not k:
                 break
-            # k n_g products of a x a by a x b: stacking the powers as (k a, a) rows instead
+            # k m products of a x a by a x b: stacking the powers as (k a, a) rows instead
             # makes products that BLAS splits over threads, and two workers on two cores
             # then ran fig_chain 3x slower
             Zs = [P[:k] @ X for P, X in zip(powers, Xs)]
-    # X X^+ is block-diagonal over the sectors: assemble it on the support
-    in_order = np.argsort(blocks.order)
-    block = np.zeros((len(in_order),) * 2, dtype=complex)
-    for g, X in zip(blocks.groups, Xs):
-        at = in_order[g.start:g.start + len(g.stack) * g.a].reshape(-1, g.a)
-        block[at[:, :, None], at[:, None, :]] = X @ X.conj().transpose(0, 2, 1)
-    return pops[:, blocks.order], probs, 0.0, block
+    block = None
+    if retain_state:        # X X^+ is block-diagonal over the sectors: assemble it on the support
+        in_order = np.argsort(order)
+        block = np.zeros((len(in_order),) * 2, dtype=complex)
+        for g, X in zip(groups, Xs):
+            at = in_order[g.start:g.start + len(g.sectors) * g.a].reshape(-1, g.a)
+            block[at[:, :, None], at[:, None, :]] = X @ X.conj().transpose(0, 2, 1)
+    return pops[:, order], probs, 0.0, block
 
 
 # one entry, like `_sector_eigh`: the points of a bath's Jtau line share L and scale it by tau
@@ -631,16 +629,17 @@ def zeno_spectrum(config: ProtocolConfig) -> ZenoSpectrum:
     """
     if config.bath is not None:
         raise ValueError("the round-map spectrum is defined for closed-system configs")
-    blocks, R, M = _round_map(config)
-    a = R.shape[1]
-    sizes = np.bincount(blocks.where // a, minlength=len(blocks.sectors))
-    eigs = [np.linalg.eig(M[q, :b, :b]) for q, b in enumerate(sizes)]
-    vals = np.concatenate([v for v, _ in eigs])
-    owner = np.repeat(np.arange(len(sizes)), sizes)
+    groups, _, maps = _round_map(config)
+    found = {}              # label: its eigenvalues and right eigenvectors, its R and row
+    for g, (R, M) in zip(groups, maps):
+        vals, right = np.linalg.eig(M)
+        found.update((q, (vals[i], right[i], R, i)) for i, q in enumerate(g.sectors))
+    sectors = sorted(found)
+    vals = np.concatenate([found[q][0] for q in sectors])
+    owner = np.repeat(sectors, [len(found[q][0]) for q in sectors])
     modulus = np.abs(vals)
     tied = modulus >= modulus.max() - 1e-9
-    order = np.lexsort((np.where(tied, np.angle(vals), 0.0),
-                        np.where(tied, blocks.sectors[owner], 0),
+    order = np.lexsort((np.where(tied, np.angle(vals), 0.0), np.where(tied, owner, 0),
                         np.where(tied, 0.0, -modulus), ~tied))
     vals = vals[order]
     simple = bool(np.count_nonzero(tied) == 1)
@@ -649,22 +648,22 @@ def zeno_spectrum(config: ProtocolConfig) -> ZenoSpectrum:
                       f"(|a0|={abs(vals[0]):.12f}, |a1|={abs(vals[1]):.12f})",
                       RuntimeWarning, stacklevel=2)
     q = owner[order[0]]
-    R_q = eigs[q][1]
-    j = order[0] - (np.cumsum(sizes) - sizes)[q]
+    _, right, R, i = found[q]
+    j = order[0] - np.searchsorted(owner, q)
     try:
-        left_rows = np.linalg.inv(R_q)
+        left_rows = np.linalg.inv(right)
     except np.linalg.LinAlgError:
-        left_rows = np.linalg.pinv(R_q)
-    sec = _sector_eigh(config.layout, config.hamiltonian)
-    D = len(sec.label)
-    norm = np.linalg.norm(R_q[:, j])
+        left_rows = np.linalg.pinv(right)
+    label, _, eigs = _sector_eigh(config.layout, config.hamiltonian)
+    support, D = _support(config), len(label)
+    norm = np.linalg.norm(right[:, j])
     r = np.zeros(D, dtype=complex)
-    r[_support(config)[blocks.where // a == q]] = R_q[:, j] / norm
-    members = np.flatnonzero(sec.label == blocks.sectors[q])
-    top = R[q, :sizes[q]] @ sec.V[blocks.sectors[q], :len(members)].conj().T   # U[S_q, members]
+    r[support[label[support] == q]] = right[:, j] / norm
+    V = eigs[q][1]
+    top = _pair(R[:, i, :, :len(V)] @ V.T)       # U[S_q, q's states]
     l = np.zeros(D, dtype=complex)
-    l[members] = ((left_rows[j, :] * norm) @ top / vals[0]).conj()
-    vals = np.concatenate([vals, np.zeros(D - len(blocks.where), dtype=complex)])
+    l[label == q] = ((left_rows[j, :] * norm) @ top / vals[0]).conj()
+    vals = np.concatenate([vals, np.zeros(D - len(support), dtype=complex)])
     return ZenoSpectrum(eigenvalues=vals, dominant_right=r, dominant_left=l,
                         dominant_is_simple=simple)
 

@@ -31,6 +31,7 @@ from zenocool import (
     zeno_run,
     zeno_spectrum,
 )
+from zenocool.hamiltonians import _BondsAndFields
 import zenocool.protocol as protocol
 from zenocool.protocol import (
     direct_cumulative_probability,
@@ -204,6 +205,28 @@ def test_sz_breaking_hamiltonian_raises_at_setup(bath):
         zeno_run(config)
 
 
+@dataclass(frozen=True)
+class DMSpec(_BondsAndFields):
+    """A Dzyaloshinskii-Moriya chain, J (Sx Sy - Sy Sx) on every bond: it conserves total Sz,
+    and its entries are purely imaginary."""
+
+    J: float
+    h: float = 1.0
+
+    model = "dm"
+    topology = "chain"
+
+    def bond(self, ops):
+        return self.J * (np.kron(ops.sx, ops.sy) - np.kron(ops.sy, ops.sx))
+
+
+def test_complex_hamiltonian_raises_at_closed_setup():
+    config = ProtocolConfig(layout=SystemLayout("chain", 1, 3), hamiltonian=DMSpec(J=1.0),
+                            tau=1.0, n_measurements=3, rank=1)
+    with pytest.raises(ValueError, match="dm Hamiltonian has complex entries"):
+        zeno_run(config)
+
+
 @pytest.mark.filterwarnings("ignore:dominant eigenspace of the round map is not simple")
 @pytest.mark.parametrize("ham", [XXZSpec(J=0.8, Delta=0.3), SpinStarSpec(J=0.8)],
                          ids=["chain", "star"])
@@ -224,25 +247,58 @@ def test_engine_never_builds_a_dense_hamiltonian(ham, monkeypatch):
     assert len(zeno_spectrum(config).eigenvalues) == 27
 
 
-@pytest.mark.parametrize("N, k", [(0, 2), (2, 2), (40, 2), (40, 3)],
-                         ids=["0", "2", "40", "40-rank3"])
-@pytest.mark.parametrize("ham", [XXZSpec(J=1.0, Delta=1.0), SpinStarSpec(J=1.0)],
-                         ids=["chain", "star"])
-def test_run_peak_memory_stays_below_its_estimate(ham, N, k):
-    """A default run returns its D x D state (rho(0) when N = 0); the memory gate counts it,
-    and the round blocks' powers of M (N = 40 runs several blocks; rank 3 is the whole space)."""
-    config = ProtocolConfig(layout=SystemLayout(ham.topology, 5, 3), hamiltonian=ham, tau=0.9,
-                            n_measurements=N, rank=k)
+PEAK_CASES = pytest.mark.parametrize("L, N, k", [(5, 0, 2), (5, 2, 2), (5, 40, 2), (5, 40, 3),
+                                                 (6, 2, 2)],
+                                      ids=["0", "2", "40", "40-rank3", "L6-2"])
+PEAK_MODELS = pytest.mark.parametrize("ham", [XXZSpec(J=1.0, Delta=1.0), SpinStarSpec(J=1.0)],
+                                      ids=["chain", "star"])
+
+
+def traced_peak(config, retain_state):
     protocol._sector_eigh.cache_clear()
     protocol._support_blocks.cache_clear()
     protocol._open_generator.cache_clear()
     tracemalloc.start()
     try:
-        zeno_run(config)
+        zeno_run(config, retain_state=retain_state)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@PEAK_CASES
+@PEAK_MODELS
+def test_run_peak_memory_stays_below_its_estimate(ham, L, N, k):
+    """The memory gate counts the set-up, the round map's groups and the round blocks' powers
+    of M (N = 40 runs several blocks at L=5; rank 3 is the whole space)."""
+    config = ProtocolConfig(layout=SystemLayout(ham.topology, L, 3), hamiltonian=ham, tau=0.9,
+                            n_measurements=N, rank=k)
+    assert traced_peak(config, retain_state=False) <= protocol.run_bytes(config)
+
+
+@PEAK_CASES
+@PEAK_MODELS
+def test_retained_state_peak_memory_stays_below_its_estimate(ham, L, N, k):
+    """A retained run also returns its D x D state (rho(0) when N = 0), which the gate counts
+    on top of the run."""
+    config = ProtocolConfig(layout=SystemLayout(ham.topology, L, 3), hamiltonian=ham, tau=0.9,
+                            n_measurements=N, rank=k)
+    assert traced_peak(config, retain_state=True) <= protocol.run_bytes(config, retain_state=True)
+
+
+def test_an_l8_chain_passes_the_gate_and_refuses_to_retain_its_state(monkeypatch):
+    """On a 7 GB host the L=8, d=3 engine fits; its 6.2 GB D x D state, four times over, does not."""
+    monkeypatch.setattr(protocol, "physical_memory", lambda: 7 * 10 ** 9)
+    config = xx_config(d=3, jtau=1.0, N=10, k=2, L=8, Delta=1.0)
+    assert protocol.run_bytes(config) <= 7 * 10 ** 9
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="retain_state=True keeps the D x D state"):
+            zeno_run(config, retain_state=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= protocol.run_bytes(config)
+    assert peak < 16 * 19683       # nothing D x D, nor even a row of it, was allocated
 
 
 @pytest.mark.parametrize("L, d, k, N, K", [
@@ -327,8 +383,8 @@ def test_extinction_inside_a_later_block_keeps_the_prefix_bit_for_bit(monkeypatc
 def test_closed_rounds_do_not_warn_past_an_extinction(monkeypatch):
     """A zero round map empties the branch at round 2; the rest of its block divides 0 by 0."""
     def zero_map(config):
-        blocks, R, M = round_map(config)
-        return blocks, R, np.zeros_like(M)
+        groups, order, maps = round_map(config)
+        return groups, order, [(R, np.zeros_like(M)) for R, M in maps]
 
     round_map = protocol._round_map
     monkeypatch.setattr(protocol, "_round_map", zero_map)

@@ -340,8 +340,8 @@ BATH = {"temperature": 1.0, "gamma": 1e-3}
     ({"axes": {"Jtau": [math.nan]}}, "axes.Jtau = nan"),
     ({"axes": {"N": [-2]}}, "axes.N"),
     ({"base": {"L": 5, "d": 3, "k": 2, "bath": BATH}}, r"D=729 needs about [\d,]+ bytes"),
-    ({"base": {"L": 8, "d": 3}}, r"closed run at D=19683 needs about [\d,]+ bytes"),
-    ({"base": {"L": 200, "d": 3, "k": 2, "bath": BATH}}, r"D=3\^201 needs more than 2\^132 bytes"),
+    ({"base": {"L": 9, "d": 3}}, r"closed run at D=59049 needs about [\d,]+ bytes"),
+    ({"base": {"L": 200, "d": 3, "k": 2, "bath": BATH}}, r"D=3\^201 needs more than 2\^64 bytes"),
     ({"base": {"N": True}}, "base.N: expected int, got bool"),
     ({"axes": {"d": [2.7]}}, "axes.d: expected int, got float"),
     ({"axes": {"N": [1.5]}}, "axes.N: expected int, got float"),
@@ -376,7 +376,7 @@ BATH = {"temperature": 1.0, "gamma": 1e-3}
     ({"axes": {"N": [3]}, "argv": ["spectrum", "--config", "{config}"]}, r"axes\.N"),
 ], ids=["tau-nan", "tau-inf", "J-nan", "temperature-nan", "temperature-negative", "gamma-nan",
         "site-7", "omega-inf", "axes-k-9", "axes-d-1", "axes-Jtau-nan", "axes-N-negative",
-        "bath-D729-memory", "closed-D19683-memory", "bath-L200-memory", "N-bool",
+        "bath-D729-memory", "closed-D59049-memory", "bath-L200-memory", "N-bool",
         "axes-d-non-integral", "axes-N-non-integral", "axes-Jtau-bool", "phase-overflow",
         "h-zero", "h-negative-omega-default", "gamma-huge", "occupancy-overflow",
         "bath-phase-overflow", "bath-J-cost", "bath-gamma-cost", "preset-workers-0",
