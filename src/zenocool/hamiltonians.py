@@ -3,7 +3,8 @@
 Chains are open, with the regulator at site 0 and targets B_1..B_L at sites
 1..L; the star puts the regulator at the hub (site 0) with L ring sites.
 Every model is a sum of two-site bonds and one-site fields.  A spec gives
-its d^2 x d^2 bond and its topology; `entries` places each term with
+its bond, as a sum of products of one-site matrices in the ladder basis
+(S+, S-, Sz), and its topology; `entries` places each term with
 `qudit.operator_entries` (the bond on (j, j+1) or (0, i), then h Sz on every
 chain site or on the hub) and lists H's nonzero entries term by term.  That
 list is the one definition of H: `build` is its dense scatter.
@@ -90,9 +91,9 @@ class XXZSpec(_BondsAndFields):
     model = "xxz"
     topology = "chain"
 
-    def bond(self, ops) -> np.ndarray:
-        return self.J * (np.kron(ops.sx, ops.sx) + np.kron(ops.sy, ops.sy)
-                         + self.Delta * np.kron(ops.sz, ops.sz))
+    def bond(self, ops) -> list:
+        return [(self.J / 2, (ops.splus, ops.sminus)), (self.J / 2, (ops.sminus, ops.splus)),
+                (self.J * self.Delta, (ops.sz, ops.sz))]
 
 
 @dataclass(frozen=True)
@@ -106,9 +107,13 @@ class BBHSpec(_BondsAndFields):
     model = "bbh"
     topology = "chain"
 
-    def bond(self, ops) -> np.ndarray:
-        ss = np.kron(ops.sx, ops.sx) + np.kron(ops.sy, ops.sy) + np.kron(ops.sz, ops.sz)
-        return self.J * (np.cos(self.theta) * ss + np.sin(self.theta) * (ss @ ss))
+    def bond(self, ops) -> list:
+        # S.S is the Delta = 1 XXZ bond, and (a x b)(c x d) = ac x bd: (S.S)^2 is the nine
+        # pairwise products of its terms
+        ss = XXZSpec(J=1.0, Delta=1.0).bond(ops)
+        c, s = self.J * np.cos(self.theta), self.J * np.sin(self.theta)
+        return ([(c * x, ab) for x, ab in ss]
+                + [(s * x * y, (a @ f, b @ g)) for x, (a, b) in ss for y, (f, g) in ss])
 
 
 @dataclass(frozen=True)
@@ -124,8 +129,8 @@ class SpinStarSpec(_BondsAndFields):
     model = "spin_star"
     topology = "star"
 
-    def bond(self, ops) -> np.ndarray:
-        return self.J * (np.kron(ops.sx, ops.sx) + np.kron(ops.sy, ops.sy))
+    def bond(self, ops) -> list:
+        return [(self.J / 2, (ops.splus, ops.sminus)), (self.J / 2, (ops.sminus, ops.splus))]
 
 
 HamiltonianSpec = Union[XXZSpec, BBHSpec, SpinStarSpec]

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 import os
-import sys
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -52,6 +51,7 @@ from .qudit import (
     embed_operator,
     energy_order,
     low_lying_mixture,
+    summed_entries,
     thermal_state,
 )
 
@@ -66,24 +66,20 @@ ROUNDS_PER_CALL = 21
 POWERS_BYTES = 2 ** 20
 SZ_CONSERVATION_TOL = 1e-12
 OPEN_BLOCK_COPIES = 4   # peak memory of the open set-up over its block (4.1 traced at D=81)
-# peak memory of a closed run: the d^2 x d^2 bond's temporaries (3.0 bonds traced for XXZ
-# and 4.0 for BBH at L=1, d=31), H's entries with their sort (85-107 bytes per entry traced),
+# peak memory of a closed run: H's entries with their sort (85-107 bytes per entry traced),
 # the sector blocks, eigenvectors and eigh workspace (1.5-2.6 float64 sum(n^2) traced at
 # D=243-2187) and the support groups' V rows, R and first X (float64 sum(a w)); apart, a
 # retained D x D state with DensityMatrix's Hermiticity check (3.5 D x D traced for rho(0)
 # at N=0, 4 with a full-rank support block)
-BOND_COPIES = 4
 ENTRY_BYTES = 96
 EIGH_COPIES = 3
 ROW_COPIES = 6
 STATE_COPIES = 4
-# expm_multiply picks its step count from 1-norms of (L tau)^p, p <= 9 (Al-Mohy & Higham's
-# p_max + 1): past the ninth root of the largest float these can overflow, and it fails on
-# a NaN or an infinity; a bath run's bound on |L tau| must stay below it
-EXPM_NORM_LIMIT = sys.float_info.max ** (1 / 9)
 # a bath run's bound tau |L| times its block's rows and columns: an L=4, d=3 chain at
 # Jtau = 2 pi reads 3.1e11; measured runs took 2e-9 (large blocks, |H| bound) to 3.4e-7
-# (D=9, gamma bound) seconds per unit, since the |H| bound is the looser one
+# (D=9, gamma bound) seconds per unit, since the |H| bound is the looser one.  The block has
+# at least 1 row and 2 columns, so the limit keeps |L tau| far below 1.78e34, the ninth root
+# of the largest float, past which expm_multiply's 1-norms of (L tau)^p, p <= 9, overflow
 EXPM_COST_LIMIT = 1e12
 
 
@@ -158,21 +154,17 @@ class ProtocolConfig:
             bath = self.bath
             with np.errstate(over="ignore"):
                 n = float(bath.occupancy())
-            # in Python floats, which overflow to inf without a warning
+            # in Python floats, which overflow to inf without a warning; 0 * inf is NaN
             norm = self.tau * (bound + bath.gamma * (2 * n + 1))
-            if not norm < EXPM_NORM_LIMIT:
-                raise ValueError(
-                    f"a bath run needs tau * (|H| + gamma * (2n + 1)) = {norm:.3g} below "
-                    f"{EXPM_NORM_LIMIT:.3g}: tau = {self.tau}, |H| <= {bound:.3g}, "
-                    f"bath.gamma = {bath.gamma}, occupancy n = {n:.3g} "
-                    f"from bath.temperature = {bath.temperature}, bath.omega = {bath.omega}")
             rows, cols = _open_block(self)
             cost = norm * rows * cols
-            if cost > EXPM_COST_LIMIT:
+            if not cost <= EXPM_COST_LIMIT:
                 raise ValueError(
                     f"a bath run at D={D} would take too long: tau * (|H| + gamma * (2n + 1)) "
-                    f"times its {rows} x {cols} block is {cost:.3g}, over {EXPM_COST_LIMIT:.3g}; "
-                    f"lower tau = {self.tau}, J = {ham.J} or bath.gamma = {bath.gamma}")
+                    f"= {norm:.3g} times its {rows} x {cols} block is {cost:.3g}, over "
+                    f"{EXPM_COST_LIMIT:.3g}; lower tau = {self.tau}, J = {ham.J} or "
+                    f"bath.gamma = {bath.gamma} (occupancy n = {n:.3g} from bath.temperature "
+                    f"= {bath.temperature}, bath.omega = {bath.omega})")
 
     @property
     def prep_rank(self) -> int:
@@ -230,7 +222,7 @@ def run_bytes(config: ProtocolConfig, retain_state: bool = False) -> int:
     widest = {}
     for a, n in zip(support, full):
         widest[a] = max(widest.get(a, 0), n)
-    need = (16 * BOND_COPIES * d ** 4 + ENTRY_BYTES * (L * d + L + 1) * d ** (L + 1)
+    need = (ENTRY_BYTES * (L * d + L + 1) * d ** (L + 1)
             + 8 * (EIGH_COPIES * sum(n * n for n in full)
                    + sum(widest[a] * (ROW_COPIES * a + widest[a]) for a in support)))
     need += 32 * (_rounds_per_call(config) + 1) * sum(a * a for a in support)
@@ -304,13 +296,7 @@ def _hamiltonian(layout: SystemLayout, spec: HamiltonianSpec):
     The spec's entries of one element are summed in the order it lists them,
     as `spec.build` sums them, so the values are H's elements bit for bit.
     """
-    rows, cols, values = spec.entries(layout)
-    D = layout.d ** layout.n_sites
-    keys, where = np.unique(rows * D + cols, return_inverse=True)
-    summed = np.zeros(len(keys), dtype=complex)
-    np.add.at(summed, where, values)
-    rows, cols = np.divmod(keys[summed != 0], D)
-    values = summed[summed != 0]
+    rows, cols, values = summed_entries(*spec.entries(layout), layout.d ** layout.n_sites)
     label = _sector_labels(layout)
     # [H, Sz_tot]_ij = H_ij (Sz_j - Sz_i) = H_ij (label_i - label_j)
     leak = float(np.max(np.abs(values * (label[rows] - label[cols])), initial=0.0))

@@ -1,6 +1,6 @@
-"""Spin-s operator algebra, qudit states, tensor tools and Uhlmann fidelity.
+"""Spin-s operator algebra, qudit states, operator entries, tensor tools and Uhlmann fidelity.
 
-Everything here is dense numpy, hbar = k_B = 1.  Local basis conventions:
+Everything here is numpy, hbar = k_B = 1.  Local basis conventions:
 the computational basis is the S^z eigenbasis ordered m = s, s-1, ..., -s;
 "energy-ascending" always refers to the local Hamiltonian h * S^z, so for
 h > 0 the local ground state |0> is the m = -s vector.
@@ -129,29 +129,53 @@ def tensor_product(a, b):
     return np.kron(np.asarray(a), np.asarray(b))
 
 
-def operator_entries(op: np.ndarray, sites, dims: Sequence[int]):
+def summed_entries(rows, cols, values, size: int):
+    """A size x size matrix's entries summed per element in the order listed, zero sums
+    dropped, in row-major order: no two entries share a (row, col)."""
+    keys, where = np.unique(rows * size + cols, return_inverse=True)
+    summed = np.zeros(len(keys), dtype=complex)
+    np.add.at(summed, where, values)
+    rows, cols = np.divmod(keys[summed != 0], size)
+    return rows, cols, summed[summed != 0]
+
+
+def operator_entries(op, sites, dims: Sequence[int]):
     """The nonzero entries (rows, cols, values) of `op` on `sites`, identity elsewhere.
 
-    `sites` is one slot, or an ordered tuple of distinct slots; `op` acts on
-    them in the order given: `operator_entries(kron(a, b), (2, 0), dims)` puts
-    a on slot 2 and b on slot 0.  No two entries share a (row, col).
+    On one slot `op` is its d x d matrix.  On an ordered tuple of distinct slots it is a
+    sum of products, `[(c, (f_1, ..., f_k)), ...]` with the one-slot matrix f_i on
+    `sites[i]`, never a dense matrix: `operator_entries([(1, (a, b))], (2, 0), dims)` puts
+    a on slot 2 and b on slot 0.  Each product's entries come from its factors' nonzeros;
+    the products are summed in the operator's own index space by `summed_entries`.
     """
     dims, n = tuple(dims), len(dims)
-    sites = (sites,) if isinstance(sites, (int, np.integer)) else tuple(sites)
+    if isinstance(sites, (int, np.integer)):
+        sites, op = (sites,), [(1.0, (op,))]
+    elif isinstance(op, np.ndarray):
+        raise ValueError(f"an operator on sites {sites} is a list of products, not a dense matrix")
+    sites = tuple(sites)
     if len(set(sites)) < len(sites) or not all(0 <= site < n for site in sites):
         raise ValueError(f"sites {sites} must be distinct slots in 0..{n - 1}")
     placed = [dims[i] for i in sites]
-    op = np.asarray(op, dtype=complex)
-    if op.shape != (math.prod(placed),) * 2:
-        raise ValueError(f"operator shape {op.shape} does not match dims {placed} of sites {sites}")
+    parts = []
+    for c, factors in op:
+        if [np.shape(f) for f in factors] != [(dim, dim) for dim in placed]:
+            raise ValueError(f"operator shapes {[np.shape(f) for f in factors]} do not match "
+                             f"dims {placed} of sites {sites}")
+        rows, cols, values = 0, 0, 1.0
+        for f, dim in zip(factors, placed):     # the Kronecker product's nonzeros
+            i, j = np.nonzero(f)
+            rows, cols = np.add.outer(rows * dim, i), np.add.outer(cols * dim, j)
+            values = np.multiply.outer(values, np.asarray(f)[i, j])
+        parts.append((rows.ravel(), cols.ravel(), c * values.ravel()))
+    a, b, values = summed_entries(*map(np.concatenate, zip(*parts)), math.prod(placed))
     # row a: the flat indices whose digits on `sites` spell op's index a, over the other digits
     grid = np.moveaxis(np.arange(math.prod(dims)).reshape(dims), sites, range(len(sites)))
-    grid = grid.reshape(len(op), -1)
-    a, b = np.nonzero(op)
-    return grid[a].ravel(), grid[b].ravel(), np.repeat(op[a, b], grid.shape[1])
+    grid = grid.reshape(math.prod(placed), -1)
+    return grid[a].ravel(), grid[b].ravel(), np.repeat(values, grid.shape[1])
 
 
-def embed_operator(op: np.ndarray, sites, dims: Sequence[int]) -> np.ndarray:
+def embed_operator(op, sites, dims: Sequence[int]) -> np.ndarray:
     """`op` on `sites` as a dense array: the scatter of `operator_entries(op, sites, dims)`."""
     rows, cols, values = operator_entries(op, sites, dims)
     out = np.zeros((math.prod(dims),) * 2, dtype=complex)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import ctypes
+import functools
 import io
 import itertools
 import json
@@ -172,11 +173,6 @@ def _point_rows(spec: SweepSpec, index: int) -> list[str]:
     return rows
 
 
-def _run_point(args) -> tuple[int, list[str]]:
-    spec, index = args
-    return index, _point_rows(spec, index)
-
-
 # the OpenBLAS builds numpy and scipy load, by their thread-count setters
 _BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
                         "openblas_set_num_threads")
@@ -212,18 +208,16 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[str]:
         raise ValueError(f"workers (--workers) must be at least 1, got {workers}")
     indices = range(len(spec.grid()))
     workers = min(workers, len(indices))    # a pool forks all its workers at once
-    if workers > 1:     # each worker runs one point at a time
+    if workers <= 1:
+        chunks = [_point_rows(spec, i) for i in indices]
+    else:       # each worker runs one point at a time; map keeps the order of the indices
         need = workers * max(run_bytes(spec.config_at(point)) for point in spec.grid())
         if need > physical_memory():
             raise ValueError(f"workers (--workers) {workers} would run {workers} points at once "
                              f"in about {need:,} bytes, more than the {physical_memory():,} "
                              f"bytes of physical memory")
-    if workers <= 1:
-        chunks = [_point_rows(spec, i) for i in indices]
-    else:
         with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
-            results = dict(pool.map(_run_point, [(spec, i) for i in indices]))
-        chunks = [results[i] for i in indices]
+            chunks = list(pool.map(functools.partial(_point_rows, spec), indices))
     return [row for chunk in chunks for row in chunk]
 
 
@@ -443,26 +437,29 @@ def classify_regions(rows: Iterable[dict], threshold: float = 0.96) -> list[Regi
 
     A Jtau value is imperfect when no recorded round exceeds the fidelity
     threshold.  Rows are mappings with at least the model/d/k/J/tau/fidelity
-    columns (e.g. csv.DictReader output).
+    columns (e.g. csv.DictReader output).  Extinct rows (nan fidelity) are skipped; a
+    field that is not a number raises a ConfigError naming it and its row, counted from 1.
     """
     if not math.isfinite(threshold):
         raise ValueError(f"threshold (--threshold) must be finite, got {threshold}")
     best: dict[tuple, dict[float, float]] = {}
     count = 0
-    for row in rows:
-        try:
-            key = (str(row["model"]), int(row["d"]), int(row["k"]))
-            jt = float(row["J"]) * float(row["tau"])
-            fid = float(row["fidelity"])
-        except (KeyError, TypeError) as err:
-            raise ConfigError(f"rows are not a fidelity grid: missing field {err}") from err
-        except ValueError:
-            continue  # extinct rows carry nan fidelity
+    for number, row in enumerate(rows, 1):
+        values = []
+        for name, kind in (("model", str), ("d", int), ("k", int), ("J", float), ("tau", float),
+                           ("fidelity", float)):
+            try:
+                values.append(kind(row[name]))
+            except (KeyError, TypeError) as err:
+                raise ConfigError(f"rows are not a fidelity grid: missing field {err}") from err
+            except ValueError:
+                raise ConfigError(f"row {number}: {name} = {row[name]!r} is not a number") from None
+        model, d, k, J, tau, fid = values
         if math.isnan(fid):
-            continue
+            continue  # extinct rows carry nan fidelity
         count += 1
-        group = best.setdefault(key, {})
-        group[jt] = max(group.get(jt, 0.0), fid)
+        group = best.setdefault((model, d, k), {})
+        group[J * tau] = max(group.get(J * tau, 0.0), fid)
     if count == 0:
         raise ConfigError("rows are not a fidelity grid: no usable fidelity entries")
     summaries = []

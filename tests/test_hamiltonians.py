@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -160,3 +162,18 @@ def test_build_is_the_scatter_of_the_embedded_terms(model, L, d, h):
             "star": SpinStarSpec(J=1.2, h=h)}[model]
     layout = SystemLayout(spec.topology, L, d)
     assert np.array_equal(spec.build(layout), embedded_sum(spec, layout))
+
+
+@pytest.mark.parametrize("spec", [XXZSpec(J=1.0, Delta=1.0), BBHSpec(J=1.0, theta=0.7),
+                                  SpinStarSpec(J=1.0)], ids=["xxz", "bbh", "star"])
+def test_entries_of_a_d31_bond_need_no_dense_bond(spec):
+    """At L=1 the bond is the whole H, 961 x 961: its entries come from its factors, so
+    listing them traces far less than one dense d^2 x d^2 complex bond (14.8 MB)."""
+    layout = SystemLayout(spec.topology, 1, 31)
+    tracemalloc.start()
+    try:
+        rows, _, _ = spec.entries(layout)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < len(rows) and peak < 2 * 2 ** 20

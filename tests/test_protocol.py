@@ -217,7 +217,7 @@ class DMSpec(_BondsAndFields):
     topology = "chain"
 
     def bond(self, ops):
-        return self.J * (np.kron(ops.sx, ops.sy) - np.kron(ops.sy, ops.sx))
+        return [(self.J, (ops.sx, ops.sy)), (-self.J, (ops.sy, ops.sx))]
 
 
 def test_complex_hamiltonian_raises_at_closed_setup():
@@ -247,11 +247,11 @@ def test_engine_never_builds_a_dense_hamiltonian(ham, monkeypatch):
     assert len(zeno_spectrum(config).eigenvalues) == 27
 
 
-PEAK_CASES = pytest.mark.parametrize("L, N, k", [(5, 0, 2), (5, 2, 2), (5, 40, 2), (5, 40, 3),
-                                                 (6, 2, 2)],
-                                      ids=["0", "2", "40", "40-rank3", "L6-2"])
-PEAK_MODELS = pytest.mark.parametrize("ham", [XXZSpec(J=1.0, Delta=1.0), SpinStarSpec(J=1.0)],
-                                      ids=["chain", "star"])
+PEAK_POINTS = [(5, 0, 2), (5, 2, 2), (5, 40, 2), (5, 40, 3), (6, 2, 2)]
+PEAK_IDS = ["0", "2", "40", "40-rank3", "L6-2"]
+PEAK_HAMS = [XXZSpec(J=1.0, Delta=1.0), SpinStarSpec(J=1.0)]
+PEAK_CASES = pytest.mark.parametrize("L, N, k", PEAK_POINTS, ids=PEAK_IDS)
+PEAK_MODELS = pytest.mark.parametrize("ham", PEAK_HAMS, ids=["chain", "star"])
 
 
 def traced_peak(config, retain_state):
@@ -266,12 +266,16 @@ def traced_peak(config, retain_state):
         tracemalloc.stop()
 
 
-@PEAK_CASES
-@PEAK_MODELS
-def test_run_peak_memory_stays_below_its_estimate(ham, L, N, k):
+@pytest.mark.parametrize("ham, L, d, N, k", [
+    *[(ham, L, 3, N, k) for ham in PEAK_HAMS for L, N, k in PEAK_POINTS],
+    (XXZSpec(J=1.0, Delta=0.0), 1, 31, 50, 15), (BBHSpec(J=1.0, theta=0.7), 6, 3, 2, 2),
+], ids=[*[f"{m}-{c}" for m in ("chain", "star") for c in PEAK_IDS], "fig7-d31-rank15",
+        "bbh-L6-2"])
+def test_run_peak_memory_stays_below_its_estimate(ham, L, d, N, k):
     """The memory gate counts the set-up, the round map's groups and the round blocks' powers
-    of M (N = 40 runs several blocks at L=5; rank 3 is the whole space)."""
-    config = ProtocolConfig(layout=SystemLayout(ham.topology, L, 3), hamiltonian=ham, tau=0.9,
+    of M (N = 40 runs several blocks at L=5; rank 3 is the whole space; fig7's largest point
+    lists its whole H from one bond)."""
+    config = ProtocolConfig(layout=SystemLayout(ham.topology, L, d), hamiltonian=ham, tau=0.9,
                             n_measurements=N, rank=k)
     assert traced_peak(config, retain_state=False) <= protocol.run_bytes(config)
 
@@ -318,7 +322,7 @@ def test_bath_check_rejects_an_overflowing_bound_without_a_warning():
     bath = BathSpec(temperature=1e10, gamma=1e300, omega=1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=r"gamma \* \(2n \+ 1\)\) = inf below"):
+        with pytest.raises(ValueError, match=r"gamma \* \(2n \+ 1\)\) = inf"):
             xx_config(d=3, jtau=1.0, N=3, bath=bath)
 
 

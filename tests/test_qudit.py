@@ -184,12 +184,14 @@ def swap_to_system_order(order, dims):
         "non-adjacent-reversed", "hub-to-ring", "mixed-reversed"])
 def test_embed_operator_on_a_site_pair_matches_kron_and_swap(sites, dims):
     rng = np.random.default_rng(sum(sites) + len(dims))
-    size = dims[sites[0]] * dims[sites[1]]
-    op = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+    one_site = lambda n: rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    products = [(rng.normal(), (one_site(dims[sites[0]]), one_site(dims[sites[1]])))
+                for _ in range(3)]
+    op = sum(c * np.kron(a, b) for c, (a, b) in products)
     rest = [i for i in range(len(dims)) if i not in sites]
     perm = swap_to_system_order(list(sites) + rest, dims)
     expect = perm @ np.kron(op, np.eye(math.prod(dims[i] for i in rest))) @ perm.T
-    got = embed_operator(op, sites, dims)
+    got = embed_operator(products, sites, dims)
     assert np.max(np.abs(got - expect)) < 1e-14
     if sites[1] == sites[0] + 1:        # adjacent and in order: a literal kron
         eye = lambda ds: np.eye(math.prod(ds))
@@ -202,8 +204,10 @@ def test_embed_operator_of_a_product_places_each_factor():
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     b = rng.normal(size=(3, 3))
     dims = (3, 2, 2)
-    pair = embed_operator(np.kron(a, b), (2, 0), dims)
+    pair = embed_operator([(1.0, (a, b))], (2, 0), dims)
     assert np.allclose(pair, embed_operator(a, 2, dims) @ embed_operator(b, 0, dims))
+    with pytest.raises(ValueError, match="not a dense matrix"):
+        embed_operator(np.kron(a, b), (2, 0), dims)
 
 
 @given(seed=st.integers(0, 2**32 - 1))

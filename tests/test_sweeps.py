@@ -272,6 +272,21 @@ def test_classify_rejects_non_grid_input():
         classify_regions([])
 
 
+def test_classify_rejects_a_malformed_row_and_skips_an_extinct_one(tmp_path, capsys):
+    spec = parse_config(dict(MINIMAL, axes={"Jtau": [1.2]}))
+    rows = list(csv.DictReader(run_sweep(spec), fieldnames=COLUMNS))
+    extinct = dict(rows[0], fidelity="nan", extinct="1")
+    (summary,) = classify_regions(rows + [extinct])
+    assert summary.jtau == [pytest.approx(1.2)]
+    path = tmp_path / "results.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=COLUMNS)
+        writer.writeheader()
+        writer.writerows(rows[:2] + [extinct, dict(rows[0], fidelity="abc")])
+    assert main(["classify", "--in", str(path)]) == 1
+    assert "row 4: fidelity = 'abc' is not a number" in capsys.readouterr().err
+
+
 def test_preset_registry_and_unknown_id():
     assert set(PRESETS) == {"fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
                             "fig_chain", "fig_star", "fig8"}
@@ -352,6 +367,8 @@ BATH = {"temperature": 1.0, "gamma": 1e-3}
     ({"base": {"bath": {"temperature": 1.0, "gamma": 1e300}}}, r"bath\.gamma = 1e\+300"),
     ({"base": {"bath": {"temperature": 1e300, "gamma": 0.1, "omega": 1e-10}}},
      r"occupancy n = inf from bath\.temperature = 1e\+300, bath\.omega = 1e-10"),
+    ({"base": {"bath": {"temperature": 1e300, "gamma": 0.0, "omega": 1e-10}}},
+     r"occupancy n = inf from bath\.temperature = 1e\+300, bath\.omega = 1e-10"),
     ({"base": {"J": 1e300, "bath": BATH}}, r"tau \* \(\|H\| \+ gamma \* \(2n \+ 1\)\)"),
     ({"base": {"J": 1e30, "tau": 1.0, "N": 3, "bath": {"temperature": 1.0, "gamma": 0.1}}},
      r"would take too long: .* tau = 1\.0, J = 1e\+30 or bath\.gamma = 0\.1"),
@@ -379,7 +396,8 @@ BATH = {"temperature": 1.0, "gamma": 1e-3}
         "bath-D729-memory", "closed-D59049-memory", "bath-L200-memory", "N-bool",
         "axes-d-non-integral", "axes-N-non-integral", "axes-Jtau-bool", "phase-overflow",
         "h-zero", "h-negative-omega-default", "gamma-huge", "occupancy-overflow",
-        "bath-phase-overflow", "bath-J-cost", "bath-gamma-cost", "preset-workers-0",
+        "occupancy-overflow-gamma-zero", "bath-phase-overflow", "bath-J-cost", "bath-gamma-cost",
+        "preset-workers-0",
         "run-workers-negative", "run-workers-memory", "classify-threshold-nan",
         "classify-threshold-inf", "base-unknown-key", "root-unknown-key", "bath-unknown-key",
         "bbh-Delta", "spin_star-Delta", "xxz-theta", "xxz-on-star",
