@@ -2,11 +2,15 @@
 
 The dissipative channel is a single lowering operator A = S^-/2 on one site
 at frequency omega (the uniform Sz ladder gap), with thermal occupancy
-n = 1/(exp(omega/T) - 1).  rho is vectorized by row stacking, the
-Liouvillian is a sparse matrix on that space, and one algorithm propagates
-it: the action of exp(L tau) on a vector or a block of vectors (Al-Mohy &
-Higham, SIAM J. Sci. Comput. 33, 488 (2011)), optionally on a subspace of
-vec(rho) that L leaves invariant.  No dense superoperator is formed.
+n = 1/(exp(omega/T) - 1).  rho is vectorized by row stacking.
+`LindbladPropagator` lists the Liouvillian's entries on a subspace of
+vec(rho) straight from H's entries and A's, without forming the D^2 x D^2
+superoperator, and propagates it with one algorithm: the action of
+exp(L tau) on a vector or a block of vectors by a truncated Taylor series
+(Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011), Alg. 3.2).  A
+generator of at most DENSE_BYTES is a dense numpy array; a larger one is a
+scipy CSR matrix, and only then is scipy imported.  `liouvillian`, the full
+sparse superoperator, and `dissipator` are the tests' oracles.
 """
 from __future__ import annotations
 
@@ -16,7 +20,19 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .qudit import DensityMatrix, embed_operator, spin_operators
+from .qudit import DensityMatrix, embed_operator, operator_entries, spin_operators, summed_entries
+
+# the largest generator stored dense, 16 K^2 bytes (K <= 256); a dense K = 1107 (L=3, d=3)
+# ran its block 4-5x slower than CSR
+DENSE_BYTES = 2 ** 20
+# theta_m, the largest |A tau| / s for which m Taylor terms meet a 2^-53 tolerance, from
+# Higham, Functions of Matrices, table A.3 (m <= 30) and Al-Mohy & Higham's table 3.1
+THETA = {1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3, 6: 9.07e-3,
+         7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1, 11: 2.14e-1, 12: 3.00e-1,
+         13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1, 16: 7.81e-1, 17: 9.31e-1, 18: 1.09,
+         19: 1.26, 20: 1.44, 21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43, 26: 2.64,
+         27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54, 35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9}
+TOLERANCE = 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -46,6 +62,12 @@ class BathSpec:
         return 0.0 if ratio > 700 else 1.0 / np.expm1(ratio)
 
 
+def _jump_entries(bath: BathSpec, dims: Sequence[int]):
+    """The entries (rows, cols, values) of A = S^-/2 on the bath's site."""
+    site = bath.site if bath.site is not None else len(dims) - 1
+    return operator_entries(0.5 * spin_operators(dims[site]).sminus, site, dims)
+
+
 def _jump_operator(bath: BathSpec, dims: Sequence[int]) -> np.ndarray:
     site = bath.site if bath.site is not None else len(dims) - 1
     ops = spin_operators(dims[site])
@@ -64,8 +86,12 @@ def dissipator(rho: DensityMatrix, bath: BathSpec) -> np.ndarray:
 
 
 def liouvillian(H, bath: BathSpec, dims: Sequence[int]):
-    """Sparse (CSR) superoperator on row-stacked rho: vec(A rho B) = (A kron B^T) vec(rho)."""
-    from scipy import sparse     # loaded here: closed runs never need scipy (~0.4 s, 30 MB)
+    """Sparse (CSR) superoperator on row-stacked rho: vec(A rho B) = (A kron B^T) vec(rho).
+
+    The tests' oracle for `LindbladPropagator`'s entries, built from Kronecker products
+    over the whole D^2 space; the engine never calls it.
+    """
+    from scipy import sparse
 
     H = sparse.csr_matrix(H, dtype=complex)
     eye = sparse.identity(H.shape[0], dtype=complex, format="csr")
@@ -81,26 +107,116 @@ def liouvillian(H, bath: BathSpec, dims: Sequence[int]):
     return L.tocsr()
 
 
-class LindbladPropagator:
-    """The action of exp(L tau) on vec(rho), by Al-Mohy & Higham's `expm_multiply`.
+def _matches(keys: np.ndarray, index: np.ndarray, size: int):
+    """Every pair (t, e) with index[e] == keys[t], by ascending t, then e: a join of two
+    lists of entries on one index in 0..size-1."""
+    counts = np.bincount(index, minlength=size)
+    n = counts[keys]
+    t = np.repeat(np.arange(len(keys)), n)
+    at = np.repeat(np.cumsum(counts)[keys] - np.cumsum(n), n) + np.arange(len(t))
+    return t, np.argsort(index, kind="stable")[at]
 
-    The generator L is built once; each `apply` scales it by its own tau and
-    starts from tau = 0.  `subspace` (flat indices into row-stacked rho)
-    restricts L to entries that it maps into themselves; `apply` then acts on
-    vectors, or on blocks of column vectors, over that subspace instead of the
-    full D^2 space.
+
+def generator_entries(H, bath: BathSpec, dims: Sequence[int], subspace: np.ndarray):
+    """The entries (rows, cols, values) of `liouvillian(H, bath, dims)[subspace][:, subspace]`.
+
+    H is a dense array or its entries (rows, cols, values).  With vec(rho)[(i, j)] =
+    rho[i, j], each entry of the subspace, as the column (b, e), meets
+      -i H rho:       row (a, e), -i H[a, b]
+      +i rho H:       row (b, c), +i H[e, c]
+      B rho B^+:      row (a, c), rate B[a, b] conj(B[c, e]), for B = A at rate gamma (1 + n)
+                      and B = A^+ at rate gamma n
+      -{B^+B, rho}/2: the diagonal, -(g[b] + g[e]) / 2, g = sum over B of rate diag(B^+B)
+    Rows outside the subspace are dropped.  A and A^+ have at most one entry per row and per
+    column, so B^+B is diagonal.  Entries of one element are summed in the order listed.
+    """
+    D = math.prod(dims)
+    if isinstance(H, tuple):
+        h_rows, h_cols, h_values = H
+    else:
+        h_rows, h_cols = np.nonzero(H)
+        h_values = H[h_rows, h_cols]
+    K = len(subspace)
+    place = np.full(D * D, -1)
+    place[subspace] = np.arange(K)
+    b, e = np.divmod(subspace, D)
+    t, x = _matches(b, h_cols, D)
+    u, y = _matches(e, h_rows, D)
+    parts = [(h_rows[x] * D + e[t], t, -1j * h_values[x]),
+             (b[u] * D + h_cols[y], u, 1j * h_values[y])]
+    g = np.zeros(D)
+    if bath.gamma > 0:
+        n = bath.occupancy()
+        rows, cols, values = _jump_entries(bath, dims)
+        for rate, (r, c, v) in ((bath.gamma * (1 + n), (rows, cols, values)),
+                                (bath.gamma * n, (cols, rows, values.conj()))):
+            t, x = _matches(b, c, D)
+            u, y = _matches(e[t], c, D)
+            t, x = t[u], x[u]
+            parts.append((r[x] * D + r[y], t, rate * v[x] * v[y].conj()))
+            g += rate * np.bincount(c, np.abs(v) ** 2, minlength=D)
+    parts.append((subspace, np.arange(K), -0.5 * (g[b] + g[e])))
+    rows, cols, values = map(np.concatenate, zip(*parts))
+    rows = place[rows]
+    inside = rows >= 0
+    return summed_entries(rows[inside], cols[inside], values[inside], K)
+
+
+class LindbladPropagator:
+    """The action of exp(L tau) on vec(rho), by Al-Mohy & Higham's truncated Taylor series.
+
+    The generator is built once: L's entries on `subspace` (flat indices into row-stacked
+    rho that L maps into themselves; the whole D^2 space by default), shifted to
+    A = L - mu I with mu = tr(L) / K, with its exact 1-norm.  Each `apply` takes
+    (m, s) = argmin m ceil(|tau| |A|_1 / theta_m) and runs s steps of at most m Taylor
+    terms each, on a vector or a block of column vectors over the subspace, stopping a
+    step's series once two terms add less than 2^-53 of the sum.  H is a dense array or
+    its entries (rows, cols, values).
     """
 
-    method = "expm_multiply"
+    method = "taylor"
 
     def __init__(self, H, bath: BathSpec, dims: Sequence[int],
                  subspace: Optional[np.ndarray] = None):
-        L = liouvillian(H, bath, dims)
-        if subspace is not None:
-            L = L[subspace][:, subspace]
-        self._generator = L
+        D = math.prod(dims)
+        subspace = np.arange(D * D) if subspace is None else np.asarray(subspace)
+        rows, cols, values = generator_entries(H, bath, dims, subspace)
+        K, diagonal = len(subspace), rows == cols
+        self._mu = values[diagonal].sum() / K
+        shifted = np.full(K, -self._mu)         # A = L - mu I, on every diagonal element
+        shifted[rows[diagonal]] += values[diagonal]
+        rows, cols, values = (np.concatenate([v[~diagonal], w]) for v, w in
+                              ((rows, np.arange(K)), (cols, np.arange(K)), (values, shifted)))
+        self._norm = float(np.bincount(cols, np.abs(values), minlength=K).max(initial=0.0))
+        if 16 * K * K <= DENSE_BYTES:
+            self._generator = np.zeros((K, K), dtype=complex)
+            self._generator[rows, cols] = values
+        else:
+            from scipy import sparse     # ~0.3 s to import: loaded only for large generators
+
+            self._generator = sparse.csr_matrix((values, (rows, cols)), shape=(K, K))
 
     def apply(self, vectors: np.ndarray, tau: float) -> np.ndarray:
-        from scipy.sparse.linalg import expm_multiply
-
-        return expm_multiply(self._generator * float(tau), vectors)
+        tau = float(tau)
+        x = abs(tau) * self._norm
+        m, s = 0, 1
+        if x > 0:
+            _, m, s = min((m * math.ceil(x / theta), m, math.ceil(x / theta))
+                          for m, theta in THETA.items())
+        inf_norm = lambda v: np.abs(v.reshape(len(v), -1)).sum(axis=1).max(initial=0.0)
+        eta = np.exp(self._mu * tau / s)
+        F = np.array(vectors, dtype=complex)
+        for _ in range(s):
+            B, c1 = F, inf_norm(F)
+            bound = c1          # |F|_inf <= bound: |F| is read only when the test may pass
+            for j in range(1, m + 1):
+                B = self._generator @ B
+                B *= tau / (s * j)
+                c2 = inf_norm(B)
+                F += B
+                bound += c2
+                if c1 + c2 <= TOLERANCE * bound and c1 + c2 <= TOLERANCE * inf_norm(F):
+                    break
+                c1 = c2
+            F *= eta
+        return F

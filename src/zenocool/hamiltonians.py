@@ -4,9 +4,10 @@ Chains are open, with the regulator at site 0 and targets B_1..B_L at sites
 1..L; the star puts the regulator at the hub (site 0) with L ring sites.
 Every model is a sum of two-site bonds and one-site fields.  A spec gives
 its bond, as a sum of products of one-site matrices in the ladder basis
-(S+, S-, Sz), and its topology; `entries` places each term with
-`qudit.operator_entries` (the bond on (j, j+1) or (0, i), then h Sz on every
-chain site or on the hub) and lists H's nonzero entries term by term.  That
+(S+, S-, Sz), and its topology; `entries` expands the bond and the field
+h Sz once (`qudit.local_entries`), places them at every position
+(`qudit.placed_entries`: the bond on (j, j+1) or (0, i), then the field on
+every chain site or on the hub) and lists H's nonzero entries term by term.  That
 list is the one definition of H: `build` is its dense scatter.
 
 A spec's dataclass fields are its model's parameters, with their defaults:
@@ -20,7 +21,7 @@ from typing import Union
 
 import numpy as np
 
-from .qudit import operator_entries, spin_operators
+from .qudit import local_entries, placed_entries, spin_operators
 
 
 @dataclass(frozen=True)
@@ -63,10 +64,13 @@ class _BondsAndFields:
         """(rows, cols, values) of every term in turn; entries of one element are summed."""
         ops = spin_operators(layout.d)
         chain = self.topology == "chain"
-        bond, field = self.bond(ops), self.h * ops.sz
-        terms = [(bond, (j, j + 1) if chain else (0, j + 1)) for j in range(layout.L)]
-        terms += [(field, site) for site in range(layout.n_sites if chain else 1)]
-        parts = [operator_entries(op, sites, layout.dims) for op, sites in terms]
+        bonds = [(j, j + 1) if chain else (0, j + 1) for j in range(layout.L)]
+        fields = list(range(layout.n_sites if chain else 1))
+        # every bond (and field) has the same dims: expand it once, place it at each position
+        bond = local_entries(self.bond(ops), bonds[0], layout.dims)
+        field = local_entries(self.h * ops.sz, 0, layout.dims)
+        parts = ([placed_entries(bond, sites, layout.dims) for sites in bonds]
+                 + [placed_entries(field, site, layout.dims) for site in fields])
         return tuple(np.concatenate(column) for column in zip(*parts))
 
     def build(self, layout: SystemLayout) -> np.ndarray:

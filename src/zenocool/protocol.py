@@ -28,8 +28,11 @@ be (at most ROUNDS_PER_CALL, and 1 once the sectors are large).
 `zeno_run` reads all fidelities off the support populations at once, and
 forms the D x D state only when it is retained.  The round-map spectrum
 takes one eig per sector block of M.  Only `_unitary`, the tests' oracle,
-forms the D x D U.  A bath run builds its sector-restricted generator once
-per (layout, Hamiltonian, bath) and scales it by tau at each point.
+forms the D x D U.  A bath run lists its generator on the sector-diagonal
+entries of rho once per (layout, Hamiltonian, bath), from H's entries (scipy
+is loaded only for a generator over `evolution.DENSE_BYTES`).  Each point
+evolves the support entries (i, j) with i <= j and rho(0) by one truncated
+Taylor action of exp(L tau), and reads the entries with i > j as conjugates.
 """
 from __future__ import annotations
 
@@ -43,7 +46,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .evolution import BathSpec, LindbladPropagator
+from .evolution import DENSE_BYTES, BathSpec, LindbladPropagator
 from .hamiltonians import HamiltonianSpec, SystemLayout
 from .qudit import (
     DensityMatrix,
@@ -65,7 +68,9 @@ ROUNDS_PER_CALL = 21
 # shrinks as the sectors grow, down to 1
 POWERS_BYTES = 2 ** 20
 SZ_CONSERVATION_TOL = 1e-12
-OPEN_BLOCK_COPIES = 4   # peak memory of the open set-up over its block (4.1 traced at D=81)
+# peak memory of a bath run over its block: the block, the Taylor sum, the old and new term
+# (4.02-4.16 traced at L=2-3, d=3-4), besides a generator of at most DENSE_BYTES
+OPEN_BLOCK_COPIES = 5
 # peak memory of a closed run: H's entries with their sort (85-107 bytes per entry traced),
 # the sector blocks, eigenvectors and eigh workspace (1.5-2.6 float64 sum(n^2) traced at
 # D=243-2187) and the support groups' V rows, R and first X (float64 sum(a w)); apart, a
@@ -76,10 +81,10 @@ EIGH_COPIES = 3
 ROW_COPIES = 6
 STATE_COPIES = 4
 # a bath run's bound tau |L| times its block's rows and columns: an L=4, d=3 chain at
-# Jtau = 2 pi reads 3.1e11; measured runs took 2e-9 (large blocks, |H| bound) to 3.4e-7
+# Jtau = 2 pi reads 1.6e11; measured runs took 2e-9 (large blocks, |H| bound) to 3.4e-7
 # (D=9, gamma bound) seconds per unit, since the |H| bound is the looser one.  The block has
-# at least 1 row and 2 columns, so the limit keeps |L tau| far below 1.78e34, the ninth root
-# of the largest float, past which expm_multiply's 1-norms of (L tau)^p, p <= 9, overflow
+# at least 1 row and 2 columns, so |L tau| <= 5e11 and the Taylor steps, about |L tau| / theta_m,
+# stay a finite count
 EXPM_COST_LIMIT = 1e12
 
 
@@ -193,9 +198,10 @@ def _sector_sizes(d: int, L: int, rank: int) -> tuple[tuple[int, ...], tuple[int
 
 
 def _open_block(config: ProtocolConfig) -> tuple[int, int]:
-    """The shape of `_open_rounds`' block (sector-diagonal entries, support entries + 1)."""
+    """The shape of `_open_rounds`' block: the sector-diagonal entries, and the support
+    entries (i, j) with i <= j, sum (a^2 + a) / 2 over the support sectors, plus rho(0)."""
     full, support = _sector_sizes(config.layout.d, config.layout.L, config.rank)
-    return sum(n * n for n in full), sum(n * n for n in support) + 1
+    return sum(n * n for n in full), sum(a * (a + 1) // 2 for a in support) + 1
 
 
 def _rounds_per_call(config: ProtocolConfig) -> int:
@@ -213,7 +219,8 @@ def run_bytes(config: ProtocolConfig, retain_state: bool = False) -> int:
     one.  A closed run then holds its sector blocks and eigenvectors, sum(n^2); per support
     sector of a states, its rows of V and R, padded to the widest sector w of that support
     size, and at most w populated columns; M, its powers and a block of K rounds of X; and N
-    rows of populations.  A bath run holds the larger of that and its exponential-action block.
+    rows of populations.  A bath run holds the larger of that and its exponential-action block
+    (`_open_block`) with a generator of at most DENSE_BYTES.
     A retained state adds the D x D `final_state` and its checks.
     """
     d, L, N = config.layout.d, config.layout.L, config.n_measurements
@@ -230,7 +237,7 @@ def run_bytes(config: ProtocolConfig, retain_state: bool = False) -> int:
     need += 8 * N * (2 * sum(support) + 4 * L * d)
     if config.bath is not None:
         rows, cols = _open_block(config)
-        need = max(need, 16 * OPEN_BLOCK_COPIES * rows * cols)
+        need = max(need, 16 * OPEN_BLOCK_COPIES * rows * cols + DENSE_BYTES)
     return need + retain_state * 16 * STATE_COPIES * d ** (2 * L + 2)
 
 
@@ -333,7 +340,7 @@ def _sector_eigh(layout: SystemLayout, spec: HamiltonianSpec):
     inside = label[rows] == label[cols]
     rows, cols, values = rows[inside], cols[inside], values[inside].real
     eigs = {}
-    for n in np.unique(sizes):
+    for n in sorted(set(sizes.tolist())):    # np.unique would import numpy.ma
         same = np.flatnonzero(sizes == n)
         at = np.flatnonzero(sizes[label[rows]] == n)
         blocks = np.zeros((len(same), n, n))
@@ -374,7 +381,7 @@ def _support_blocks(layout: SystemLayout, spec: HamiltonianSpec, rank: int,
     count = np.bincount(label[populated], minlength=len(eigs))
     b = np.minimum(size, count)         # X's columns after a wider preparation's QR
     groups, placed, start = [], [], 0
-    for a_g, b_g in np.unique(np.stack([size, b], axis=1)[size > 0], axis=0):
+    for a_g, b_g in sorted(set(zip(size[size > 0].tolist(), b[size > 0].tolist()))):
         members = np.flatnonzero((size == a_g) & (b == b_g))
         m, n, c = len(members), max(len(eigs[q][0]) for q in members), count[members].max()
         lam, rows, cols = np.zeros((m, n)), np.zeros((m, a_g, n)), np.zeros((m, n, c))
@@ -385,8 +392,8 @@ def _support_blocks(layout: SystemLayout, spec: HamiltonianSpec, rank: int,
             rows[i, :, :len(V)] = V[slot[support[ours]]]
             cols[i, :len(V), :len(at)] = V[slot[at]].T * np.sqrt(w[at])
             placed.append(ours)
-        groups.append(_Group(members, int(a_g), start, lam, rows, cols))
-        start += m * int(a_g)
+        groups.append(_Group(members, a_g, start, lam, rows, cols))
+        start += m * a_g
     return tuple(groups), np.argsort(np.concatenate(placed))
 
 
@@ -531,13 +538,10 @@ def _closed_rounds(config: ProtocolConfig, retain_state: bool):
 @lru_cache(maxsize=1)
 def _open_generator(layout: SystemLayout, spec: HamiltonianSpec, bath: BathSpec):
     """The sector labels, the sector-diagonal entries of rho, and L restricted to them."""
-    from scipy import sparse
-    D = layout.d ** layout.n_sites
     label = _sector_labels(layout)
     kept = np.flatnonzero(label[:, None] == label[None, :])
-    rows, cols, values = _hamiltonian(layout, spec)
-    H = sparse.csr_matrix((values, (rows, cols)), shape=(D, D))
-    return label, kept, LindbladPropagator(H, bath, layout.dims, subspace=kept)
+    return label, kept, LindbladPropagator(_hamiltonian(layout, spec), bath, layout.dims,
+                                           subspace=kept)
 
 
 def _open_rounds(config: ProtocolConfig, w: np.ndarray, support: np.ndarray):
@@ -545,38 +549,50 @@ def _open_rounds(config: ProtocolConfig, w: np.ndarray, support: np.ndarray):
 
     H conserves total Sz and A = S^-/2 lowers bra and ket together, so L maps
     the entries (i, j) of rho with Sz_tot(i) = Sz_tot(j) into themselves,
-    and rho(0) lies among them.  One exponential action on that subspace
-    evolves each support entry (i, j in S) and rho(0) together; every round
-    is then one dense matvec on the support entries.
+    and rho(0) lies among them.  L(X^+) = L(X)^+, so one exponential action on
+    that subspace evolves the support entries E_ij with i <= j (i, j in S, in
+    support order) and rho(0) together: E_ji evolves to the adjoint of E_ij's
+    image.  rho stays Hermitian, and each round is one dense matvec on its
+    entries with i <= j and their conjugates.
     """
     D, s = len(w), len(support)
     label, kept, prop = _open_generator(config.layout, config.hamiltonian, config.bath)
     diagonal = kept // D == kept % D
     inner = np.flatnonzero(label[support][:, None] == label[support][None, :])
     i, j = np.divmod(inner, s)
+    upper = np.flatnonzero(i <= j)
+    swap = np.searchsorted(inner, j * s + i)     # entry (j, i) of each (i, j)
     entries = np.searchsorted(kept, support[i] * D + support[j])
-    block = np.zeros((len(kept), len(inner) + 1), dtype=complex)
-    block[entries, np.arange(len(inner))] = 1.0
+    block = np.zeros((len(kept), len(upper) + 1), dtype=complex)
+    block[entries[upper], np.arange(len(upper))] = 1.0
     block[diagonal, -1] = w
     evolved = prop.apply(block, config.tau)
+    del block
     traces = evolved[diagonal].sum(axis=0)
-    M, y, trace = evolved[entries, :-1], evolved[entries, -1], traces[-1]
-    del block, evolved      # the rounds need only M, y and the trace row
-    diag = np.flatnonzero(i == j)
-    swap = np.searchsorted(inner, j * s + i)     # entry (j, i) of each (i, j)
+    # each image's entries (i, j), i <= j, and its trace; E_ji's, for i < j, are conjugates
+    image = np.vstack([evolved[entries[upper]], traces])
+    mirror = np.vstack([evolved[entries[swap[upper]]], traces]).conj()
+    del evolved
+    strict = i[upper] < j[upper]
+    y = image[:, -1].copy()             # rho(0)'s image
+    maps = np.hstack([image[:, :-1], mirror[:, :-1] * strict])
+    del image, mirror
+    diag = np.flatnonzero(~strict)
     pops, probs, drift = np.zeros((config.n_measurements, s)), np.zeros(config.n_measurements), 0.0
     for n in range(config.n_measurements):
         if n > 0:
-            y, trace = M @ x, traces[:-1] @ x
-        drift = max(drift, abs(trace.real - 1.0))
+            y = maps @ np.concatenate([x, x.conj()])
+        drift = max(drift, abs(y[-1].real - 1.0))
         pops[n] = y[diag].real
         probs[n] = p = pops[n].sum()
         if p < EXTINCTION_THRESHOLD:
             return pops[:n], probs[:n + 1], drift, None
         pops[n] /= p
-        x = (y + y[swap].conj()) / (2 * p)
+        x = y[:-1] / p
+        x[diag] = pops[n]
     rho = np.zeros((s, s), dtype=complex)
-    rho.flat[inner] = x
+    rho.flat[inner[upper]] = x
+    rho.flat[inner[swap[upper]]] = x.conj()
     return pops, probs, drift, rho
 
 

@@ -148,6 +148,12 @@ def operator_entries(op, sites, dims: Sequence[int]):
     a on slot 2 and b on slot 0.  Each product's entries come from its factors' nonzeros;
     the products are summed in the operator's own index space by `summed_entries`.
     """
+    return placed_entries(local_entries(op, sites, dims), sites, dims)
+
+
+def local_entries(op, sites, dims: Sequence[int]):
+    """`op`'s summed entries (a, b, values) in its own index space, over the dims of `sites`
+    (the first half of `operator_entries`)."""
     dims, n = tuple(dims), len(dims)
     if isinstance(sites, (int, np.integer)):
         sites, op = (sites,), [(1.0, (op,))]
@@ -168,10 +174,19 @@ def operator_entries(op, sites, dims: Sequence[int]):
             rows, cols = np.add.outer(rows * dim, i), np.add.outer(cols * dim, j)
             values = np.multiply.outer(values, np.asarray(f)[i, j])
         parts.append((rows.ravel(), cols.ravel(), c * values.ravel()))
-    a, b, values = summed_entries(*map(np.concatenate, zip(*parts)), math.prod(placed))
+    return summed_entries(*map(np.concatenate, zip(*parts)), math.prod(placed))
+
+
+def placed_entries(local, sites, dims: Sequence[int]):
+    """`local_entries(op, sites, dims)` placed on `sites`, identity elsewhere (the second
+    half of `operator_entries`): an operator with the same dims on other sites is expanded
+    once and placed at each."""
+    a, b, values = local
+    dims = tuple(dims)
+    sites = (sites,) if isinstance(sites, (int, np.integer)) else tuple(sites)
     # row a: the flat indices whose digits on `sites` spell op's index a, over the other digits
     grid = np.moveaxis(np.arange(math.prod(dims)).reshape(dims), sites, range(len(sites)))
-    grid = grid.reshape(math.prod(placed), -1)
+    grid = grid.reshape(math.prod(dims[i] for i in sites), -1)
     return grid[a].ravel(), grid[b].ravel(), np.repeat(values, grid.shape[1])
 
 

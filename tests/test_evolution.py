@@ -20,7 +20,8 @@ from zenocool import (
     spin_operators,
     thermal_state,
 )
-from zenocool.protocol import _sector_labels, _unitary
+from zenocool.evolution import DENSE_BYTES, generator_entries
+from zenocool.protocol import _hamiltonian, _sector_labels, _unitary
 
 
 def lindblad_evolve(rho: DensityMatrix, H: np.ndarray, bath: BathSpec,
@@ -204,3 +205,66 @@ def test_liouvillian_matches_direct_dissipator():
     lhs = (L @ rho.data.reshape(-1)).reshape(9, 9)
     rhs = -1j * (H @ rho.data - rho.data @ H) + dissipator(rho, bath)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+def sector_generator(layout, ham, site):
+    """The engine's sector-diagonal subspace, its propagator, and L restricted to it."""
+    label = _sector_labels(layout)
+    kept = np.flatnonzero(label[:, None] == label[None, :])
+    bath = BathSpec(temperature=0.8, gamma=0.3, omega=1.1, site=site)
+    entries = _hamiltonian(layout, ham)
+    prop = LindbladPropagator(entries, bath, layout.dims, subspace=kept)
+    L = liouvillian(ham.build(layout), bath, layout.dims)[kept][:, kept].toarray()
+    return kept, entries, bath, prop, L
+
+
+@pytest.mark.parametrize("site", [0, None], ids=["regulator", "farthest"])
+@pytest.mark.parametrize("d", [3, 4], ids=["dense", "csr"])
+@pytest.mark.parametrize("model", ["xxz", "bbh", "star"])
+def test_generator_entries_match_the_restricted_liouvillian(model, d, site):
+    """L's entries on the sector-diagonal subspace, listed from H's and A's entries, are
+    `liouvillian(...)[kept][:, kept]`; K = 141 at d=3 is stored dense, K = 580 at d=4 in CSR."""
+    ham = {"xxz": XXZSpec(J=0.7, Delta=-1.3, h=1.1), "bbh": BBHSpec(J=0.7, theta=0.9, h=1.1),
+           "star": SpinStarSpec(J=0.7, h=1.1)}[model]
+    layout = SystemLayout(ham.topology, 2, d)
+    kept, entries, bath, prop, L = sector_generator(layout, ham, site)
+    rows, cols, values = generator_entries(entries, bath, layout.dims, kept)
+    got = np.zeros_like(L)
+    got[rows, cols] = values
+    assert np.max(np.abs(got - L)) <= 1e-15
+    assert isinstance(prop._generator, np.ndarray) == (16 * len(kept) ** 2 <= DENSE_BYTES)
+    assert isinstance(prop._generator, np.ndarray) == (d == 3)
+
+
+@pytest.mark.parametrize("tau", [0.3, 2.0, 2 * math.pi])
+def test_apply_matches_dense_expm_above_the_dense_size(tau):
+    """On the CSR side (K = 580 > 256) the Taylor action agrees with exp(L tau) of the dense
+    restricted L on a block of vectors."""
+    layout = SystemLayout("chain", 2, 4)
+    kept, _, _, prop, L = sector_generator(layout, BBHSpec(J=0.7, theta=0.9, h=1.1), None)
+    assert len(kept) > 256
+    X = np.random.default_rng(5).normal(size=(len(kept), 4, 2)) @ np.array([1.0, 1j])
+    ref = expm(L * tau) @ X
+    assert np.max(np.abs(prop.apply(X, tau) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("layout, ham", [
+    (SystemLayout("chain", 2, 3), XXZSpec(J=0.7, Delta=-1.3, h=1.1)),
+    (SystemLayout("star", 2, 3), SpinStarSpec(J=0.7, h=1.1)),
+], ids=["chain", "star"])
+def test_evolved_transpose_is_the_adjoint(layout, ham):
+    """L(X^+) = L(X)^+: E_ji evolves to the adjoint of E_ij's image, for every off-diagonal
+    pair of one sector, so the bath rounds evolve only the pairs with i <= j."""
+    kept, _, _, prop, _ = sector_generator(layout, ham, None)
+    D = layout.d ** layout.n_sites
+    i, j = np.divmod(kept, D)
+    pairs = np.flatnonzero(i < j)
+    swapped = np.searchsorted(kept, j[pairs] * D + i[pairs])
+    block = np.zeros((len(kept), 2 * len(pairs)), dtype=complex)
+    block[pairs, np.arange(len(pairs))] = 1.0
+    block[swapped, len(pairs) + np.arange(len(pairs))] = 1.0
+    evolved = prop.apply(block, 1.7)
+    images = np.zeros((2 * len(pairs), D, D), dtype=complex)
+    images[:, i, j] = evolved.T
+    upper, lower = images[:len(pairs)], images[len(pairs):]
+    assert np.max(np.abs(lower - upper.conj().transpose(0, 2, 1))) <= 1e-14

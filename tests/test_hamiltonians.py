@@ -13,6 +13,7 @@ from zenocool import (
     embed_operator,
     spin_operators,
 )
+from zenocool.qudit import operator_entries
 
 finite = st.floats(-3.0, 3.0, allow_nan=False)
 
@@ -177,3 +178,20 @@ def test_entries_of_a_d31_bond_need_no_dense_bond(spec):
     finally:
         tracemalloc.stop()
     assert 0 < len(rows) and peak < 2 * 2 ** 20
+
+
+@pytest.mark.parametrize("spec, layout", [
+    (BBHSpec(J=1.0, theta=0.7), SystemLayout("chain", 4, 3)),
+    (XXZSpec(J=0.7, Delta=0.3), SystemLayout("chain", 3, 4)),     # J Delta is rounded
+    (SpinStarSpec(J=0.7, h=-1.2), SystemLayout("star", 3, 3)),
+], ids=["bbh-L4", "xxz-inexact-JDelta", "star"])
+def test_entries_expand_each_bond_once_bit_for_bit(spec, layout):
+    """The bond and the field, expanded once and placed at every position, list the same
+    entries as placing each term with `operator_entries`, in the same order."""
+    ops = spin_operators(layout.d)
+    chain = layout.topology == "chain"
+    terms = [(spec.bond(ops), (j, j + 1) if chain else (0, j + 1)) for j in range(layout.L)]
+    terms += [(spec.h * ops.sz, site) for site in range(layout.n_sites if chain else 1)]
+    parts = [operator_entries(op, sites, layout.dims) for op, sites in terms]
+    for got, expect in zip(spec.entries(layout), map(np.concatenate, zip(*parts))):
+        assert got.dtype == expect.dtype and np.array_equal(got, expect)

@@ -1,8 +1,12 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -245,6 +249,31 @@ def test_engine_never_builds_a_dense_hamiltonian(ham, monkeypatch):
     assert len(zeno_run(config).steps) == 3
     assert len(zeno_run(dataclasses.replace(config, bath=bath)).steps) == 3
     assert len(zeno_spectrum(config).eigenvalues) == 27
+
+
+SMALL_RUNS = """
+import sys
+from zenocool import BathSpec, ProtocolConfig, SystemLayout, XXZSpec, zeno_run
+for L, d in ((1, 3), (1, 4), (2, 3)):
+    config = ProtocolConfig(layout=SystemLayout("chain", L, d),
+                            hamiltonian=XXZSpec(J=1.0, Delta=1.0), tau=1.3, n_measurements=20,
+                            rank=2)
+    zeno_run(config)
+    zeno_run(ProtocolConfig(**{**vars(config), "bath": BathSpec(temperature=1.0, gamma=1e-3)}))
+print(" ".join(name for name in ("scipy", "numpy.ma") if name in sys.modules))
+"""
+
+
+def test_small_closed_and_bath_runs_import_neither_scipy_nor_numpy_ma():
+    """A fresh process that runs closed and bath points at L <= 2 (generators of K <= 141,
+    stored dense) loads neither scipy (about 0.3 s) nor numpy.ma (15-22 ms)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    done = subprocess.run([sys.executable, "-c", SMALL_RUNS], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == ""
 
 
 PEAK_POINTS = [(5, 0, 2), (5, 2, 2), (5, 40, 2), (5, 40, 3), (6, 2, 2)]
