@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -61,17 +62,36 @@ class BathSpec:
         ratio = self.omega / self.temperature
         return 0.0 if ratio > 700 else 1.0 / np.expm1(ratio)
 
+    def norm(self, d: int) -> float:
+        """2 max|A|^2 gamma (2n + 1) on a site of dimension d, in Python floats: a bound on the
+        dissipator's 1-norm, since A and A^+ have one entry per row and column, so each rate r
+        adds at most r max|A|^2 to a column of L by B rho B^+ and as much by {B^+B, rho}/2."""
+        with np.errstate(over="ignore"):
+            n = float(self.occupancy())
+        return 2 * _jump_peak(d) * self.gamma * (2 * n + 1)
+
+
+def _jump(d: int) -> np.ndarray:
+    """A = S^-/2 on one site of dimension d."""
+    return 0.5 * spin_operators(d).sminus
+
+
+# per d: every config of a bath sweep is gated with it
+@lru_cache(maxsize=64)
+def _jump_peak(d: int) -> float:
+    """max |A_ij|^2."""
+    return float(np.abs(_jump(d)).max()) ** 2
+
 
 def _jump_entries(bath: BathSpec, dims: Sequence[int]):
-    """The entries (rows, cols, values) of A = S^-/2 on the bath's site."""
+    """The entries (rows, cols, values) of A on the bath's site."""
     site = bath.site if bath.site is not None else len(dims) - 1
-    return operator_entries(0.5 * spin_operators(dims[site]).sminus, site, dims)
+    return operator_entries(_jump(dims[site]), site, dims)
 
 
 def _jump_operator(bath: BathSpec, dims: Sequence[int]) -> np.ndarray:
     site = bath.site if bath.site is not None else len(dims) - 1
-    ops = spin_operators(dims[site])
-    return 0.5 * embed_operator(ops.sminus, site, dims)
+    return embed_operator(_jump(dims[site]), site, dims)
 
 
 def dissipator(rho: DensityMatrix, bath: BathSpec) -> np.ndarray:

@@ -8,7 +8,9 @@ its bond, as a sum of products of one-site matrices in the ladder basis
 h Sz once (`qudit.local_entries`), places them at every position
 (`qudit.placed_entries`: the bond on (j, j+1) or (0, i), then the field on
 every chain site or on the hub) and lists H's nonzero entries term by term.  That
-list is the one definition of H: `build` is its dense scatter.
+list is the one definition of H: `build` is its dense scatter, and `norm`
+bounds |H|_1 (the largest column sum of |H|, for `protocol`'s gates) from the
+same bond and field, within 1.00-2.06x over the models at d = 2..31.
 
 A spec's dataclass fields are its model's parameters, with their defaults:
 `MODELS` maps each model name to its spec, and a config's `base` takes
@@ -17,6 +19,7 @@ exactly those fields (`sweeps.parse_config`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -58,20 +61,34 @@ class SystemLayout:
 
 
 class _BondsAndFields:
-    """H = sum of `bond(ops)` on the topology's bonds plus `h Sz` on its field sites."""
+    """H = sum of `bond(ops)` on the topology's bonds plus `field(ops)` on its field sites."""
+
+    def field(self, ops) -> np.ndarray:
+        return self.h * ops.sz
+
+    def _positions(self, layout: SystemLayout):
+        """The bonds, (j, j+1) on the chain or (0, i) on the star, and the field sites."""
+        chain = self.topology == "chain"
+        bonds = [(j, j + 1) if chain else (0, j + 1) for j in range(layout.L)]
+        return bonds, list(range(layout.n_sites if chain else 1))
 
     def entries(self, layout: SystemLayout):
         """(rows, cols, values) of every term in turn; entries of one element are summed."""
         ops = spin_operators(layout.d)
-        chain = self.topology == "chain"
-        bonds = [(j, j + 1) if chain else (0, j + 1) for j in range(layout.L)]
-        fields = list(range(layout.n_sites if chain else 1))
+        bonds, fields = self._positions(layout)
         # every bond (and field) has the same dims: expand it once, place it at each position
         bond = local_entries(self.bond(ops), bonds[0], layout.dims)
-        field = local_entries(self.h * ops.sz, 0, layout.dims)
+        field = local_entries(self.field(ops), 0, layout.dims)
         parts = ([placed_entries(bond, sites, layout.dims) for sites in bonds]
                  + [placed_entries(field, site, layout.dims) for site in fields])
         return tuple(np.concatenate(column) for column in zip(*parts))
+
+    def norm(self, layout: SystemLayout) -> float:
+        """A bound on |H|_1: the bound on one bond times the bonds, plus |field|_1 per field
+        site (not finite where it overflows)."""
+        bonds, fields = self._positions(layout)
+        bond, field = _local_norms(self, layout.d)
+        return len(bonds) * bond + len(fields) * field
 
     def build(self, layout: SystemLayout) -> np.ndarray:
         """The dense H: the entries summed into zeros, in the order listed."""
@@ -79,6 +96,20 @@ class _BondsAndFields:
         H = np.zeros((layout.d ** layout.n_sites,) * 2, dtype=complex)
         np.add.at(H, (rows, cols), values)
         return H
+
+
+# per (spec, d): every grid point's config is gated on its spec's norm
+@lru_cache(maxsize=256)
+def _local_norms(spec: _BondsAndFields, d: int) -> tuple[float, float]:
+    """Bounds on |bond|_1, max over columns (i, j) of sum_k |c_k| colsum|a_k|_i colsum|b_k|_j,
+    and |field|_1, from the one-site matrices' column sums."""
+    ops = spin_operators(d)
+    coeffs, factors = zip(*spec.bond(ops))
+    a, b = (np.abs(np.stack(f)).sum(axis=1) for f in zip(*factors))
+    with np.errstate(over="ignore", invalid="ignore"):
+        bond = np.einsum("k,ki,kj->ij", np.abs(coeffs), a, b).max()
+        field = np.abs(spec.field(ops)).sum(axis=0).max()
+    return float(bond), float(field)
 
 
 @dataclass(frozen=True)

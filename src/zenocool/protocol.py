@@ -80,12 +80,18 @@ ENTRY_BYTES = 96
 EIGH_COPIES = 3
 ROW_COPIES = 6
 STATE_COPIES = 4
-# a bath run's bound tau |L| times its block's rows and columns: an L=4, d=3 chain at
-# Jtau = 2 pi reads 1.6e11; measured runs took 2e-9 (large blocks, |H| bound) to 3.4e-7
-# (D=9, gamma bound) seconds per unit, since the |H| bound is the looser one.  The block has
-# at least 1 row and 2 columns, so |L tau| <= 5e11 and the Taylor steps, about |L tau| / theta_m,
-# stay a finite count
-EXPM_COST_LIMIT = 1e12
+# a bath run's cost: tau (2 |H| + the dissipator's bound), at least |(L - mu I) tau|_1, in
+# which the Taylor action's work grows, times its block's rows and columns.  Seconds per
+# unit, warm, XXZ Delta = 1, rank 2, N = 200, on 2 vCPUs:
+#   L=2, d=3: Jtau = 6 0.9-1.0e-7, J = 30 1.1-1.2e-7, gamma = 1e3 0.6e-7
+#   L=3, d=3 (CSR), N = 20: Jtau = 1 0.7-0.8e-7, Jtau = 3 0.6e-7
+#   L=1, d=4 / d=5: gamma = 1e4 0.9e-7, J = 30 (d=5) 1.7e-7
+#   L=1, d=3 (D=9): gamma = 1e4 1.7-2.3e-7, gamma = 1e5 2.1e-7
+# so the limit caps a run at about 40 min (runs under 50 ms vary too much to count).  An
+# L=4, d=3 chain at Jtau = 2 pi reads 3.2e9 and runs; gamma = 2e9 at D=9 reads 7.4e11 and
+# does not.  The block has at least 1 row and 2 columns, so |L tau| <= 5e9 and the Taylor
+# steps, about |L tau| / theta_m, stay a finite count
+EXPM_COST_LIMIT = 1e10
 
 
 class ExtinctionError(RuntimeError):
@@ -150,23 +156,22 @@ class ProtocolConfig:
             raise ValueError(f"a {kind} run at D={D} needs about {need:,} bytes to set up, "
                              f"more than the {have:,} bytes of physical memory")
         ham = self.hamiltonian
-        # |H| <= L |bond| + (L+1) |h| s with s = (d-1)/2 < d; the BBH bond (S.S)^2 scales as d^4
-        bound = (self.layout.L * abs(ham.J) * (3 + abs(getattr(ham, "Delta", 0.0))) * d ** 4
-                 + sites * abs(ham.h) * d)
+        bound = ham.norm(self.layout)
         if not math.isfinite(self.tau * bound):
             raise ValueError(f"tau * |H| must be finite: tau = {self.tau} with |H| <= {bound:.3g}")
         if self.bath is not None:
             bath = self.bath
             with np.errstate(over="ignore"):
                 n = float(bath.occupancy())
-            # in Python floats, which overflow to inf without a warning; 0 * inf is NaN
-            norm = self.tau * (bound + bath.gamma * (2 * n + 1))
+            # |L - mu I|_1 <= 2 |H|_1 + the dissipator's bound: the commutator counts H twice.
+            # In Python floats, which overflow to inf without a warning; 0 * inf is NaN
+            norm = self.tau * (2 * bound + bath.norm(d))
             rows, cols = _open_block(self)
             cost = norm * rows * cols
             if not cost <= EXPM_COST_LIMIT:
                 raise ValueError(
-                    f"a bath run at D={D} would take too long: tau * (|H| + gamma * (2n + 1)) "
-                    f"= {norm:.3g} times its {rows} x {cols} block is {cost:.3g}, over "
+                    f"a bath run at D={D} would take too long: tau * (2|H| + 2|A|^2 * gamma * "
+                    f"(2n + 1)) = {norm:.3g} times its {rows} x {cols} block is {cost:.3g}, over "
                     f"{EXPM_COST_LIMIT:.3g}; lower tau = {self.tau}, J = {ham.J} or "
                     f"bath.gamma = {bath.gamma} (occupancy n = {n:.3g} from bath.temperature "
                     f"= {bath.temperature}, bath.omega = {bath.omega})")
@@ -184,7 +189,6 @@ def physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-@lru_cache(maxsize=64)
 def _sector_sizes(d: int, L: int, rank: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Sizes of the total-Sz sectors of the whole space, and of the projector support.
 
@@ -197,18 +201,34 @@ def _sector_sizes(d: int, L: int, rank: int) -> tuple[tuple[int, ...], tuple[int
     return tuple(np.convolve(ones(d), targets)), tuple(np.convolve(ones(rank), targets))
 
 
+# every config of a sweep is gated, and its workers are gated again, on these sums
+@lru_cache(maxsize=64)
+def _sector_sums(d: int, L: int, rank: int) -> tuple[int, int, int, int, int]:
+    """What the gates read of the sector sizes, n over the whole space and a over the support:
+    sum n^2, sum w (ROW_COPIES a + w) with w the widest sector of support size a, sum a^2,
+    sum a and sum (a^2 + a) / 2."""
+    full, support = _sector_sizes(d, L, rank)
+    # support sector t is full sector t for h < 0 and, mirrored, the same sizes for h > 0
+    widest = {}
+    for a, n in zip(support, full):
+        widest[a] = max(widest.get(a, 0), n)
+    return (sum(n * n for n in full),
+            sum(widest[a] * (ROW_COPIES * a + widest[a]) for a in support),
+            sum(a * a for a in support), sum(support), sum(a * (a + 1) // 2 for a in support))
+
+
 def _open_block(config: ProtocolConfig) -> tuple[int, int]:
     """The shape of `_open_rounds`' block: the sector-diagonal entries, and the support
     entries (i, j) with i <= j, sum (a^2 + a) / 2 over the support sectors, plus rho(0)."""
-    full, support = _sector_sizes(config.layout.d, config.layout.L, config.rank)
-    return sum(n * n for n in full), sum(a * (a + 1) // 2 for a in support) + 1
+    squares, *_, half = _sector_sums(config.layout.d, config.layout.L, config.rank)
+    return squares, half + 1
 
 
 def _rounds_per_call(config: ProtocolConfig) -> int:
     """K, the closed rounds per matmul: 32 K sum(a^2) within POWERS_BYTES, at least 1, and at
     most ROUNDS_PER_CALL and N - 1, over the support sectors' sizes a."""
-    _, support = _sector_sizes(config.layout.d, config.layout.L, config.rank)
-    fit = max(1, POWERS_BYTES // (32 * sum(a * a for a in support)))
+    squares = _sector_sums(config.layout.d, config.layout.L, config.rank)[2]
+    fit = max(1, POWERS_BYTES // (32 * squares))
     return max(0, min(ROUNDS_PER_CALL, config.n_measurements - 1, fit))
 
 
@@ -224,17 +244,11 @@ def run_bytes(config: ProtocolConfig, retain_state: bool = False) -> int:
     A retained state adds the D x D `final_state` and its checks.
     """
     d, L, N = config.layout.d, config.layout.L, config.n_measurements
-    full, support = _sector_sizes(d, L, config.rank)
-    # support sector t is full sector t for h < 0 and, mirrored, the same sizes for h > 0
-    widest = {}
-    for a, n in zip(support, full):
-        widest[a] = max(widest.get(a, 0), n)
-    need = (ENTRY_BYTES * (L * d + L + 1) * d ** (L + 1)
-            + 8 * (EIGH_COPIES * sum(n * n for n in full)
-                   + sum(widest[a] * (ROW_COPIES * a + widest[a]) for a in support)))
-    need += 32 * (_rounds_per_call(config) + 1) * sum(a * a for a in support)
+    full, padded, support, states, _ = _sector_sums(d, L, config.rank)
+    need = ENTRY_BYTES * (L * d + L + 1) * d ** (L + 1) + 8 * (EIGH_COPIES * full + padded)
+    need += 32 * (_rounds_per_call(config) + 1) * support
     # the record in group order, its gather to support order, the site marginals
-    need += 8 * N * (2 * sum(support) + 4 * L * d)
+    need += 8 * N * (2 * states + 4 * L * d)
     if config.bath is not None:
         rows, cols = _open_block(config)
         need = max(need, 16 * OPEN_BLOCK_COPIES * rows * cols + DENSE_BYTES)

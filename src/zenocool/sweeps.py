@@ -71,6 +71,8 @@ class SweepSpec:
     theta_axis: Optional[tuple[float, ...]] = None
     jtau_axis: Optional[tuple[float, ...]] = None
     recorded_steps: Optional[tuple[int, ...]] = None  # None -> rounds 1..base N
+    # every grid point's config, in grid order, built and checked once by __post_init__
+    configs: tuple[ProtocolConfig, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for label, name, _ in AXES:
@@ -85,13 +87,15 @@ class SweepSpec:
         if self.recorded_steps is not None and min(self.recorded_steps) < 0:
             raise ConfigError(f"axes.N: rounds must be >= 0, got {min(self.recorded_steps)}")
         # build every point's config once, so a bad axis value fails before any point runs
+        configs = []
         for point in self.grid():
             try:
-                self.config_at(point)
+                configs.append(self.config_at(point))
             except ValueError as err:
                 where = ", ".join(f"axes.{label} = {value}" for (label, _, _), value
                                   in zip(_GRID_AXES, point) if value is not None)
                 raise ConfigError(f"{where}: {err}") from err
+        object.__setattr__(self, "configs", tuple(configs))
 
     def grid(self) -> list[tuple]:
         """Every (d, k, theta, Jtau) point; None where the sweep has no such axis."""
@@ -127,23 +131,22 @@ _ROUND = ",%d,%d,%.17g"                     # N_step, site, fidelity
 _STEP = ",%.17g,%.17g,%.17g,%d\n"           # step_probability .. extinct, once per step
 
 
-def _row_prefix(spec: SweepSpec, config: ProtocolConfig) -> str:
+def _row_prefix(preset_id: str, config: ProtocolConfig) -> str:
     """The point's fields preset_id .. tau as CSV text, quoted as csv.writer quotes them."""
     ham = config.hamiltonian
     params = asdict(ham)
     dort = params.get("Delta", params.get("theta"))
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerow(
-        (spec.preset_id, config.layout.topology, ham.model, config.layout.d, config.layout.L,
+        (preset_id, config.layout.topology, ham.model, config.layout.d, config.layout.L,
          config.rank, "%.17g" % ham.J, "" if dort is None else "%.17g" % dort,
          "%.17g" % config.tau))
     return out.getvalue()[:-1]
 
 
-def _point_rows(spec: SweepSpec, index: int) -> list[str]:
-    """The point's CSV lines, one per (step, site), each ending in a newline."""
-    config = spec.config_at(spec.grid()[index])
-    round_row = _row_prefix(spec, config).replace("%", "%%") + _ROUND
+def _point_rows(preset_id: str, config: ProtocolConfig, recorded: list[int]) -> list[str]:
+    """The point's CSV lines, one per recorded step and site, each ending in a newline."""
+    round_row = _row_prefix(preset_id, config).replace("%", "%%") + _ROUND
     try:
         record = zeno_run(config, retain_state=False)
         extinction = None
@@ -155,7 +158,7 @@ def _point_rows(spec: SweepSpec, index: int) -> list[str]:
     cum = record.cumulative_probabilities.tolist()
     log_cum = record.log_cumulative.tolist()
     steps = []          # (N_step, fidelity per site, step_probability .. extinct)
-    for n in spec.steps_for(config):
+    for n in recorded:
         if n == 0:
             steps.append((0, record.initial_fidelities.tolist(), 1.0, 1.0, 0.0, 0))
         elif n <= len(probs):
@@ -206,18 +209,20 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[str]:
     """The sweep's CSV lines, one per result row, in deterministic (grid, step, site) order."""
     if workers < 1:
         raise ValueError(f"workers (--workers) must be at least 1, got {workers}")
-    indices = range(len(spec.grid()))
-    workers = min(workers, len(indices))    # a pool forks all its workers at once
+    configs = spec.configs
+    recorded = [spec.steps_for(config) for config in configs]
+    point_rows = functools.partial(_point_rows, spec.preset_id)
+    workers = min(workers, len(configs))    # a pool forks all its workers at once
     if workers <= 1:
-        chunks = [_point_rows(spec, i) for i in indices]
-    else:       # each worker runs one point at a time; map keeps the order of the indices
-        need = workers * max(run_bytes(spec.config_at(point)) for point in spec.grid())
+        chunks = list(map(point_rows, configs, recorded))
+    else:       # each worker runs one point at a time; map keeps the order of the configs
+        need = workers * max(map(run_bytes, configs))
         if need > physical_memory():
             raise ValueError(f"workers (--workers) {workers} would run {workers} points at once "
                              f"in about {need:,} bytes, more than the {physical_memory():,} "
                              f"bytes of physical memory")
         with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
-            chunks = list(pool.map(functools.partial(_point_rows, spec), indices))
+            chunks = list(pool.map(point_rows, configs, recorded))
     return [row for chunk in chunks for row in chunk]
 
 

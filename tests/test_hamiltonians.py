@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -195,3 +196,16 @@ def test_entries_expand_each_bond_once_bit_for_bit(spec, layout):
     parts = [operator_entries(op, sites, layout.dims) for op, sites in terms]
     for got, expect in zip(spec.entries(layout), map(np.concatenate, zip(*parts))):
         assert got.dtype == expect.dtype and np.array_equal(got, expect)
+
+
+@pytest.mark.parametrize("L, d", [(1, 2), (1, 3), (4, 3), (1, 31), (2, 5), (1, 8)])
+@pytest.mark.parametrize("spec", [
+    XXZSpec(J=1.0, Delta=1.0), XXZSpec(J=0.7, Delta=-1.3), BBHSpec(J=1.0, theta=0.7),
+    BBHSpec(J=1.0, theta=-5 * math.pi / 8), BBHSpec(J=1.0, theta=math.pi / 4),
+    BBHSpec(J=1.0, theta=-math.pi / 2), SpinStarSpec(J=1.0),
+], ids=["xxz", "xxz-J0.7-D-1.3", "bbh-0.7", "bbh--5pi/8", "bbh-pi/4", "bbh--pi/2", "star"])
+def test_norm_bounds_the_exact_column_sum_norm_within_2_1(spec, L, d):
+    layout = SystemLayout(spec.topology, L, d)
+    exact = np.abs(spec.build(layout)).sum(axis=0).max()
+    # up to the rounding of the two sums
+    assert exact * (1 - 1e-12) <= spec.norm(layout) <= 2.1 * exact

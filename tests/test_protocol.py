@@ -198,6 +198,10 @@ class XXZPlusSxSpec:
         sx = operator_entries(0.3 * spin_operators(layout.d).sx, 1, layout.dims)
         return tuple(np.concatenate(column) for column in zip(xxz, sx))
 
+    def norm(self, layout):
+        sx = np.abs(0.3 * spin_operators(layout.d).sx).sum(axis=0).max()
+        return XXZSpec(J=self.J, Delta=self.Delta, h=self.h).norm(layout) + sx
+
 
 @pytest.mark.parametrize("bath", [None, BathSpec(temperature=1.0, gamma=1e-3, omega=1.0)],
                          ids=["closed", "bath"])
@@ -344,6 +348,26 @@ def test_rounds_per_call_fits_the_powers_in_their_bytes(L, d, k, N, K):
     assert protocol._rounds_per_call(config) == K
     _, support = protocol._sector_sizes(d, L, k)
     assert K <= 1 or 32 * K * sum(a * a for a in support) <= protocol.POWERS_BYTES
+
+
+@pytest.mark.parametrize("gamma", [1e-3, 1.0, 1e4])
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("far", [False, True], ids=["site0", "farthest"])
+@pytest.mark.parametrize("spec", [XXZSpec(J=1.0, Delta=1.0), BBHSpec(J=1.0, theta=0.7),
+                                  SpinStarSpec(J=1.0)], ids=["xxz", "bbh", "star"])
+def test_bath_cost_norm_bounds_the_propagators_exact_norm(spec, far, d, gamma):
+    """2 |H| + the dissipator's bound, the gate's cost per unit of tau, is at least the exact
+    |L - mu I|_1 that sets the Taylor action's work."""
+    layout = SystemLayout(spec.topology, 2, d)
+    bath = BathSpec(temperature=1.0, gamma=gamma, omega=1.0, site=layout.L if far else 0)
+    exact = protocol._open_generator(layout, spec, bath)[2]._norm
+    assert exact <= 2 * spec.norm(layout) + bath.norm(d)
+
+
+@pytest.mark.parametrize("L, jtau", [(3, 1.0), (4, 2 * math.pi)], ids=["L3-ci", "L4-2pi"])
+def test_bath_cost_limit_admits_the_longer_chains(L, jtau):
+    bath = BathSpec(temperature=1.0, gamma=1e-3, omega=1.0)
+    xx_config(d=3, jtau=jtau, N=200, k=2, L=L, Delta=1.0, bath=bath)   # construction gates it
 
 
 def test_bath_check_rejects_an_overflowing_bound_without_a_warning():

@@ -115,8 +115,8 @@ def test_run_sweep_caps_workers_at_grid_points(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(sweeps, "ProcessPoolExecutor", RecordingPool)
     two = parse_config(dict(MINIMAL, axes={"Jtau": [0.4, 1.2]}))
@@ -297,6 +297,21 @@ def test_preset_registry_and_unknown_id():
     assert preset_sweeps("fig4", include_d5=True)[0].d_axis == (2, 3, 4, 5)
 
 
+def test_each_grid_point_is_configured_once(monkeypatch):
+    """parse_config builds and gates every point's config, and run_sweep reads those."""
+    calls = []
+    config_at = SweepSpec.config_at
+
+    def counted(self, point):
+        calls.append(point)
+        return config_at(self, point)
+
+    monkeypatch.setattr(SweepSpec, "config_at", counted)
+    spec = parse_config({**MINIMAL, "axes": {"d": [2, 3], "Jtau": [0.5, 1.0, 1.5]}})
+    run_sweep(spec)
+    assert sorted(calls) == sorted(spec.grid())
+
+
 def test_preset_specs_validate():
     for preset_id in PRESETS:
         for spec in preset_sweeps(preset_id):
@@ -369,11 +384,14 @@ BATH = {"temperature": 1.0, "gamma": 1e-3}
      r"occupancy n = inf from bath\.temperature = 1e\+300, bath\.omega = 1e-10"),
     ({"base": {"bath": {"temperature": 1e300, "gamma": 0.0, "omega": 1e-10}}},
      r"occupancy n = inf from bath\.temperature = 1e\+300, bath\.omega = 1e-10"),
-    ({"base": {"J": 1e300, "bath": BATH}}, r"tau \* \(\|H\| \+ gamma \* \(2n \+ 1\)\)"),
+    ({"base": {"J": 1e300, "bath": BATH}},
+     r"tau \* \(2\|H\| \+ 2\|A\|\^2 \* gamma \* \(2n \+ 1\)\)"),
     ({"base": {"J": 1e30, "tau": 1.0, "N": 3, "bath": {"temperature": 1.0, "gamma": 0.1}}},
      r"would take too long: .* tau = 1\.0, J = 1e\+30 or bath\.gamma = 0\.1"),
     ({"base": {"bath": {"temperature": 1.0, "gamma": 1e20}}},
      r"would take too long: .* bath\.gamma = 1e\+20"),
+    ({"base": {"k": 2, "N": 200, "bath": {"temperature": 1.0, "gamma": 2e9, "omega": 1.0}}},
+     r"D=9 would take too long: .* bath\.gamma = 2000000000\.0"),
     ({"argv": ["preset", "fig2", "--workers", "0", "--out", "{out}"]}, "--workers"),
     ({"argv": ["run", "--config", "{config}", "--out", "{out}", "--workers", "-3"]},
      "--workers"),
@@ -397,6 +415,7 @@ BATH = {"temperature": 1.0, "gamma": 1e-3}
         "axes-d-non-integral", "axes-N-non-integral", "axes-Jtau-bool", "phase-overflow",
         "h-zero", "h-negative-omega-default", "gamma-huge", "occupancy-overflow",
         "occupancy-overflow-gamma-zero", "bath-phase-overflow", "bath-J-cost", "bath-gamma-cost",
+        "bath-D9-gamma-2e9-cost",
         "preset-workers-0",
         "run-workers-negative", "run-workers-memory", "classify-threshold-nan",
         "classify-threshold-inf", "base-unknown-key", "root-unknown-key", "bath-unknown-key",
