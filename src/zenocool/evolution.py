@@ -3,14 +3,18 @@
 The dissipative channel is a single lowering operator A = S^-/2 on one site
 at frequency omega (the uniform Sz ladder gap), with thermal occupancy
 n = 1/(exp(omega/T) - 1).  rho is vectorized by row stacking.
-`LindbladPropagator` lists the Liouvillian's entries on a subspace of
+`generator_entries` lists the Liouvillian's entries on a subspace of
 vec(rho) straight from H's entries and A's, without forming the D^2 x D^2
-superoperator, and propagates it with one algorithm: the action of
-exp(L tau) on a vector or a block of vectors by a truncated Taylor series
-(Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011), Alg. 3.2).  A
-generator of at most DENSE_BYTES is a dense numpy array; a larger one is a
-scipy CSR matrix, and only then is scipy imported.  `liouvillian`, the full
-sparse superoperator, and `dissipator` are the tests' oracles.
+superoperator.  L preserves Hermiticity, so on a subspace that holds each
+entry's transpose it is a real linear map of rho's Hermitian coordinates
+(`hermitian_coordinates`: rho_aa, and Re and Im of rho_ab, a < b, at (a, b)
+and (b, a)).  `LindbladPropagator` folds L's complex entries into that real
+generator and propagates it with one algorithm: the action of exp(L tau) on
+a vector or a block of vectors by a truncated Taylor series (Al-Mohy &
+Higham, SIAM J. Sci. Comput. 33, 488 (2011), Alg. 3.2).  A generator of at
+most DENSE_BYTES is a dense float64 array; a larger one is a real scipy CSR
+matrix, and only then is scipy imported.  `liouvillian`, the full sparse
+complex superoperator, and `dissipator` are the tests' oracles.
 """
 from __future__ import annotations
 
@@ -23,7 +27,8 @@ import numpy as np
 
 from .qudit import DensityMatrix, embed_operator, operator_entries, spin_operators, summed_entries
 
-# the largest generator stored dense, 16 K^2 bytes (K <= 256); a dense K = 1107 (L=3, d=3)
+# the largest generator stored dense, 8 K^2 bytes of float64 (K <= 362, so L=2, d=3 at
+# K = 141 is dense and L=2, d=4 at K = 580 is CSR); a dense complex K = 1107 (L=3, d=3)
 # ran its block 4-5x slower than CSR
 DENSE_BYTES = 2 ** 20
 # theta_m, the largest |A tau| / s for which m Taylor terms meet a 2^-53 tolerance, from
@@ -182,16 +187,58 @@ def generator_entries(H, bath: BathSpec, dims: Sequence[int], subspace: np.ndarr
     return summed_entries(rows[inside], cols[inside], values[inside], K)
 
 
-class LindbladPropagator:
-    """The action of exp(L tau) on vec(rho), by Al-Mohy & Higham's truncated Taylor series.
+def hermitian_coordinates(subspace: np.ndarray, D: int):
+    """(partner, lower) of a sorted subspace of row-stacked D x D entries that holds the
+    transpose (b, a) of each of its entries (a, b): partner is the position of (b, a), and
+    lower marks a > b.  A Hermitian rho is real on it as r_e = rho_aa on a diagonal entry,
+    Re rho_ab at e = (a, b) with a < b, and Im rho_ab at its partner (b, a)."""
+    a, b = np.divmod(subspace, D)
+    return np.searchsorted(subspace, b * D + a), a > b
 
-    The generator is built once: L's entries on `subspace` (flat indices into row-stacked
-    rho that L maps into themselves; the whole D^2 space by default), shifted to
-    A = L - mu I with mu = tr(L) / K, with its exact 1-norm.  Each `apply` takes
-    (m, s) = argmin m ceil(|tau| |A|_1 / theta_m) and runs s steps of at most m Taylor
-    terms each, on a vector or a block of column vectors over the subspace, stopping a
-    step's series once two terms add less than 2^-53 of the sum.  H is a dense array or
-    its entries (rows, cols, values).
+
+def real_coordinates(vectors: np.ndarray, subspace: np.ndarray, D: int) -> np.ndarray:
+    """The real Hermitian coordinates of Hermitian vec(rho) entries on `subspace` (first axis)."""
+    partner, lower = hermitian_coordinates(subspace, D)
+    vectors = np.asarray(vectors)
+    out = vectors.real.copy()
+    out[lower] = vectors[partner[lower]].imag
+    return out
+
+
+def hermitian_entries(coordinates: np.ndarray, subspace: np.ndarray, D: int) -> np.ndarray:
+    """The vec(rho) entries on `subspace` of real Hermitian coordinates (first axis)."""
+    partner, lower = hermitian_coordinates(subspace, D)
+    r = np.asarray(coordinates, dtype=float)
+    upper = partner > np.arange(len(partner))
+    out = r.astype(complex)
+    out[upper] += 1j * r[partner[upper]]
+    out[lower] = r[partner[lower]] - 1j * r[lower]
+    return out
+
+
+def _shifted(rows, cols, values, mu, K: int):
+    """The entries of A - mu I from those of A, with every diagonal element listed once."""
+    diagonal = rows == cols
+    shifted = np.full(K, -mu, dtype=values.dtype)
+    shifted[rows[diagonal]] += values[diagonal]
+    return tuple(np.concatenate([v[~diagonal], w]) for v, w in
+                 ((rows, np.arange(K)), (cols, np.arange(K)), (values, shifted)))
+
+
+class LindbladPropagator:
+    """The action of exp(L tau) on Hermitian states, by Al-Mohy & Higham's truncated Taylor
+    series, in real Hermitian coordinates (`hermitian_coordinates`).
+
+    L preserves Hermiticity, so on a subspace of row-stacked rho that L maps into itself and
+    that holds each entry's transpose (flat indices, sorted; the whole D^2 space by default)
+    it is a real linear map G of those coordinates.  G is folded once from L's complex
+    entries (`generator_entries`) and stored shifted, A = G - mu I with mu = tr(G) / K, as a
+    float64 array or, over DENSE_BYTES, a real CSR matrix.  The step choice reads the exact
+    1-norm of the complex L - mu I, which bounds A in the norm |vec rho|_1 of the states it
+    acts on.  Each `apply` takes (m, s) = argmin m ceil(|tau| |L - mu I|_1 / theta_m) and runs
+    s steps of at most m Taylor terms each, on a vector or a block of column vectors of real
+    coordinates, stopping a step's series once two terms add less than 2^-53 of the sum.
+    H is a dense array or its entries (rows, cols, values).
     """
 
     method = "taylor"
@@ -201,15 +248,26 @@ class LindbladPropagator:
         D = math.prod(dims)
         subspace = np.arange(D * D) if subspace is None else np.asarray(subspace)
         rows, cols, values = generator_entries(H, bath, dims, subspace)
-        K, diagonal = len(subspace), rows == cols
-        self._mu = values[diagonal].sum() / K
-        shifted = np.full(K, -self._mu)         # A = L - mu I, on every diagonal element
-        shifted[rows[diagonal]] += values[diagonal]
-        rows, cols, values = (np.concatenate([v[~diagonal], w]) for v, w in
-                              ((rows, np.arange(K)), (cols, np.arange(K)), (values, shifted)))
-        self._norm = float(np.bincount(cols, np.abs(values), minlength=K).max(initial=0.0))
-        if 16 * K * K <= DENSE_BYTES:
-            self._generator = np.zeros((K, K), dtype=complex)
+        K = len(subspace)
+        partner, lower = hermitian_coordinates(subspace, D)
+        # column h of L meets rho_h = r[re] + i s r[im]: re is h's own coordinate and im its
+        # partner's (s = 1) when h is upper, the reverse (s = -1) when h is lower.  Row g keeps
+        # Re w of an upper or diagonal image w, and Re(i w) = -Im w, its partner's Im, of a lower
+        image = np.where(lower[rows], 1j, 1.0) * values
+        off = partner[cols] != cols
+        re = np.where(lower[cols], partner[cols], cols)
+        im = np.where(lower[cols], cols, partner[cols])[off]
+        factor = np.where(lower[cols], -1j, 1j)[off]
+        real_rows, real_cols, real_values = summed_entries(
+            np.concatenate([rows, rows[off]]), np.concatenate([re, im]),
+            np.concatenate([image.real, (factor * image[off]).real]), K)
+        real_values = real_values.real
+        self._mu = float(real_values[real_rows == real_cols].sum()) / K
+        _, at, shifted = _shifted(rows, cols, values, self._mu, K)
+        self._norm = float(np.bincount(at, np.abs(shifted), minlength=K).max(initial=0.0))
+        rows, cols, values = _shifted(real_rows, real_cols, real_values, self._mu, K)
+        if 8 * K * K <= DENSE_BYTES:
+            self._generator = np.zeros((K, K))
             self._generator[rows, cols] = values
         else:
             from scipy import sparse     # ~0.3 s to import: loaded only for large generators
@@ -217,6 +275,10 @@ class LindbladPropagator:
             self._generator = sparse.csr_matrix((values, (rows, cols)), shape=(K, K))
 
     def apply(self, vectors: np.ndarray, tau: float) -> np.ndarray:
+        """exp(L tau) on real Hermitian coordinates: a vector or a block of column vectors."""
+        if np.iscomplexobj(vectors):
+            raise ValueError("LindbladPropagator.apply takes real Hermitian coordinates, "
+                             "not complex entries (see real_coordinates)")
         tau = float(tau)
         x = abs(tau) * self._norm
         m, s = 0, 1
@@ -225,7 +287,7 @@ class LindbladPropagator:
                           for m, theta in THETA.items())
         inf_norm = lambda v: np.abs(v.reshape(len(v), -1)).sum(axis=1).max(initial=0.0)
         eta = np.exp(self._mu * tau / s)
-        F = np.array(vectors, dtype=complex)
+        F = np.array(vectors, dtype=float)
         for _ in range(s):
             B, c1 = F, inf_norm(F)
             bound = c1          # |F|_inf <= bound: |F| is read only when the test may pass

@@ -29,10 +29,12 @@ be (at most ROUNDS_PER_CALL, and 1 once the sectors are large).
 forms the D x D state only when it is retained.  The round-map spectrum
 takes one eig per sector block of M.  Only `_unitary`, the tests' oracle,
 forms the D x D U.  A bath run lists its generator on the sector-diagonal
-entries of rho once per (layout, Hamiltonian, bath), from H's entries (scipy
-is loaded only for a generator over `evolution.DENSE_BYTES`).  Each point
-evolves the support entries (i, j) with i <= j and rho(0) by one truncated
-Taylor action of exp(L tau), and reads the entries with i > j as conjugates.
+entries of rho once per (layout, Hamiltonian, bath), from H's entries, as a
+real map of rho's Hermitian coordinates (scipy is loaded only for a
+generator over `evolution.DENSE_BYTES`).  Each point evolves a unit column
+per support coordinate and rho(0) by one truncated Taylor action of
+exp(L tau), reads the real round map T off it, and runs its rounds K at a
+time against the powers of T, as the closed rounds do against those of M.
 """
 from __future__ import annotations
 
@@ -46,7 +48,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .evolution import DENSE_BYTES, BathSpec, LindbladPropagator
+from .evolution import DENSE_BYTES, BathSpec, LindbladPropagator, hermitian_entries
 from .hamiltonians import HamiltonianSpec, SystemLayout
 from .qudit import (
     DensityMatrix,
@@ -68,8 +70,9 @@ ROUNDS_PER_CALL = 21
 # shrinks as the sectors grow, down to 1
 POWERS_BYTES = 2 ** 20
 SZ_CONSERVATION_TOL = 1e-12
-# peak memory of a bath run over its block: the block, the Taylor sum, the old and new term
-# (4.02-4.16 traced at L=2-3, d=3-4), besides a generator of at most DENSE_BYTES
+# peak memory of a bath run over its float64 block: the block, the Taylor sum, the old and
+# new term (4.01-4.02 traced at L=2, d=4 and L=3, d=3, chain and star), besides a generator
+# of at most DENSE_BYTES and the round map with its powers
 OPEN_BLOCK_COPIES = 5
 # peak memory of a closed run: H's entries with their sort (85-107 bytes per entry traced),
 # the sector blocks, eigenvectors and eigh workspace (1.5-2.6 float64 sum(n^2) traced at
@@ -81,16 +84,16 @@ EIGH_COPIES = 3
 ROW_COPIES = 6
 STATE_COPIES = 4
 # a bath run's cost: tau (2 |H| + the dissipator's bound), at least |(L - mu I) tau|_1, in
-# which the Taylor action's work grows, times its block's rows and columns.  Seconds per
+# which the Taylor action's work grows, times its real block's rows and columns.  Seconds per
 # unit, warm, XXZ Delta = 1, rank 2, N = 200, on 2 vCPUs:
-#   L=2, d=3: Jtau = 6 0.9-1.0e-7, J = 30 1.1-1.2e-7, gamma = 1e3 0.6e-7
-#   L=3, d=3 (CSR), N = 20: Jtau = 1 0.7-0.8e-7, Jtau = 3 0.6e-7
-#   L=1, d=4 / d=5: gamma = 1e4 0.9e-7, J = 30 (d=5) 1.7e-7
-#   L=1, d=3 (D=9): gamma = 1e4 1.7-2.3e-7, gamma = 1e5 2.1e-7
-# so the limit caps a run at about 40 min (runs under 50 ms vary too much to count).  An
-# L=4, d=3 chain at Jtau = 2 pi reads 3.2e9 and runs; gamma = 2e9 at D=9 reads 7.4e11 and
-# does not.  The block has at least 1 row and 2 columns, so |L tau| <= 5e9 and the Taylor
-# steps, about |L tau| / theta_m, stay a finite count
+#   L=2, d=3: Jtau = 6 2.7-2.9e-8, J = 30 3.9-4.2e-8, gamma = 1e3 2.3-2.4e-8
+#   L=3, d=3 (CSR), N = 20: Jtau = 1 2.3-3.4e-8, Jtau = 3 1.7-2.0e-8
+#   L=1, d=4 / d=5: gamma = 1e4 3.2-4.8e-8, J = 30 (d=5) 5.4-7.2e-8
+#   L=1, d=3 (D=9): gamma = 1e4 1.4-1.5e-7, gamma = 1e5 1.3-1.5e-7
+# so the limit caps a run at about 25 min.  An L=4, d=3 chain at Jtau = 2 pi reads 6.2e9
+# and runs; gamma = 2e9 at D=9 reads 9.0e11 and does not.  The block has at least 1 row and
+# 2 columns, so |L tau| <= 5e9 and the Taylor steps, about |L tau| / theta_m, stay a finite
+# count
 EXPM_COST_LIMIT = 1e10
 
 
@@ -203,10 +206,10 @@ def _sector_sizes(d: int, L: int, rank: int) -> tuple[tuple[int, ...], tuple[int
 
 # every config of a sweep is gated, and its workers are gated again, on these sums
 @lru_cache(maxsize=64)
-def _sector_sums(d: int, L: int, rank: int) -> tuple[int, int, int, int, int]:
+def _sector_sums(d: int, L: int, rank: int) -> tuple[int, int, int, int]:
     """What the gates read of the sector sizes, n over the whole space and a over the support:
-    sum n^2, sum w (ROW_COPIES a + w) with w the widest sector of support size a, sum a^2,
-    sum a and sum (a^2 + a) / 2."""
+    sum n^2, sum w (ROW_COPIES a + w) with w the widest sector of support size a, sum a^2
+    and sum a."""
     full, support = _sector_sizes(d, L, rank)
     # support sector t is full sector t for h < 0 and, mirrored, the same sizes for h > 0
     widest = {}
@@ -214,21 +217,24 @@ def _sector_sums(d: int, L: int, rank: int) -> tuple[int, int, int, int, int]:
         widest[a] = max(widest.get(a, 0), n)
     return (sum(n * n for n in full),
             sum(widest[a] * (ROW_COPIES * a + widest[a]) for a in support),
-            sum(a * a for a in support), sum(support), sum(a * (a + 1) // 2 for a in support))
+            sum(a * a for a in support), sum(support))
 
 
 def _open_block(config: ProtocolConfig) -> tuple[int, int]:
-    """The shape of `_open_rounds`' block: the sector-diagonal entries, and the support
-    entries (i, j) with i <= j, sum (a^2 + a) / 2 over the support sectors, plus rho(0)."""
-    squares, *_, half = _sector_sums(config.layout.d, config.layout.L, config.rank)
-    return squares, half + 1
+    """The shape of `_open_rounds`' block: the sector-diagonal entries, sum n^2, and a column
+    per support coordinate, sum a^2 over the support sectors, plus rho(0)."""
+    rows, _, squares, _ = _sector_sums(config.layout.d, config.layout.L, config.rank)
+    return rows, squares + 1
 
 
 def _rounds_per_call(config: ProtocolConfig) -> int:
-    """K, the closed rounds per matmul: 32 K sum(a^2) within POWERS_BYTES, at least 1, and at
-    most ROUNDS_PER_CALL and N - 1, over the support sectors' sizes a."""
+    """K, the rounds per matmul: at least 1, and at most ROUNDS_PER_CALL and N - 1, with the
+    powers within POWERS_BYTES, over the support sectors' sizes a.  A closed run's powers of
+    M and block of K rounds take 32 K sum(a^2) bytes, a bath run's powers of T with their
+    trace rows 8 K sum(a^2) (sum(a^2) + 1)."""
     squares = _sector_sums(config.layout.d, config.layout.L, config.rank)[2]
-    fit = max(1, POWERS_BYTES // (32 * squares))
+    per_round = 32 * squares if config.bath is None else 8 * squares * (squares + 1)
+    fit = max(1, POWERS_BYTES // per_round)
     return max(0, min(ROUNDS_PER_CALL, config.n_measurements - 1, fit))
 
 
@@ -239,19 +245,21 @@ def run_bytes(config: ProtocolConfig, retain_state: bool = False) -> int:
     one.  A closed run then holds its sector blocks and eigenvectors, sum(n^2); per support
     sector of a states, its rows of V and R, padded to the widest sector w of that support
     size, and at most w populated columns; M, its powers and a block of K rounds of X; and N
-    rows of populations.  A bath run holds the larger of that and its exponential-action block
-    (`_open_block`) with a generator of at most DENSE_BYTES.
+    rows of populations.  A bath run holds the larger of that and its float64 exponential-action
+    block (`_open_block`), with a generator of at most DENSE_BYTES and, at most, the round map
+    and K powers of it, each (sum a^2 + 1) squared.
     A retained state adds the D x D `final_state` and its checks.
     """
     d, L, N = config.layout.d, config.layout.L, config.n_measurements
-    full, padded, support, states, _ = _sector_sums(d, L, config.rank)
+    full, padded, support, states = _sector_sums(d, L, config.rank)
     need = ENTRY_BYTES * (L * d + L + 1) * d ** (L + 1) + 8 * (EIGH_COPIES * full + padded)
     need += 32 * (_rounds_per_call(config) + 1) * support
     # the record in group order, its gather to support order, the site marginals
     need += 8 * N * (2 * states + 4 * L * d)
     if config.bath is not None:
         rows, cols = _open_block(config)
-        need = max(need, 16 * OPEN_BLOCK_COPIES * rows * cols + DENSE_BYTES)
+        powers = (_rounds_per_call(config) + 1) * cols
+        need = max(need, 8 * (OPEN_BLOCK_COPIES * rows + powers) * cols + DENSE_BYTES)
     return need + retain_state * 16 * STATE_COPIES * d ** (2 * L + 2)
 
 
@@ -492,6 +500,18 @@ def zeno_run(config: ProtocolConfig, *, retain_state: bool = True) -> Trajectory
     return record
 
 
+def _block_probabilities(pops: np.ndarray, probs: np.ndarray, n: int, k: int):
+    """Rounds n..n+k-1 of a block that starts from a unit-trace state: each round's p is the
+    ratio of its populations' trace to the round before's, and its populations are
+    normalised, in place.  Returns the traces and the first round whose p is below
+    EXTINCTION_THRESHOLD, or None."""
+    trace = pops[n:n + k].sum(axis=1)
+    probs[n:n + k] = trace / np.concatenate(([1.0], trace[:-1]))
+    pops[n:n + k] /= trace[:, None]
+    dead = np.flatnonzero(probs[n:n + k] < EXTINCTION_THRESHOLD)
+    return trace, n + int(dead[0]) if len(dead) else None
+
+
 def _closed_rounds(config: ProtocolConfig, retain_state: bool):
     """Normalised support populations (n, s), every round's p, drift 0, final block or None.
 
@@ -523,13 +543,9 @@ def _closed_rounds(config: ProtocolConfig, retain_state: bool):
                 re_im = Z.view(np.float64)      # |x|^2 summed over real and imaginary parts
                 out = pops[n:n + k, g.start:g.start + len(g.sectors) * g.a]
                 np.einsum("hijk,hijk->hij", re_im, re_im, out=out.reshape(k, -1, g.a))
-            trace = pops[n:n + k].sum(axis=1)
-            probs[n:n + k] = trace / np.concatenate(([1.0], trace[:-1]))
-            pops[n:n + k] /= trace[:, None]
-            dead = np.flatnonzero(probs[n:n + k] < EXTINCTION_THRESHOLD)
-            if len(dead):
-                n += int(dead[0])
-                return pops[:n, order], probs[:n + 1], 0.0, None
+            trace, dead = _block_probabilities(pops, probs, n, k)
+            if dead is not None:
+                return pops[:dead, order], probs[:dead + 1], 0.0, None
             Xs = [Z[-1] / np.sqrt(trace[-1]) for Z in Zs]
             n, k = n + k, min(K, N - n - k)
             if not k:
@@ -563,50 +579,57 @@ def _open_rounds(config: ProtocolConfig, w: np.ndarray, support: np.ndarray):
 
     H conserves total Sz and A = S^-/2 lowers bra and ket together, so L maps
     the entries (i, j) of rho with Sz_tot(i) = Sz_tot(j) into themselves,
-    and rho(0) lies among them.  L(X^+) = L(X)^+, so one exponential action on
-    that subspace evolves the support entries E_ij with i <= j (i, j in S, in
-    support order) and rho(0) together: E_ji evolves to the adjoint of E_ij's
-    image.  rho stays Hermitian, and each round is one dense matvec on its
-    entries with i <= j and their conjugates.
+    and rho(0) lies among them.  L preserves Hermiticity, so on those entries it
+    is a real map of rho's Hermitian coordinates (`evolution.hermitian_coordinates`).
+    One exponential action evolves a unit column per support coordinate, the
+    entries (i, j) with i, j in S of one sector, and rho(0): the rows of the
+    support coordinates give the real round map T, and the diagonal rows' sums
+    the trace row t.  After round 0, a block of k <= K rounds (`_rounds_per_call`)
+    is one matvec of the stacked [T^j; t T^(j-1)], j = 1..k, with the block's
+    unit-trace start, as in `_closed_rounds`; t T^(j-1) is round j's trace before
+    the projection, whose ratio to the trace after round j - 1 is its drift.
     """
     D, s = len(w), len(support)
     label, kept, prop = _open_generator(config.layout, config.hamiltonian, config.bath)
-    diagonal = kept // D == kept % D
     inner = np.flatnonzero(label[support][:, None] == label[support][None, :])
     i, j = np.divmod(inner, s)
-    upper = np.flatnonzero(i <= j)
-    swap = np.searchsorted(inner, j * s + i)     # entry (j, i) of each (i, j)
-    entries = np.searchsorted(kept, support[i] * D + support[j])
-    block = np.zeros((len(kept), len(upper) + 1), dtype=complex)
-    block[entries[upper], np.arange(len(upper))] = 1.0
+    diag = np.flatnonzero(i == j)
+    coordinates = np.searchsorted(kept, support[i] * D + support[j])
+    block = np.zeros((len(kept), len(inner) + 1))
+    block[coordinates, np.arange(len(inner))] = 1.0
+    diagonal = kept // D == kept % D
     block[diagonal, -1] = w
     evolved = prop.apply(block, config.tau)
     del block
-    traces = evolved[diagonal].sum(axis=0)
-    # each image's entries (i, j), i <= j, and its trace; E_ji's, for i < j, are conjugates
-    image = np.vstack([evolved[entries[upper]], traces])
-    mirror = np.vstack([evolved[entries[swap[upper]]], traces]).conj()
+    # [[T, rho(0)'s image], [t, rho(0)'s trace]] on the support coordinates
+    maps = np.vstack([evolved[coordinates], evolved[diagonal].sum(axis=0)])
     del evolved
-    strict = i[upper] < j[upper]
-    y = image[:, -1].copy()             # rho(0)'s image
-    maps = np.hstack([image[:, :-1], mirror[:, :-1] * strict])
-    del image, mirror
-    diag = np.flatnonzero(~strict)
-    pops, probs, drift = np.zeros((config.n_measurements, s)), np.zeros(config.n_measurements), 0.0
-    for n in range(config.n_measurements):
-        if n > 0:
-            y = maps @ np.concatenate([x, x.conj()])
-        drift = max(drift, abs(y[-1].real - 1.0))
-        pops[n] = y[diag].real
-        probs[n] = p = pops[n].sum()
-        if p < EXTINCTION_THRESHOLD:
-            return pops[:n], probs[:n + 1], drift, None
-        pops[n] /= p
-        x = y[:-1] / p
-        x[diag] = pops[n]
+    N, K = config.n_measurements, _rounds_per_call(config)
+    Z, powers = maps[None, :, -1], maps[None, :, :-1]
+    if K > 1:               # P[j] = [T^(j+1); t T^j]; from L=3 on K = 1, and [T; t] is the one
+        A, powers = powers[0], np.empty((K, *powers.shape[1:]))
+        powers[0] = A
+        for q in range(1, K):
+            np.matmul(powers[q - 1], A[:-1], out=powers[q])
+    del maps
+    pops, probs, drift = np.zeros((N, s)), np.zeros(N), 0.0
+    n, k = 0, 1
+    with np.errstate(divide="ignore", invalid="ignore"):   # 0/0 past an extinction
+        while True:
+            pops[n:n + k] = Z[:, diag]
+            trace, dead = _block_probabilities(pops, probs, n, k)
+            last = k if dead is None else dead - n + 1
+            drifts = Z[:last, -1] / np.concatenate(([1.0], trace[:last - 1]))
+            drift = max(drift, float(np.abs(drifts - 1.0).max()))
+            if dead is not None:
+                return pops[:dead], probs[:dead + 1], drift, None
+            x = Z[-1, :-1] / trace[-1]
+            n, k = n + k, min(K, N - n - k)
+            if not k:
+                break
+            Z = powers[:k] @ x
     rho = np.zeros((s, s), dtype=complex)
-    rho.flat[inner[upper]] = x
-    rho.flat[inner[swap[upper]]] = x.conj()
+    rho.flat[inner] = hermitian_entries(x, inner, s)
     return pops, probs, drift, rho
 
 

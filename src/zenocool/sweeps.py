@@ -543,8 +543,46 @@ def bbh_oracle_deviation(thetas=BBH_ORACLE_THETAS, jtau: float = 1.0, n_max: int
     return worst
 
 
+BATH_ORACLE_JTAU = (0.5, 1.2, math.pi, 2 * math.pi)
+
+
+def bath_oracle_deviation(jtaus=BATH_ORACLE_JTAU, n_max: int = 50) -> float:
+    """fig8's bath run (rank-2 XXZ Delta=1, L=1, d=3, T=1, gamma=1e-3) against the literal
+    round map rho -> P exp(L tau)(rho) P / p on the full space, with exp(L tau) from scipy's
+    dense expm of `liouvillian`: the largest deviation of a fidelity or a step probability."""
+    from scipy.linalg import expm
+
+    from .evolution import liouvillian
+    from .protocol import initial_state, target_state
+    from .qudit import (DensityMatrix, embed_operator, low_lying_mixture, partial_trace,
+                        uhlmann_fidelity)
+
+    worst = 0.0
+    for jt in jtaus:
+        config = ProtocolConfig(layout=SystemLayout("chain", 1, 3),
+                                hamiltonian=XXZSpec(J=1.0, Delta=1.0, h=1.0), tau=jt,
+                                n_measurements=n_max, rank=2,
+                                bath=BathSpec(temperature=1.0, gamma=1e-3, omega=1.0))
+        record = zeno_run(config, retain_state=False)
+        dims = config.layout.dims
+        E = expm(liouvillian(config.hamiltonian.build(config.layout), config.bath,
+                             dims).toarray() * jt)
+        P = embed_operator(low_lying_mixture(3, config.rank, 1.0).data != 0, 0, dims)
+        rho = initial_state(config).data
+        for n in range(n_max):
+            rho = P @ (E @ rho.reshape(-1)).reshape(rho.shape) @ P
+            p = np.trace(rho).real
+            rho = (rho + rho.conj().T) / (2 * p)
+            f = uhlmann_fidelity(partial_trace(DensityMatrix(rho, dims), {1}),
+                                 target_state(config))
+            worst = max(worst, abs(p - record.step_probabilities[n]),
+                        abs(f - record.fidelities[n, 0]))
+    return worst
+
+
 def oracle_check() -> OracleReport:
-    """Engine-vs-closed-form agreement over the full validation grids."""
+    """Engine-vs-closed-form agreement over the full validation grids, and the bath run
+    against its literal dense round map."""
     entries = [
         OracleCheckEntry(f"XX rank-1 d={d} (63 Jtau x 50 N)", xx_oracle_deviation(d), 1e-8)
         for d in (2, 3, 4, 5)
@@ -553,4 +591,7 @@ def oracle_check() -> OracleReport:
         "BBH rank-1 d=3 (4 theta x 100 N, Jtau=1)", bbh_oracle_deviation(), 1e-8))
     asym = abs(_xx_run_fidelities(3, math.pi, 200)[-1] - 0.5)
     entries.append(OracleCheckEntry("XX d=3 asymptote (Jtau=pi, N=200) vs 0.5", asym, 1e-3))
+    entries.append(OracleCheckEntry(
+        f"fig8 bath rank-2 XXZ d=3 vs dense expm round map ({len(BATH_ORACLE_JTAU)} Jtau x 50 N)",
+        bath_oracle_deviation(), 1e-8))
     return OracleReport(entries)

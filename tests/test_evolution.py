@@ -20,16 +20,24 @@ from zenocool import (
     spin_operators,
     thermal_state,
 )
-from zenocool.evolution import DENSE_BYTES, generator_entries
+from zenocool.evolution import DENSE_BYTES, generator_entries, hermitian_entries, real_coordinates
 from zenocool.protocol import _hamiltonian, _sector_labels, _unitary
+
+
+def propagate(prop: LindbladPropagator, vectors: np.ndarray, tau: float, subspace: np.ndarray,
+              D: int) -> np.ndarray:
+    """exp(L tau) on Hermitian vec(rho) entries over `subspace` (first axis), through the
+    propagator's real Hermitian coordinates."""
+    coordinates = prop.apply(real_coordinates(vectors, subspace, D), tau)
+    return hermitian_entries(coordinates, subspace, D)
 
 
 def lindblad_evolve(rho: DensityMatrix, H: np.ndarray, bath: BathSpec,
                     tau: float) -> DensityMatrix:
-    """exp(L tau) rho through the propagator, symmetrised; the trace must hold to 1e-8."""
+    """exp(L tau) rho through the propagator; the trace must hold to 1e-8."""
     D = rho.data.shape[0]
-    out = LindbladPropagator(H, bath, rho.dims).apply(rho.data.reshape(-1), tau).reshape(D, D)
-    out = (out + out.conj().T) / 2
+    out = propagate(LindbladPropagator(H, bath, rho.dims), rho.data.reshape(-1), tau,
+                    np.arange(D * D), D).reshape(D, D)
     tr = np.trace(out).real
     assert abs(tr - 1.0) <= 1e-8, f"trace drift {abs(tr - 1.0):.3e} over tau={tau}"
     return DensityMatrix(out / tr, rho.dims)
@@ -177,7 +185,8 @@ def test_lindblad_propagator_matches_dense_expm():
         bath = BathSpec(temperature=1.0, gamma=0.2, omega=1.0, site=1)
         for tau in (0.8, 2 * math.pi):
             ref = expm(liouvillian(H, bath, dims).toarray() * tau) @ rho.data.reshape(-1)
-            got = LindbladPropagator(H, bath, dims).apply(rho.data.reshape(-1), tau)
+            got = propagate(LindbladPropagator(H, bath, dims), rho.data.reshape(-1), tau,
+                            np.arange(D * D), D)
             assert np.max(np.abs(got - ref)) < 1e-12
 
 
@@ -218,53 +227,78 @@ def sector_generator(layout, ham, site):
     return kept, entries, bath, prop, L
 
 
+MODELS = {"xxz": XXZSpec(J=0.7, Delta=-1.3, h=1.1), "bbh": BBHSpec(J=0.7, theta=0.9, h=1.1),
+          "star": SpinStarSpec(J=0.7, h=1.1)}
+
+
 @pytest.mark.parametrize("site", [0, None], ids=["regulator", "farthest"])
 @pytest.mark.parametrize("d", [3, 4], ids=["dense", "csr"])
 @pytest.mark.parametrize("model", ["xxz", "bbh", "star"])
 def test_generator_entries_match_the_restricted_liouvillian(model, d, site):
     """L's entries on the sector-diagonal subspace, listed from H's and A's entries, are
     `liouvillian(...)[kept][:, kept]`; K = 141 at d=3 is stored dense, K = 580 at d=4 in CSR."""
-    ham = {"xxz": XXZSpec(J=0.7, Delta=-1.3, h=1.1), "bbh": BBHSpec(J=0.7, theta=0.9, h=1.1),
-           "star": SpinStarSpec(J=0.7, h=1.1)}[model]
+    ham = MODELS[model]
     layout = SystemLayout(ham.topology, 2, d)
     kept, entries, bath, prop, L = sector_generator(layout, ham, site)
     rows, cols, values = generator_entries(entries, bath, layout.dims, kept)
     got = np.zeros_like(L)
     got[rows, cols] = values
     assert np.max(np.abs(got - L)) <= 1e-15
-    assert isinstance(prop._generator, np.ndarray) == (16 * len(kept) ** 2 <= DENSE_BYTES)
+    assert isinstance(prop._generator, np.ndarray) == (8 * len(kept) ** 2 <= DENSE_BYTES)
     assert isinstance(prop._generator, np.ndarray) == (d == 3)
+
+
+@pytest.mark.parametrize("site", [0, None], ids=["regulator", "farthest"])
+@pytest.mark.parametrize("d", [3, 4], ids=["dense", "csr"])
+@pytest.mark.parametrize("model", ["xxz", "bbh", "star"])
+def test_stored_generator_is_the_liouvillian_in_hermitian_coordinates(model, d, site):
+    """The stored generator plus mu I is `liouvillian(...)[kept][:, kept]` written in real
+    Hermitian coordinates: column h is the coordinates of L's image of the Hermitian state
+    whose coordinates are the unit vector e_h."""
+    ham = MODELS[model]
+    layout = SystemLayout(ham.topology, 2, d)
+    kept, _, _, prop, L = sector_generator(layout, ham, site)
+    D, K = layout.d ** layout.n_sites, len(kept)
+    ref = real_coordinates(L @ hermitian_entries(np.eye(K), kept, D), kept, D)
+    stored = prop._generator if d == 3 else prop._generator.toarray()
+    assert stored.dtype == np.float64
+    assert np.max(np.abs(stored + prop._mu * np.eye(K) - ref)) <= 1e-15
+
+
+def test_hermitian_coordinates_round_trip():
+    """Coordinates and entries invert each other on Hermitian states, and the coordinates are
+    rho_aa, Re rho_ab (a < b) at (a, b) and Im rho_ab at (b, a)."""
+    D = 4
+    rho = random_density(D, 3).data
+    subspace = np.arange(D * D)
+    r = real_coordinates(rho.reshape(-1), subspace, D).reshape(D, D)
+    assert np.array_equal(np.triu(r), np.triu(rho.real))
+    assert np.array_equal(np.tril(r, -1), np.tril(rho.conj().imag, -1))
+    assert np.array_equal(hermitian_entries(r.reshape(-1), subspace, D), rho.reshape(-1))
+    with pytest.raises(ValueError, match="real Hermitian coordinates"):
+        LindbladPropagator(rho, BathSpec(temperature=1.0, gamma=0.1), (D,)).apply(
+            rho.reshape(-1), 1.0)
+
+
+def test_dense_rule_counts_float64_entries():
+    """A generator is dense up to 8 K^2 bytes: K = 344 (L=1, d=8), over 16 K^2 <= DENSE_BYTES's
+    K <= 256, is stored dense and still matches the restricted Liouvillian."""
+    layout = SystemLayout("chain", 1, 8)
+    kept, _, _, prop, L = sector_generator(layout, XXZSpec(J=0.7, Delta=-1.3, h=1.1), None)
+    assert len(kept) == 344 and isinstance(prop._generator, np.ndarray)
+    D = layout.d ** layout.n_sites
+    ref = real_coordinates(L @ hermitian_entries(np.eye(len(kept)), kept, D), kept, D)
+    assert np.max(np.abs(prop._generator + prop._mu * np.eye(len(kept)) - ref)) <= 1e-15
 
 
 @pytest.mark.parametrize("tau", [0.3, 2.0, 2 * math.pi])
 def test_apply_matches_dense_expm_above_the_dense_size(tau):
-    """On the CSR side (K = 580 > 256) the Taylor action agrees with exp(L tau) of the dense
-    restricted L on a block of vectors."""
+    """On the CSR side (K = 580 > 362) the Taylor action agrees with exp(L tau) of the dense
+    restricted L on a block of Hermitian states."""
     layout = SystemLayout("chain", 2, 4)
     kept, _, _, prop, L = sector_generator(layout, BBHSpec(J=0.7, theta=0.9, h=1.1), None)
-    assert len(kept) > 256
-    X = np.random.default_rng(5).normal(size=(len(kept), 4, 2)) @ np.array([1.0, 1j])
-    ref = expm(L * tau) @ X
-    assert np.max(np.abs(prop.apply(X, tau) - ref)) <= 1e-12 * np.max(np.abs(ref))
-
-
-@pytest.mark.parametrize("layout, ham", [
-    (SystemLayout("chain", 2, 3), XXZSpec(J=0.7, Delta=-1.3, h=1.1)),
-    (SystemLayout("star", 2, 3), SpinStarSpec(J=0.7, h=1.1)),
-], ids=["chain", "star"])
-def test_evolved_transpose_is_the_adjoint(layout, ham):
-    """L(X^+) = L(X)^+: E_ji evolves to the adjoint of E_ij's image, for every off-diagonal
-    pair of one sector, so the bath rounds evolve only the pairs with i <= j."""
-    kept, _, _, prop, _ = sector_generator(layout, ham, None)
+    assert 8 * len(kept) ** 2 > DENSE_BYTES
     D = layout.d ** layout.n_sites
-    i, j = np.divmod(kept, D)
-    pairs = np.flatnonzero(i < j)
-    swapped = np.searchsorted(kept, j[pairs] * D + i[pairs])
-    block = np.zeros((len(kept), 2 * len(pairs)), dtype=complex)
-    block[pairs, np.arange(len(pairs))] = 1.0
-    block[swapped, len(pairs) + np.arange(len(pairs))] = 1.0
-    evolved = prop.apply(block, 1.7)
-    images = np.zeros((2 * len(pairs), D, D), dtype=complex)
-    images[:, i, j] = evolved.T
-    upper, lower = images[:len(pairs)], images[len(pairs):]
-    assert np.max(np.abs(lower - upper.conj().transpose(0, 2, 1))) <= 1e-14
+    X = hermitian_entries(np.random.default_rng(5).normal(size=(len(kept), 4)), kept, D)
+    ref = expm(L * tau) @ X
+    assert np.max(np.abs(propagate(prop, X, tau, kept, D) - ref)) <= 1e-12 * np.max(np.abs(ref))

@@ -127,10 +127,22 @@ def test_trajectory_states_and_fidelities_valid(jtau, n):
     # a ground-state first target leaves support sectors without any populated state
     xx_config(d=3, jtau=0.9, N=2 * protocol.ROUNDS_PER_CALL + 3, k=2, L=2,
               target_betas=(math.inf, 0.0)),
+    # bath rounds across two full blocks of powers of the real round map T
+    xx_config(d=3, jtau=0.9, N=2 * protocol.ROUNDS_PER_CALL + 3, k=2, Delta=1.0,
+              bath=BathSpec(temperature=1.0, gamma=0.05, omega=1.0)),
+    xx_config(d=3, jtau=0.9, N=2 * protocol.ROUNDS_PER_CALL + 3, k=2, Delta=1.0, L=2,
+              bath=BathSpec(temperature=1.0, gamma=0.05, omega=1.0)),
+    ProtocolConfig(layout=SystemLayout("star", 2, 3), hamiltonian=SpinStarSpec(J=1.0),
+                   tau=0.9, n_measurements=2 * protocol.ROUNDS_PER_CALL + 3, rank=2,
+                   bath=BathSpec(temperature=1.0, gamma=0.05, omega=1.0, site=0)),
 ], ids=["chain-L1", "chain-L2", "star-L2", "chain-L1-bath", "chain-L2-bath", "star-L2-bath",
-        "chain-L2-prep3-rank1", "chain-L2-prep3-rank2", "chain-L2-ground-target"])
+        "chain-L2-prep3-rank1", "chain-L2-prep3-rank2", "chain-L2-ground-target",
+        "chain-L1-bath-blocks", "chain-L2-bath-blocks", "star-L2-hub-bath-blocks"])
 def test_round_loop_matches_dense_oracle(config):
-    assert_matches_literal_round_map(config)
+    record = assert_matches_literal_round_map(config)
+    if config.n_measurements > protocol.ROUNDS_PER_CALL and config.bath is not None:
+        assert protocol._rounds_per_call(config) == protocol.ROUNDS_PER_CALL
+        assert record.max_trace_drift <= 1e-12
 
 
 @given(model=st.sampled_from(["xxz", "bbh", "star"]), L=st.integers(1, 2), d=st.integers(2, 4),
@@ -180,6 +192,7 @@ def assert_matches_literal_round_map(config):
             f = uhlmann_fidelity(partial_trace(state, {j}), sigma)
             assert f == pytest.approx(record.fidelities[n, j - 1], abs=1e-12)
     assert np.max(np.abs(record.final_state.data - rho)) < 1e-12
+    return record
 
 
 @dataclass(frozen=True)
@@ -323,6 +336,22 @@ def test_retained_state_peak_memory_stays_below_its_estimate(ham, L, N, k):
     assert traced_peak(config, retain_state=True) <= protocol.run_bytes(config, retain_state=True)
 
 
+@pytest.mark.parametrize("ham, L, d", [(XXZSpec(J=1.0, Delta=1.0), 2, 3),
+                                       (SpinStarSpec(J=1.0), 2, 4),
+                                       (XXZSpec(J=1.0, Delta=1.0), 3, 3)],
+                         ids=["chain-L2-d3", "star-L2-d4-csr", "chain-L3-d3-csr"])
+def test_bath_run_peak_memory_stays_below_its_estimate(ham, L, d):
+    """The gate counts a bath run's float64 block with its copies in the Taylor action, the
+    generator, and the round map with its powers (21 of them at L=2, d=3).  scipy.sparse is
+    imported first: its import, once per process, is not the run's."""
+    from scipy import sparse  # noqa: F401
+
+    config = ProtocolConfig(layout=SystemLayout(ham.topology, L, d), hamiltonian=ham, tau=0.9,
+                            n_measurements=50, rank=2,
+                            bath=BathSpec(temperature=1.0, gamma=1e-3, omega=1.0))
+    assert traced_peak(config, retain_state=False) <= protocol.run_bytes(config)
+
+
 def test_an_l8_chain_passes_the_gate_and_refuses_to_retain_its_state(monkeypatch):
     """On a 7 GB host the L=8, d=3 engine fits; its 6.2 GB D x D state, four times over, does not."""
     monkeypatch.setattr(protocol, "physical_memory", lambda: 7 * 10 ** 9)
@@ -348,6 +377,21 @@ def test_rounds_per_call_fits_the_powers_in_their_bytes(L, d, k, N, K):
     assert protocol._rounds_per_call(config) == K
     _, support = protocol._sector_sizes(d, L, k)
     assert K <= 1 or 32 * K * sum(a * a for a in support) <= protocol.POWERS_BYTES
+
+
+@pytest.mark.parametrize("L, d, k, N, K", [
+    (1, 3, 2, 200, 21), (1, 4, 2, 200, 21), (2, 3, 2, 200, 21),  # fig8 and open_bath
+    (2, 3, 2, 10, 9), (1, 3, 2, 1, 0),                          # capped at N - 1
+    (2, 4, 2, 200, 4), (3, 3, 2, 200, 1), (4, 3, 2, 20, 1),     # sized by T = sum(a^2)^2
+])
+def test_bath_rounds_per_call_fits_the_powers_of_t_in_their_bytes(L, d, k, N, K):
+    """A bath run's powers [T^j; t T^(j-1)] are (sum(a^2) + 1) x sum(a^2) floats each."""
+    config = xx_config(d=d, jtau=0.9, N=N, k=k, L=L, Delta=1.0,
+                       bath=BathSpec(temperature=1.0, gamma=1e-3, omega=1.0))
+    assert protocol._rounds_per_call(config) == K
+    _, support = protocol._sector_sizes(d, L, k)
+    squares = sum(a * a for a in support)
+    assert K <= 1 or 8 * K * squares * (squares + 1) <= protocol.POWERS_BYTES
 
 
 @pytest.mark.parametrize("gamma", [1e-3, 1.0, 1e4])
@@ -419,8 +463,18 @@ def test_mid_run_extinction_keeps_the_completed_prefix(monkeypatch, bath):
 
 def test_extinction_inside_a_later_block_keeps_the_prefix_bit_for_bit(monkeypatch):
     """The far target's excitation reaches the regulator late, so p sets a new low mid-block."""
+    assert_extinction_inside_the_second_block_keeps_the_prefix(monkeypatch, None)
+
+
+def test_bath_extinction_inside_a_later_block_keeps_the_prefix_bit_for_bit(monkeypatch):
+    """The same on the bath path, whose blocks are matvecs of the powers of T."""
+    bath = BathSpec(temperature=1.0, gamma=1e-3, omega=1.0)
+    assert_extinction_inside_the_second_block_keeps_the_prefix(monkeypatch, bath)
+
+
+def assert_extinction_inside_the_second_block_keeps_the_prefix(monkeypatch, bath):
     config = xx_config(d=3, jtau=0.05, N=3 * protocol.ROUNDS_PER_CALL + 2, k=2, L=2,
-                       target_betas=(math.inf, 0.0))
+                       target_betas=(math.inf, 0.0), bath=bath)
     K = protocol._rounds_per_call(config)
     full = zeno_run(config)
     p = full.step_probabilities
@@ -435,6 +489,7 @@ def test_extinction_inside_a_later_block_keeps_the_prefix_bit_for_bit(monkeypatc
     partial = err.value.partial
     for name in ("steps", "fidelities", "step_probabilities", "log_cumulative"):
         np.testing.assert_array_equal(getattr(partial, name), getattr(full, name)[:n])
+    assert partial.max_trace_drift <= full.max_trace_drift
 
 
 def test_closed_rounds_do_not_warn_past_an_extinction(monkeypatch):

@@ -610,3 +610,11 @@ def test_mutation_guard_flipped_basis_detected():
     red = np.einsum("abcb->ac", rho.reshape(3, 3, 3, 3))
     wrong = float(np.real(np.trace(ground @ red)))
     assert abs(wrong - fidelity_xx_rank1(3, 10, 1.2)) > 1e-3
+
+
+def test_bath_oracle_entry_matches_the_dense_round_map():
+    """oracle-check's bath entry: fig8's bath run against the literal round map with a dense
+    expm of the full Liouvillian, on one Jtau and 10 rounds."""
+    from zenocool.sweeps import bath_oracle_deviation
+
+    assert bath_oracle_deviation(jtaus=(1.2,), n_max=10) < 1e-12
