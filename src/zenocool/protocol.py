@@ -20,11 +20,15 @@ digit sum of the flat index.  Every model's H is real: it is diagonalised
 once per (layout, Hamiltonian), by one float64 eigh per set of sector
 blocks of one size, scattered from the entries.  The support's sectors
 fall into groups of one support size, whose eigenvector rows are gathered
-once per preparation; a point forms each group's round map M = U[S, S] and
-propagates X, with rho = X X^+ on the support, so a round costs the sum of
-the sector sizes cubed: a block of K rounds is one matmul per group
-against the powers of M, with K as large as POWERS_BYTES lets those powers
-be (at most ROUNDS_PER_CALL, and 1 once the sectors are large).
+once per preparation (one sort and a row gather per group); a point forms
+each group's round map M = U[S, S] and propagates X, with rho = X X^+ on the
+support, so a round costs the sum of the sector sizes cubed.  Each group
+stacks the powers M^1..M^K as rows of one array, built by repeated
+squaring, and a block of K rounds is one matmul per group against them.  K
+balances the powers' cost against the blocks' calls, within POWERS_BYTES
+(at most ROUNDS_PER_CALL, and 1 once the sectors are large).  A round map
+narrower than BLAS_ONE_THREAD_WIDTH runs its powers and rounds on one
+OpenBLAS thread, and the count is restored after them.
 `zeno_run` reads all fidelities off the support populations at once, and
 forms the D x D state only when it is retained.  The round-map spectrum
 takes one eig per sector block of M.  Only `_unitary`, the tests' oracle,
@@ -34,16 +38,18 @@ real map of rho's Hermitian coordinates (scipy is loaded only for a
 generator over `evolution.DENSE_BYTES`).  Each point evolves a unit column
 per support coordinate and rho(0) by one truncated Taylor action of
 exp(L tau), reads the real round map T off it, and runs its rounds K at a
-time against the powers of T, as the closed rounds do against those of M.
+time against the stacked powers of T, as the closed rounds do against those
+of M.
 """
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import accumulate
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -65,10 +71,27 @@ EXTINCTION_THRESHOLD = 1e-14
 # K p's >= EXTINCTION_THRESHOLD must stay above the smallest normal float: K <= 21, since
 # 1e-14^22 < 2.2e-308
 ROUNDS_PER_CALL = 21
-# bytes of a run's powers M^1..M^K and block of K rounds, 32 K sum(a^2): a block pays
-# numpy's per-call costs once for K rounds, which matters on small sectors only, so K
-# shrinks as the sectors grow, down to 1
-POWERS_BYTES = 2 ** 20
+# bytes of a run's stacked powers and block of K rounds, 32 K sum(a^2) for a closed run: a
+# memory cap, which leaves K = 21 on small sectors, 3 at L=5 and 1 from L=6, d=3.  Warm
+# N = 200 points, one thread, 2 vCPUs, time against 4 MiB: 1 MiB 0.95 at L=4 (K = 7), 1.20
+# at L=5 (K = 1) and 1.35 at L=3, d=5 (K = 4); 8 MiB 0.94 at L=5 (K = 7, 7.7 MB)
+POWERS_BYTES = 4 * 2 ** 20
+# one support group's calls per block of rounds (matmul, einsum, copy, rescale), in the
+# complex multiply-adds of a round that take as long (`_rounds_per_call`).  Warm, one
+# thread, time of K against K = 21, and the K this gives:
+#   L=4, d=3 chain, N = 200: K = 7 1.01, 10 0.92-0.94, 14 0.96-0.99; gives 10
+#   d=31, rank 11 and 15, N = 50 (fig7): K = 7 0.74-0.76, 10 0.76-0.77, 14 0.86-0.87; 11-14
+#   L=5, d=3, N = 200: K = 3 0.84, 5 0.83, 7 0.86; gives 3
+#   L=3, d=4 / d=5, N = 200: K = 10 1.11 / 1.06, 14 1.05 / 1.02; gives 18 / 9
+BLOCK_CALL_MACS = 11250
+# a round map narrower than this (`_blas_threads`: a closed run's widest support sector a, a
+# bath run's T, sum(a^2) wide) runs on one OpenBLAS thread, and wider ones keep the count they
+# find.  Warm N = 200 points on 2 vCPUs, time on one thread against two: closed runs at a =
+# 7-13 0.997-1.002; at 24-96 (L=3, d=4 to L=5, d=3) 1.04-1.29 on an idle host but 0.46-0.71
+# with a busy process on the other core; at 126 (L=8, d=2) 1.10-1.46 and 0.58; at 267 (L=6,
+# d=3, N = 50) 1.53 and 0.57.  A whole bath run at L=2, d=3 (T 70 wide, its generator 141)
+# 1.14-1.21 idle and 0.67 busy, but its powers of T alone 0.43 idle
+BLAS_ONE_THREAD_WIDTH = 100
 SZ_CONSERVATION_TOL = 1e-12
 # peak memory of a bath run over its float64 block: the block, the Taylor sum, the old and
 # new term (4.01-4.02 traced at L=2, d=4 and L=3, d=3, chain and star), besides a generator
@@ -164,6 +187,9 @@ class ProtocolConfig:
             raise ValueError(f"tau * |H| must be finite: tau = {self.tau} with |H| <= {bound:.3g}")
         if self.bath is not None:
             bath = self.bath
+            if self.tau < 0:        # a closed run keeps tau < 0: U(-tau) is unitary
+                raise ValueError(f"tau must be >= 0 with a bath, got tau = {self.tau}: "
+                                 "exp(L tau) with tau < 0 runs the dissipator backwards")
             with np.errstate(over="ignore"):
                 n = float(bath.occupancy())
             # |L - mu I|_1 <= 2 |H|_1 + the dissipator's bound: the commutator counts H twice.
@@ -204,38 +230,108 @@ def _sector_sizes(d: int, L: int, rank: int) -> tuple[tuple[int, ...], tuple[int
     return tuple(np.convolve(ones(d), targets)), tuple(np.convolve(ones(rank), targets))
 
 
+class _Sums(NamedTuple):
+    """What the gates and the block sizes read of the sector sizes, n over the whole space
+    and a over the support."""
+
+    full: int               # sum n^2
+    padded: int             # sum w (ROW_COPIES a + w), w the widest sector of support size a
+    squares: int            # sum a^2
+    states: int             # sum a
+    widest: int             # max a
+    cubes: int              # sum a^3
+    sizes: int              # the distinct a: about the number of support groups
+
+
 # every config of a sweep is gated, and its workers are gated again, on these sums
 @lru_cache(maxsize=64)
-def _sector_sums(d: int, L: int, rank: int) -> tuple[int, int, int, int]:
-    """What the gates read of the sector sizes, n over the whole space and a over the support:
-    sum n^2, sum w (ROW_COPIES a + w) with w the widest sector of support size a, sum a^2
-    and sum a."""
+def _sector_sums(d: int, L: int, rank: int) -> _Sums:
+    """The `_Sums` of a (d, L, rank) run, as Python integers."""
     full, support = _sector_sizes(d, L, rank)
     # support sector t is full sector t for h < 0 and, mirrored, the same sizes for h > 0
     widest = {}
     for a, n in zip(support, full):
         widest[a] = max(widest.get(a, 0), n)
-    return (sum(n * n for n in full),
-            sum(widest[a] * (ROW_COPIES * a + widest[a]) for a in support),
-            sum(a * a for a in support), sum(support))
+    return _Sums(sum(n * n for n in full),
+                 sum(widest[a] * (ROW_COPIES * a + widest[a]) for a in support),
+                 sum(a * a for a in support), sum(support), max(support),
+                 sum(a ** 3 for a in support), len(widest))
 
 
 def _open_block(config: ProtocolConfig) -> tuple[int, int]:
     """The shape of `_open_rounds`' block: the sector-diagonal entries, sum n^2, and a column
     per support coordinate, sum a^2 over the support sectors, plus rho(0)."""
-    rows, _, squares, _ = _sector_sums(config.layout.d, config.layout.L, config.rank)
-    return rows, squares + 1
+    sums = _sector_sums(config.layout.d, config.layout.L, config.rank)
+    return sums.full, sums.squares + 1
 
 
 def _rounds_per_call(config: ProtocolConfig) -> int:
     """K, the rounds per matmul: at least 1, and at most ROUNDS_PER_CALL and N - 1, with the
     powers within POWERS_BYTES, over the support sectors' sizes a.  A closed run's powers of
     M and block of K rounds take 32 K sum(a^2) bytes, a bath run's powers of T with their
-    trace rows 8 K sum(a^2) (sum(a^2) + 1)."""
-    squares = _sector_sums(config.layout.d, config.layout.L, config.rank)[2]
-    per_round = 32 * squares if config.bath is None else 8 * squares * (squares + 1)
-    fit = max(1, POWERS_BYTES // per_round)
-    return max(0, min(ROUNDS_PER_CALL, config.n_measurements - 1, fit))
+    trace rows 8 K sum(a^2) (sum(a^2) + 1).
+
+    A closed run's K also balances the powers against the blocks: the powers cost about
+    K - 1 rounds, K sum(a^3) multiply-adds, and the N / K blocks each pay every group's
+    calls, BLOCK_CALL_MACS each, so K stays at most sqrt(N BLOCK_CALL_MACS groups / sum(a^3)).
+    """
+    sums, N = _sector_sums(config.layout.d, config.layout.L, config.rank), config.n_measurements
+    if config.bath is None:
+        fit = min(POWERS_BYTES // (32 * sums.squares),
+                  math.ceil(math.sqrt(N * BLOCK_CALL_MACS * sums.sizes / sums.cubes)))
+    else:
+        fit = POWERS_BYTES // (8 * sums.squares * (sums.squares + 1))
+    return max(0, min(ROUNDS_PER_CALL, N - 1, max(1, fit)))
+
+
+# the OpenBLAS builds numpy and scipy load, by their thread-count getters and setters
+_BLAS_THREAD_CALLS = (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+                      ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+                      ("openblas_get_num_threads", "openblas_set_num_threads"))
+
+
+@lru_cache(maxsize=1)
+def _blas_thread_calls() -> tuple:
+    """The (get, set) thread-count calls of each OpenBLAS in this process.
+
+    The libraries are found by name in the process's memory map, at the first
+    call, and called through their own symbols; none where the map cannot be read.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return ()
+    calls = []
+    for path in sorted(libs):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get, set_ in _BLAS_THREAD_CALLS:
+            getter, setter = getattr(lib, get, None), getattr(lib, set_, None)
+            if getter is not None and setter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                calls.append((getter, setter))
+                break
+    return tuple(calls)
+
+
+@contextmanager
+def _blas_threads(width: int):
+    """Run OpenBLAS on one thread if a run's round map is narrower than BLAS_ONE_THREAD_WIDTH
+    (a closed run's widest support sector, a bath run's T), and restore each library's count
+    after it, also on a raise; wider maps keep the count they find."""
+    calls = _blas_thread_calls() if width < BLAS_ONE_THREAD_WIDTH else ()
+    found = [get() for get, _ in calls]
+    for _, set_ in calls:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), count in zip(calls, found):
+            set_(count)
 
 
 def run_bytes(config: ProtocolConfig, retain_state: bool = False) -> int:
@@ -251,7 +347,7 @@ def run_bytes(config: ProtocolConfig, retain_state: bool = False) -> int:
     A retained state adds the D x D `final_state` and its checks.
     """
     d, L, N = config.layout.d, config.layout.L, config.n_measurements
-    full, padded, support, states = _sector_sums(d, L, config.rank)
+    full, padded, support, states = _sector_sums(d, L, config.rank)[:4]
     need = ENTRY_BYTES * (L * d + L + 1) * d ** (L + 1) + 8 * (EIGH_COPIES * full + padded)
     need += 32 * (_rounds_per_call(config) + 1) * support
     # the record in group order, its gather to support order, the site marginals
@@ -341,15 +437,28 @@ def _unitary(config: ProtocolConfig) -> np.ndarray:
     return (V * np.exp(-1j * lam * config.tau)) @ V.conj().T
 
 
+class _SectorEigh(NamedTuple):
+    """H's sector eigendecomposition, flat: each set of equal-size sectors stored as one run."""
+
+    label: np.ndarray       # (D,) every state's sector label
+    slot: np.ndarray        # (D,) its row in its sector's block, by ascending flat index
+    size: np.ndarray        # (sectors,) n, the states of each sector
+    lam_at: np.ndarray      # (sectors,) where each sector's n eigenvalues start in lam
+    vec_at: np.ndarray      # (sectors,) where its n x n real eigenvectors start in vecs
+    lam: np.ndarray         # (D + max n,) eigenvalues, then zeros
+    vecs: np.ndarray        # (sum n^2 + max n,) eigenvector blocks, row-major, then zeros
+
+    def vectors(self, q: int) -> np.ndarray:
+        """Sector q's n x n eigenvectors."""
+        n, at = self.size[q], self.vec_at[q]
+        return self.vecs[at:at + n * n].reshape(n, n)
+
+
 # one entry: the memory gate counts one set of sector eigenvectors, sum(n^2) floats, and
 # sweeps enumerate Jtau innermost, so consecutive points of one (d, k, theta) share it
 @lru_cache(maxsize=1)
-def _sector_eigh(layout: SystemLayout, spec: HamiltonianSpec):
-    """H's sector blocks, scattered from its entries, with one float64 eigh per block size.
-
-    Returns every state's sector label and its slot (its row in its sector's block, by
-    ascending flat index), and a dict from each label to its eigenvalues and real eigenvectors.
-    """
+def _sector_eigh(layout: SystemLayout, spec: HamiltonianSpec) -> _SectorEigh:
+    """H's sector blocks, scattered from its entries, with one float64 eigh per block size."""
     rows, cols, values = _hamiltonian(layout, spec)
     if np.any(values.imag):
         raise ValueError(f"{spec.model} Hamiltonian has complex entries (max |Im H| = "
@@ -361,14 +470,22 @@ def _sector_eigh(layout: SystemLayout, spec: HamiltonianSpec):
                                               - np.repeat(np.cumsum(sizes) - sizes, sizes))
     inside = label[rows] == label[cols]
     rows, cols, values = rows[inside], cols[inside], values[inside].real
-    eigs = {}
+    lam_at, vec_at = np.empty_like(sizes), np.empty_like(sizes)
+    # each ends in as many zeros as the widest sector, which `_support_blocks`' gathers read
+    tail = sizes.max()
+    lam, vecs = np.zeros(len(label) + tail), np.zeros(int(np.sum(sizes * sizes)) + tail)
+    l0 = v0 = 0
     for n in sorted(set(sizes.tolist())):    # np.unique would import numpy.ma
         same = np.flatnonzero(sizes == n)
         at = np.flatnonzero(sizes[label[rows]] == n)
         blocks = np.zeros((len(same), n, n))
         blocks[np.searchsorted(same, label[rows[at]]), slot[rows[at]], slot[cols[at]]] = values[at]
-        eigs.update(zip(same, zip(*np.linalg.eigh(blocks))))
-    return label, slot, eigs
+        vals, V = np.linalg.eigh(blocks)
+        lam_at[same] = l0 + n * np.arange(len(same))
+        vec_at[same] = v0 + n * n * np.arange(len(same))
+        lam[l0:l0 + vals.size], vecs[v0:v0 + V.size] = vals.ravel(), V.ravel()
+        l0, v0 = l0 + vals.size, v0 + V.size
+    return _SectorEigh(label, slot, sizes, lam_at, vec_at, lam, vecs)
 
 
 class _Group(NamedTuple):
@@ -392,31 +509,59 @@ def _support_blocks(layout: SystemLayout, spec: HamiltonianSpec, rank: int,
                     regulator_prep: Optional[int], target_betas):
     """What a closed run needs of the sector eigenvectors, for every tau: the _Groups of the
     sectors that meet the support S, and each support state's place in group order,
-    (group, sector, slot) ascending."""
+    (group, sector, slot) ascending.
+
+    One sort puts the support states and their sectors in group order.  A group's arrays
+    are then gathers of runs of the flat eigendecomposition, each as wide as the group's
+    widest sector, with what lies past a narrower sector's row set to zero.
+    """
     config = ProtocolConfig(layout=layout, hamiltonian=spec, tau=0.0, n_measurements=0,
                             rank=rank, regulator_prep=regulator_prep, target_betas=target_betas)
-    label, slot, eigs = _sector_eigh(layout, spec)
+    eig = _sector_eigh(layout, spec)
+    label, n = eig.label, eig.size
     support, w = _support(config), _initial_populations(config)
     # rho(0)'s states in sectors without support states never reach the support
     populated = np.flatnonzero(w > 0)
-    size = np.bincount(label[support], minlength=len(eigs))
-    count = np.bincount(label[populated], minlength=len(eigs))
-    b = np.minimum(size, count)         # X's columns after a wider preparation's QR
-    groups, placed, start = [], [], 0
-    for a_g, b_g in sorted(set(zip(size[size > 0].tolist(), b[size > 0].tolist()))):
-        members = np.flatnonzero((size == a_g) & (b == b_g))
-        m, n, c = len(members), max(len(eigs[q][0]) for q in members), count[members].max()
-        lam, rows, cols = np.zeros((m, n)), np.zeros((m, a_g, n)), np.zeros((m, n, c))
-        for i, q in enumerate(members):
-            (vals, V), ours = eigs[q], np.flatnonzero(label[support] == q)
-            at = populated[label[populated] == q]
-            lam[i, :len(V)] = vals
-            rows[i, :, :len(V)] = V[slot[support[ours]]]
-            cols[i, :len(V), :len(at)] = V[slot[at]].T * np.sqrt(w[at])
-            placed.append(ours)
-        groups.append(_Group(members, a_g, start, lam, rows, cols))
-        start += m * a_g
-    return tuple(groups), np.argsort(np.concatenate(placed))
+    populated = populated[np.argsort(label[populated], kind="stable")]
+    size = np.bincount(label[support], minlength=len(n))
+    count = np.bincount(label[populated], minlength=len(n))
+    first = np.cumsum(count) - count        # sector q's populated states from first[q]
+    b = np.minimum(size, count)             # X's columns after a wider preparation's QR
+    # the support positions, and the sectors that meet them, by (a, b), sector and position
+    ours = label[support]
+    placed = np.lexsort((ours, b[ours], size[ours]))
+    met = np.flatnonzero(size)
+    met = met[np.lexsort((met, b[met], size[met]))]
+    key = size[met] * (b.max() + 1) + b[met]
+    heads = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    # the run of `width` entries from each start; the flat arrays end in n.max() zeros
+    span = lambda flat, starts, width: flat[starts[..., None] + np.arange(width)]
+    start_of = lambda states: eig.vec_at[label[states]] + eig.slot[states] * n[label[states]]
+    rows_at, cols_at = start_of(support[placed]), start_of(populated)
+    root = np.sqrt(w[populated])
+    # per sector in group order: the columns past its own n, its populated states (padded
+    # with the last one) and the columns past them, each as wide as the widest in the set
+    past = np.arange(n.max()) >= n[met, None]
+    at = np.minimum(first[met, None] + np.arange(count.max()), len(populated) - 1)
+    empty = np.arange(count.max()) >= count[met, None]
+    lam = span(eig.lam, eig.lam_at[met], n.max())
+    np.copyto(lam, 0.0, where=past)
+    # per group: the widest and narrowest sector, the most and least populated
+    bounds = zip(*(f.reduceat(x, heads).tolist() for f in (np.maximum, np.minimum)
+                   for x in (n[met], count[met])))
+    groups, start = [], 0
+    for h, e, (width, c, narrowest, least) in zip(heads.tolist(), [*heads[1:].tolist(), len(met)],
+                                                  bounds):
+        m, a = e - h, int(size[met[h]])
+        rows = span(eig.vecs, rows_at[start:start + m * a].reshape(m, a), width)
+        cols = span(eig.vecs, cols_at[at[h:e, :c]], width) * root[at[h:e, :c], None]
+        if narrowest < width or least < c:      # mirror pairs of sectors need no padding
+            np.copyto(rows, 0.0, where=past[h:e, None, :width])
+            np.copyto(cols, 0.0, where=past[h:e, None, :width] | empty[h:e, :c, None])
+        groups.append(_Group(met[h:e], a, start, lam[h:e, :width], rows,
+                             np.ascontiguousarray(cols.transpose(0, 2, 1))))
+        start += m * a
+    return tuple(groups), np.argsort(placed)
 
 
 def _pair(x: np.ndarray) -> np.ndarray:
@@ -482,7 +627,8 @@ def zeno_run(config: ProtocolConfig, *, retain_state: bool = True) -> Trajectory
 
     support = _support(config)
     if config.bath is None:
-        pops, probs, drift, block = _closed_rounds(config, retain_state)
+        with _blas_threads(_sector_sums(config.layout.d, config.layout.L, config.rank).widest):
+            pops, probs, drift, block = _closed_rounds(config, retain_state)
     else:
         pops, probs, drift, block = _open_rounds(config, w, support)
     n = len(pops)
@@ -512,16 +658,38 @@ def _block_probabilities(pops: np.ndarray, probs: np.ndarray, n: int, k: int):
     return trace, n + int(dead[0]) if len(dead) else None
 
 
+def _powers(A: np.ndarray, K: int) -> np.ndarray:
+    """A S^j, j = 0..K-1, stacked as rows, for A (..., r, c) whose first c rows are the square S.
+
+    For A = M that is M^1..M^K, rows j a..(j + 1) a - 1 holding M^(j+1); for the bath's
+    A = [T; t] it is [T^(j+1); t T^j].  Built by squaring: blocks t..2t-1 are blocks 0..t-1
+    times S^t, the first c rows of block t - 1, so ceil(log2 K) batched products replace K - 1.
+    K <= 1 (no later block, or blocks of one round) returns A itself.
+    """
+    if K <= 1:
+        return A
+    r, c = A.shape[-2:]
+    P = np.empty((*A.shape[:-2], K * r, c), dtype=A.dtype)
+    P[..., :r, :] = A
+    t = 1
+    while t < K:
+        u = min(t, K - t)
+        P[..., t * r:(t + u) * r, :] = P[..., :u * r, :] @ P[..., (t - 1) * r:(t - 1) * r + c, :]
+        t += u
+    return P
+
+
 def _closed_rounds(config: ProtocolConfig, retain_state: bool):
     """Normalised support populations (n, s), every round's p, drift 0, final block or None.
 
     rho = X X^+ on the support S, one block per total-Sz sector, from X = U[S, c] sqrt(w[c])
     over the entries w[c] > 0 of rho(0) = diag(w); each later round is X <- M X, M = U[S, S].
     X lives in groups of m sectors with a support states and b columns each (b = 0 where
-    rho(0) leaves a sector empty).  After round 0, a block of k <= K rounds
-    (`_rounds_per_call`) is one (k, m, a, a) @ (m, a, b) matmul per group, of the powers
-    M^1..M^k and the block's unit-trace start.  Round j's p is the ratio of the traces after
-    j and j - 1 rounds, and X is renormalised once per block.  The first p below
+    rho(0) leaves a sector empty).  A group keeps the powers M^1..M^K (`_rounds_per_call`)
+    stacked as one (m, K a, a) array, so after round 0 a block of k <= K rounds is one
+    (m, k a, a) @ (m, a, b) matmul per group, of the first k powers and the block's
+    unit-trace start, and its populations one einsum.  Round j's p is the ratio of the
+    traces after j and j - 1 rounds, and X is renormalised once per block.  The first p below
     EXTINCTION_THRESHOLD ends the run.  The final block is assembled only if it is retained.
     """
     groups, order, maps = _round_map(config)
@@ -531,29 +699,33 @@ def _closed_rounds(config: ProtocolConfig, retain_state: bool):
         X = _pair(R @ g.cols)       # no columns in sectors that rho(0) leaves empty
         if X.shape[2] > g.a:        # a wider preparation: a columns with the same X X^+
             X = np.linalg.qr(X.conj().transpose(0, 2, 1), mode="r").conj().transpose(0, 2, 1)
-        Zs.append(np.ascontiguousarray(X[None]))
-        # P[j] = M^(j+1); from L=5 on K = 1, and M is the one power
-        powers.append(np.stack(list(accumulate([M] * K, np.matmul))) if K > 1 else M[None])
+        Zs.append(np.ascontiguousarray(X))
+        powers.append(_powers(M, K))
     del maps                # the rounds need only the powers
     pops, probs = np.zeros((N, len(order))), np.zeros(N)     # in group order
     n, k = 0, 1             # round 0 reads rho(0)'s image, whose trace is p_0
     with np.errstate(divide="ignore", invalid="ignore"):   # 0/0 past an extinction
         while True:
             for g, Z in zip(groups, Zs):
-                re_im = Z.view(np.float64)      # |x|^2 summed over real and imaginary parts
-                out = pops[n:n + k, g.start:g.start + len(g.sectors) * g.a]
-                np.einsum("hijk,hijk->hij", re_im, re_im, out=out.reshape(k, -1, g.a))
+                # |x|^2 summed over real and imaginary parts, per (sector, round, state); an
+                # einsum in Z's own order, then one strided copy, runs 1.1-1.5x faster than
+                # writing the record's (round, sector, state) order straight from the einsum
+                m, b = len(g.sectors), Z.shape[2]
+                re_im = Z.view(np.float64).reshape(m, k, g.a, 2 * b)
+                out = pops[n:n + k, g.start:g.start + m * g.a].reshape(k, m, g.a)
+                out[...] = np.einsum("mkai,mkai->mka", re_im, re_im).transpose(1, 0, 2)
             trace, dead = _block_probabilities(pops, probs, n, k)
             if dead is not None:
                 return pops[:dead, order], probs[:dead + 1], 0.0, None
-            Xs = [Z[-1] / np.sqrt(trace[-1]) for Z in Zs]
+            Xs = [Z[:, -g.a:] / np.sqrt(trace[-1]) for g, Z in zip(groups, Zs)]
             n, k = n + k, min(K, N - n - k)
             if not k:
                 break
-            # k m products of a x a by a x b: stacking the powers as (k a, a) rows instead
-            # makes products that BLAS splits over threads, and two workers on two cores
-            # then ran fig_chain 3x slower
-            Zs = [P[:k] @ X for P, X in zip(powers, Xs)]
+            # m products of (k a) x a by a x b per group ran 1.5-3.6x faster than k m of
+            # a x a by a x b (a = 6-17, m = 21, k = 21, one thread).  BLAS splits the taller
+            # products over its threads, which a busy second core stalls, so runs narrower
+            # than BLAS_ONE_THREAD_WIDTH take one thread (`_blas_threads`)
+            Zs = [P[:, :k * g.a] @ X for g, P, X in zip(groups, powers, Xs)]
     block = None
     if retain_state:        # X X^+ is block-diagonal over the sectors: assemble it on the support
         in_order = np.argsort(order)
@@ -585,7 +757,7 @@ def _open_rounds(config: ProtocolConfig, w: np.ndarray, support: np.ndarray):
     entries (i, j) with i, j in S of one sector, and rho(0): the rows of the
     support coordinates give the real round map T, and the diagonal rows' sums
     the trace row t.  After round 0, a block of k <= K rounds (`_rounds_per_call`)
-    is one matvec of the stacked [T^j; t T^(j-1)], j = 1..k, with the block's
+    is one matvec of the stacked [T^j; t T^(j-1)], j = 1..k (`_powers`), with the block's
     unit-trace start, as in `_closed_rounds`; t T^(j-1) is round j's trace before
     the projection, whose ratio to the trace after round j - 1 is its drift.
     """
@@ -605,17 +777,13 @@ def _open_rounds(config: ProtocolConfig, w: np.ndarray, support: np.ndarray):
     maps = np.vstack([evolved[coordinates], evolved[diagonal].sum(axis=0)])
     del evolved
     N, K = config.n_measurements, _rounds_per_call(config)
-    Z, powers = maps[None, :, -1], maps[None, :, :-1]
-    if K > 1:               # P[j] = [T^(j+1); t T^j]; from L=3 on K = 1, and [T; t] is the one
-        A, powers = powers[0], np.empty((K, *powers.shape[1:]))
-        powers[0] = A
-        for q in range(1, K):
-            np.matmul(powers[q - 1], A[:-1], out=powers[q])
-    del maps
     pops, probs, drift = np.zeros((N, s)), np.zeros(N), 0.0
     n, k = 0, 1
-    with np.errstate(divide="ignore", invalid="ignore"):   # 0/0 past an extinction
-        while True:
+    # the products of T, sum(a^2) wide, take the thread rule; the Taylor action's do not
+    with _blas_threads(len(inner)), np.errstate(divide="ignore", invalid="ignore"):
+        Z, powers, width = maps[None, :, -1], _powers(maps[:, :-1], K), len(maps)
+        del maps            # from L=3 on K = 1, and [T; t] is the one power
+        while True:         # 0/0 past an extinction
             pops[n:n + k] = Z[:, diag]
             trace, dead = _block_probabilities(pops, probs, n, k)
             last = k if dead is None else dead - n + 1
@@ -627,7 +795,7 @@ def _open_rounds(config: ProtocolConfig, w: np.ndarray, support: np.ndarray):
             n, k = n + k, min(K, N - n - k)
             if not k:
                 break
-            Z = powers[:k] @ x
+            Z = (powers[:k * width] @ x).reshape(k, width)
     rho = np.zeros((s, s), dtype=complex)
     rho.flat[inner] = hermitian_entries(x, inner, s)
     return pops, probs, drift, rho
@@ -693,12 +861,13 @@ def zeno_spectrum(config: ProtocolConfig) -> ZenoSpectrum:
         left_rows = np.linalg.inv(right)
     except np.linalg.LinAlgError:
         left_rows = np.linalg.pinv(right)
-    label, _, eigs = _sector_eigh(config.layout, config.hamiltonian)
+    eig = _sector_eigh(config.layout, config.hamiltonian)
+    label = eig.label
     support, D = _support(config), len(label)
     norm = np.linalg.norm(right[:, j])
     r = np.zeros(D, dtype=complex)
     r[support[label[support] == q]] = right[:, j] / norm
-    V = eigs[q][1]
+    V = eig.vectors(q)
     top = _pair(R[:, i, :, :len(V)] @ V.T)       # U[S_q, q's states]
     l = np.zeros(D, dtype=complex)
     l[label == q] = ((left_rows[j, :] * norm) @ top / vals[0]).conj()

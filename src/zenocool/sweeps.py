@@ -23,7 +23,6 @@ writes them after the header.
 from __future__ import annotations
 
 import csv
-import ctypes
 import functools
 import io
 import itertools
@@ -40,7 +39,8 @@ from . import __version__
 from .evolution import BathSpec
 from .hamiltonians import MODELS, BBHSpec, SystemLayout, XXZSpec
 from .oracles import fidelity_bbh_rank1_d3, fidelity_xx_rank1
-from .protocol import ExtinctionError, ProtocolConfig, physical_memory, run_bytes, zeno_run
+from .protocol import (ExtinctionError, ProtocolConfig, _blas_thread_calls, physical_memory,
+                       run_bytes, zeno_run)
 
 COLUMNS = (
     "preset_id", "topology", "model", "d", "L", "k", "J", "Delta_or_theta",
@@ -176,33 +176,14 @@ def _point_rows(preset_id: str, config: ProtocolConfig, recorded: list[int]) -> 
     return rows
 
 
-# the OpenBLAS builds numpy and scipy load, by their thread-count setters
-_BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
-                        "openblas_set_num_threads")
-
-
 def _one_blas_thread() -> None:
     """Run this process's OpenBLAS on one thread: each worker of a pool takes one core.
 
-    The libraries are found by name in the process's memory map and set
-    through their own symbol; where none is found, nothing changes.
+    The libraries come from `protocol._blas_thread_calls`; where none is
+    found, nothing changes.
     """
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            libs = {line.split()[-1] for line in fh if "openblas" in line.lower()}
-    except OSError:
-        return
-    for path in sorted(libs):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for symbol in _BLAS_THREAD_SETTERS:
-            setter = getattr(lib, symbol, None)
-            if setter is not None:
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                setter(1)
-                break
+    for _, setter in _blas_thread_calls():
+        setter(1)
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[str]:

@@ -370,19 +370,24 @@ def test_an_l8_chain_passes_the_gate_and_refuses_to_retain_its_state(monkeypatch
 @pytest.mark.parametrize("L, d, k, N, K", [
     (1, 2, 1, 200, 21), (1, 8, 2, 200, 21), (2, 3, 2, 45, 21),   # the D <= 64 grids
     (2, 3, 2, 10, 9), (2, 3, 2, 1, 0),                          # capped at N - 1
-    (4, 3, 2, 200, 7), (5, 3, 2, 200, 1), (6, 3, 2, 50, 1),     # sized by the sectors
+    (4, 3, 2, 200, 10), (1, 31, 15, 50, 11),                    # the powers against the blocks
+    (5, 3, 2, 200, 3), (5, 3, 2, 50, 2), (6, 3, 2, 50, 1),      # sized by the sectors
 ])
 def test_rounds_per_call_fits_the_powers_in_their_bytes(L, d, k, N, K):
+    """K keeps the stacked powers within POWERS_BYTES, and their K sum(a^3) multiply-adds
+    balanced against the N / K blocks' calls."""
     config = xx_config(d=d, jtau=0.9, N=N, k=k, L=L, Delta=1.0)
     assert protocol._rounds_per_call(config) == K
     _, support = protocol._sector_sizes(d, L, k)
     assert K <= 1 or 32 * K * sum(a * a for a in support) <= protocol.POWERS_BYTES
+    balance = N * protocol.BLOCK_CALL_MACS * len(set(support)) / sum(a ** 3 for a in support)
+    assert K <= 1 or (K - 1) ** 2 < balance
 
 
 @pytest.mark.parametrize("L, d, k, N, K", [
     (1, 3, 2, 200, 21), (1, 4, 2, 200, 21), (2, 3, 2, 200, 21),  # fig8 and open_bath
     (2, 3, 2, 10, 9), (1, 3, 2, 1, 0),                          # capped at N - 1
-    (2, 4, 2, 200, 4), (3, 3, 2, 200, 1), (4, 3, 2, 20, 1),     # sized by T = sum(a^2)^2
+    (2, 4, 2, 200, 18), (3, 3, 2, 200, 1), (4, 3, 2, 20, 1),    # sized by T = sum(a^2)^2
 ])
 def test_bath_rounds_per_call_fits_the_powers_of_t_in_their_bytes(L, d, k, N, K):
     """A bath run's powers [T^j; t T^(j-1)] are (sum(a^2) + 1) x sum(a^2) floats each."""
@@ -392,6 +397,134 @@ def test_bath_rounds_per_call_fits_the_powers_of_t_in_their_bytes(L, d, k, N, K)
     _, support = protocol._sector_sizes(d, L, k)
     squares = sum(a * a for a in support)
     assert K <= 1 or 8 * K * squares * (squares + 1) <= protocol.POWERS_BYTES
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 7, 21])
+@pytest.mark.parametrize("shape", ["closed", "bath"])
+def test_powers_by_squaring_match_sequential_products(shape, K):
+    """Block j of the stacked powers is A S^j: M^(j+1) for a closed group's (m, a, a) stack of
+    complex M, [T^(j+1); t T^j] for the bath's real (c + 1, c) map [T; t]."""
+    rng = np.random.default_rng(K)
+    if shape == "closed":
+        A = (rng.standard_normal((4, 6, 6)) + 1j * rng.standard_normal((4, 6, 6))) / 4
+    else:
+        A = rng.standard_normal((8, 7)) / 3
+    r, c = A.shape[-2:]
+    P = protocol._powers(A, K)
+    assert P.shape == (*A.shape[:-2], K * r, c)
+    block = A
+    for j in range(K):
+        np.testing.assert_allclose(P[..., j * r:(j + 1) * r, :], block, rtol=0, atol=1e-13)
+        block = block @ A[..., :c, :]
+
+
+@pytest.mark.parametrize("layout, spec, rank, prep, betas", [
+    (SystemLayout("chain", 1, 31), XXZSpec(J=1.0), rank, None, None) for rank in (1, 2, 8, 15)
+] + [
+    (SystemLayout("chain", 4, 3), XXZSpec(J=1.0, Delta=1.0), 2, None, None),
+    (SystemLayout("chain", 4, 3), BBHSpec(J=1.0, theta=0.7), 1, 3, None),
+    (SystemLayout("star", 4, 3), SpinStarSpec(J=1.0), 2, None, None),
+    (SystemLayout("chain", 2, 4), XXZSpec(J=1.0, Delta=0.4, h=-0.7), 2, 3, (math.inf, 0.5)),
+], ids=["d31-rank1", "d31-rank2", "d31-rank8", "d31-rank15", "L4-chain", "L4-bbh-prep3",
+        "L4-star", "L2-d4-h-negative-ground-target"])
+def test_support_groups_match_a_pass_per_sector(layout, spec, rank, prep, betas):
+    """`_support_blocks` against the construction with a Python pass per sector that it
+    replaced: the same _Group arrays and order, bit for bit."""
+    protocol._support_blocks.cache_clear()
+    groups, order = protocol._support_blocks(layout, spec, rank, prep, betas)
+    config = ProtocolConfig(layout=layout, hamiltonian=spec, tau=0.0, n_measurements=0,
+                            rank=rank, regulator_prep=prep, target_betas=betas)
+    eig = protocol._sector_eigh(layout, spec)
+    label, slot = eig.label, eig.slot
+    support, w = protocol._support(config), protocol._initial_populations(config)
+    populated = np.flatnonzero(w > 0)
+    size = np.bincount(label[support], minlength=len(eig.size))
+    count = np.bincount(label[populated], minlength=len(eig.size))
+    b = np.minimum(size, count)
+    expected, placed, start = [], [], 0
+    for a_g, b_g in sorted(set(zip(size[size > 0].tolist(), b[size > 0].tolist()))):
+        members = np.flatnonzero((size == a_g) & (b == b_g))
+        m, n, c = len(members), eig.size[members].max(), count[members].max()
+        lam, rows, cols = np.zeros((m, n)), np.zeros((m, a_g, n)), np.zeros((m, n, c))
+        for i, q in enumerate(members):
+            V, ours = eig.vectors(q), np.flatnonzero(label[support] == q)
+            at = populated[label[populated] == q]
+            lam[i, :len(V)] = eig.lam[eig.lam_at[q]:eig.lam_at[q] + len(V)]
+            rows[i, :, :len(V)] = V[slot[support[ours]]]
+            cols[i, :len(V), :len(at)] = V[slot[at]].T * np.sqrt(w[at])
+            placed.append(ours)
+        expected.append(protocol._Group(members, a_g, start, lam, rows, cols))
+        start += m * a_g
+    assert len(groups) == len(expected)
+    for got, want in zip(groups, expected):
+        assert (got.a, got.start) == (want.a, want.start)
+        for name in ("sectors", "lam", "rows", "cols"):
+            x, y = getattr(got, name), getattr(want, name)
+            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+    assert order.tobytes() == np.argsort(np.concatenate(placed)).tobytes()
+
+
+class FakeBlas:
+    """One OpenBLAS as its (get, set) thread-count calls, with every count it was set to."""
+
+    def __init__(self, threads):
+        self.threads, self.history = threads, []
+
+    def calls(self):
+        def set_(n):
+            self.threads = n
+            self.history.append(n)
+        return ((lambda: self.threads, set_),)
+
+
+@pytest.mark.parametrize("bath", [None, BathSpec(temperature=1.0, gamma=1e-3, omega=1.0)],
+                         ids=["closed", "bath"])
+def test_narrow_round_maps_take_one_blas_thread_and_restore_the_count(monkeypatch, bath):
+    """Below the width cut a run forms and applies its powers on one thread and restores the
+    count it found, also when the branch dies mid-run; at the cut it leaves the count alone.
+    The width is the widest support sector of a closed run, sum(a^2) for a bath run's T."""
+    config = xx_config(d=3, jtau=0.9, N=30, k=2, L=2, Delta=1.0, bath=bath)
+    sums = protocol._sector_sums(3, 2, 2)
+    width = sums.widest if bath is None else sums.squares
+    fake = FakeBlas(threads=3)
+    monkeypatch.setattr(protocol, "_blas_thread_calls", fake.calls)
+    seen, powers = [], protocol._powers
+    monkeypatch.setattr(protocol, "_powers",
+                        lambda *args: seen.append(fake.threads) or powers(*args))
+    monkeypatch.setattr(protocol, "BLAS_ONE_THREAD_WIDTH", width + 1)
+    zeno_run(config)
+    monkeypatch.setattr(protocol, "EXTINCTION_THRESHOLD", 2.0)    # every p is below it
+    with pytest.raises(ExtinctionError):
+        zeno_run(config)
+    assert set(seen) == {1} and fake.history == [1, 3, 1, 3] and fake.threads == 3
+    seen.clear()
+    monkeypatch.setattr(protocol, "BLAS_ONE_THREAD_WIDTH", width)
+    with pytest.raises(ExtinctionError):
+        zeno_run(config)
+    assert set(seen) == {3} and fake.history == [1, 3, 1, 3]
+
+
+def test_a_run_leaves_the_processs_openblas_thread_count_as_it_found_it(monkeypatch):
+    """The same with the OpenBLAS that numpy loaded, where its thread-count calls exist."""
+    calls = protocol._blas_thread_calls()
+    if not calls:
+        pytest.skip("no OpenBLAS thread-count calls in this process")
+    found = [get() for get, _ in calls]
+    config = xx_config(d=3, jtau=0.9, N=30, k=2, L=2, Delta=1.0)
+    width = protocol._sector_sums(3, 2, 2).widest
+    monkeypatch.setattr(protocol, "BLAS_ONE_THREAD_WIDTH", width + 1)
+    for _, set_ in calls:
+        set_(2)
+    try:
+        zeno_run(config)
+        assert [get() for get, _ in calls] == [2] * len(calls)
+        monkeypatch.setattr(protocol, "EXTINCTION_THRESHOLD", 2.0)
+        with pytest.raises(ExtinctionError):
+            zeno_run(config)
+        assert [get() for get, _ in calls] == [2] * len(calls)
+    finally:
+        for (_, set_), count in zip(calls, found):
+            set_(count)
 
 
 @pytest.mark.parametrize("gamma", [1e-3, 1.0, 1e4])

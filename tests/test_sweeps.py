@@ -392,6 +392,8 @@ BATH = {"temperature": 1.0, "gamma": 1e-3}
      r"would take too long: .* bath\.gamma = 1e\+20"),
     ({"base": {"k": 2, "N": 200, "bath": {"temperature": 1.0, "gamma": 2e9, "omega": 1.0}}},
      r"D=9 would take too long: .* bath\.gamma = 2000000000\.0"),
+    ({"base": {"tau": -3.0, "L": 1, "k": 2, "N": 50, "bath": BATH}},
+     r"tau must be >= 0 with a bath, got tau = -3\.0"),
     ({"argv": ["preset", "fig2", "--workers", "0", "--out", "{out}"]}, "--workers"),
     ({"argv": ["run", "--config", "{config}", "--out", "{out}", "--workers", "-3"]},
      "--workers"),
@@ -415,7 +417,7 @@ BATH = {"temperature": 1.0, "gamma": 1e-3}
         "axes-d-non-integral", "axes-N-non-integral", "axes-Jtau-bool", "phase-overflow",
         "h-zero", "h-negative-omega-default", "gamma-huge", "occupancy-overflow",
         "occupancy-overflow-gamma-zero", "bath-phase-overflow", "bath-J-cost", "bath-gamma-cost",
-        "bath-D9-gamma-2e9-cost",
+        "bath-D9-gamma-2e9-cost", "bath-negative-tau",
         "preset-workers-0",
         "run-workers-negative", "run-workers-memory", "classify-threshold-nan",
         "classify-threshold-inf", "base-unknown-key", "root-unknown-key", "bath-unknown-key",
