@@ -9,12 +9,17 @@ superoperator.  L preserves Hermiticity, so on a subspace that holds each
 entry's transpose it is a real linear map of rho's Hermitian coordinates
 (`hermitian_coordinates`: rho_aa, and Re and Im of rho_ab, a < b, at (a, b)
 and (b, a)).  `LindbladPropagator` folds L's complex entries into that real
-generator and propagates it with one algorithm: the action of exp(L tau) on
-a vector or a block of vectors by a truncated Taylor series (Al-Mohy &
-Higham, SIAM J. Sci. Comput. 33, 488 (2011), Alg. 3.2).  A generator of at
+generator and applies exp(L tau) to a vector or a block of vectors with one
+truncated Taylor approximant (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
+(2011)), evaluated in one of two ways.  The action (their Alg. 3.2) runs s
+steps of at most m terms on the block.  Scaling and squaring (Al-Mohy &
+Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009)) forms the K x K
+approximant of exp(L tau / 2^j) by Paterson-Stockmeyer, squares it j times
+and multiplies the block once.  A dense generator takes whichever needs
+fewer multiply-adds; a CSR one always takes the action.  A generator of at
 most DENSE_BYTES is a dense float64 array; a larger one is a real scipy CSR
-matrix, and only then is scipy imported.  `liouvillian`, the full sparse
-complex superoperator, and `dissipator` are the tests' oracles.
+matrix, and only then is scipy imported.  `liouvillian`, the full sparse complex superoperator, and
+`dissipator` are the tests' oracles.
 """
 from __future__ import annotations
 
@@ -39,6 +44,15 @@ THETA = {1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3, 6: 9.07e-3
          19: 1.26, 20: 1.44, 21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43, 26: 2.64,
          27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54, 35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9}
 TOLERANCE = 2.0 ** -53
+# the Taylor degree of a scaled exponential before its squarings.  Max error against scipy's
+# expm, relative to its largest entry, at D=9, gamma = 1e4, tau = 6 (|A tau|_1 = 8.5e4), by
+# the series: degree 6 (24 squarings) 1.4e-9, 8 (21) 1.5e-10, 12 (19) 1.2e-10, 18 (17)
+# 2.3e-11; at tau = 1 degree 6 3.4e-10, 18 2.8e-12.  Degree 18 by Paterson-Stockmeyer
+# loses 1.9e-11 and 2.7e-12.  More terms never save more squarings than they cost:
+# theta_(18 + i) < 2^i theta_18
+SQUARING_DEGREE = 18
+# the K x K products that form T_18 by Paterson-Stockmeyer (`_taylor_polynomial`)
+POLYNOMIAL_PRODUCTS = 7
 
 
 @dataclass(frozen=True)
@@ -237,7 +251,11 @@ class LindbladPropagator:
     1-norm of the complex L - mu I, which bounds A in the norm |vec rho|_1 of the states it
     acts on.  Each `apply` takes (m, s) = argmin m ceil(|tau| |L - mu I|_1 / theta_m) and runs
     s steps of at most m Taylor terms each, on a vector or a block of column vectors of real
-    coordinates, stopping a step's series once two terms add less than 2^-53 of the sum.
+    coordinates, stopping a step's series once two terms add less than 2^-53 of the sum.  A
+    dense generator instead forms S = e^(mu h) T_q(A h), h = tau / 2^j, the same series cut at
+    q = SQUARING_DEGREE terms with the fewest j that keep |A h|_1 <= theta_q, squares it j
+    times and multiplies the block once, when those POLYNOMIAL_PRODUCTS + j products of K x K
+    by K x K and the last one take fewer multiply-adds than m s products of K x K by the block.
     H is a dense array or its entries (rows, cols, values).
     """
 
@@ -285,6 +303,12 @@ class LindbladPropagator:
         if x > 0:
             _, m, s = min((m * math.ceil(x / theta), m, math.ceil(x / theta))
                           for m, theta in THETA.items())
+        if isinstance(self._generator, np.ndarray):
+            # multiply-adds over K^2: scaling and squaring's 7 + j products of K x K by K x K
+            # and one by the block, against the action's m s products by the block
+            K, width, j = len(self._generator), math.prod(np.shape(vectors)[1:]), _squarings(x)
+            if (POLYNOMIAL_PRODUCTS + j) * K + width < m * s * width:
+                return self._exponential(tau, j) @ vectors
         inf_norm = lambda v: np.abs(v.reshape(len(v), -1)).sum(axis=1).max(initial=0.0)
         eta = np.exp(self._mu * tau / s)
         F = np.array(vectors, dtype=float)
@@ -302,3 +326,40 @@ class LindbladPropagator:
                 c1 = c2
             F *= eta
         return F
+
+    def _exponential(self, tau: float, j: int) -> np.ndarray:
+        """exp(G tau) as a dense K x K array: S = e^(mu h) T_q(A h), q = SQUARING_DEGREE and
+        h = tau / 2^j, squared j times.  The shift is folded into S before the squarings:
+        unshifted, S^(2^j) grows as e^(-mu tau), which overflows to inf from gamma ~ 1e3 on,
+        and inf times e^(mu tau) = 0 is NaN."""
+        h = tau / 2 ** j
+        S = _taylor_polynomial(self._generator * h)
+        S *= np.exp(self._mu * h)
+        for _ in range(j):
+            S = S @ S
+        return S
+
+
+def _taylor_polynomial(X: np.ndarray) -> np.ndarray:
+    """T_18(X), the sum of X^i / i! for i = 0..SQUARING_DEGREE, by Paterson-Stockmeyer: X^2,
+    X^3 and X^4, then Horner's rule in X^4 over blocks of four terms, POLYNOMIAL_PRODUCTS = 7
+    products in place of 18.  It holds at most six K x K arrays: X..X^4, the sum and a product
+    or a term."""
+    powers = [X, X @ X]
+    powers.append(powers[1] @ X)
+    top = powers[1] @ powers[1]
+    S = np.zeros_like(X)
+    for k in (16, 12, 8, 4, 0):
+        if k < 16:
+            S = S @ top
+        S.flat[::len(S) + 1] += 1 / math.factorial(k)
+        for i, P in enumerate(powers, 1):
+            if k + i <= SQUARING_DEGREE:
+                S += P / math.factorial(k + i)
+    return S
+
+
+def _squarings(x: float) -> int:
+    """j, the fewest squarings of T_q(A tau / 2^j), q = SQUARING_DEGREE, that meet 2^-53 at
+    |A tau|_1 = x: x / 2^j <= theta_q."""
+    return max(0, math.ceil(math.log2(x / THETA[SQUARING_DEGREE]))) if x > 0 else 0

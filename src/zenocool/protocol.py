@@ -35,9 +35,11 @@ takes one eig per sector block of M.  Only `_unitary`, the tests' oracle,
 forms the D x D U.  A bath run lists its generator on the sector-diagonal
 entries of rho once per (layout, Hamiltonian, bath), from H's entries, as a
 real map of rho's Hermitian coordinates (scipy is loaded only for a
-generator over `evolution.DENSE_BYTES`).  Each point evolves a unit column
-per support coordinate and rho(0) by one truncated Taylor action of
-exp(L tau), reads the real round map T off it, and runs its rounds K at a
+generator over `evolution.DENSE_BYTES`).  Each point applies exp(L tau) once
+to a unit column per support coordinate and rho(0), by a truncated Taylor
+approximant (as a dense K x K matrix squared j times, or as the action on
+the block, whichever takes fewer multiply-adds; always the action on a CSR
+generator), reads the real round map T off it, and runs its rounds K at a
 time against the stacked powers of T, as the closed rounds do against those
 of M.
 """
@@ -58,12 +60,13 @@ from .evolution import DENSE_BYTES, BathSpec, LindbladPropagator, hermitian_entr
 from .hamiltonians import HamiltonianSpec, SystemLayout
 from .qudit import (
     DensityMatrix,
+    _low_lying_weights,
+    _thermal_weights,
     _zeroed,
     embed_operator,
     energy_order,
     low_lying_mixture,
     summed_entries,
-    thermal_state,
 )
 
 EXTINCTION_THRESHOLD = 1e-14
@@ -97,6 +100,9 @@ SZ_CONSERVATION_TOL = 1e-12
 # new term (4.01-4.02 traced at L=2, d=4 and L=3, d=3, chain and star), besides a generator
 # of at most DENSE_BYTES and the round map with its powers
 OPEN_BLOCK_COPIES = 5
+# a dense generator's scaling and squaring holds K x K float64 arrays: X = A tau / 2^j, X^2,
+# X^3, X^4, the Taylor sum and one product or term (at most 6 MiB at K = 362)
+SQUARING_COPIES = 6
 # peak memory of a closed run: H's entries with their sort (85-107 bytes per entry traced),
 # the sector blocks, eigenvectors and eigh workspace (1.5-2.6 float64 sum(n^2) traced at
 # D=243-2187) and the support groups' V rows, R and first X (float64 sum(a w)); apart, a
@@ -108,15 +114,21 @@ ROW_COPIES = 6
 STATE_COPIES = 4
 # a bath run's cost: tau (2 |H| + the dissipator's bound), at least |(L - mu I) tau|_1, in
 # which the Taylor action's work grows, times its real block's rows and columns.  Seconds per
-# unit, warm, XXZ Delta = 1, rank 2, N = 200, on 2 vCPUs:
+# unit of the action, warm, XXZ Delta = 1, rank 2, N = 200, on 2 vCPUs:
 #   L=2, d=3: Jtau = 6 2.7-2.9e-8, J = 30 3.9-4.2e-8, gamma = 1e3 2.3-2.4e-8
 #   L=3, d=3 (CSR), N = 20: Jtau = 1 2.3-3.4e-8, Jtau = 3 1.7-2.0e-8
 #   L=1, d=4 / d=5: gamma = 1e4 3.2-4.8e-8, J = 30 (d=5) 5.4-7.2e-8
 #   L=1, d=3 (D=9): gamma = 1e4 1.4-1.5e-7, gamma = 1e5 1.3-1.5e-7
-# so the limit caps a run at about 25 min.  An L=4, d=3 chain at Jtau = 2 pi reads 6.2e9
-# and runs; gamma = 2e9 at D=9 reads 9.0e11 and does not.  The block has at least 1 row and
-# 2 columns, so |L tau| <= 5e9 and the Taylor steps, about |L tau| / theta_m, stay a finite
-# count
+# A dense generator (L <= 2 at d=3) takes scaling and squaring wherever it is cheaper, whose
+# work grows as log |L tau|, so dense runs fall far under the bound.  Re-measured, the same way:
+#   L=2, d=3: Jtau = 6 5.3-9.7e-9, J = 30 1.9-2.0e-9, gamma = 1e3 2.2-2.4e-10
+#   L=1, d=4 / d=5: gamma = 1e4 3.5-4.4e-11 / 1.4-2.0e-11, J = 30 (d=5) 3.1-3.2e-9
+#   L=1, d=3 (D=9): gamma = 1e4 2.3-2.5e-10, gamma = 1e5 2.0-2.2e-11
+# The CSR side, which always takes the action, now sets the cap: an L=4, d=3 chain at Jtau = 1
+# took 56.6 s at 9.9e8 (5.7e-8), so the limit caps a run at about 10 min.  At Jtau = 2 pi it
+# reads 6.2e9 and runs; gamma = 2e9 at D=9 reads 9.0e11 and does not.  The block has at least
+# 1 row and 2 columns, so |L tau| <= 5e9: the Taylor steps, about |L tau| / theta_m, stay a
+# finite count, and the squarings, log2(|L tau| / theta_18), at most 33
 EXPM_COST_LIMIT = 1e10
 
 
@@ -277,8 +289,10 @@ def _rounds_per_call(config: ProtocolConfig) -> int:
     """
     sums, N = _sector_sums(config.layout.d, config.layout.L, config.rank), config.n_measurements
     if config.bath is None:
-        fit = min(POWERS_BYTES // (32 * sums.squares),
-                  math.ceil(math.sqrt(N * BLOCK_CALL_MACS * sums.sizes / sums.cubes)))
+        # N is capped where the balance is far past ROUNDS_PER_CALL, so that the ratio stays
+        # a finite float: a larger N (over 1e308 overflows it) is for the memory gate to refuse
+        balance = min(N, 2 ** 62) * BLOCK_CALL_MACS * sums.sizes / sums.cubes
+        fit = min(POWERS_BYTES // (32 * sums.squares), math.ceil(math.sqrt(balance)))
     else:
         fit = POWERS_BYTES // (8 * sums.squares * (sums.squares + 1))
     return max(0, min(ROUNDS_PER_CALL, N - 1, max(1, fit)))
@@ -342,8 +356,9 @@ def run_bytes(config: ProtocolConfig, retain_state: bool = False) -> int:
     sector of a states, its rows of V and R, padded to the widest sector w of that support
     size, and at most w populated columns; M, its powers and a block of K rounds of X; and N
     rows of populations.  A bath run holds the larger of that and its float64 exponential-action
-    block (`_open_block`), with a generator of at most DENSE_BYTES and, at most, the round map
-    and K powers of it, each (sum a^2 + 1) squared.
+    block (`_open_block`), with a generator of at most DENSE_BYTES, a dense generator's K x K
+    scaling-and-squaring arrays and, at most, the round map and K powers of it, each
+    (sum a^2 + 1) squared.
     A retained state adds the D x D `final_state` and its checks.
     """
     d, L, N = config.layout.d, config.layout.L, config.n_measurements
@@ -355,7 +370,9 @@ def run_bytes(config: ProtocolConfig, retain_state: bool = False) -> int:
     if config.bath is not None:
         rows, cols = _open_block(config)
         powers = (_rounds_per_call(config) + 1) * cols
-        need = max(need, 8 * (OPEN_BLOCK_COPIES * rows + powers) * cols + DENSE_BYTES)
+        squaring = SQUARING_COPIES * rows * rows if 8 * rows * rows <= DENSE_BYTES else 0
+        need = max(need, 8 * (OPEN_BLOCK_COPIES * rows * cols + powers * cols + squaring)
+                   + DENSE_BYTES)
     return need + retain_state * 16 * STATE_COPIES * d ** (2 * L + 2)
 
 
@@ -382,10 +399,12 @@ class TrajectoryRecord:
 
 
 def _initial_populations(config: ProtocolConfig) -> np.ndarray:
-    """The diagonal of rho(0), which is diagonal: regulator mixture tensor thermal targets."""
+    """The diagonal of rho(0), which is diagonal: regulator mixture tensor thermal targets,
+    from their float weights."""
     h, d = config.hamiltonian.h, config.layout.d
-    states = [target_state(config)] + [thermal_state(d, h, beta) for beta in config.betas]
-    return reduce(np.multiply.outer, [np.diag(r.data).real for r in states]).ravel()
+    weights = [_low_lying_weights(d, config.prep_rank, h)]
+    weights += [_thermal_weights(d, h, beta) for beta in config.betas]
+    return reduce(np.multiply.outer, weights).ravel()
 
 
 def initial_state(config: ProtocolConfig) -> DensityMatrix:
@@ -779,7 +798,7 @@ def _open_rounds(config: ProtocolConfig, w: np.ndarray, support: np.ndarray):
     N, K = config.n_measurements, _rounds_per_call(config)
     pops, probs, drift = np.zeros((N, s)), np.zeros(N), 0.0
     n, k = 0, 1
-    # the products of T, sum(a^2) wide, take the thread rule; the Taylor action's do not
+    # the products of T, sum(a^2) wide, take the thread rule; those of exp(L tau) do not
     with _blas_threads(len(inner)), np.errstate(divide="ignore", invalid="ignore"):
         Z, powers, width = maps[None, :, -1], _powers(maps[:, :-1], K), len(maps)
         del maps            # from L=3 on K = 1, and [T; t] is the one power

@@ -97,26 +97,36 @@ class DensityMatrix:
 
 def thermal_state(d: int, h: float, beta: float) -> DensityMatrix:
     """Gibbs state exp(-beta*h*Sz)/Z of the local field; beta may be math.inf."""
-    if beta < 0:
-        raise ValueError("inverse temperature must be non-negative")
-    if beta == 0:
-        return DensityMatrix(np.eye(d, dtype=complex) / d, (d,))
-    if np.isinf(beta):
-        return low_lying_mixture(d, 1, h)
-    s = (d - 1) / 2
-    m = s - np.arange(d)
-    w = np.exp(-beta * h * m - np.max(-beta * h * m))
-    w /= w.sum()
-    return DensityMatrix(np.diag(w).astype(complex), (d,))
+    return DensityMatrix(np.diag(_thermal_weights(d, h, beta)).astype(complex), (d,))
 
 
 def low_lying_mixture(d: int, k: int, h: float = 1.0) -> DensityMatrix:
     """Equal mixture (1/k) sum of the k lowest local-energy eigenstates."""
+    return DensityMatrix(np.diag(_low_lying_weights(d, k, h)).astype(complex), (d,))
+
+
+def _thermal_weights(d: int, h: float, beta: float) -> np.ndarray:
+    """The diagonal of `thermal_state(d, h, beta)`, as floats."""
+    if beta < 0:
+        raise ValueError("inverse temperature must be non-negative")
+    if beta == 0:
+        return np.full(d, 1 / d)
+    if np.isinf(beta):
+        return _low_lying_weights(d, 1, h)
+    s = (d - 1) / 2
+    m = s - np.arange(d)
+    w = np.exp(-beta * h * m - np.max(-beta * h * m))
+    w /= w.sum()
+    return w
+
+
+def _low_lying_weights(d: int, k: int, h: float) -> np.ndarray:
+    """The diagonal of `low_lying_mixture(d, k, h)`, as floats: 1/k on the k lowest levels."""
     if not 1 <= k <= d:
         raise ValueError(f"rank k={k} out of range 1..{d}")
     w = np.zeros(d)
     w[energy_order(d, h)[:k]] = 1 / k
-    return DensityMatrix(np.diag(w).astype(complex), (d,))
+    return w
 
 
 def tensor_product(a, b):

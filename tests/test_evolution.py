@@ -20,7 +20,13 @@ from zenocool import (
     spin_operators,
     thermal_state,
 )
-from zenocool.evolution import DENSE_BYTES, generator_entries, hermitian_entries, real_coordinates
+from zenocool.evolution import (
+    DENSE_BYTES,
+    THETA,
+    generator_entries,
+    hermitian_entries,
+    real_coordinates,
+)
 from zenocool.protocol import _hamiltonian, _sector_labels, _unitary
 
 
@@ -216,11 +222,12 @@ def test_liouvillian_matches_direct_dissipator():
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
-def sector_generator(layout, ham, site):
+def sector_generator(layout, ham, site, bath=None):
     """The engine's sector-diagonal subspace, its propagator, and L restricted to it."""
     label = _sector_labels(layout)
     kept = np.flatnonzero(label[:, None] == label[None, :])
-    bath = BathSpec(temperature=0.8, gamma=0.3, omega=1.1, site=site)
+    if bath is None:
+        bath = BathSpec(temperature=0.8, gamma=0.3, omega=1.1, site=site)
     entries = _hamiltonian(layout, ham)
     prop = LindbladPropagator(entries, bath, layout.dims, subspace=kept)
     L = liouvillian(ham.build(layout), bath, layout.dims)[kept][:, kept].toarray()
@@ -302,3 +309,101 @@ def test_apply_matches_dense_expm_above_the_dense_size(tau):
     X = hermitian_entries(np.random.default_rng(5).normal(size=(len(kept), 4)), kept, D)
     ref = expm(L * tau) @ X
     assert np.max(np.abs(propagate(prop, X, tau, kept, D) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def real_generator(layout, ham, bath):
+    """The propagator on the sector-diagonal subspace and its unshifted real generator G,
+    read from the restricted Liouvillian: column h is the coordinates of L's image of the
+    Hermitian state whose coordinates are e_h."""
+    kept, _, _, prop, L = sector_generator(layout, ham, None, bath)
+    D, K = layout.d ** layout.n_sites, len(kept)
+    return prop, real_coordinates(L @ hermitian_entries(np.eye(K), kept, D), kept, D)
+
+
+def spy_squarings(monkeypatch, prop):
+    """A list that records each scaling-and-squaring evaluation of `prop`."""
+    calls, exponential = [], prop._exponential
+
+    def recorded(*args):
+        calls.append(args)
+        return exponential(*args)
+
+    monkeypatch.setattr(prop, "_exponential", recorded)
+    return calls
+
+
+def taylor_products(x):
+    """The K x K products of the Taylor action and of scaling and squaring at
+    |(L - mu I) tau|_1 = x: the least m ceil(x / theta_m), and the 7 that form T_18 plus
+    ceil(log2(x / theta_18)) squarings."""
+    action = min(m * math.ceil(x / theta) for m, theta in THETA.items())
+    return action, 7 + max(0, math.ceil(math.log2(x / THETA[18])))
+
+
+XXZ_1 = XXZSpec(J=1.0, Delta=1.0, h=1.0)
+COLD = BathSpec(temperature=1.0, gamma=1e-3, omega=1.0)
+
+
+@pytest.mark.parametrize("L, d, ham, bath, tau, x", [
+    (1, 3, XXZ_1, BathSpec(temperature=1.0, gamma=1e4, omega=1.0), 1.0, 1.4e4),
+    (1, 3, XXZ_1, BathSpec(temperature=1.0, gamma=1e4, omega=1.0), 6.0, 8.5e4),
+    (1, 3, XXZSpec(J=30.0, Delta=1.0, h=1.0), COLD, 1.0, 120),
+    (1, 4, XXZ_1, BathSpec(temperature=5.0, gamma=1e3, omega=1.0), 1.0, 1.1e4),
+    (1, 5, XXZSpec(J=30.0, Delta=1.0, h=1.0), COLD, 1.0, 360),
+    (2, 3, XXZ_1, COLD, 0.05, 0.4),
+    (2, 3, XXZ_1, COLD, 6.0, 48),
+    (1, 8, XXZ_1, COLD, 1.0, 31),
+], ids=["d3-gamma1e4", "d3-gamma1e4-tau6", "d3-J30", "d4-gamma1e3-T5", "d5-J30", "L2-Jtau0.05",
+        "L2-Jtau6", "d8"])
+def test_dense_apply_on_the_identity_matches_expm(L, d, ham, bath, tau, x):
+    """A dense generator's exp(G tau), applied to the identity, agrees with scipy's expm of the
+    unshifted real generator from x = |(L - mu I) tau|_1 = 0.4 (the action) to 8.5e4 (17
+    squarings, where a shift folded in after them overflows): 1e-12 of its largest entry up
+    to x = 400, 1e-10 above."""
+    layout = SystemLayout("chain", L, d)
+    prop, G = real_generator(layout, ham, bath)
+    K = len(G)
+    assert isinstance(prop._generator, np.ndarray)
+    assert tau * prop._norm == pytest.approx(x, rel=0.05)
+    ref = expm(G * tau)
+    got = prop.apply(np.eye(K), tau)
+    bound = 1e-12 if x <= 400 else 1e-10
+    assert np.max(np.abs(got - ref)) <= bound * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("tau", [1.0, 6.0])
+def test_squaring_a_block_matches_its_columns_one_at_a_time(monkeypatch, tau):
+    """On the L=2, d=3 generator (K = 141) a block of 71 columns, as wide as a bath run's,
+    takes scaling and squaring and each of its columns alone takes the Taylor action; the two
+    agree to 1e-12 of the block's largest entry."""
+    layout = SystemLayout("chain", 2, 3)
+    kept, _, _, prop, _ = sector_generator(layout, XXZ_1, None, COLD)
+    calls = spy_squarings(monkeypatch, prop)
+    D = layout.d ** layout.n_sites
+    rho = random_density(D, 7).data.reshape(-1)[kept]
+    block = real_coordinates(rho[:, None] * np.random.default_rng(3).uniform(size=71), kept, D)
+    got = prop.apply(block, tau)
+    assert len(calls) == 1
+    columns = np.column_stack([prop.apply(column, tau) for column in block.T])
+    assert len(calls) == 1
+    assert np.max(np.abs(got - columns)) <= 1e-12 * np.max(np.abs(columns))
+
+
+@pytest.mark.parametrize("L, d, tau", [(2, 3, 1.0), (2, 3, 6.0), (1, 8, 1.0), (1, 4, 0.3)])
+def test_the_dense_branch_follows_the_multiply_add_count(monkeypatch, L, d, tau):
+    """A block takes scaling and squaring exactly when (7 + j) K^3 + K^2 w multiply-adds are
+    fewer than the action's m s K^2 w: at the narrowest such width w and not one column
+    narrower.  Both sides give the same exp(L tau) block."""
+    layout = SystemLayout("chain", L, d)
+    kept, _, _, prop, _ = sector_generator(layout, XXZ_1, None, COLD)
+    calls = spy_squarings(monkeypatch, prop)
+    K = len(kept)
+    action, squaring = taylor_products(tau * prop._norm)
+    w = squaring * K // (action - 1) + 1         # the least w with squaring K + w < action w
+    assert squaring * K + w < action * w and squaring * K + w - 1 >= action * (w - 1)
+    block = np.random.default_rng(11).normal(size=(K, w))
+    wide = prop.apply(block, tau)
+    assert len(calls) == 1
+    narrow = prop.apply(block[:, :-1], tau)
+    assert len(calls) == 1
+    assert np.max(np.abs(narrow - wide[:, :-1])) <= 1e-12 * np.max(np.abs(wide))

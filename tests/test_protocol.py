@@ -53,6 +53,25 @@ def xx_config(d=3, jtau=1.2, N=10, k=1, L=1, Delta=0.0, **kw):
 
 # ---- zeno_run --------------------------------------------------------------
 
+@pytest.mark.parametrize("d, L, k, prep, betas, h", [
+    (3, 1, 2, None, None, 1.0), (4, 3, 1, 3, (0.0, 1.3, math.inf), 1.0),
+    (5, 2, 2, 4, (0.7, math.inf), -0.8), (31, 1, 15, None, (2.0,), 1.0),
+])
+def test_initial_populations_are_the_diagonal_of_the_density_matrices(d, L, k, prep, betas, h):
+    """rho(0)'s diagonal, formed from float weights, is bit for bit the tensor product of the
+    diagonals of `target_state` and each target's `thermal_state`."""
+    config = ProtocolConfig(layout=SystemLayout("chain", L, d),
+                            hamiltonian=XXZSpec(J=1.0, Delta=0.5, h=h), tau=1.0,
+                            n_measurements=1, rank=k, regulator_prep=prep, target_betas=betas)
+    states = [target_state(config)] + [thermal_state(d, h, beta) for beta in config.betas]
+    ref = states[0].data.diagonal().real
+    for state in states[1:]:
+        ref = np.multiply.outer(ref, state.data.diagonal().real).ravel()
+    got = protocol._initial_populations(config)
+    assert got.dtype == np.float64 and np.array_equal(got, ref)
+    assert np.array_equal(np.diag(initial_state(config).data).real, ref)
+
+
 def test_frozen_dynamics_at_zero_coupling():
     config = ProtocolConfig(layout=SystemLayout("chain", 1, 3),
                             hamiltonian=XXZSpec(J=0.0, Delta=0.0), tau=1.7,
@@ -336,17 +355,20 @@ def test_retained_state_peak_memory_stays_below_its_estimate(ham, L, N, k):
     assert traced_peak(config, retain_state=True) <= protocol.run_bytes(config, retain_state=True)
 
 
-@pytest.mark.parametrize("ham, L, d", [(XXZSpec(J=1.0, Delta=1.0), 2, 3),
-                                       (SpinStarSpec(J=1.0), 2, 4),
-                                       (XXZSpec(J=1.0, Delta=1.0), 3, 3)],
-                         ids=["chain-L2-d3", "star-L2-d4-csr", "chain-L3-d3-csr"])
-def test_bath_run_peak_memory_stays_below_its_estimate(ham, L, d):
+@pytest.mark.parametrize("ham, L, d, tau", [(XXZSpec(J=1.0, Delta=1.0), 2, 3, 0.9),
+                                             (SpinStarSpec(J=1.0), 2, 4, 0.9),
+                                             (XXZSpec(J=1.0, Delta=1.0), 3, 3, 0.9),
+                                             (XXZSpec(J=1.0, Delta=1.0), 1, 8, 6.0)],
+                         ids=["chain-L2-d3", "star-L2-d4-csr", "chain-L3-d3-csr",
+                              "chain-L1-d8-squaring"])
+def test_bath_run_peak_memory_stays_below_its_estimate(ham, L, d, tau):
     """The gate counts a bath run's float64 block with its copies in the Taylor action, the
-    generator, and the round map with its powers (21 of them at L=2, d=3).  scipy.sparse is
-    imported first: its import, once per process, is not the run's."""
+    generator, a dense generator's K x K scaling-and-squaring arrays (K = 344 at L=1, d=8,
+    where they are most of the peak), and the round map with its powers (21 of them at L=2,
+    d=3).  scipy.sparse is imported first: its import, once per process, is not the run's."""
     from scipy import sparse  # noqa: F401
 
-    config = ProtocolConfig(layout=SystemLayout(ham.topology, L, d), hamiltonian=ham, tau=0.9,
+    config = ProtocolConfig(layout=SystemLayout(ham.topology, L, d), hamiltonian=ham, tau=tau,
                             n_measurements=50, rank=2,
                             bath=BathSpec(temperature=1.0, gamma=1e-3, omega=1.0))
     assert traced_peak(config, retain_state=False) <= protocol.run_bytes(config)
@@ -382,6 +404,12 @@ def test_rounds_per_call_fits_the_powers_in_their_bytes(L, d, k, N, K):
     assert K <= 1 or 32 * K * sum(a * a for a in support) <= protocol.POWERS_BYTES
     balance = N * protocol.BLOCK_CALL_MACS * len(set(support)) / sum(a ** 3 for a in support)
     assert K <= 1 or (K - 1) ** 2 < balance
+
+
+def test_a_round_count_past_the_float_range_is_refused_by_the_memory_gate():
+    """N = 10^400 rounds, which overflows a float, is refused for its record's bytes."""
+    with pytest.raises(ValueError, match="needs about"):
+        xx_config(N=10 ** 400)
 
 
 @pytest.mark.parametrize("L, d, k, N, K", [
