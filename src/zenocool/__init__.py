@@ -3,18 +3,14 @@
 Repeated unitary evolution plus post-selected rank-k measurement on a
 regulator qudit drives infinite-temperature targets into the equal mixture
 of their k lowest local-energy eigenstates.  The package provides the exact
-dense simulator, the closed-form validation oracles, open-system (local
-master equation) evolution, and a deterministic sweep harness with a CLI.
+simulator on the total-Sz sectors, open-system (local master equation)
+evolution, a deterministic sweep harness with a CLI, and in `oracles` the
+closed-form fidelities and dense reference routines it is checked against.
 """
 
 __version__ = "0.1.0"
 
-from .evolution import (
-    BathSpec,
-    LindbladPropagator,
-    dissipator,
-    liouvillian,
-)
+from .evolution import BathSpec, LindbladPropagator
 from .hamiltonians import (
     BBHSpec,
     HamiltonianSpec,
@@ -22,7 +18,16 @@ from .hamiltonians import (
     SystemLayout,
     XXZSpec,
 )
-from .oracles import fidelity_bbh_rank1_d3, fidelity_xx_rank1
+from .oracles import (
+    dissipator,
+    embed_operator,
+    fidelity_bbh_rank1_d3,
+    fidelity_xx_rank1,
+    liouvillian,
+    oracle_check,
+    partial_trace,
+    uhlmann_fidelity,
+)
 from .protocol import (
     ExtinctionError,
     ProtocolConfig,
@@ -35,21 +40,16 @@ from .protocol import (
 from .qudit import (
     DensityMatrix,
     SpinOperatorSet,
-    embed_operator,
     energy_order,
     low_lying_mixture,
-    partial_trace,
     spin_operators,
-    tensor_product,
     thermal_state,
-    uhlmann_fidelity,
 )
 from .sweeps import (
     ConfigError,
     SweepSpec,
     classify_regions,
     load_config,
-    oracle_check,
     run_config,
     run_sweep,
     write_results,
@@ -65,6 +65,6 @@ __all__ = [
     "liouvillian", "load_config",
     "low_lying_mixture", "oracle_check", "partial_trace",
     "run_config", "run_sweep", "spin_operators",
-    "tensor_product", "thermal_state", "uhlmann_fidelity", "write_results",
+    "thermal_state", "uhlmann_fidelity", "write_results",
     "zeno_run", "zeno_spectrum",
 ]

@@ -11,10 +11,10 @@ import json
 import sys
 from pathlib import Path
 
+from .oracles import oracle_check
 from .presets import PRESETS, preset_sweeps
 from .protocol import zeno_spectrum
-from .sweeps import (AXES, ConfigError, classify_regions, load_config, oracle_check, run_config,
-                     write_results)
+from .sweeps import AXES, ConfigError, classify_regions, load_config, run_config, write_results
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1

@@ -18,8 +18,9 @@ approximant of exp(L tau / 2^j) by Paterson-Stockmeyer, squares it j times
 and multiplies the block once.  A dense generator takes whichever needs
 fewer multiply-adds; a CSR one always takes the action.  A generator of at
 most DENSE_BYTES is a dense float64 array; a larger one is a real scipy CSR
-matrix, and only then is scipy imported.  `liouvillian`, the full sparse complex superoperator, and
-`dissipator` are the tests' oracles.
+matrix, and only then is scipy imported.  The full sparse complex
+superoperator, `oracles.liouvillian`, is the tests' reference for these
+entries.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .qudit import DensityMatrix, embed_operator, operator_entries, spin_operators, summed_entries
+from .qudit import operator_entries, spin_operators, summed_entries
 
 # the largest generator stored dense, 8 K^2 bytes of float64 (K <= 362, so L=2, d=3 at
 # K = 141 is dense and L=2, d=4 at K = 580 is CSR); a dense complex K = 1107 (L=3, d=3)
@@ -103,47 +104,9 @@ def _jump_peak(d: int) -> float:
 
 
 def _jump_entries(bath: BathSpec, dims: Sequence[int]):
-    """The entries (rows, cols, values) of A on the bath's site."""
+    """The entries (rows, cols, values) of A on the bath's site, the last one for site=None."""
     site = bath.site if bath.site is not None else len(dims) - 1
     return operator_entries(_jump(dims[site]), site, dims)
-
-
-def _jump_operator(bath: BathSpec, dims: Sequence[int]) -> np.ndarray:
-    site = bath.site if bath.site is not None else len(dims) - 1
-    return embed_operator(_jump(dims[site]), site, dims)
-
-
-def dissipator(rho: DensityMatrix, bath: BathSpec) -> np.ndarray:
-    """gamma[(1+n)(A rho A+ - {A+A,rho}/2) + n(A+ rho A - {AA+,rho}/2)], A = S^-/2 (checks liouvillian)."""
-    A = _jump_operator(bath, rho.dims)
-    n, r = bath.occupancy(), rho.data
-    out = np.zeros_like(r)
-    for rate, B in ((bath.gamma * (1 + n), A), (bath.gamma * n, A.conj().T)):
-        BdB = B.conj().T @ B
-        out += rate * (B @ r @ B.conj().T - 0.5 * (BdB @ r + r @ BdB))
-    return out
-
-
-def liouvillian(H, bath: BathSpec, dims: Sequence[int]):
-    """Sparse (CSR) superoperator on row-stacked rho: vec(A rho B) = (A kron B^T) vec(rho).
-
-    The tests' oracle for `LindbladPropagator`'s entries, built from Kronecker products
-    over the whole D^2 space; the engine never calls it.
-    """
-    from scipy import sparse
-
-    H = sparse.csr_matrix(H, dtype=complex)
-    eye = sparse.identity(H.shape[0], dtype=complex, format="csr")
-    lk = lambda X, Y: sparse.kron(X, Y.T, format="csr")
-    L = -1j * (lk(H, eye) - lk(eye, H))
-    if bath.gamma > 0:
-        A = sparse.csr_matrix(_jump_operator(bath, dims))
-        n = bath.occupancy()
-        for rate, B in ((bath.gamma * (1 + n), A), (bath.gamma * n, A.conj().T)):
-            Bd = B.conj().T
-            BdB = Bd @ B
-            L += rate * (lk(B, Bd) - 0.5 * (lk(BdB, eye) + lk(eye, BdB)))
-    return L.tocsr()
 
 
 def _matches(keys: np.ndarray, index: np.ndarray, size: int):
@@ -157,7 +120,8 @@ def _matches(keys: np.ndarray, index: np.ndarray, size: int):
 
 
 def generator_entries(H, bath: BathSpec, dims: Sequence[int], subspace: np.ndarray):
-    """The entries (rows, cols, values) of `liouvillian(H, bath, dims)[subspace][:, subspace]`.
+    """The entries (rows, cols, values) of L[subspace][:, subspace], for the superoperator
+    L = `oracles.liouvillian(H, bath, dims)`.
 
     H is a dense array or its entries (rows, cols, values).  With vec(rho)[(i, j)] =
     rho[i, j], each entry of the subspace, as the column (b, e), meets
@@ -208,15 +172,6 @@ def hermitian_coordinates(subspace: np.ndarray, D: int):
     Re rho_ab at e = (a, b) with a < b, and Im rho_ab at its partner (b, a)."""
     a, b = np.divmod(subspace, D)
     return np.searchsorted(subspace, b * D + a), a > b
-
-
-def real_coordinates(vectors: np.ndarray, subspace: np.ndarray, D: int) -> np.ndarray:
-    """The real Hermitian coordinates of Hermitian vec(rho) entries on `subspace` (first axis)."""
-    partner, lower = hermitian_coordinates(subspace, D)
-    vectors = np.asarray(vectors)
-    out = vectors.real.copy()
-    out[lower] = vectors[partner[lower]].imag
-    return out
 
 
 def hermitian_entries(coordinates: np.ndarray, subspace: np.ndarray, D: int) -> np.ndarray:
@@ -296,7 +251,7 @@ class LindbladPropagator:
         """exp(L tau) on real Hermitian coordinates: a vector or a block of column vectors."""
         if np.iscomplexobj(vectors):
             raise ValueError("LindbladPropagator.apply takes real Hermitian coordinates, "
-                             "not complex entries (see real_coordinates)")
+                             "not complex entries (see oracles.real_coordinates)")
         tau = float(tau)
         x = abs(tau) * self._norm
         m, s = 0, 1

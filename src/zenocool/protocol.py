@@ -14,34 +14,34 @@ so rho stays block-diagonal in magnetization sectors: each target's reduced
 state is diagonal, and its fidelity is read off the site populations.
 Both are exact algebraic restrictions, not approximations.
 
-The engine reads H only as its nonzero entries; the dense `spec.build` is
-left to the oracles.  A closed run works on the sectors, labelled by the
-digit sum of the flat index.  Every model's H is real: it is diagonalised
-once per (layout, Hamiltonian), by one float64 eigh per set of sector
-blocks of one size, scattered from the entries.  The support's sectors
-fall into groups of one support size, whose eigenvector rows are gathered
-once per preparation (one sort and a row gather per group); a point forms
-each group's round map M = U[S, S] and propagates X, with rho = X X^+ on the
-support, so a round costs the sum of the sector sizes cubed.  Each group
-stacks the powers M^1..M^K as rows of one array, built by repeated
-squaring, and a block of K rounds is one matmul per group against them.  K
-balances the powers' cost against the blocks' calls, within POWERS_BYTES
-(at most ROUNDS_PER_CALL, and 1 once the sectors are large).  A round map
-narrower than BLAS_ONE_THREAD_WIDTH runs its powers and rounds on one
-OpenBLAS thread, and the count is restored after them.
+The engine reads H only as its nonzero entries and forms neither the D x D
+H nor U: the dense `spec.build`, U(tau) and the literal round map are the
+tests' references, in `oracles`.  A closed run works on the sectors,
+labelled by the digit sum of the flat index.  Every model's H is real: it
+is diagonalised once per (layout, Hamiltonian), by one float64 eigh per set
+of sector blocks of one size, scattered from the entries.  The support's
+sectors fall into groups of one support size, whose eigenvector rows are
+gathered once per preparation (one sort and a row gather per group); a
+point forms each group's round map M = U[S, S] and propagates X, with
+rho = X X^+ on the support, so a round costs the sum of the sector sizes
+cubed.  Each group stacks the powers M^1..M^K as rows of one array, built
+by repeated squaring, and a block of K rounds is one matmul per group
+against them.  K balances the powers' cost against the blocks' calls,
+within POWERS_BYTES (at most ROUNDS_PER_CALL, and 1 once the sectors are
+large).  A round map narrower than BLAS_ONE_THREAD_WIDTH runs its powers
+and rounds on one OpenBLAS thread, and the count is restored after them.
 `zeno_run` reads all fidelities off the support populations at once, and
-forms the D x D state only when it is retained.  The round-map spectrum
-takes one eig per sector block of M.  Only `_unitary`, the tests' oracle,
-forms the D x D U.  A bath run lists its generator on the sector-diagonal
-entries of rho once per (layout, Hamiltonian, bath), from H's entries, as a
-real map of rho's Hermitian coordinates (scipy is loaded only for a
-generator over `evolution.DENSE_BYTES`).  Each point applies exp(L tau) once
-to a unit column per support coordinate and rho(0), by a truncated Taylor
-approximant (as a dense K x K matrix squared j times, or as the action on
-the block, whichever takes fewer multiply-adds; always the action on a CSR
-generator), reads the real round map T off it, and runs its rounds K at a
-time against the stacked powers of T, as the closed rounds do against those
-of M.
+forms the D x D state only when asked to retain it (`retain_state=True`).
+The round-map spectrum takes one eig per sector block of M.  A bath run
+lists its generator on the sector-diagonal entries of rho once per (layout,
+Hamiltonian, bath), from H's entries, as a real map of rho's Hermitian
+coordinates (scipy is loaded only for a generator over
+`evolution.DENSE_BYTES`).  Each point applies exp(L tau) once to a unit
+column per support coordinate and rho(0), by a truncated Taylor approximant
+(as a dense K x K matrix squared j times, or as the action on the block,
+whichever takes fewer multiply-adds; always the action on a CSR generator),
+reads the real round map T off it, and runs its rounds K at a time against
+the stacked powers of T, as the closed rounds do against those of M.
 """
 from __future__ import annotations
 
@@ -58,16 +58,8 @@ import numpy as np
 
 from .evolution import DENSE_BYTES, BathSpec, LindbladPropagator, hermitian_entries
 from .hamiltonians import HamiltonianSpec, SystemLayout
-from .qudit import (
-    DensityMatrix,
-    _low_lying_weights,
-    _thermal_weights,
-    _zeroed,
-    embed_operator,
-    energy_order,
-    low_lying_mixture,
-    summed_entries,
-)
+from .qudit import (DensityMatrix, _low_lying_weights, _thermal_weights, _zeroed, energy_order,
+                    summed_entries)
 
 EXTINCTION_THRESHOLD = 1e-14
 # most closed rounds per batched matmul.  A block's traces are the products of its p's, so
@@ -180,6 +172,10 @@ class ProtocolConfig:
         if self.target_betas is not None and len(self.target_betas) != self.layout.L:
             raise ValueError(
                 f"target_betas has {len(self.target_betas)} entries for {self.layout.L} targets")
+        for i, beta in enumerate(self.betas):
+            if not beta >= 0:       # NaN fails it too
+                raise ValueError(f"target_betas[{i}] must be a non-negative number or inf, "
+                                 f"got {beta}")
         if self.layout.topology != self.hamiltonian.topology:
             raise ValueError(f"{self.hamiltonian.model} Hamiltonian requires the "
                              f"{self.hamiltonian.topology} layout")
@@ -412,11 +408,6 @@ def initial_state(config: ProtocolConfig) -> DensityMatrix:
     return DensityMatrix(np.diag(_initial_populations(config)), config.layout.dims)
 
 
-def target_state(config: ProtocolConfig) -> DensityMatrix:
-    """The state each target is driven toward (the regulator preparation)."""
-    return low_lying_mixture(config.layout.d, config.prep_rank, config.hamiltonian.h)
-
-
 def _support(config: ProtocolConfig) -> np.ndarray:
     """The projector support: ascending flat indices whose regulator digit is a k-lowest level."""
     d, L = config.layout.d, config.layout.L
@@ -448,12 +439,6 @@ def _hamiltonian(layout: SystemLayout, spec: HamiltonianSpec):
         raise ValueError(f"{spec.model} Hamiltonian does not conserve total Sz: "
                          f"max |[H, Sz_tot]| = {leak:.3e} > {SZ_CONSERVATION_TOL:g}")
     return rows, cols, values
-
-
-def _unitary(config: ProtocolConfig) -> np.ndarray:
-    """U(tau) on the whole space, from one dense eigh: the oracle of the sector engine."""
-    lam, V = np.linalg.eigh(config.hamiltonian.build(config.layout))
-    return (V * np.exp(-1j * lam * config.tau)) @ V.conj().T
 
 
 class _SectorEigh(NamedTuple):
@@ -623,15 +608,15 @@ def _site_fidelities(config: ProtocolConfig, pops: np.ndarray) -> np.ndarray:
     return np.minimum(np.sqrt(q).sum(axis=-1) ** 2 / len(low), 1.0)
 
 
-def zeno_run(config: ProtocolConfig, *, retain_state: bool = True) -> TrajectoryRecord:
+def zeno_run(config: ProtocolConfig, *, retain_state: bool = False) -> TrajectoryRecord:
     """Alternate evolution and post-selected rank-k measurement N times.
 
     Records per-round conditional probabilities, their running log-sum, and
     the Uhlmann fidelity of every target site against the regulator
     preparation.  Raises ExtinctionError (carrying the completed prefix) if
-    a round's outcome probability drops below EXTINCTION_THRESHOLD.  With
-    retain_state it also returns the D x D final state, and first checks that
-    the run and that state fit in physical memory.
+    a round's outcome probability drops below EXTINCTION_THRESHOLD.  Only with
+    retain_state does it also return the D x D final state, after checking
+    first that the run and that state fit in physical memory.
     """
     if retain_state and (need := run_bytes(config, retain_state)) > physical_memory():
         raise ValueError(f"retain_state=True keeps the D x D state: about {need:,} bytes with "
@@ -820,15 +805,6 @@ def _open_rounds(config: ProtocolConfig, w: np.ndarray, support: np.ndarray):
     return pops, probs, drift, rho
 
 
-def direct_cumulative_probability(config: ProtocolConfig) -> float:
-    """Tr[(P U)^N rho(0) (U^+ P)^N] evaluated literally (validation oracle)."""
-    low = low_lying_mixture(config.layout.d, config.rank, config.hamiltonian.h).data != 0
-    P = embed_operator(low, config.layout.regulator_site, config.layout.dims)
-    M = P @ _unitary(config)
-    MN = np.linalg.matrix_power(M, config.n_measurements)
-    return float(np.trace(MN @ initial_state(config).data @ MN.conj().T).real)
-
-
 @dataclass
 class ZenoSpectrum:
     """Spectral data of the nonunitary round map M = P U(tau)."""
@@ -913,5 +889,5 @@ def delta_p(config: ProtocolConfig, k: int, *, matched_preparation: bool = True)
             layout=config.layout, hamiltonian=config.hamiltonian, tau=config.tau,
             n_measurements=config.n_measurements, rank=rank, regulator_prep=prep,
             target_betas=config.target_betas, bath=config.bath)
-        ps.append(zeno_run(variant, retain_state=False).cumulative_probability)
+        ps.append(zeno_run(variant).cumulative_probability)
     return ps[0] - ps[1]

@@ -1,15 +1,17 @@
-"""Spin-s operator algebra, qudit states, operator entries, tensor tools and Uhlmann fidelity.
+"""Spin-s operator algebra, qudit states and the entries of operators on a product space.
 
 Everything here is numpy, hbar = k_B = 1.  Local basis conventions:
 the computational basis is the S^z eigenbasis ordered m = s, s-1, ..., -s;
 "energy-ascending" always refers to the local Hamiltonian h * S^z, so for
-h > 0 the local ground state |0> is the m = -s vector.
+h > 0 the local ground state |0> is the m = -s vector.  The dense tools
+built on these (`embed_operator`, `partial_trace`, `uhlmann_fidelity`) are
+the tests' oracles, in `oracles`.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -106,16 +108,18 @@ def low_lying_mixture(d: int, k: int, h: float = 1.0) -> DensityMatrix:
 
 
 def _thermal_weights(d: int, h: float, beta: float) -> np.ndarray:
-    """The diagonal of `thermal_state(d, h, beta)`, as floats."""
-    if beta < 0:
-        raise ValueError("inverse temperature must be non-negative")
+    """The diagonal of `thermal_state(d, h, beta)`, as floats.  Where beta * h * m overflows,
+    the weights are beta = inf's: exp(-beta |h|) is 0 long before that."""
+    if not beta >= 0:
+        raise ValueError(f"inverse temperature must be non-negative, got {beta}")
     if beta == 0:
         return np.full(d, 1 / d)
-    if np.isinf(beta):
-        return _low_lying_weights(d, 1, h)
     s = (d - 1) / 2
     m = s - np.arange(d)
-    w = np.exp(-beta * h * m - np.max(-beta * h * m))
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.exp(-beta * h * m - np.max(-beta * h * m))
+    if np.isinf(beta) or np.isnan(w).any():     # inf - inf where beta * h * m overflowed
+        return _low_lying_weights(d, 1, h)
     w /= w.sum()
     return w
 
@@ -127,16 +131,6 @@ def _low_lying_weights(d: int, k: int, h: float) -> np.ndarray:
     w = np.zeros(d)
     w[energy_order(d, h)[:k]] = 1 / k
     return w
-
-
-def tensor_product(a, b):
-    """Kronecker composition: dims concatenate, traces multiply.
-
-    DensityMatrix inputs yield a DensityMatrix; raw arrays yield an array.
-    """
-    if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
-        return DensityMatrix(np.kron(a.data, b.data), a.dims + b.dims)
-    return np.kron(np.asarray(a), np.asarray(b))
 
 
 def summed_entries(rows, cols, values, size: int):
@@ -200,49 +194,8 @@ def placed_entries(local, sites, dims: Sequence[int]):
     return grid[a].ravel(), grid[b].ravel(), np.repeat(values, grid.shape[1])
 
 
-def embed_operator(op, sites, dims: Sequence[int]) -> np.ndarray:
-    """`op` on `sites` as a dense array: the scatter of `operator_entries(op, sites, dims)`."""
-    rows, cols, values = operator_entries(op, sites, dims)
-    out = np.zeros((math.prod(dims),) * 2, dtype=complex)
-    out[rows, cols] = values
-    return out
-
-
-def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
-    """Reduced state on `keep` (system order preserved); trace is preserved."""
-    keep = sorted(set(int(i) for i in keep))
-    if not keep:
-        raise ValueError("keep set must be non-empty")
-    dims, n = rho.dims, len(rho.dims)
-    if keep[0] < 0 or keep[-1] >= n:
-        raise ValueError(f"keep sites {keep} out of range for {n} subsystems")
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    row = list(letters[:n])
-    col = [letters[n + i] if i in keep else row[i] for i in range(n)]
-    out = "".join(row[i] for i in keep) + "".join(col[i] for i in keep)
-    red = np.einsum("".join(row) + "".join(col) + "->" + out, rho.data.reshape(dims * 2))
-    dk = int(np.prod([dims[i] for i in keep]))
-    return DensityMatrix(red.reshape(dk, dk), tuple(dims[i] for i in keep))
-
-
 def _zeroed(w: np.ndarray) -> np.ndarray:
     # eigenvalues indistinguishable from zero must not leak sqrt(eps) noise
     # into the trace of the matrix square root; rows of a 2-D w are separate spectra
     cutoff = np.maximum(w.max(axis=-1, keepdims=True), 0.0) * 1e-14
     return np.where(w > cutoff, w, 0.0)
-
-
-def uhlmann_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """(Tr sqrt(sqrt(sigma) rho sqrt(sigma)))^2 via Hermitian eigendecompositions."""
-    if rho.dim != sigma.dim:
-        raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    w, v = np.linalg.eigh(sigma.data)
-    if w[0] < -PSD_TOL:
-        raise ValueError(f"state has eigenvalue {w[0]:.3e} below -1e-10")
-    sq = (v * np.sqrt(_zeroed(w))) @ v.conj().T
-    inner = sq @ rho.data @ sq
-    ev = np.linalg.eigvalsh((inner + inner.conj().T) / 2)
-    if ev[0] < -PSD_TOL:
-        raise ValueError(f"state has eigenvalue {ev[0]:.3e} below -1e-10")
-    f = float(np.sum(np.sqrt(_zeroed(ev))) ** 2)
-    return min(f, 1.0)

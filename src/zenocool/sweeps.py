@@ -17,8 +17,8 @@ to tau, go through csv.writer once, so they are quoted as csv.writer
 quotes them; each row then appends N_step, site and fidelity from a `%`
 template, and the step's probabilities and extinct flag, formatted once
 per step ('%.17g' % x equals f'{x:.17g}' for every float, nan and the
-infinities included).  `run_sweep` returns these lines and `write_results`
-writes them after the header.
+infinities included).  `run_sweep` returns these lines, `write_results`
+writes them after the header, and `classify_regions` reads them back.
 """
 from __future__ import annotations
 
@@ -37,8 +37,7 @@ import numpy as np
 
 from . import __version__
 from .evolution import BathSpec
-from .hamiltonians import MODELS, BBHSpec, SystemLayout, XXZSpec
-from .oracles import fidelity_bbh_rank1_d3, fidelity_xx_rank1
+from .hamiltonians import MODELS, SystemLayout
 from .protocol import (ExtinctionError, ProtocolConfig, _blas_thread_calls, physical_memory,
                        run_bytes, zeno_run)
 
@@ -148,7 +147,7 @@ def _point_rows(preset_id: str, config: ProtocolConfig, recorded: list[int]) -> 
     """The point's CSV lines, one per recorded step and site, each ending in a newline."""
     round_row = _row_prefix(preset_id, config).replace("%", "%%") + _ROUND
     try:
-        record = zeno_run(config, retain_state=False)
+        record = zeno_run(config)
         extinction = None
     except ExtinctionError as err:
         record = err.partial
@@ -457,122 +456,3 @@ def classify_regions(rows: Iterable[dict], threshold: float = 0.96) -> list[Regi
         summary.imperfect = [j for j in jts if group[j] <= threshold]
         summaries.append(summary)
     return summaries
-
-
-# ---------------------------------------------------------------------------
-# Oracle agreement report
-# ---------------------------------------------------------------------------
-
-@dataclass
-class OracleCheckEntry:
-    label: str
-    max_deviation: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_deviation < self.tolerance
-
-
-@dataclass
-class OracleReport:
-    entries: list[OracleCheckEntry]
-
-    @property
-    def passed(self) -> bool:
-        return all(e.passed for e in self.entries)
-
-    def lines(self) -> list[str]:
-        return [f"{'PASS' if e.passed else 'FAIL'}  {e.label}: "
-                f"max |deviation| = {e.max_deviation:.3e} (tolerance {e.tolerance:g})"
-                for e in self.entries]
-
-
-XX_ORACLE_GRID = tuple(round(0.1 * i, 10) for i in range(63))   # 0.0 .. 6.2
-BBH_ORACLE_THETAS = (-5 * math.pi / 8, -math.pi / 8, math.pi / 2, 3 * math.pi / 4)
-
-
-def _xx_run_fidelities(d: int, jtau: float, n_max: int) -> np.ndarray:
-    config = ProtocolConfig(layout=SystemLayout("chain", 1, d),
-                            hamiltonian=XXZSpec(J=1.0, Delta=0.0, h=1.0),
-                            tau=jtau, n_measurements=n_max, rank=1)
-    return zeno_run(config, retain_state=False).fidelities[:, 0]
-
-
-def _bbh_run_fidelities(theta: float, jtau: float, n_max: int) -> np.ndarray:
-    config = ProtocolConfig(layout=SystemLayout("chain", 1, 3),
-                            hamiltonian=BBHSpec(J=1.0, theta=theta, h=1.0),
-                            tau=jtau, n_measurements=n_max, rank=1)
-    return zeno_run(config, retain_state=False).fidelities[:, 0]
-
-
-def xx_oracle_deviation(d: int, grid=XX_ORACLE_GRID, n_max: int = 50) -> float:
-    worst = 0.0
-    for jt in grid:
-        sim = _xx_run_fidelities(d, jt, n_max)
-        exact = np.array([fidelity_xx_rank1(d, n, jt) for n in range(1, n_max + 1)])
-        worst = max(worst, float(np.max(np.abs(sim - exact))))
-    return worst
-
-
-def bbh_oracle_deviation(thetas=BBH_ORACLE_THETAS, jtau: float = 1.0, n_max: int = 100) -> float:
-    worst = 0.0
-    for theta in thetas:
-        sim = _bbh_run_fidelities(theta, jtau, n_max)
-        exact = np.array([fidelity_bbh_rank1_d3(n, theta, jtau) for n in range(1, n_max + 1)])
-        worst = max(worst, float(np.max(np.abs(sim - exact))))
-    return worst
-
-
-BATH_ORACLE_JTAU = (0.5, 1.2, math.pi, 2 * math.pi)
-
-
-def bath_oracle_deviation(jtaus=BATH_ORACLE_JTAU, n_max: int = 50) -> float:
-    """fig8's bath run (rank-2 XXZ Delta=1, L=1, d=3, T=1, gamma=1e-3) against the literal
-    round map rho -> P exp(L tau)(rho) P / p on the full space, with exp(L tau) from scipy's
-    dense expm of `liouvillian`: the largest deviation of a fidelity or a step probability."""
-    from scipy.linalg import expm
-
-    from .evolution import liouvillian
-    from .protocol import initial_state, target_state
-    from .qudit import (DensityMatrix, embed_operator, low_lying_mixture, partial_trace,
-                        uhlmann_fidelity)
-
-    worst = 0.0
-    for jt in jtaus:
-        config = ProtocolConfig(layout=SystemLayout("chain", 1, 3),
-                                hamiltonian=XXZSpec(J=1.0, Delta=1.0, h=1.0), tau=jt,
-                                n_measurements=n_max, rank=2,
-                                bath=BathSpec(temperature=1.0, gamma=1e-3, omega=1.0))
-        record = zeno_run(config, retain_state=False)
-        dims = config.layout.dims
-        E = expm(liouvillian(config.hamiltonian.build(config.layout), config.bath,
-                             dims).toarray() * jt)
-        P = embed_operator(low_lying_mixture(3, config.rank, 1.0).data != 0, 0, dims)
-        rho = initial_state(config).data
-        for n in range(n_max):
-            rho = P @ (E @ rho.reshape(-1)).reshape(rho.shape) @ P
-            p = np.trace(rho).real
-            rho = (rho + rho.conj().T) / (2 * p)
-            f = uhlmann_fidelity(partial_trace(DensityMatrix(rho, dims), {1}),
-                                 target_state(config))
-            worst = max(worst, abs(p - record.step_probabilities[n]),
-                        abs(f - record.fidelities[n, 0]))
-    return worst
-
-
-def oracle_check() -> OracleReport:
-    """Engine-vs-closed-form agreement over the full validation grids, and the bath run
-    against its literal dense round map."""
-    entries = [
-        OracleCheckEntry(f"XX rank-1 d={d} (63 Jtau x 50 N)", xx_oracle_deviation(d), 1e-8)
-        for d in (2, 3, 4, 5)
-    ]
-    entries.append(OracleCheckEntry(
-        "BBH rank-1 d=3 (4 theta x 100 N, Jtau=1)", bbh_oracle_deviation(), 1e-8))
-    asym = abs(_xx_run_fidelities(3, math.pi, 200)[-1] - 0.5)
-    entries.append(OracleCheckEntry("XX d=3 asymptote (Jtau=pi, N=200) vs 0.5", asym, 1e-3))
-    entries.append(OracleCheckEntry(
-        f"fig8 bath rank-2 XXZ d=3 vs dense expm round map ({len(BATH_ORACLE_JTAU)} Jtau x 50 N)",
-        bath_oracle_deviation(), 1e-8))
-    return OracleReport(entries)

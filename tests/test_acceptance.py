@@ -23,21 +23,21 @@ from zenocool import (
     XXZSpec,
     classify_regions,
     low_lying_mixture,
-    partial_trace,
     spin_operators,
-    uhlmann_fidelity,
     zeno_run,
     zeno_spectrum,
 )
-from zenocool.presets import JTAU_CONTOUR, THETA_CONTOUR
-from zenocool.protocol import _unitary, direct_cumulative_probability
-from zenocool.sweeps import (
-    COLUMNS,
-    SweepSpec,
+from zenocool.oracles import (
     bbh_oracle_deviation,
-    run_sweep,
+    embed_operator,
+    literal_run,
+    partial_trace,
+    uhlmann_fidelity,
+    unitary,
     xx_oracle_deviation,
 )
+from zenocool.presets import JTAU_CONTOUR, THETA_CONTOUR
+from zenocool.sweeps import COLUMNS, SweepSpec, run_sweep
 
 from conftest import random_density
 
@@ -71,7 +71,7 @@ def test_criterion_2_bbh_oracle_equivalence():
 
 def test_criterion_3_asymptotic_pin():
     """d=3, XX, rank-1, Jtau=pi, N=200: fidelity = 0.5 +- 1e-3."""
-    record = zeno_run(chain_config(3, math.pi, 200, 1), retain_state=False)
+    record = zeno_run(chain_config(3, math.pi, 200, 1))
     f = record.fidelities[-1, 0]
     report("criterion 3 (half-fidelity asymptote)", abs(f - 0.5) < 1e-3,
            f"F = {f:.6f}")
@@ -110,7 +110,7 @@ def test_criterion_5_rank_monotonicity():
     p = {20: [], 50: []}
     f = {20: [], 50: []}
     for k in ks:
-        record = zeno_run(chain_config(31, 3.0, 50, k, Delta=1.0), retain_state=False)
+        record = zeno_run(chain_config(31, 3.0, 50, k, Delta=1.0))
         cum = record.cumulative_probabilities
         for n in (20, 50):
             p[n].append(float(cum[n - 1]))
@@ -133,7 +133,7 @@ def _chain_l4_stats(configs):
     worst_gap = np.inf
     max_b4 = 0.0
     for config in configs:
-        record = zeno_run(config, retain_state=False)
+        record = zeno_run(config)
         b1 = record.fidelities[:, 0]
         b4 = record.fidelities[:, 3]
         worst_gap = min(worst_gap, float(np.min(b1 - b4)))
@@ -180,7 +180,7 @@ def test_criterion_7_star_obstruction():
         config = ProtocolConfig(layout=SystemLayout("star", 4, 3),
                                 hamiltonian=SpinStarSpec(J=1.0), tau=tau,
                                 n_measurements=200, rank=2)
-        record = zeno_run(config, retain_state=False)
+        record = zeno_run(config)
         max_f = max(max_f, float(np.max(record.fidelities)))
         max_spread = max(max_spread, float(np.max(np.ptp(record.fidelities, axis=1))))
     ok = max_spread < 1e-10 and max_f < 0.99
@@ -199,15 +199,13 @@ def test_criterion_8_open_system_robustness():
     for d in (3, 4):
         top = 0.0
         for tau in JTAU_CONTOUR:
-            record = zeno_run(chain_config(d, tau, 200, 2, Delta=1.0, bath=bath),
-                              retain_state=False)
+            record = zeno_run(chain_config(d, tau, 200, 2, Delta=1.0, bath=bath))
             worst_drift = max(worst_drift, record.max_trace_drift)
             top = max(top, float(np.max(record.fidelities)))
         best[d] = top
-    closed = zeno_run(chain_config(3, 1.2, 50, 2, Delta=1.0), retain_state=False)
+    closed = zeno_run(chain_config(3, 1.2, 50, 2, Delta=1.0))
     opened = zeno_run(chain_config(3, 1.2, 50, 2, Delta=1.0,
-                                   bath=BathSpec(temperature=1.0, gamma=0.0, omega=1.0)),
-                      retain_state=False)
+                                   bath=BathSpec(temperature=1.0, gamma=0.0, omega=1.0)))
     gamma0_gap = float(np.max(np.abs(closed.fidelities - opened.fidelities)))
     ok = (worst_drift < 1e-8 and gamma0_gap < 1e-6
           and best[3] >= 0.9 and best[4] < best[3])
@@ -228,14 +226,13 @@ def test_criterion_9_property_suites():
                    - ops.s * (ops.s + 1) * np.eye(d))
         assert np.max(np.abs(comm)) < 1e-12 and np.max(np.abs(casimir)) < 1e-12
     # Hamiltonian symmetries
-    from zenocool import BBHSpec, embed_operator
     layout = SystemLayout("chain", 2, 3)
     sz_tot = sum(embed_operator(spin_operators(3).sz, i, layout.dims) for i in range(3))
     for H in (XXZSpec(0.9, 0.4, 1.2).build(layout), BBHSpec(0.9, 0.7, 1.2).build(layout)):
         assert np.max(np.abs(H - H.conj().T)) < 1e-12
         assert np.max(np.abs(H @ sz_tot - sz_tot @ H)) < 1e-12
     # U(tau) unitarity + group law, and agreement with scipy's expm
-    U1, U2, U12 = (_unitary(chain_config(3, t, 1, 1, Delta=0.4, L=2)) for t in (0.7, 1.1, 1.8))
+    U1, U2, U12 = (unitary(chain_config(3, t, 1, 1, Delta=0.4, L=2)) for t in (0.7, 1.1, 1.8))
     H = XXZSpec(1.0, 0.4, 1.0).build(layout)
     assert np.max(np.abs(U1 @ U1.conj().T - np.eye(27))) < 1e-10
     assert np.max(np.abs(U1 @ U2 - U12)) < 1e-9
@@ -250,15 +247,13 @@ def test_criterion_9_property_suites():
     pure = DensityMatrix(np.outer(v, v), (4,))
     assert abs(uhlmann_fidelity(pure, sigma) - sigma.data[2, 2].real) < 1e-10
     # partial-trace recovery
-    from zenocool import tensor_product
-    joint = tensor_product(rho, sigma)
+    joint = DensityMatrix(np.kron(rho.data, sigma.data), (4, 4))
     assert np.allclose(partial_trace(joint, {0}).data, rho.data)
     # direct-trace equivalence for N <= 5
     for n in (1, 3, 5):
         config = chain_config(3, 0.9, n, 2, Delta=1.0)
-        record = zeno_run(config, retain_state=False)
-        assert abs(record.cumulative_probability
-                   - direct_cumulative_probability(config)) < 1e-10
+        record = zeno_run(config)
+        assert abs(record.cumulative_probability - np.prod(literal_run(config)[0])) < 1e-10
     # spectrum modulus bound + dominant-eigenvector consistency
     config = chain_config(3, 1.2, 1, 1)
     spec = zeno_spectrum(config)

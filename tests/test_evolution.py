@@ -15,19 +15,12 @@ from zenocool import (
     SpinStarSpec,
     SystemLayout,
     XXZSpec,
-    dissipator,
-    liouvillian,
     spin_operators,
     thermal_state,
 )
-from zenocool.evolution import (
-    DENSE_BYTES,
-    THETA,
-    generator_entries,
-    hermitian_entries,
-    real_coordinates,
-)
-from zenocool.protocol import _hamiltonian, _sector_labels, _unitary
+from zenocool.evolution import DENSE_BYTES, THETA, generator_entries, hermitian_entries
+from zenocool.oracles import dissipator, liouvillian, real_coordinates, unitary
+from zenocool.protocol import _hamiltonian, _sector_labels
 
 
 def propagate(prop: LindbladPropagator, vectors: np.ndarray, tau: float, subspace: np.ndarray,
@@ -63,7 +56,7 @@ def model_config(seed: int, tau: float) -> ProtocolConfig:
 
 def test_propagator_tau_zero_is_identity():
     for seed in range(3):
-        assert np.allclose(_unitary(model_config(seed, 0.0)), np.eye(27))
+        assert np.allclose(unitary(model_config(seed, 0.0)), np.eye(27))
 
 
 def test_propagator_single_spin_diagonal():
@@ -73,14 +66,14 @@ def test_propagator_single_spin_diagonal():
                             hamiltonian=XXZSpec(J=0.0, Delta=0.0), tau=tau,
                             n_measurements=1, rank=1)
     m_tot = np.array([1.0, 0.0, 0.0, -1.0])
-    assert np.allclose(_unitary(config), np.diag(np.exp(-1j * tau * m_tot)))
+    assert np.allclose(unitary(config), np.diag(np.exp(-1j * tau * m_tot)))
 
 
 @given(seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=20)
 def test_propagator_matches_power_series(seed):
     config = model_config(seed, 0.1)
-    U = _unitary(config)
+    U = unitary(config)
     A = -1j * config.hamiltonian.build(config.layout) * config.tau
     series = np.zeros_like(A)
     term = np.eye(len(A), dtype=complex)
@@ -95,9 +88,9 @@ def test_propagator_matches_power_series(seed):
 @settings(max_examples=20)
 def test_propagator_unitary_and_group_law(seed, t1, t2):
     config = model_config(seed, t1)
-    U1 = _unitary(config)
-    U2 = _unitary(model_config(seed, t2))
-    U12 = _unitary(model_config(seed, t1 + t2))
+    U1 = unitary(config)
+    U2 = unitary(model_config(seed, t2))
+    U12 = unitary(model_config(seed, t1 + t2))
     assert np.max(np.abs(U1 @ U1.conj().T - np.eye(27))) < 1e-10
     assert np.max(np.abs(U1 @ U2 - U12)) < 1e-9
     assert np.max(np.abs(U1 - expm(-1j * config.hamiltonian.build(config.layout) * t1))) < 1e-9

@@ -11,9 +11,9 @@ from zenocool import (
     SpinStarSpec,
     SystemLayout,
     XXZSpec,
-    embed_operator,
     spin_operators,
 )
+from zenocool.oracles import embed_operator
 from zenocool.qudit import operator_entries
 
 finite = st.floats(-3.0, 3.0, allow_nan=False)

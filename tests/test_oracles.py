@@ -1,11 +1,33 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import zenocool
 from zenocool import fidelity_bbh_rank1_d3, fidelity_xx_rank1, zeno_run
 from zenocool import ProtocolConfig, SystemLayout, XXZSpec, BBHSpec
+
+ENGINE_MODULES = ("qudit", "hamiltonians", "evolution", "protocol", "sweeps", "presets")
+
+
+def test_no_engine_module_imports_the_oracles():
+    """The engine modules hold only what a run executes: none names `oracles` in an import
+    (`from .oracles import ...`, `from . import oracles`, `import zenocool.oracles`)."""
+    offenders = []
+    for module in ENGINE_MODULES:
+        path = Path(zenocool.__file__).parent / f"{module}.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module or ''}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            offenders += [f"{module}: {name}" for name in names if "oracles" in name.split(".")]
+    assert offenders == []
 
 
 def test_xx_at_zero_coupling_is_one_over_d():

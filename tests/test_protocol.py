@@ -24,24 +24,23 @@ from zenocool import (
     SystemLayout,
     XXZSpec,
     delta_p,
-    embed_operator,
     fidelity_xx_rank1,
-    liouvillian,
     low_lying_mixture,
-    partial_trace,
     spin_operators,
     thermal_state,
-    uhlmann_fidelity,
     zeno_run,
     zeno_spectrum,
 )
 from zenocool.hamiltonians import _BondsAndFields
-import zenocool.protocol as protocol
-from zenocool.protocol import (
-    direct_cumulative_probability,
-    initial_state,
+from zenocool.oracles import (
+    embed_operator,
+    literal_run,
+    partial_trace,
     target_state,
+    uhlmann_fidelity,
 )
+import zenocool.protocol as protocol
+from zenocool.protocol import initial_state
 from zenocool.qudit import operator_entries
 
 
@@ -113,7 +112,7 @@ def test_zero_rounds_returns_initial_fidelities():
 def test_cumulative_probability_equals_direct_trace(d, k, n, jtau):
     config = xx_config(d=d, jtau=jtau, N=n, k=min(k, d), Delta=1.0)
     record = zeno_run(config)
-    direct = direct_cumulative_probability(config)
+    direct = np.prod(literal_run(config)[0])
     assert record.cumulative_probability == pytest.approx(direct, abs=1e-10)
     assert np.prod(record.step_probabilities) == pytest.approx(direct, abs=1e-10)
 
@@ -121,7 +120,7 @@ def test_cumulative_probability_equals_direct_trace(d, k, n, jtau):
 @given(jtau=st.floats(0.1, 6.2), n=st.integers(1, 15))
 @settings(max_examples=20)
 def test_trajectory_states_and_fidelities_valid(jtau, n):
-    record = zeno_run(xx_config(d=3, jtau=jtau, N=n, k=2))
+    record = zeno_run(xx_config(d=3, jtau=jtau, N=n, k=2), retain_state=True)
     assert np.all(record.fidelities >= 0.0) and np.all(record.fidelities <= 1.0)
     record.final_state.validate()
     assert abs(np.trace(record.final_state.data).real - 1.0) < 1e-10
@@ -186,30 +185,13 @@ def test_sector_engine_matches_literal_round_map(model, L, d, data):
 
 
 def assert_matches_literal_round_map(config):
-    """The literal round map rho -> P E(rho) P / p on the full space, with
-    fidelities from partial_trace + uhlmann_fidelity, all at 1e-12."""
-    record = zeno_run(config)
-    dims = config.layout.dims
-    H = config.hamiltonian.build(config.layout)
-    if config.bath is None:
-        U = expm(-1j * H * config.tau)
-        evolve = lambda rho: U @ rho @ U.conj().T
-    else:
-        E = expm(liouvillian(H, config.bath, dims).toarray() * config.tau)
-        evolve = lambda rho: (E @ rho.reshape(-1)).reshape(rho.shape)
-    sigma = target_state(config)
-    low = low_lying_mixture(config.layout.d, config.rank, config.hamiltonian.h).data != 0
-    P = embed_operator(low, 0, dims)
-    rho = initial_state(config).data
-    for n in range(config.n_measurements):
-        rho = P @ evolve(rho) @ P
-        p = np.trace(rho).real
-        rho = (rho + rho.conj().T) / (2 * p)
-        assert p == pytest.approx(record.step_probabilities[n], abs=1e-12)
-        state = DensityMatrix(rho, dims)
-        for j in config.layout.target_sites:
-            f = uhlmann_fidelity(partial_trace(state, {j}), sigma)
-            assert f == pytest.approx(record.fidelities[n, j - 1], abs=1e-12)
+    """`oracles.literal_run`, the round map rho -> P E(rho) P / p on the full space with
+    fidelities from partial_trace + uhlmann_fidelity: every p, fidelity and the final state
+    at 1e-12."""
+    record = zeno_run(config, retain_state=True)
+    probs, fidelities, rho = literal_run(config)
+    assert np.max(np.abs(record.step_probabilities - probs)) <= 1e-12
+    assert np.max(np.abs(record.fidelities - fidelities)) <= 1e-12
     assert np.max(np.abs(record.final_state.data - rho)) < 1e-12
     return record
 
@@ -387,6 +369,40 @@ def test_an_l8_chain_passes_the_gate_and_refuses_to_retain_its_state(monkeypatch
     finally:
         tracemalloc.stop()
     assert peak < 16 * 19683       # nothing D x D, nor even a row of it, was allocated
+
+
+def test_a_plain_run_neither_keeps_nor_gates_the_dense_state(monkeypatch):
+    """retain_state defaults to False: with physical memory between the run's estimate and the
+    estimate with the D x D state, a plain call runs and returns no state, and only
+    retain_state=True refuses."""
+    config = xx_config(d=3, jtau=1.0, N=3, k=2, L=2, Delta=1.0)
+    run, retained = protocol.run_bytes(config), protocol.run_bytes(config, retain_state=True)
+    assert run < retained
+    monkeypatch.setattr(protocol, "physical_memory", lambda: (run + retained) // 2)
+    assert zeno_run(config).final_state is None
+    with pytest.raises(ValueError, match="retain_state=True keeps the D x D state"):
+        zeno_run(config, retain_state=True)
+
+
+@pytest.mark.parametrize("beta", [math.nan, -1.0, -math.inf])
+def test_a_nan_or_negative_target_beta_is_rejected_naming_its_index(beta):
+    with pytest.raises(ValueError, match=r"target_betas\[1\] must be a non-negative number"):
+        xx_config(d=3, L=2, target_betas=(0.5, beta))
+
+
+def test_a_target_beta_whose_weights_overflow_runs_as_beta_inf():
+    """beta h = 1e400 overflows: rho(0) is then the beta = inf state, so the run is the inf
+    run bit for bit, with no warning and no extinction."""
+    configs = [ProtocolConfig(layout=SystemLayout("chain", 1, 3),
+                              hamiltonian=XXZSpec(J=1.0, h=1e200), tau=1e-200,
+                              n_measurements=3, rank=1, target_betas=(beta,))
+               for beta in (1e200, math.inf)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, ref = (zeno_run(config) for config in configs)
+    for name in ("initial_fidelities", "fidelities", "step_probabilities"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
+    assert np.all(np.isfinite(got.fidelities))
 
 
 @pytest.mark.parametrize("L, d, k, N, K", [
@@ -724,7 +740,7 @@ def test_spectrum_left_right_biorthogonal():
 def test_large_n_run_converges_to_dominant_eigenvector():
     config = xx_config(d=3, jtau=1.2, N=500)
     spec = zeno_spectrum(config)
-    record = zeno_run(config)
+    record = zeno_run(config, retain_state=True)
     r = spec.dominant_right
     rho = DensityMatrix(np.outer(r, r.conj()) / np.vdot(r, r).real, (3, 3))
     red_eig = partial_trace(rho, {1})
@@ -807,7 +823,7 @@ def test_delta_p_single_round_direct_trace():
     expect = 0.0
     for rank, sign in ((2, 1.0), (1, -1.0)):
         variant = xx_config(d=3, jtau=1.0, N=1, k=rank)
-        expect += sign * direct_cumulative_probability(variant)
+        expect += sign * np.prod(literal_run(variant)[0])
     assert got == pytest.approx(expect, abs=1e-12)
 
 

@@ -1,21 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import random_density
-from zenocool import (
-    DensityMatrix,
-    embed_operator,
-    energy_order,
-    low_lying_mixture,
-    partial_trace,
-    spin_operators,
-    tensor_product,
-    thermal_state,
-    uhlmann_fidelity,
-)
+from zenocool import DensityMatrix, energy_order, low_lying_mixture, spin_operators, thermal_state
+from zenocool.oracles import embed_operator, partial_trace, uhlmann_fidelity
 
 
 def commutator(a, b):
@@ -99,6 +91,25 @@ def test_thermal_gibbs_weights_d2():
     assert abs(w[1] - 0.7311) < 1e-4 and abs(w[0] - 0.2689) < 1e-4
 
 
+@pytest.mark.parametrize("d, h, beta", [(3, 1e200, 1e200), (3, 1.0, 1e308), (4, -1e200, 1e200),
+                                         (31, 1.0, 1e307)])
+def test_thermal_weights_past_overflow_are_the_beta_inf_state(d, h, beta):
+    """Where beta * h * m overflows (NaN before, or an overflow warning), the weights are
+    beta = inf's, bit for bit, with no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rho = thermal_state(d, h, beta)
+    assert np.array_equal(rho.data, thermal_state(d, h, math.inf).data)
+
+
+@pytest.mark.parametrize("d, h, beta", [(2, 1.0, 1.0), (3, -0.8, 40.0), (5, 1.0, 1e6)])
+def test_finite_thermal_weights_are_the_gibbs_formula_bit_for_bit(d, h, beta):
+    m = (d - 1) / 2 - np.arange(d)
+    w = np.exp(-beta * h * m - np.max(-beta * h * m))
+    w /= w.sum()
+    assert np.array_equal(np.diag(thermal_state(d, h, beta).data).real, w)
+
+
 @given(beta=st.floats(0.0, 20.0), d=st.integers(2, 6))
 def test_thermal_commutes_with_sz(beta, d):
     rho = thermal_state(d, 1.0, beta)
@@ -116,31 +127,6 @@ def test_low_lying_mixture_cases():
         low_lying_mixture(3, 0)
     with pytest.raises(ValueError):
         low_lying_mixture(3, 4)
-
-
-def test_tensor_product_density_matrices():
-    out = tensor_product(thermal_state(2, 1.0, 0.0), thermal_state(3, 1.0, 0.0))
-    assert out.dims == (2, 3)
-    assert np.allclose(out.data, np.eye(6) / 6)
-
-
-@given(seed=st.integers(0, 2**32 - 1))
-def test_tensor_product_trace_multiplies(seed):
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    assert np.isclose(np.trace(tensor_product(a, b)), np.trace(a) * np.trace(b))
-
-
-def test_tensor_product_pure_states():
-    v0 = np.array([1, 0])
-    v1 = np.array([0, 1])
-    p0 = DensityMatrix(np.outer(v0, v0), (2,))
-    p1 = DensityMatrix(np.outer(v1, v1), (2,))
-    out = tensor_product(p0, p1)
-    expect = np.zeros((4, 4))
-    expect[1, 1] = 1.0
-    assert np.allclose(out.data, expect)
 
 
 def test_embed_operator_eigenvalue():
@@ -224,7 +210,7 @@ def test_embedded_disjoint_supports_commute(seed):
 def test_partial_trace_recovers_product_factors(s1, s2):
     a = random_density(3, s1)
     b = random_density(2, s2)
-    joint = tensor_product(a, b)
+    joint = DensityMatrix(np.kron(a.data, b.data), (3, 2))
     assert np.allclose(partial_trace(joint, {0}).data, a.data)
     assert np.allclose(partial_trace(joint, [1]).data, b.data)
 
@@ -238,8 +224,8 @@ def test_partial_trace_maximally_entangled():
 
 
 def test_partial_trace_preserves_order_and_trace():
-    rho = tensor_product(tensor_product(random_density(2, 1), random_density(3, 2)),
-                         random_density(2, 3))
+    factors = [random_density(2, 1).data, random_density(3, 2).data, random_density(2, 3).data]
+    rho = DensityMatrix(np.kron(np.kron(*factors[:2]), factors[2]), (2, 3, 2))
     red = partial_trace(rho, {2, 0})
     assert red.dims == (2, 2)  # system order, not request order
     assert np.isclose(np.trace(red.data).real, 1.0)

@@ -205,7 +205,7 @@ def _per_field_csv(spec: SweepSpec) -> str:
                 config.layout.L, config.rank, fmt(ham.J), "" if dort is None else fmt(dort),
                 fmt(config.tau))
         try:
-            record, extinction = zeno_run(config, retain_state=False), None
+            record, extinction = zeno_run(config), None
         except ExtinctionError as err:
             record, extinction = err.partial, err
         cum = record.cumulative_probabilities
@@ -593,14 +593,14 @@ def test_mutation_guard_flipped_basis_detected():
     highest-energy eigenstates instead would disagree with the closed forms
     at the 1e-1 level, far beyond the 1e-8 oracle gate.
     """
-    from zenocool.protocol import _unitary, initial_state
-    from zenocool.qudit import embed_operator
+    from zenocool.oracles import embed_operator, unitary
+    from zenocool.protocol import initial_state
 
     config = ProtocolConfig(layout=SystemLayout("chain", 1, 3),
                             hamiltonian=XXZSpec(J=1.0, Delta=0.0), tau=1.2,
                             n_measurements=10, rank=1)
     flipped = np.diag([1.0, 0.0, 0.0])  # the highest-energy level, m=+1, for h > 0
-    U = _unitary(config)
+    U = unitary(config)
     P = embed_operator(flipped, 0, (3, 3))
     M = P @ U
     rho = initial_state(config).data
@@ -617,6 +617,6 @@ def test_mutation_guard_flipped_basis_detected():
 def test_bath_oracle_entry_matches_the_dense_round_map():
     """oracle-check's bath entry: fig8's bath run against the literal round map with a dense
     expm of the full Liouvillian, on one Jtau and 10 rounds."""
-    from zenocool.sweeps import bath_oracle_deviation
+    from zenocool.oracles import bath_oracle_deviation
 
     assert bath_oracle_deviation(jtaus=(1.2,), n_max=10) < 1e-12
