@@ -262,10 +262,7 @@ def _parse_beta(value, path):
         if value.lower() in ("inf", "infinity"):
             return math.inf
         raise ConfigError(f"{path}: unrecognized beta {value!r}")
-    beta = _typed(value, float, path)
-    if beta >= 0:
-        return beta
-    raise ConfigError(f"{path}: beta must be a non-negative number or 'inf'")
+    return _typed(value, float, path)       # ProtocolConfig rejects NaN and negative betas
 
 
 def parse_config(doc: dict, preset_id: Optional[str] = None) -> SweepSpec:

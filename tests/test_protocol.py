@@ -612,9 +612,10 @@ def test_star_ring_fidelities_identical():
 def test_extinction_reports_step_and_prefix(monkeypatch):
     monkeypatch.setattr(protocol, "EXTINCTION_THRESHOLD", 0.9)   # first round p ~ 0.44
     with pytest.raises(ExtinctionError) as err:
-        zeno_run(xx_config(d=3, jtau=1.2, N=10))
+        zeno_run(xx_config(d=3, jtau=1.2, N=10), retain_state=True)
     assert err.value.step == 1
     assert err.value.partial is not None
+    assert err.value.partial.final_state is None
     assert len(err.value.partial.steps) == 0
 
 
@@ -627,7 +628,7 @@ def test_mid_run_extinction_keeps_the_completed_prefix(monkeypatch, bath):
     assert p2 < p1         # the branch may die at round 2 after surviving round 1
     monkeypatch.setattr(protocol, "EXTINCTION_THRESHOLD", (p1 + p2) / 2)
     with pytest.raises(ExtinctionError) as err:
-        zeno_run(config)
+        zeno_run(config, retain_state=True)     # a dead branch has no state to keep
     assert err.value.step == 2
     assert err.value.probability == pytest.approx(p2, abs=1e-12)
     partial = err.value.partial
@@ -660,10 +661,11 @@ def assert_extinction_inside_the_second_block_keeps_the_prefix(monkeypatch, bath
     assert K == protocol.ROUNDS_PER_CALL and (n - 1) // K == 1     # inside the second block
     monkeypatch.setattr(protocol, "EXTINCTION_THRESHOLD", (p[n] + p[:n].min()) / 2)
     with pytest.raises(ExtinctionError) as err:
-        zeno_run(config)
+        zeno_run(config, retain_state=True)
     assert err.value.step == n + 1
     assert err.value.probability == p[n]
     partial = err.value.partial
+    assert partial.final_state is None
     for name in ("steps", "fidelities", "step_probabilities", "log_cumulative"):
         np.testing.assert_array_equal(getattr(partial, name), getattr(full, name)[:n])
     assert partial.max_trace_drift <= full.max_trace_drift
@@ -680,10 +682,11 @@ def test_closed_rounds_do_not_warn_past_an_extinction(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ExtinctionError) as err:
-            zeno_run(xx_config(d=3, N=10, k=2))
+            zeno_run(xx_config(d=3, N=10, k=2), retain_state=True)
     assert err.value.step == 2
     assert err.value.probability == 0.0
     assert len(err.value.partial.steps) == 1
+    assert err.value.partial.final_state is None
 
 
 def test_long_run_log_probability_consistent():
