@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run every pinned figure preset into out/<preset>/ (results.csv + manifest.json).
 
-All nine presets take about 4 s on one worker (2 vCPUs); pass --only to run
+All nine presets take 3.4-4.4 s on one worker (2 vCPUs); pass --only to run
 a subset, --workers to parallelize grid points.
 """
 import argparse

@@ -9,12 +9,13 @@ import argparse
 import csv
 import json
 import sys
-from pathlib import Path
+from contextlib import contextmanager
+from dataclasses import asdict
 
 from .oracles import oracle_check
 from .presets import PRESETS, preset_sweeps
 from .protocol import zeno_spectrum
-from .sweeps import AXES, ConfigError, classify_regions, load_config, run_config, write_results
+from .sweeps import AXES, ConfigError, classify_regions, load_config, write_results
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -51,15 +52,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _file(flag: str, path):
+    """Turn an error in reading or writing `path`, given by `flag`, into a ConfigError that
+    names both."""
+    try:
+        yield
+    except (OSError, UnicodeDecodeError) as err:
+        reason = err.strerror if isinstance(err, OSError) and err.strerror else err
+        raise ConfigError(f"{flag} {path}: {reason}") from None
+
+
 def _cmd_run(args) -> int:
-    csv_path, manifest_path = run_config(args.config, args.out, workers=args.workers)
+    with _file("--config", args.config):
+        spec = load_config(args.config)
+    with _file("--out", args.out):
+        csv_path, manifest_path = write_results([spec], args.out, workers=args.workers)
     print(f"wrote {csv_path} and {manifest_path}")
     return EXIT_OK
 
 
 def _cmd_preset(args) -> int:
     sweeps = preset_sweeps(args.id, include_d5=args.include_d5)
-    csv_path, manifest_path = write_results(sweeps, args.out, workers=args.workers)
+    with _file("--out", args.out):
+        csv_path, manifest_path = write_results(sweeps, args.out, workers=args.workers)
     print(f"wrote {csv_path} and {manifest_path}")
     return EXIT_OK
 
@@ -72,7 +88,8 @@ def _cmd_oracle_check() -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    spec = load_config(args.config)
+    with _file("--config", args.config):
+        spec = load_config(args.config)
     for label, name, _ in AXES:
         if getattr(spec, name) is not None:
             raise ConfigError(f"axes.{label}: spectrum takes a single-point config (no axes)")
@@ -88,13 +105,10 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    path = Path(args.input)
-    if not path.exists():
-        raise ConfigError(f"no such file: {path}")
-    with open(path, encoding="utf-8", newline="") as fh:
+    with _file("--in", args.input), open(args.input, encoding="utf-8", newline="") as fh:
         summaries = classify_regions(csv.DictReader(fh), threshold=args.threshold)
     print(json.dumps({"threshold": args.threshold,
-                      "groups": [s.to_dict() for s in summaries]}, indent=2))
+                      "groups": [asdict(s) for s in summaries]}, indent=2))
     return EXIT_OK
 
 

@@ -21,13 +21,13 @@ labelled by the digit sum of the flat index.  Every model's H is real: it
 is diagonalised once per (layout, Hamiltonian), by one float64 eigh per set
 of sector blocks of one size, scattered from the entries.  The support's
 sectors fall into groups of one support size, whose eigenvector rows are
-gathered once per preparation (one sort and a row gather per group); a
-point forms each group's round map M = U[S, S] and propagates X, with
-rho = X X^+ on the support, so a round costs the sum of the sector sizes
-cubed.  Each group stacks the powers M^1..M^K as rows of one array, built
-by repeated squaring, and a block of K rounds is one matmul per group
-against them.  K balances the powers' cost against the blocks' calls,
-within POWERS_BYTES (at most ROUNDS_PER_CALL, and 1 once the sectors are
+copied once per preparation, one sector at a time; a point forms each
+group's round map M = U[S, S] and propagates X, with rho = X X^+ on the
+support, so a round costs the sum of the sector sizes cubed.  Each group
+stacks the powers M^1..M^K as rows of one array, built by repeated
+squaring, and a block of K rounds is one matmul per group against them.
+K balances the powers' cost against the blocks' calls, within
+POWERS_BYTES (at most ROUNDS_PER_CALL, and 1 once the sectors are
 large).  A round map narrower than BLAS_ONE_THREAD_WIDTH runs its powers
 and rounds on one OpenBLAS thread, and the count is restored after them.
 `zeno_run` reads all fidelities off the support populations at once, and
@@ -172,7 +172,8 @@ class ProtocolConfig:
         if self.target_betas is not None and len(self.target_betas) != self.layout.L:
             raise ValueError(
                 f"target_betas has {len(self.target_betas)} entries for {self.layout.L} targets")
-        for i, beta in enumerate(self.betas):
+        # the given betas only: the default's L zeros would be formed before the gates read L
+        for i, beta in enumerate(self.target_betas or ()):
             if not beta >= 0:       # NaN fails it too
                 raise ValueError(f"target_betas[{i}] must be a non-negative number or inf, "
                                  f"got {beta}")
@@ -442,20 +443,11 @@ def _hamiltonian(layout: SystemLayout, spec: HamiltonianSpec):
 
 
 class _SectorEigh(NamedTuple):
-    """H's sector eigendecomposition, flat: each set of equal-size sectors stored as one run."""
+    """H's sector eigendecomposition: each sector's eigenvalues and eigenvectors."""
 
     label: np.ndarray       # (D,) every state's sector label
     slot: np.ndarray        # (D,) its row in its sector's block, by ascending flat index
-    size: np.ndarray        # (sectors,) n, the states of each sector
-    lam_at: np.ndarray      # (sectors,) where each sector's n eigenvalues start in lam
-    vec_at: np.ndarray      # (sectors,) where its n x n real eigenvectors start in vecs
-    lam: np.ndarray         # (D + max n,) eigenvalues, then zeros
-    vecs: np.ndarray        # (sum n^2 + max n,) eigenvector blocks, row-major, then zeros
-
-    def vectors(self, q: int) -> np.ndarray:
-        """Sector q's n x n eigenvectors."""
-        n, at = self.size[q], self.vec_at[q]
-        return self.vecs[at:at + n * n].reshape(n, n)
+    blocks: tuple           # per label, (lam (n,), V (n, n)): views of one eigh per block size
 
 
 # one entry: the memory gate counts one set of sector eigenvectors, sum(n^2) floats, and
@@ -474,22 +466,16 @@ def _sector_eigh(layout: SystemLayout, spec: HamiltonianSpec) -> _SectorEigh:
                                               - np.repeat(np.cumsum(sizes) - sizes, sizes))
     inside = label[rows] == label[cols]
     rows, cols, values = rows[inside], cols[inside], values[inside].real
-    lam_at, vec_at = np.empty_like(sizes), np.empty_like(sizes)
-    # each ends in as many zeros as the widest sector, which `_support_blocks`' gathers read
-    tail = sizes.max()
-    lam, vecs = np.zeros(len(label) + tail), np.zeros(int(np.sum(sizes * sizes)) + tail)
-    l0 = v0 = 0
+    blocks = [None] * len(sizes)
     for n in sorted(set(sizes.tolist())):    # np.unique would import numpy.ma
         same = np.flatnonzero(sizes == n)
         at = np.flatnonzero(sizes[label[rows]] == n)
-        blocks = np.zeros((len(same), n, n))
-        blocks[np.searchsorted(same, label[rows[at]]), slot[rows[at]], slot[cols[at]]] = values[at]
-        vals, V = np.linalg.eigh(blocks)
-        lam_at[same] = l0 + n * np.arange(len(same))
-        vec_at[same] = v0 + n * n * np.arange(len(same))
-        lam[l0:l0 + vals.size], vecs[v0:v0 + V.size] = vals.ravel(), V.ravel()
-        l0, v0 = l0 + vals.size, v0 + V.size
-    return _SectorEigh(label, slot, sizes, lam_at, vec_at, lam, vecs)
+        stack = np.zeros((len(same), n, n))
+        stack[np.searchsorted(same, label[rows[at]]), slot[rows[at]], slot[cols[at]]] = values[at]
+        vals, V = np.linalg.eigh(stack)
+        for i, q in enumerate(same.tolist()):
+            blocks[q] = vals[i], V[i]
+    return _SectorEigh(label, slot, tuple(blocks))
 
 
 class _Group(NamedTuple):
@@ -515,57 +501,41 @@ def _support_blocks(layout: SystemLayout, spec: HamiltonianSpec, rank: int,
     sectors that meet the support S, and each support state's place in group order,
     (group, sector, slot) ascending.
 
-    One sort puts the support states and their sectors in group order.  A group's arrays
-    are then gathers of runs of the flat eigendecomposition, each as wide as the group's
-    widest sector, with what lies past a narrower sector's row set to zero.
+    The support states and rho(0)'s populated states are sorted by sector once; each group's
+    zero-padded arrays are then filled one member sector at a time.
     """
     config = ProtocolConfig(layout=layout, hamiltonian=spec, tau=0.0, n_measurements=0,
                             rank=rank, regulator_prep=regulator_prep, target_betas=target_betas)
     eig = _sector_eigh(layout, spec)
-    label, n = eig.label, eig.size
+    label, slot = eig.label, eig.slot
     support, w = _support(config), _initial_populations(config)
     # rho(0)'s states in sectors without support states never reach the support
     populated = np.flatnonzero(w > 0)
     populated = populated[np.argsort(label[populated], kind="stable")]
-    size = np.bincount(label[support], minlength=len(n))
-    count = np.bincount(label[populated], minlength=len(n))
-    first = np.cumsum(count) - count        # sector q's populated states from first[q]
+    placed = np.argsort(label[support], kind="stable")    # support positions by sector
+    size = np.bincount(label[support], minlength=len(eig.blocks))
+    count = np.bincount(label[populated], minlength=len(eig.blocks))
     b = np.minimum(size, count)             # X's columns after a wider preparation's QR
-    # the support positions, and the sectors that meet them, by (a, b), sector and position
-    ours = label[support]
-    placed = np.lexsort((ours, b[ours], size[ours]))
-    met = np.flatnonzero(size)
-    met = met[np.lexsort((met, b[met], size[met]))]
-    key = size[met] * (b.max() + 1) + b[met]
-    heads = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-    # the run of `width` entries from each start; the flat arrays end in n.max() zeros
-    span = lambda flat, starts, width: flat[starts[..., None] + np.arange(width)]
-    start_of = lambda states: eig.vec_at[label[states]] + eig.slot[states] * n[label[states]]
-    rows_at, cols_at = start_of(support[placed]), start_of(populated)
-    root = np.sqrt(w[populated])
-    # per sector in group order: the columns past its own n, its populated states (padded
-    # with the last one) and the columns past them, each as wide as the widest in the set
-    past = np.arange(n.max()) >= n[met, None]
-    at = np.minimum(first[met, None] + np.arange(count.max()), len(populated) - 1)
-    empty = np.arange(count.max()) >= count[met, None]
-    lam = span(eig.lam, eig.lam_at[met], n.max())
-    np.copyto(lam, 0.0, where=past)
-    # per group: the widest and narrowest sector, the most and least populated
-    bounds = zip(*(f.reduceat(x, heads).tolist() for f in (np.maximum, np.minimum)
-                   for x in (n[met], count[met])))
-    groups, start = [], 0
-    for h, e, (width, c, narrowest, least) in zip(heads.tolist(), [*heads[1:].tolist(), len(met)],
-                                                  bounds):
-        m, a = e - h, int(size[met[h]])
-        rows = span(eig.vecs, rows_at[start:start + m * a].reshape(m, a), width)
-        cols = span(eig.vecs, cols_at[at[h:e, :c]], width) * root[at[h:e, :c], None]
-        if narrowest < width or least < c:      # mirror pairs of sectors need no padding
-            np.copyto(rows, 0.0, where=past[h:e, None, :width])
-            np.copyto(cols, 0.0, where=past[h:e, None, :width] | empty[h:e, :c, None])
-        groups.append(_Group(met[h:e], a, start, lam[h:e, :width], rows,
-                             np.ascontiguousarray(cols.transpose(0, 2, 1))))
+    # sector q's support rows of V from ours[q] on, its populated ones from theirs[q] on
+    rows_of, cols_of, root = slot[support[placed]], slot[populated], np.sqrt(w[populated])
+    ours, theirs = (np.cumsum(size) - size).tolist(), (np.cumsum(count) - count).tolist()
+    members, count = {}, count.tolist()
+    for q in np.flatnonzero(size).tolist():
+        members.setdefault((int(size[q]), int(b[q])), []).append(q)
+    groups, picked, start = [], [], 0
+    for (a, _), sectors in sorted(members.items()):
+        m = len(sectors)
+        n, c = max(len(eig.blocks[q][0]) for q in sectors), max(count[q] for q in sectors)
+        lam, rows, cols = np.zeros((m, n)), np.zeros((m, a, n)), np.zeros((m, n, c))
+        for i, q in enumerate(sectors):
+            (vals, V), o, t, e = eig.blocks[q], ours[q], theirs[q], theirs[q] + count[q]
+            lam[i, :len(vals)] = vals
+            rows[i, :, :len(vals)] = V[rows_of[o:o + a]]
+            cols[i, :len(vals), :e - t] = V[cols_of[t:e]].T * root[t:e]
+            picked.append(placed[o:o + a])
+        groups.append(_Group(np.array(sectors), a, start, lam, rows, cols))
         start += m * a
-    return tuple(groups), np.argsort(placed)
+    return tuple(groups), np.argsort(np.concatenate(picked))
 
 
 def _pair(x: np.ndarray) -> np.ndarray:
@@ -862,7 +832,7 @@ def zeno_spectrum(config: ProtocolConfig) -> ZenoSpectrum:
     norm = np.linalg.norm(right[:, j])
     r = np.zeros(D, dtype=complex)
     r[support[label[support] == q]] = right[:, j] / norm
-    V = eig.vectors(q)
+    V = eig.blocks[q][1]
     top = _pair(R[:, i, :, :len(V)] @ V.T)       # U[S_q, q's states]
     l = np.zeros(D, dtype=complex)
     l[label == q] = ((left_rows[j, :] * norm) @ top / vals[0]).conj()

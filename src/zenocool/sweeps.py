@@ -409,10 +409,6 @@ class RegionSummary:
     max_fidelity: list[float]
     imperfect: list[float] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {"model": self.model, "d": self.d, "k": self.k, "jtau": self.jtau,
-                "max_fidelity": self.max_fidelity, "imperfect": self.imperfect}
-
 
 def classify_regions(rows: Iterable[dict], threshold: float = 0.96) -> list[RegionSummary]:
     """Split each group's Jtau grid into cooling vs imperfect refrigerating values.

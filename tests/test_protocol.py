@@ -472,40 +472,35 @@ def test_powers_by_squaring_match_sequential_products(shape, K):
 ], ids=["d31-rank1", "d31-rank2", "d31-rank8", "d31-rank15", "L4-chain", "L4-bbh-prep3",
         "L4-star", "L2-d4-h-negative-ground-target"])
 def test_support_groups_match_a_pass_per_sector(layout, spec, rank, prep, betas):
-    """`_support_blocks` against the construction with a Python pass per sector that it
-    replaced: the same _Group arrays and order, bit for bit."""
+    """Each member sector q of every `_Group` against the dense H and rho(0): its rows
+    rebuild H[S_q, S_q], its rows times its columns are sqrt(w) where a support state is a
+    populated one, its padding is exactly zero, and `order` puts the members' support states
+    back in ascending order."""
     protocol._support_blocks.cache_clear()
     groups, order = protocol._support_blocks(layout, spec, rank, prep, betas)
     config = ProtocolConfig(layout=layout, hamiltonian=spec, tau=0.0, n_measurements=0,
                             rank=rank, regulator_prep=prep, target_betas=betas)
-    eig = protocol._sector_eigh(layout, spec)
-    label, slot = eig.label, eig.slot
+    H = spec.build(layout)
+    label = protocol._sector_labels(layout)
     support, w = protocol._support(config), protocol._initial_populations(config)
-    populated = np.flatnonzero(w > 0)
-    size = np.bincount(label[support], minlength=len(eig.size))
-    count = np.bincount(label[populated], minlength=len(eig.size))
-    b = np.minimum(size, count)
-    expected, placed, start = [], [], 0
-    for a_g, b_g in sorted(set(zip(size[size > 0].tolist(), b[size > 0].tolist()))):
-        members = np.flatnonzero((size == a_g) & (b == b_g))
-        m, n, c = len(members), eig.size[members].max(), count[members].max()
-        lam, rows, cols = np.zeros((m, n)), np.zeros((m, a_g, n)), np.zeros((m, n, c))
-        for i, q in enumerate(members):
-            V, ours = eig.vectors(q), np.flatnonzero(label[support] == q)
-            at = populated[label[populated] == q]
-            lam[i, :len(V)] = eig.lam[eig.lam_at[q]:eig.lam_at[q] + len(V)]
-            rows[i, :, :len(V)] = V[slot[support[ours]]]
-            cols[i, :len(V), :len(at)] = V[slot[at]].T * np.sqrt(w[at])
-            placed.append(ours)
-        expected.append(protocol._Group(members, a_g, start, lam, rows, cols))
-        start += m * a_g
-    assert len(groups) == len(expected)
-    for got, want in zip(groups, expected):
-        assert (got.a, got.start) == (want.a, want.start)
-        for name in ("sectors", "lam", "rows", "cols"):
-            x, y = getattr(got, name), getattr(want, name)
-            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
-    assert order.tobytes() == np.argsort(np.concatenate(placed)).tobytes()
+    members, start = [], 0
+    for g in groups:
+        assert g.start == start and g.rows.shape[:2] == (len(g.sectors), g.a)
+        for i, q in enumerate(g.sectors):
+            n = np.count_nonzero(label == q)
+            ours = support[label[support] == q]
+            populated = np.flatnonzero((w > 0) & (label == q))
+            assert len(ours) == g.a
+            rows, lam, cols = g.rows[i, :, :n], g.lam[i, :n], g.cols[i, :n, :len(populated)]
+            np.testing.assert_allclose((rows * lam) @ rows.T, H[np.ix_(ours, ours)].real,
+                                       rtol=0, atol=1e-12 * np.abs(H).max())
+            want = np.where(ours[:, None] == populated[None, :], np.sqrt(w[populated]), 0.0)
+            assert np.max(np.abs(rows @ cols - want), initial=0.0) <= 1e-12
+            pads = g.lam[i, n:], g.rows[i, :, n:], g.cols[i, n:], g.cols[i, :, len(populated):]
+            assert not any(np.any(pad) for pad in pads)
+            members.append(ours)
+        start += len(g.sectors) * g.a
+    assert np.array_equal(np.concatenate(members)[order], support)
 
 
 class FakeBlas:

@@ -372,6 +372,7 @@ BATH = {"temperature": 1.0, "gamma": 1e-3}
     ({"base": {"L": 5, "d": 3, "k": 2, "bath": BATH}}, r"D=729 needs about [\d,]+ bytes"),
     ({"base": {"L": 9, "d": 3}}, r"closed run at D=59049 needs about [\d,]+ bytes"),
     ({"base": {"L": 200, "d": 3, "k": 2, "bath": BATH}}, r"D=3\^201 needs more than 2\^64 bytes"),
+    ({"base": {"L": 2 ** 40}}, r"D=3\^1099511627777 needs more than 2\^64 bytes"),
     ({"base": {"N": True}}, "base.N: expected int, got bool"),
     ({"axes": {"d": [2.7]}}, "axes.d: expected int, got float"),
     ({"axes": {"N": [1.5]}}, "axes.N: expected int, got float"),
@@ -413,7 +414,8 @@ BATH = {"temperature": 1.0, "gamma": 1e-3}
     ({"axes": {"N": [3]}, "argv": ["spectrum", "--config", "{config}"]}, r"axes\.N"),
 ], ids=["tau-nan", "tau-inf", "J-nan", "temperature-nan", "temperature-negative", "gamma-nan",
         "site-7", "omega-inf", "axes-k-9", "axes-d-1", "axes-Jtau-nan", "axes-N-negative",
-        "bath-D729-memory", "closed-D59049-memory", "bath-L200-memory", "N-bool",
+        "bath-D729-memory", "closed-D59049-memory", "bath-L200-memory", "closed-L2e40-memory",
+        "N-bool",
         "axes-d-non-integral", "axes-N-non-integral", "axes-Jtau-bool", "phase-overflow",
         "h-zero", "h-negative-omega-default", "gamma-huge", "occupancy-overflow",
         "occupancy-overflow-gamma-zero", "bath-phase-overflow", "bath-J-cost", "bath-gamma-cost",
@@ -584,6 +586,36 @@ def test_cli_classify_roundtrip(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["groups"][0]["imperfect"] == [0.0]
     assert main(["classify", "--in", str(tmp_path / "missing.csv")]) == 1
+
+
+@pytest.mark.parametrize("argv, flag, path", [
+    (["run", "--config", "{missing}", "--out", "{out}"], "--config", "{missing}"),
+    (["spectrum", "--config", "{missing}"], "--config", "{missing}"),
+    (["run", "--config", "{dir}", "--out", "{out}"], "--config", "{dir}"),
+    (["run", "--config", "{latin1}", "--out", "{out}"], "--config", "{latin1}"),
+    (["spectrum", "--config", "{latin1}"], "--config", "{latin1}"),
+    (["classify", "--in", "{dir}"], "--in", "{dir}"),
+    (["classify", "--in", "{missing}"], "--in", "{missing}"),
+    (["classify", "--in", "{latin1}"], "--in", "{latin1}"),
+    (["run", "--config", "{config}", "--out", "{file}"], "--out", "{file}"),
+    (["preset", "fig2", "--out", "{file}"], "--out", "{file}"),
+], ids=["run-config-missing", "spectrum-config-missing", "run-config-directory",
+        "run-config-not-utf8", "spectrum-config-not-utf8", "classify-in-directory",
+        "classify-in-missing", "classify-in-not-utf8", "run-out-is-a-file", "preset-out-is-a-file"])
+def test_cli_file_errors_exit_1_naming_the_flag_and_path(tmp_path, capsys, argv, flag, path):
+    """A file that cannot be read or written ends in exit code 1 and one line on stderr that
+    names its flag and path, not in a traceback."""
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"base": {"model": "xxz\xff"}}')
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("not a directory\n", encoding="utf-8")
+    names = {"missing": tmp_path / "missing.json", "dir": tmp_path / "dir", "latin1": latin1,
+             "file": tmp_path / "file", "out": tmp_path / "o",
+             "config": write_json(tmp_path, MINIMAL)}
+    assert main([arg.format(**names) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert f"{flag} {path.format(**names)}" in err
 
 
 def test_mutation_guard_flipped_basis_detected():
