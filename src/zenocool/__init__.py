@@ -33,7 +33,6 @@ from .protocol import (
     ProtocolConfig,
     TrajectoryRecord,
     ZenoSpectrum,
-    delta_p,
     zeno_run,
     zeno_spectrum,
 )
@@ -50,7 +49,6 @@ from .sweeps import (
     SweepSpec,
     classify_regions,
     load_config,
-    run_config,
     run_sweep,
     write_results,
 )
@@ -60,11 +58,11 @@ __all__ = [
     "HamiltonianSpec", "LindbladPropagator",
     "ProtocolConfig", "SpinOperatorSet", "SpinStarSpec",
     "SweepSpec", "SystemLayout", "TrajectoryRecord", "XXZSpec", "ZenoSpectrum",
-    "classify_regions", "delta_p", "dissipator", "embed_operator", "energy_order",
+    "classify_regions", "dissipator", "embed_operator", "energy_order",
     "fidelity_bbh_rank1_d3", "fidelity_xx_rank1",
     "liouvillian", "load_config",
     "low_lying_mixture", "oracle_check", "partial_trace",
-    "run_config", "run_sweep", "spin_operators",
+    "run_sweep", "spin_operators",
     "thermal_state", "uhlmann_fidelity", "write_results",
     "zeno_run", "zeno_spectrum",
 ]

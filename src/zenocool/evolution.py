@@ -9,16 +9,14 @@ superoperator.  L preserves Hermiticity, so on a subspace that holds each
 entry's transpose it is a real linear map of rho's Hermitian coordinates
 (`hermitian_coordinates`: rho_aa, and Re and Im of rho_ab, a < b, at (a, b)
 and (b, a)).  `LindbladPropagator` folds L's complex entries into that real
-generator and applies exp(L tau) to a vector or a block of vectors with one
-truncated Taylor approximant (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
-(2011)), evaluated in one of two ways.  The action (their Alg. 3.2) runs s
-steps of at most m terms on the block.  Scaling and squaring (Al-Mohy &
-Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009)) forms the K x K
-approximant of exp(L tau / 2^j) by Paterson-Stockmeyer, squares it j times
-and multiplies the block once.  A dense generator takes whichever needs
-fewer multiply-adds; a CSR one always takes the action.  A generator of at
-most DENSE_BYTES is a dense float64 array; a larger one is a real scipy CSR
-matrix, and only then is scipy imported.  The full sparse complex
+generator once.  A generator of at most DENSE_BYTES is a dense float64 array,
+and `exponential` forms exp(L tau) from it by scaling and squaring
+(Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009)): the K x K
+degree-18 Taylor approximant of exp(L tau / 2^j) by Paterson-Stockmeyer,
+squared j times.  A larger one is a real scipy CSR matrix, and only then is
+scipy imported; `apply` runs the truncated Taylor action (Al-Mohy & Higham,
+SIAM J. Sci. Comput. 33, 488 (2011), Alg. 3.2) of exp(L tau) on a vector,
+or a block of them: s steps of at most m terms.  The full sparse complex
 superoperator, `oracles.liouvillian`, is the tests' reference for these
 entries.
 """
@@ -33,10 +31,12 @@ import numpy as np
 
 from .qudit import operator_entries, spin_operators, summed_entries
 
-# the largest generator stored dense, 8 K^2 bytes of float64 (K <= 362, so L=2, d=3 at
-# K = 141 is dense and L=2, d=4 at K = 580 is CSR); a dense complex K = 1107 (L=3, d=3)
-# ran its block 4-5x slower than CSR
-DENSE_BYTES = 2 ** 20
+# the largest generator stored dense, 8 K^2 bytes of float64 (K <= 724, so L=2, d=4 at
+# K = 580 is dense and L=3, d=3 at K = 1107 is CSR).  Warm N = 200 XXZ bath points on 2
+# vCPUs, the dense exponential against per-round CSR actions, at Jtau = 0.5 / 1 / 6: L=2,
+# d=4 0.08 / 0.08 / 0.10 s against 0.13 / 0.21 / 0.88 s; L=3, d=3 0.37 / 0.37 / 0.48 s
+# against 0.16 / 0.30 / 1.06 s
+DENSE_BYTES = 4 * 2 ** 20
 # theta_m, the largest |A tau| / s for which m Taylor terms meet a 2^-53 tolerance, from
 # Higham, Functions of Matrices, table A.3 (m <= 30) and Al-Mohy & Higham's table 3.1
 THETA = {1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3, 6: 9.07e-3,
@@ -52,8 +52,6 @@ TOLERANCE = 2.0 ** -53
 # loses 1.9e-11 and 2.7e-12.  More terms never save more squarings than they cost:
 # theta_(18 + i) < 2^i theta_18
 SQUARING_DEGREE = 18
-# the K x K products that form T_18 by Paterson-Stockmeyer (`_taylor_polynomial`)
-POLYNOMIAL_PRODUCTS = 7
 
 
 @dataclass(frozen=True)
@@ -194,23 +192,28 @@ def _shifted(rows, cols, values, mu, K: int):
                  ((rows, np.arange(K)), (cols, np.arange(K)), (values, shifted)))
 
 
+def stored_dense(K: int) -> bool:
+    """Whether a generator on K coordinates is stored as a float64 array, 8 K^2 <= DENSE_BYTES,
+    and so has an `exponential`; a larger one is CSR and takes only the action (`apply`)."""
+    return 8 * K * K <= DENSE_BYTES
+
+
 class LindbladPropagator:
-    """The action of exp(L tau) on Hermitian states, by Al-Mohy & Higham's truncated Taylor
-    series, in real Hermitian coordinates (`hermitian_coordinates`).
+    """exp(L tau) on Hermitian states, by Al-Mohy & Higham's truncated Taylor series, in real
+    Hermitian coordinates (`hermitian_coordinates`).
 
     L preserves Hermiticity, so on a subspace of row-stacked rho that L maps into itself and
     that holds each entry's transpose (flat indices, sorted; the whole D^2 space by default)
     it is a real linear map G of those coordinates.  G is folded once from L's complex
     entries (`generator_entries`) and stored shifted, A = G - mu I with mu = tr(G) / K, as a
-    float64 array or, over DENSE_BYTES, a real CSR matrix.  The step choice reads the exact
-    1-norm of the complex L - mu I, which bounds A in the norm |vec rho|_1 of the states it
-    acts on.  Each `apply` takes (m, s) = argmin m ceil(|tau| |L - mu I|_1 / theta_m) and runs
-    s steps of at most m Taylor terms each, on a vector or a block of column vectors of real
-    coordinates, stopping a step's series once two terms add less than 2^-53 of the sum.  A
-    dense generator instead forms S = e^(mu h) T_q(A h), h = tau / 2^j, the same series cut at
-    q = SQUARING_DEGREE terms with the fewest j that keep |A h|_1 <= theta_q, squares it j
-    times and multiplies the block once, when those POLYNOMIAL_PRODUCTS + j products of K x K
-    by K x K and the last one take fewer multiply-adds than m s products of K x K by the block.
+    float64 array (`stored_dense`) or a real CSR matrix.  Both evaluators read the exact
+    1-norm x = |tau| |L - mu I|_1 of the complex generator, which bounds A tau in the norm
+    |vec rho|_1 of the states it acts on.  `apply` takes (m, s) = argmin m ceil(x / theta_m)
+    and runs s steps of at most m Taylor terms each on a vector or a block of column vectors
+    of real coordinates, stopping a step's series once two terms add less than 2^-53 of the
+    sum.  `exponential`, on a dense generator, forms the K x K matrix exp(G tau) as S =
+    e^(mu h) T_q(A h), h = tau / 2^j, the same series cut at q = SQUARING_DEGREE terms with the
+    fewest j that keep x / 2^j <= theta_q, squared j times.
     H is a dense array or its entries (rows, cols, values).
     """
 
@@ -239,7 +242,7 @@ class LindbladPropagator:
         _, at, shifted = _shifted(rows, cols, values, self._mu, K)
         self._norm = float(np.bincount(at, np.abs(shifted), minlength=K).max(initial=0.0))
         rows, cols, values = _shifted(real_rows, real_cols, real_values, self._mu, K)
-        if 8 * K * K <= DENSE_BYTES:
+        if stored_dense(K):
             self._generator = np.zeros((K, K))
             self._generator[rows, cols] = values
         else:
@@ -258,13 +261,7 @@ class LindbladPropagator:
         if x > 0:
             _, m, s = min((m * math.ceil(x / theta), m, math.ceil(x / theta))
                           for m, theta in THETA.items())
-        if isinstance(self._generator, np.ndarray):
-            # multiply-adds over K^2: scaling and squaring's 7 + j products of K x K by K x K
-            # and one by the block, against the action's m s products by the block
-            K, width, j = len(self._generator), math.prod(np.shape(vectors)[1:]), _squarings(x)
-            if (POLYNOMIAL_PRODUCTS + j) * K + width < m * s * width:
-                return self._exponential(tau, j) @ vectors
-        inf_norm = lambda v: np.abs(v.reshape(len(v), -1)).sum(axis=1).max(initial=0.0)
+        inf_norm = lambda v: np.linalg.norm(v, np.inf)     # a block's largest row sum
         eta = np.exp(self._mu * tau / s)
         F = np.array(vectors, dtype=float)
         for _ in range(s):
@@ -282,11 +279,12 @@ class LindbladPropagator:
             F *= eta
         return F
 
-    def _exponential(self, tau: float, j: int) -> np.ndarray:
-        """exp(G tau) as a dense K x K array: S = e^(mu h) T_q(A h), q = SQUARING_DEGREE and
-        h = tau / 2^j, squared j times.  The shift is folded into S before the squarings:
-        unshifted, S^(2^j) grows as e^(-mu tau), which overflows to inf from gamma ~ 1e3 on,
-        and inf times e^(mu tau) = 0 is NaN."""
+    def exponential(self, tau: float) -> np.ndarray:
+        """exp(G tau) of a dense generator as a K x K array: S = e^(mu h) T_q(A h), q =
+        SQUARING_DEGREE and h = tau / 2^j, squared j times.  The shift is folded into S before
+        the squarings: unshifted, S^(2^j) grows as e^(-mu tau), which overflows to inf from
+        gamma ~ 1e3 on, and inf times e^(mu tau) = 0 is NaN."""
+        j = _squarings(abs(tau) * self._norm)
         h = tau / 2 ** j
         S = _taylor_polynomial(self._generator * h)
         S *= np.exp(self._mu * h)
@@ -297,9 +295,8 @@ class LindbladPropagator:
 
 def _taylor_polynomial(X: np.ndarray) -> np.ndarray:
     """T_18(X), the sum of X^i / i! for i = 0..SQUARING_DEGREE, by Paterson-Stockmeyer: X^2,
-    X^3 and X^4, then Horner's rule in X^4 over blocks of four terms, POLYNOMIAL_PRODUCTS = 7
-    products in place of 18.  It holds at most six K x K arrays: X..X^4, the sum and a product
-    or a term."""
+    X^3 and X^4, then Horner's rule in X^4 over blocks of four terms, 7 products in place
+    of 18.  It holds at most six K x K arrays: X..X^4, the sum and a product or a term."""
     powers = [X, X @ X]
     powers.append(powers[1] @ X)
     top = powers[1] @ powers[1]

@@ -36,12 +36,12 @@ The round-map spectrum takes one eig per sector block of M.  A bath run
 lists its generator on the sector-diagonal entries of rho once per (layout,
 Hamiltonian, bath), from H's entries, as a real map of rho's Hermitian
 coordinates (scipy is loaded only for a generator over
-`evolution.DENSE_BYTES`).  Each point applies exp(L tau) once to a unit
-column per support coordinate and rho(0), by a truncated Taylor approximant
-(as a dense K x K matrix squared j times, or as the action on the block,
-whichever takes fewer multiply-adds; always the action on a CSR generator),
-reads the real round map T off it, and runs its rounds K at a time against
-the stacked powers of T, as the closed rounds do against those of M.
+`evolution.DENSE_BYTES`).  A dense generator's point forms exp(L tau) once,
+by scaling and squaring, slices the real round map T, its trace row and
+rho(0)'s image out of it, and runs its rounds K at a time against the
+stacked powers of T, as the closed rounds do against those of M.  A CSR
+generator's point steps the state once per round, by the Taylor action on
+one vector.
 """
 from __future__ import annotations
 
@@ -56,7 +56,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .evolution import DENSE_BYTES, BathSpec, LindbladPropagator, hermitian_entries
+from .evolution import BathSpec, LindbladPropagator, hermitian_entries, stored_dense
 from .hamiltonians import HamiltonianSpec, SystemLayout
 from .qudit import (DensityMatrix, _low_lying_weights, _thermal_weights, _zeroed, energy_order,
                     summed_entries)
@@ -88,13 +88,14 @@ BLOCK_CALL_MACS = 11250
 # 1.14-1.21 idle and 0.67 busy, but its powers of T alone 0.43 idle
 BLAS_ONE_THREAD_WIDTH = 100
 SZ_CONSERVATION_TOL = 1e-12
-# peak memory of a bath run over its float64 block: the block, the Taylor sum, the old and
-# new term (4.01-4.02 traced at L=2, d=4 and L=3, d=3, chain and star), besides a generator
-# of at most DENSE_BYTES and the round map with its powers
-OPEN_BLOCK_COPIES = 5
-# a dense generator's scaling and squaring holds K x K float64 arrays: X = A tau / 2^j, X^2,
-# X^3, X^4, the Taylor sum and one product or term (at most 6 MiB at K = 362)
-SQUARING_COPIES = 6
+# a dense bath generator's exponential holds K x K float64 arrays: the generator, X = A tau /
+# 2^j, X^2, X^3, X^4, the Taylor sum and one product or term
+SQUARING_COPIES = 7
+# a bath run first lists its generator (`generator_entries`' joins and sums, the real fold and
+# the CSR build): 226-233 bytes per stored entry traced at L=2-5, d=3-5, chain, star and BBH,
+# a CSR run's peak, since its rounds hold 13 per entry and a few K-vectors.  The stored
+# entries are at most 0.196 of `_generator_entries`' bound (BBH, L=2, d=5; XXZ 0.11-0.15)
+GENERATOR_ENTRY_BYTES = 56
 # peak memory of a closed run: H's entries with their sort (85-107 bytes per entry traced),
 # the sector blocks, eigenvectors and eigh workspace (1.5-2.6 float64 sum(n^2) traced at
 # D=243-2187) and the support groups' V rows, R and first X (float64 sum(a w)); apart, a
@@ -104,24 +105,23 @@ ENTRY_BYTES = 96
 EIGH_COPIES = 3
 ROW_COPIES = 6
 STATE_COPIES = 4
-# a bath run's cost: tau (2 |H| + the dissipator's bound), at least |(L - mu I) tau|_1, in
-# which the Taylor action's work grows, times its real block's rows and columns.  Seconds per
-# unit of the action, warm, XXZ Delta = 1, rank 2, N = 200, on 2 vCPUs:
-#   L=2, d=3: Jtau = 6 2.7-2.9e-8, J = 30 3.9-4.2e-8, gamma = 1e3 2.3-2.4e-8
-#   L=3, d=3 (CSR), N = 20: Jtau = 1 2.3-3.4e-8, Jtau = 3 1.7-2.0e-8
-#   L=1, d=4 / d=5: gamma = 1e4 3.2-4.8e-8, J = 30 (d=5) 5.4-7.2e-8
-#   L=1, d=3 (D=9): gamma = 1e4 1.4-1.5e-7, gamma = 1e5 1.3-1.5e-7
-# A dense generator (L <= 2 at d=3) takes scaling and squaring wherever it is cheaper, whose
-# work grows as log |L tau|, so dense runs fall far under the bound.  Re-measured, the same way:
-#   L=2, d=3: Jtau = 6 5.3-9.7e-9, J = 30 1.9-2.0e-9, gamma = 1e3 2.2-2.4e-10
-#   L=1, d=4 / d=5: gamma = 1e4 3.5-4.4e-11 / 1.4-2.0e-11, J = 30 (d=5) 3.1-3.2e-9
-#   L=1, d=3 (D=9): gamma = 1e4 2.3-2.5e-10, gamma = 1e5 2.0-2.2e-11
-# The CSR side, which always takes the action, now sets the cap: an L=4, d=3 chain at Jtau = 1
-# took 56.6 s at 9.9e8 (5.7e-8), so the limit caps a run at about 10 min.  At Jtau = 2 pi it
-# reads 6.2e9 and runs; gamma = 2e9 at D=9 reads 9.0e11 and does not.  The block has at least
-# 1 row and 2 columns, so |L tau| <= 5e9: the Taylor steps, about |L tau| / theta_m, stay a
-# finite count, and the squarings, log2(|L tau| / theta_18), at most 33
+# a bath run's cost: x = tau (2 |H| + the dissipator's bound), at least |(L - mu I) tau|_1, in
+# which the Taylor series' work grows, times K coordinates and sum(a^2) + 1 round-map columns
+# on a dense generator (its squarings grow only as log x), or N rounds of the CSR generator's
+# `_generator_entries` bound (each round's action takes about x / theta_m matvecs).  Seconds
+# per unit, warm, XXZ Delta = 1 unless named, rank 2, N = 200, one thread, 2 vCPUs:
+#   dense, L=2, d=3: Jtau = 6 5.6-6.0e-9, J = 30 1.5-1.6e-9, gamma = 1e3 1.7-2.0e-10
+#   dense, L=2, d=4: Jtau = 1 3.9e-8, 6 7.6-7.9e-9.  L=1, d=4 / d=5: gamma = 1e4
+#     2.6-2.7e-11 / 1.3e-11, J = 30 (d=5) 2.0-2.1e-9.  D=9: gamma = 1e4 / 1e5 1.4-1.8e-10 / 1.5e-11
+#   CSR, L=3, d=3: Jtau = 0.1 2.6e-9, 1 7.6e-10, 6 8.8-9.1e-10; star 1.8e-9, BBH 2.7-3.2e-10;
+#     gamma = 1e3 (N = 20) 6.1-6.4e-10.  L=2, d=5 5.9-8.2e-10, L=3, d=4 (N = 20) 7.9-8.6e-10,
+#     L=4 6.5-6.9e-10, L=5 5.2e-10 (22 s at 4.3e10)
+# so either limit caps a run at about 10 min: an L=4, d=3 chain at Jtau = 2 pi reads 2.2e10
+# and runs, gamma = 2e9 at D=9 reads 9.0e11 (dense) and does not.  A dense run has at least
+# 2 units per unit of x, so x <= 5e9 and j <= 33 squarings; a CSR one over 1.8e4 (K > 724),
+# so x < 1.2e7 and its Taylor steps stay a finite count
 EXPM_COST_LIMIT = 1e10
+ACTION_COST_LIMIT = 2e11
 
 
 class ExtinctionError(RuntimeError):
@@ -204,13 +204,20 @@ class ProtocolConfig:
             # |L - mu I|_1 <= 2 |H|_1 + the dissipator's bound: the commutator counts H twice.
             # In Python floats, which overflow to inf without a warning; 0 * inf is NaN
             norm = self.tau * (2 * bound + bath.norm(d))
-            rows, cols = _open_block(self)
-            cost = norm * rows * cols
-            if not cost <= EXPM_COST_LIMIT:
+            sums = _sector_sums(d, self.layout.L, self.rank)
+            if stored_dense(sums.full):
+                size, limit = sums.full * (sums.squares + 1), EXPM_COST_LIMIT
+                what = f"its {sums.full} coordinates and {sums.squares + 1} round-map columns"
+            else:
+                entries = _generator_entries(self)
+                size, limit = self.n_measurements * entries, ACTION_COST_LIMIT
+                what = f"{self.n_measurements} rounds of its CSR generator's {entries} entries"
+            cost = norm * size
+            if not cost <= limit:
                 raise ValueError(
                     f"a bath run at D={D} would take too long: tau * (2|H| + 2|A|^2 * gamma * "
-                    f"(2n + 1)) = {norm:.3g} times its {rows} x {cols} block is {cost:.3g}, over "
-                    f"{EXPM_COST_LIMIT:.3g}; lower tau = {self.tau}, J = {ham.J} or "
+                    f"(2n + 1)) = {norm:.3g} times {what} is {cost:.3g}, over {limit:.3g}; "
+                    f"lower tau = {self.tau}, J = {ham.J} or "
                     f"bath.gamma = {bath.gamma} (occupancy n = {n:.3g} from bath.temperature "
                     f"= {bath.temperature}, bath.omega = {bath.omega})")
 
@@ -267,18 +274,19 @@ def _sector_sums(d: int, L: int, rank: int) -> _Sums:
                  sum(a ** 3 for a in support), len(widest))
 
 
-def _open_block(config: ProtocolConfig) -> tuple[int, int]:
-    """The shape of `_open_rounds`' block: the sector-diagonal entries, sum n^2, and a column
-    per support coordinate, sum a^2 over the support sectors, plus rho(0)."""
-    sums = _sector_sums(config.layout.d, config.layout.L, config.rank)
-    return sums.full, sums.squares + 1
+def _generator_entries(config: ProtocolConfig) -> int:
+    """A bound on the entries of a bath run's real generator: per sector-diagonal entry of rho
+    (sum n^2), twice those of its complex column, which has at most 2 e + 3 for H's e = L d +
+    L + 1 entries per row (one product with H on each side, A's and A^+'s jump, the diagonal)."""
+    d, L = config.layout.d, config.layout.L
+    return 2 * _sector_sums(d, L, config.rank).full * (2 * (L * d + L + 1) + 3)
 
 
 def _rounds_per_call(config: ProtocolConfig) -> int:
     """K, the rounds per matmul: at least 1, and at most ROUNDS_PER_CALL and N - 1, with the
     powers within POWERS_BYTES, over the support sectors' sizes a.  A closed run's powers of
-    M and block of K rounds take 32 K sum(a^2) bytes, a bath run's powers of T with their
-    trace rows 8 K sum(a^2) (sum(a^2) + 1).
+    M and block of K rounds take 32 K sum(a^2) bytes, a dense bath run's powers of T with
+    their trace rows 8 K sum(a^2) (sum(a^2) + 1); a CSR bath run has K = 1.
 
     A closed run's K also balances the powers against the blocks: the powers cost about
     K - 1 rounds, K sum(a^3) multiply-adds, and the N / K blocks each pay every group's
@@ -290,8 +298,10 @@ def _rounds_per_call(config: ProtocolConfig) -> int:
         # a finite float: a larger N (over 1e308 overflows it) is for the memory gate to refuse
         balance = min(N, 2 ** 62) * BLOCK_CALL_MACS * sums.sizes / sums.cubes
         fit = min(POWERS_BYTES // (32 * sums.squares), math.ceil(math.sqrt(balance)))
-    else:
+    elif stored_dense(sums.full):
         fit = POWERS_BYTES // (8 * sums.squares * (sums.squares + 1))
+    else:
+        fit = 1             # a CSR generator steps the state once per round
     return max(0, min(ROUNDS_PER_CALL, N - 1, max(1, fit)))
 
 
@@ -352,10 +362,10 @@ def run_bytes(config: ProtocolConfig, retain_state: bool = False) -> int:
     one.  A closed run then holds its sector blocks and eigenvectors, sum(n^2); per support
     sector of a states, its rows of V and R, padded to the widest sector w of that support
     size, and at most w populated columns; M, its powers and a block of K rounds of X; and N
-    rows of populations.  A bath run holds the larger of that and its float64 exponential-action
-    block (`_open_block`), with a generator of at most DENSE_BYTES, a dense generator's K x K
-    scaling-and-squaring arrays and, at most, the round map and K powers of it, each
-    (sum a^2 + 1) squared.
+    rows of populations.  A bath run holds the larger of that and its own peak over K = sum(n^2)
+    coordinates: listing its generator, GENERATOR_ENTRY_BYTES per bounded entry
+    (`_generator_entries`), and on a dense one the K x K scaling-and-squaring arrays, the
+    columns of S it slices and the round map [T; t] with K powers of it.
     A retained state adds the D x D `final_state` and its checks.
     """
     d, L, N = config.layout.d, config.layout.L, config.n_measurements
@@ -365,11 +375,14 @@ def run_bytes(config: ProtocolConfig, retain_state: bool = False) -> int:
     # the record in group order, its gather to support order, the site marginals
     need += 8 * N * (2 * states + 4 * L * d)
     if config.bath is not None:
-        rows, cols = _open_block(config)
-        powers = (_rounds_per_call(config) + 1) * cols
-        squaring = SQUARING_COPIES * rows * rows if 8 * rows * rows <= DENSE_BYTES else 0
-        need = max(need, 8 * (OPEN_BLOCK_COPIES * rows * cols + powers * cols + squaring)
-                   + DENSE_BYTES)
+        # listing the generator; then a dense one's exponential, the columns of S it slices and
+        # [T; t] with its K powers
+        K, width = full, support + 1
+        bath = GENERATOR_ENTRY_BYTES * _generator_entries(config)
+        if stored_dense(K):
+            powers = (_rounds_per_call(config) + 1) * width
+            bath += 8 * (SQUARING_COPIES * K * K + K * (d ** (L + 1) + width) + powers * width)
+        need = max(need, bath)
     return need + retain_state * 16 * STATE_COPIES * d ** (2 * L + 2)
 
 
@@ -727,12 +740,15 @@ def _open_rounds(config: ProtocolConfig, w: np.ndarray, support: np.ndarray):
     the entries (i, j) of rho with Sz_tot(i) = Sz_tot(j) into themselves,
     and rho(0) lies among them.  L preserves Hermiticity, so on those entries it
     is a real map of rho's Hermitian coordinates (`evolution.hermitian_coordinates`).
-    One exponential action evolves a unit column per support coordinate, the
-    entries (i, j) with i, j in S of one sector, and rho(0): the rows of the
-    support coordinates give the real round map T, and the diagonal rows' sums
-    the trace row t.  After round 0, a block of k <= K rounds (`_rounds_per_call`)
-    is one matvec of the stacked [T^j; t T^(j-1)], j = 1..k (`_powers`), with the block's
-    unit-trace start, as in `_closed_rounds`; t T^(j-1) is round j's trace before
+    A round reads an evolved state's support coordinates, the entries (i, j) of one sector
+    with i and j in the support, and its trace, the sum of its diagonal coordinates.  On a dense
+    generator S = exp(L tau) is formed once: its support rows and columns are the real
+    round map T, its diagonal rows' sums over the support columns the trace row t, and
+    S's diagonal columns times w rho(0)'s image.  After round 0 a block of k <= K rounds
+    (`_rounds_per_call`) is one matvec of the stacked [T^j; t T^(j-1)], j = 1..k
+    (`_powers`), with the block's unit-trace start, as in `_closed_rounds`.  On a CSR
+    generator K = 1: each round puts the support coordinates into a zero state, applies
+    the Taylor action once and reads it.  Either way t T^(j-1) is round j's trace before
     the projection, whose ratio to the trace after round j - 1 is its drift.
     """
     D, s = len(w), len(support)
@@ -741,22 +757,25 @@ def _open_rounds(config: ProtocolConfig, w: np.ndarray, support: np.ndarray):
     i, j = np.divmod(inner, s)
     diag = np.flatnonzero(i == j)
     coordinates = np.searchsorted(kept, support[i] * D + support[j])
-    block = np.zeros((len(kept), len(inner) + 1))
-    block[coordinates, np.arange(len(inner))] = 1.0
     diagonal = kept // D == kept % D
-    block[diagonal, -1] = w
-    evolved = prop.apply(block, config.tau)
-    del block
-    # [[T, rho(0)'s image], [t, rho(0)'s trace]] on the support coordinates
-    maps = np.vstack([evolved[coordinates], evolved[diagonal].sum(axis=0)])
-    del evolved
-    N, K = config.n_measurements, _rounds_per_call(config)
+    read = lambda v: np.concatenate([v[coordinates], v[diagonal].sum(axis=0, keepdims=True)])
+    N, K, tau, width = config.n_measurements, _rounds_per_call(config), config.tau, len(inner) + 1
+    S = prop.exponential(tau) if stored_dense(len(kept)) else None
     pops, probs, drift = np.zeros((N, s)), np.zeros(N), 0.0
     n, k = 0, 1
     # the products of T, sum(a^2) wide, take the thread rule; those of exp(L tau) do not
     with _blas_threads(len(inner)), np.errstate(divide="ignore", invalid="ignore"):
-        Z, powers, width = maps[None, :, -1], _powers(maps[:, :-1], K), len(maps)
-        del maps            # from L=3 on K = 1, and [T; t] is the one power
+        if S is None:
+            def evolve(at, values):
+                state = np.zeros(len(kept))
+                state[at] = values
+                return read(prop.apply(state, tau))[None]
+
+            Z, step = evolve(diagonal, w), lambda x, k: evolve(coordinates, x)
+        else:
+            Z, powers = read(S[:, diagonal] @ w)[None], _powers(read(S[:, coordinates]), K)
+            del S           # the rounds need only [T; t] and its powers
+            step = lambda x, k: (powers[:k * width] @ x).reshape(k, width)
         while True:         # 0/0 past an extinction
             pops[n:n + k] = Z[:, diag]
             trace, dead = _block_probabilities(pops, probs, n, k)
@@ -769,7 +788,7 @@ def _open_rounds(config: ProtocolConfig, w: np.ndarray, support: np.ndarray):
             n, k = n + k, min(K, N - n - k)
             if not k:
                 break
-            Z = (powers[:k * width] @ x).reshape(k, width)
+            Z = step(x, k)
     rho = np.zeros((s, s), dtype=complex)
     rho.flat[inner] = hermitian_entries(x, inner, s)
     return pops, probs, drift, rho
@@ -839,25 +858,3 @@ def zeno_spectrum(config: ProtocolConfig) -> ZenoSpectrum:
     vals = np.concatenate([vals, np.zeros(D - len(support), dtype=complex)])
     return ZenoSpectrum(eigenvalues=vals, dominant_right=r, dominant_left=l,
                         dominant_is_simple=simple)
-
-
-def delta_p(config: ProtocolConfig, k: int, *, matched_preparation: bool = True) -> float:
-    """p_1^(k)(N) - p_1^(k-1)(N) from two full runs.
-
-    With matched_preparation (default) each branch prepares the regulator as
-    the mixture matching its own rank; otherwise both reuse config's
-    preparation.
-    """
-    if k < 2:
-        raise ValueError("rank difference needs k >= 2")
-    if k > config.layout.d:
-        raise ValueError(f"rank {k} exceeds local dimension {config.layout.d}")
-    ps = []
-    for rank in (k, k - 1):
-        prep = None if matched_preparation else config.prep_rank
-        variant = ProtocolConfig(
-            layout=config.layout, hamiltonian=config.hamiltonian, tau=config.tau,
-            n_measurements=config.n_measurements, rank=rank, regulator_prep=prep,
-            target_betas=config.target_betas, bath=config.bath)
-        ps.append(zeno_run(variant).cumulative_probability)
-    return ps[0] - ps[1]

@@ -390,10 +390,6 @@ def write_results(sweeps: Sequence[SweepSpec], out_dir, workers: int = 1) -> tup
     return csv_path, manifest_path
 
 
-def run_config(path, out_dir, workers: int = 1) -> tuple[Path, Path]:
-    return write_results([load_config(path)], out_dir, workers=workers)
-
-
 # ---------------------------------------------------------------------------
 # Region classification
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from zenocool import (
     spin_operators,
     thermal_state,
 )
-from zenocool.evolution import DENSE_BYTES, THETA, generator_entries, hermitian_entries
+from zenocool.evolution import DENSE_BYTES, generator_entries, hermitian_entries, stored_dense
 from zenocool.oracles import dissipator, liouvillian, real_coordinates, unitary
 from zenocool.protocol import _hamiltonian, _sector_labels
 
@@ -231,36 +231,40 @@ MODELS = {"xxz": XXZSpec(J=0.7, Delta=-1.3, h=1.1), "bbh": BBHSpec(J=0.7, theta=
           "star": SpinStarSpec(J=0.7, h=1.1)}
 
 
+# the engine's two generator formats: K = 141 at L=2, d=3 is stored dense, K = 1107 at L=3,
+# d=3 in CSR
+FORMATS = pytest.mark.parametrize("L", [2, 3], ids=["dense", "csr"])
+
+
 @pytest.mark.parametrize("site", [0, None], ids=["regulator", "farthest"])
-@pytest.mark.parametrize("d", [3, 4], ids=["dense", "csr"])
+@FORMATS
 @pytest.mark.parametrize("model", ["xxz", "bbh", "star"])
-def test_generator_entries_match_the_restricted_liouvillian(model, d, site):
+def test_generator_entries_match_the_restricted_liouvillian(model, L, site):
     """L's entries on the sector-diagonal subspace, listed from H's and A's entries, are
-    `liouvillian(...)[kept][:, kept]`; K = 141 at d=3 is stored dense, K = 580 at d=4 in CSR."""
+    `liouvillian(...)[kept][:, kept]`, on a dense and on a CSR generator."""
     ham = MODELS[model]
-    layout = SystemLayout(ham.topology, 2, d)
-    kept, entries, bath, prop, L = sector_generator(layout, ham, site)
+    layout = SystemLayout(ham.topology, L, 3)
+    kept, entries, bath, prop, L_kept = sector_generator(layout, ham, site)
     rows, cols, values = generator_entries(entries, bath, layout.dims, kept)
-    got = np.zeros_like(L)
+    got = np.zeros_like(L_kept)
     got[rows, cols] = values
-    assert np.max(np.abs(got - L)) <= 1e-15
-    assert isinstance(prop._generator, np.ndarray) == (8 * len(kept) ** 2 <= DENSE_BYTES)
-    assert isinstance(prop._generator, np.ndarray) == (d == 3)
+    assert np.max(np.abs(got - L_kept)) <= 1e-15
+    assert isinstance(prop._generator, np.ndarray) == stored_dense(len(kept)) == (L == 2)
 
 
 @pytest.mark.parametrize("site", [0, None], ids=["regulator", "farthest"])
-@pytest.mark.parametrize("d", [3, 4], ids=["dense", "csr"])
+@FORMATS
 @pytest.mark.parametrize("model", ["xxz", "bbh", "star"])
-def test_stored_generator_is_the_liouvillian_in_hermitian_coordinates(model, d, site):
+def test_stored_generator_is_the_liouvillian_in_hermitian_coordinates(model, L, site):
     """The stored generator plus mu I is `liouvillian(...)[kept][:, kept]` written in real
     Hermitian coordinates: column h is the coordinates of L's image of the Hermitian state
     whose coordinates are the unit vector e_h."""
     ham = MODELS[model]
-    layout = SystemLayout(ham.topology, 2, d)
-    kept, _, _, prop, L = sector_generator(layout, ham, site)
+    layout = SystemLayout(ham.topology, L, 3)
+    kept, _, _, prop, L_kept = sector_generator(layout, ham, site)
     D, K = layout.d ** layout.n_sites, len(kept)
-    ref = real_coordinates(L @ hermitian_entries(np.eye(K), kept, D), kept, D)
-    stored = prop._generator if d == 3 else prop._generator.toarray()
+    ref = real_coordinates(L_kept @ hermitian_entries(np.eye(K), kept, D), kept, D)
+    stored = prop._generator if L == 2 else prop._generator.toarray()
     assert stored.dtype == np.float64
     assert np.max(np.abs(stored + prop._mu * np.eye(K) - ref)) <= 1e-15
 
@@ -281,11 +285,12 @@ def test_hermitian_coordinates_round_trip():
 
 
 def test_dense_rule_counts_float64_entries():
-    """A generator is dense up to 8 K^2 bytes: K = 344 (L=1, d=8), over 16 K^2 <= DENSE_BYTES's
-    K <= 256, is stored dense and still matches the restricted Liouvillian."""
-    layout = SystemLayout("chain", 1, 8)
+    """A generator is dense up to 8 K^2 bytes: K = 580 (L=2, d=4), over 16 K^2 <= DENSE_BYTES's
+    K <= 512, is stored dense and still matches the restricted Liouvillian."""
+    layout = SystemLayout("chain", 2, 4)
     kept, _, _, prop, L = sector_generator(layout, XXZSpec(J=0.7, Delta=-1.3, h=1.1), None)
-    assert len(kept) == 344 and isinstance(prop._generator, np.ndarray)
+    assert len(kept) == 580 and 16 * 580 ** 2 > DENSE_BYTES
+    assert isinstance(prop._generator, np.ndarray)
     D = layout.d ** layout.n_sites
     ref = real_coordinates(L @ hermitian_entries(np.eye(len(kept)), kept, D), kept, D)
     assert np.max(np.abs(prop._generator + prop._mu * np.eye(len(kept)) - ref)) <= 1e-15
@@ -293,11 +298,11 @@ def test_dense_rule_counts_float64_entries():
 
 @pytest.mark.parametrize("tau", [0.3, 2.0, 2 * math.pi])
 def test_apply_matches_dense_expm_above_the_dense_size(tau):
-    """On the CSR side (K = 580 > 362) the Taylor action agrees with exp(L tau) of the dense
-    restricted L on a block of Hermitian states."""
-    layout = SystemLayout("chain", 2, 4)
+    """On the CSR side (K = 1107 at L=3, d=3, over 724) the Taylor action agrees with exp(L tau)
+    of the dense restricted L on a block of Hermitian states."""
+    layout = SystemLayout("chain", 3, 3)
     kept, _, _, prop, L = sector_generator(layout, BBHSpec(J=0.7, theta=0.9, h=1.1), None)
-    assert 8 * len(kept) ** 2 > DENSE_BYTES
+    assert not stored_dense(len(kept))
     D = layout.d ** layout.n_sites
     X = hermitian_entries(np.random.default_rng(5).normal(size=(len(kept), 4)), kept, D)
     ref = expm(L * tau) @ X
@@ -311,26 +316,6 @@ def real_generator(layout, ham, bath):
     kept, _, _, prop, L = sector_generator(layout, ham, None, bath)
     D, K = layout.d ** layout.n_sites, len(kept)
     return prop, real_coordinates(L @ hermitian_entries(np.eye(K), kept, D), kept, D)
-
-
-def spy_squarings(monkeypatch, prop):
-    """A list that records each scaling-and-squaring evaluation of `prop`."""
-    calls, exponential = [], prop._exponential
-
-    def recorded(*args):
-        calls.append(args)
-        return exponential(*args)
-
-    monkeypatch.setattr(prop, "_exponential", recorded)
-    return calls
-
-
-def taylor_products(x):
-    """The K x K products of the Taylor action and of scaling and squaring at
-    |(L - mu I) tau|_1 = x: the least m ceil(x / theta_m), and the 7 that form T_18 plus
-    ceil(log2(x / theta_18)) squarings."""
-    action = min(m * math.ceil(x / theta) for m, theta in THETA.items())
-    return action, 7 + max(0, math.ceil(math.log2(x / THETA[18])))
 
 
 XXZ_1 = XXZSpec(J=1.0, Delta=1.0, h=1.0)
@@ -349,54 +334,29 @@ COLD = BathSpec(temperature=1.0, gamma=1e-3, omega=1.0)
 ], ids=["d3-gamma1e4", "d3-gamma1e4-tau6", "d3-J30", "d4-gamma1e3-T5", "d5-J30", "L2-Jtau0.05",
         "L2-Jtau6", "d8"])
 def test_dense_apply_on_the_identity_matches_expm(L, d, ham, bath, tau, x):
-    """A dense generator's exp(G tau), applied to the identity, agrees with scipy's expm of the
-    unshifted real generator from x = |(L - mu I) tau|_1 = 0.4 (the action) to 8.5e4 (17
-    squarings, where a shift folded in after them overflows): 1e-12 of its largest entry up
-    to x = 400, 1e-10 above."""
+    """A dense generator's exp(G tau) agrees with scipy's expm of the unshifted real generator
+    from x = |(L - mu I) tau|_1 = 0.4 (no squaring) to 8.5e4 (17 squarings, where a shift
+    folded in after them overflows): 1e-12 of its largest entry up to x = 400, 1e-10 above."""
     layout = SystemLayout("chain", L, d)
     prop, G = real_generator(layout, ham, bath)
-    K = len(G)
     assert isinstance(prop._generator, np.ndarray)
     assert tau * prop._norm == pytest.approx(x, rel=0.05)
     ref = expm(G * tau)
-    got = prop.apply(np.eye(K), tau)
+    got = prop.exponential(tau)
     bound = 1e-12 if x <= 400 else 1e-10
     assert np.max(np.abs(got - ref)) <= bound * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("tau", [1.0, 6.0])
-def test_squaring_a_block_matches_its_columns_one_at_a_time(monkeypatch, tau):
-    """On the L=2, d=3 generator (K = 141) a block of 71 columns, as wide as a bath run's,
-    takes scaling and squaring and each of its columns alone takes the Taylor action; the two
-    agree to 1e-12 of the block's largest entry."""
+def test_squaring_a_block_matches_its_columns_one_at_a_time(tau):
+    """On the L=2, d=3 generator (K = 141) the exponential times a block of 71 columns, as wide
+    as a bath run's round map, agrees with the Taylor action on each column alone to 1e-12 of
+    the block's largest entry."""
     layout = SystemLayout("chain", 2, 3)
     kept, _, _, prop, _ = sector_generator(layout, XXZ_1, None, COLD)
-    calls = spy_squarings(monkeypatch, prop)
     D = layout.d ** layout.n_sites
     rho = random_density(D, 7).data.reshape(-1)[kept]
     block = real_coordinates(rho[:, None] * np.random.default_rng(3).uniform(size=71), kept, D)
-    got = prop.apply(block, tau)
-    assert len(calls) == 1
+    got = prop.exponential(tau) @ block
     columns = np.column_stack([prop.apply(column, tau) for column in block.T])
-    assert len(calls) == 1
     assert np.max(np.abs(got - columns)) <= 1e-12 * np.max(np.abs(columns))
-
-
-@pytest.mark.parametrize("L, d, tau", [(2, 3, 1.0), (2, 3, 6.0), (1, 8, 1.0), (1, 4, 0.3)])
-def test_the_dense_branch_follows_the_multiply_add_count(monkeypatch, L, d, tau):
-    """A block takes scaling and squaring exactly when (7 + j) K^3 + K^2 w multiply-adds are
-    fewer than the action's m s K^2 w: at the narrowest such width w and not one column
-    narrower.  Both sides give the same exp(L tau) block."""
-    layout = SystemLayout("chain", L, d)
-    kept, _, _, prop, _ = sector_generator(layout, XXZ_1, None, COLD)
-    calls = spy_squarings(monkeypatch, prop)
-    K = len(kept)
-    action, squaring = taylor_products(tau * prop._norm)
-    w = squaring * K // (action - 1) + 1         # the least w with squaring K + w < action w
-    assert squaring * K + w < action * w and squaring * K + w - 1 >= action * (w - 1)
-    block = np.random.default_rng(11).normal(size=(K, w))
-    wide = prop.apply(block, tau)
-    assert len(calls) == 1
-    narrow = prop.apply(block[:, :-1], tau)
-    assert len(calls) == 1
-    assert np.max(np.abs(narrow - wide[:, :-1])) <= 1e-12 * np.max(np.abs(wide))

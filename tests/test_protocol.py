@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
 from scipy.linalg import expm
 from scipy.optimize import linear_sum_assignment
 
@@ -23,7 +24,6 @@ from zenocool import (
     SpinStarSpec,
     SystemLayout,
     XXZSpec,
-    delta_p,
     fidelity_xx_rank1,
     low_lying_mixture,
     spin_operators,
@@ -39,6 +39,7 @@ from zenocool.oracles import (
     target_state,
     uhlmann_fidelity,
 )
+import zenocool.evolution as evolution
 import zenocool.protocol as protocol
 from zenocool.protocol import initial_state
 from zenocool.qudit import operator_entries
@@ -340,20 +341,38 @@ def test_retained_state_peak_memory_stays_below_its_estimate(ham, L, N, k):
 @pytest.mark.parametrize("ham, L, d, tau", [(XXZSpec(J=1.0, Delta=1.0), 2, 3, 0.9),
                                              (SpinStarSpec(J=1.0), 2, 4, 0.9),
                                              (XXZSpec(J=1.0, Delta=1.0), 3, 3, 0.9),
-                                             (XXZSpec(J=1.0, Delta=1.0), 1, 8, 6.0)],
-                         ids=["chain-L2-d3", "star-L2-d4-csr", "chain-L3-d3-csr",
-                              "chain-L1-d8-squaring"])
+                                             (XXZSpec(J=1.0, Delta=1.0), 1, 8, 6.0),
+                                             (XXZSpec(J=1.0, Delta=1.0), 4, 3, 0.9),
+                                             (BBHSpec(J=1.0, theta=0.7), 2, 5, 0.9)],
+                         ids=["chain-L2-d3", "star-L2-d4", "chain-L3-d3-csr",
+                              "chain-L1-d8-squaring", "chain-L4-d3-csr", "bbh-L2-d5-csr"])
 def test_bath_run_peak_memory_stays_below_its_estimate(ham, L, d, tau):
-    """The gate counts a bath run's float64 block with its copies in the Taylor action, the
-    generator, a dense generator's K x K scaling-and-squaring arrays (K = 344 at L=1, d=8,
-    where they are most of the peak), and the round map with its powers (21 of them at L=2,
-    d=3).  scipy.sparse is imported first: its import, once per process, is not the run's."""
+    """The gate counts the listing of a bath run's generator (a CSR run's peak; BBH has the
+    most entries per row), then a dense generator's K x K scaling-and-squaring arrays (K = 344
+    at L=1, d=8 and 580 at L=2, d=4, where they are most of the peak), the columns of S it
+    slices and the round map with its powers (21 of them at L=2, d=3).  scipy.sparse is
+    imported first: its import, once per process, is not the run's."""
     from scipy import sparse  # noqa: F401
 
     config = ProtocolConfig(layout=SystemLayout(ham.topology, L, d), hamiltonian=ham, tau=tau,
                             n_measurements=50, rank=2,
                             bath=BathSpec(temperature=1.0, gamma=1e-3, omega=1.0))
     assert traced_peak(config, retain_state=False) <= protocol.run_bytes(config)
+
+
+@pytest.mark.parametrize("spec", [XXZSpec(J=1.0, Delta=1.0), BBHSpec(J=1.0, theta=0.7),
+                                  SpinStarSpec(J=1.0)], ids=["xxz", "bbh", "star"])
+@pytest.mark.parametrize("L, d", [(1, 3), (1, 8), (2, 3), (2, 5), (3, 3)])
+def test_generator_entries_bound_the_stored_generator(spec, L, d):
+    """The gates' `_generator_entries` is at least the stored real generator's entries."""
+    layout = SystemLayout(spec.topology, L, d)
+    bath = BathSpec(temperature=1.0, gamma=1e-3, omega=1.0)
+    config = ProtocolConfig(layout=layout, hamiltonian=spec, tau=1.0, n_measurements=1, rank=2,
+                            bath=bath)
+    protocol._open_generator.cache_clear()
+    G = protocol._open_generator(layout, spec, bath)[2]._generator
+    stored = np.count_nonzero(G) if isinstance(G, np.ndarray) else G.nnz
+    assert stored <= protocol._generator_entries(config)
 
 
 def test_an_l8_chain_passes_the_gate_and_refuses_to_retain_its_state(monkeypatch):
@@ -431,10 +450,12 @@ def test_a_round_count_past_the_float_range_is_refused_by_the_memory_gate():
 @pytest.mark.parametrize("L, d, k, N, K", [
     (1, 3, 2, 200, 21), (1, 4, 2, 200, 21), (2, 3, 2, 200, 21),  # fig8 and open_bath
     (2, 3, 2, 10, 9), (1, 3, 2, 1, 0),                          # capped at N - 1
-    (2, 4, 2, 200, 18), (3, 3, 2, 200, 1), (4, 3, 2, 20, 1),    # sized by T = sum(a^2)^2
+    (2, 4, 2, 200, 18),                                         # sized by T = sum(a^2)^2
+    (3, 3, 2, 200, 1), (4, 3, 2, 20, 1),                        # CSR: a round at a time
 ])
 def test_bath_rounds_per_call_fits_the_powers_of_t_in_their_bytes(L, d, k, N, K):
-    """A bath run's powers [T^j; t T^(j-1)] are (sum(a^2) + 1) x sum(a^2) floats each."""
+    """A dense bath run's powers [T^j; t T^(j-1)] are (sum(a^2) + 1) x sum(a^2) floats each,
+    and a CSR one steps its state once per round."""
     config = xx_config(d=d, jtau=0.9, N=N, k=k, L=L, Delta=1.0,
                        bath=BathSpec(temperature=1.0, gamma=1e-3, omega=1.0))
     assert protocol._rounds_per_call(config) == K
@@ -580,10 +601,24 @@ def test_bath_cost_norm_bounds_the_propagators_exact_norm(spec, far, d, gamma):
     assert exact <= 2 * spec.norm(layout) + bath.norm(d)
 
 
-@pytest.mark.parametrize("L, jtau", [(3, 1.0), (4, 2 * math.pi)], ids=["L3-ci", "L4-2pi"])
+@pytest.mark.parametrize("L, jtau", [(3, 1.0), (4, 2 * math.pi), (5, 1.0)],
+                         ids=["L3-ci", "L4-2pi", "L5-1"])
 def test_bath_cost_limit_admits_the_longer_chains(L, jtau):
+    """N = 200 bath chains up to L=5, d=3 (K = 73,789 coordinates, CSR) pass the memory and
+    cost gates, with a memory estimate under 500 MB."""
     bath = BathSpec(temperature=1.0, gamma=1e-3, omega=1.0)
-    xx_config(d=3, jtau=jtau, N=200, k=2, L=L, Delta=1.0, bath=bath)   # construction gates it
+    config = xx_config(d=3, jtau=jtau, N=200, k=2, L=L, Delta=1.0, bath=bath)   # gates it
+    assert protocol.run_bytes(config) < 500 * 10 ** 6
+
+
+def test_bath_cost_limit_charges_a_csr_run_per_round():
+    """A CSR run is charged N rounds of its generator's entries: the L=4 chain that passes at
+    N = 200 is rejected at N = 20,000, naming tau, J and bath.gamma."""
+    bath = BathSpec(temperature=1.0, gamma=1e-3, omega=1.0)
+    xx_config(d=3, jtau=1.0, N=200, k=2, L=4, Delta=1.0, bath=bath)
+    with pytest.raises(ValueError, match=r"20000 rounds of its CSR generator's \d+ entries .*"
+                                         r"tau = 1\.0, J = 1\.0 or bath\.gamma = 0\.001"):
+        xx_config(d=3, jtau=1.0, N=20000, k=2, L=4, Delta=1.0, bath=bath)
 
 
 def test_bath_check_rejects_an_overflowing_bound_without_a_warning():
@@ -614,9 +649,13 @@ def test_extinction_reports_step_and_prefix(monkeypatch):
     assert len(err.value.partial.steps) == 0
 
 
-@pytest.mark.parametrize("bath", [None, BathSpec(temperature=1.0, gamma=0.05, omega=1.0)],
-                         ids=["closed", "bath"])
-def test_mid_run_extinction_keeps_the_completed_prefix(monkeypatch, bath):
+@pytest.mark.parametrize("bath, csr", [(None, False),
+                                       (BathSpec(temperature=1.0, gamma=0.05, omega=1.0), False),
+                                       (BathSpec(temperature=1.0, gamma=0.05, omega=1.0), True)],
+                         ids=["closed", "bath", "bath-csr"])
+def test_mid_run_extinction_keeps_the_completed_prefix(request, monkeypatch, bath, csr):
+    if csr:
+        request.getfixturevalue("csr_generators")
     config = xx_config(d=3, jtau=3.0, N=8, k=2, bath=bath)
     full = zeno_run(config)
     p1, p2 = full.step_probabilities[:2]
@@ -643,6 +682,43 @@ def test_bath_extinction_inside_a_later_block_keeps_the_prefix_bit_for_bit(monke
     """The same on the bath path, whose blocks are matvecs of the powers of T."""
     bath = BathSpec(temperature=1.0, gamma=1e-3, omega=1.0)
     assert_extinction_inside_the_second_block_keeps_the_prefix(monkeypatch, bath)
+
+
+@pytest.fixture
+def csr_generators(monkeypatch):
+    """Every bath generator stored CSR, so that bath runs step the state once per round."""
+    monkeypatch.setattr(evolution, "DENSE_BYTES", 0)
+    protocol._open_generator.cache_clear()
+    yield
+    protocol._open_generator.cache_clear()
+
+
+@pytest.mark.parametrize("config", [
+    xx_config(d=3, jtau=1.0, N=200, k=2, L=2, Delta=1.0,
+              bath=BathSpec(temperature=1.0, gamma=1e-3, omega=1.0)),
+    xx_config(d=3, jtau=6.0, N=200, k=2, L=2, Delta=1.0,
+              bath=BathSpec(temperature=1.0, gamma=1e-3, omega=1.0)),
+    xx_config(d=4, jtau=1.0, N=200, k=2, L=1, Delta=1.0,
+              bath=BathSpec(temperature=1.0, gamma=0.05, omega=1.0)),
+], ids=["L2-Jtau1", "L2-Jtau6", "L1-d4"])
+def test_csr_rounds_match_the_dense_slice(request, config):
+    """The same run on a dense generator, whose rounds are the powers of T sliced out of
+    exp(L tau), and on a CSR one, which applies the Taylor action once per round: p and F agree
+    to 1e-13 relative and the trace drift, itself relative, to 1e-13.  The final states agree
+    to 5e-13 of their largest entry: at Jtau = 6 the dense one is 8.2e-14 from the literal
+    round map's and the CSR one 3.1e-14 (2.3e-13 apart, of 0.255)."""
+    dense = zeno_run(config, retain_state=True)
+    assert protocol._rounds_per_call(config) == protocol.ROUNDS_PER_CALL
+    request.getfixturevalue("csr_generators")
+    assert protocol._rounds_per_call(config) == 1
+    csr = zeno_run(config, retain_state=True)
+    assert isinstance(protocol._open_generator(config.layout, config.hamiltonian,
+                                               config.bath)[2]._generator, sparse.csr_matrix)
+    for name in ("step_probabilities", "fidelities"):
+        np.testing.assert_allclose(getattr(csr, name), getattr(dense, name), rtol=1e-13, atol=0)
+    assert abs(csr.max_trace_drift - dense.max_trace_drift) <= 1e-13
+    scale = np.max(np.abs(dense.final_state.data))
+    assert np.max(np.abs(csr.final_state.data - dense.final_state.data)) <= 5e-13 * scale
 
 
 def assert_extinction_inside_the_second_block_keeps_the_prefix(monkeypatch, bath):
@@ -806,18 +882,27 @@ def test_spectrum_rejects_open_system():
         zeno_spectrum(config)
 
 
-# ---- delta_p ---------------------------------------------------------------
+# ---- rank differences -------------------------------------------------------
+
+def rank_difference(config, k, matched_preparation=True):
+    """p_1^(k)(N) - p_1^(k-1)(N), the cumulative probabilities of two runs at ranks k and k - 1,
+    each preparing the regulator as its own rank's mixture, or both as config does."""
+    prep = None if matched_preparation else config.prep_rank
+    p = [zeno_run(dataclasses.replace(config, rank=rank, regulator_prep=prep))
+         .cumulative_probability for rank in (k, k - 1)]
+    return p[0] - p[1]
+
 
 def test_delta_p_zero_coupling():
     config = ProtocolConfig(layout=SystemLayout("chain", 1, 3),
                             hamiltonian=XXZSpec(J=0.0, Delta=1.0), tau=1.0,
                             n_measurements=10, rank=2)
-    assert abs(delta_p(config, 2)) < 1e-12
+    assert abs(rank_difference(config, 2)) < 1e-12
 
 
 def test_delta_p_single_round_direct_trace():
     config = xx_config(d=3, jtau=1.0, N=1, k=2)
-    got = delta_p(config, 2)
+    got = rank_difference(config, 2)
     expect = 0.0
     for rank, sign in ((2, 1.0), (1, -1.0)):
         variant = xx_config(d=3, jtau=1.0, N=1, k=rank)
@@ -830,22 +915,14 @@ def test_delta_p_regression_pin():
     config = ProtocolConfig(layout=SystemLayout("chain", 1, 4),
                             hamiltonian=XXZSpec(J=1.0, Delta=1.0), tau=1.0,
                             n_measurements=50, rank=2)
-    assert delta_p(config, 2) == pytest.approx(0.12500000003914663, abs=1e-9)
+    assert rank_difference(config, 2) == pytest.approx(0.12500000003914663, abs=1e-9)
 
 
 def test_delta_p_fixed_preparation_flag():
     config = xx_config(d=4, jtau=1.0, N=5, k=2, Delta=1.0)
-    matched = delta_p(config, 2, matched_preparation=True)
-    fixed = delta_p(config, 2, matched_preparation=False)
+    matched = rank_difference(config, 2, matched_preparation=True)
+    fixed = rank_difference(config, 2, matched_preparation=False)
     assert matched != pytest.approx(fixed, abs=1e-12)  # genuinely different protocols
-
-
-def test_delta_p_rank_bounds():
-    config = xx_config(d=3, jtau=1.0, N=2, k=2)
-    with pytest.raises(ValueError):
-        delta_p(config, 1)
-    with pytest.raises(ValueError):
-        delta_p(config, 4)
 
 
 # ---- config validation -----------------------------------------------------

@@ -25,7 +25,6 @@ from zenocool import (
     XXZSpec,
     classify_regions,
     fidelity_xx_rank1,
-    run_config,
     run_sweep,
     write_results,
     zeno_run,
@@ -53,7 +52,7 @@ def read_rows(csv_path):
 
 def test_minimal_config_rows_and_oracle(tmp_path):
     path = write_json(tmp_path, MINIMAL)
-    csv_path, manifest_path = run_config(path, tmp_path / "out")
+    csv_path, manifest_path = write_results([load_config(path)], tmp_path / "out")
     rows = read_rows(csv_path)
     assert len(rows) == 10
     final = float(rows[-1]["fidelity"])
@@ -85,8 +84,8 @@ def test_schema_violations_name_the_field(tmp_path):
 
 def test_rerun_is_byte_identical(tmp_path):
     path = write_json(tmp_path, dict(MINIMAL, axes={"Jtau": [0.4, 1.2], "N": [3, 7]}))
-    csv1, _ = run_config(path, tmp_path / "a")
-    csv2, _ = run_config(path, tmp_path / "b")
+    csv1, _ = write_results([load_config(path)], tmp_path / "a")
+    csv2, _ = write_results([load_config(path)], tmp_path / "b")
     assert csv1.read_bytes() == csv2.read_bytes()
 
 
@@ -155,14 +154,14 @@ def test_bath_jtau_line_builds_one_generator():
 
 def test_n_axis_selects_recorded_steps(tmp_path):
     path = write_json(tmp_path, dict(MINIMAL, axes={"N": [2, 5]}))
-    csv_path, _ = run_config(path, tmp_path / "out")
+    csv_path, _ = write_results([load_config(path)], tmp_path / "out")
     rows = read_rows(csv_path)
     assert [int(r["N_step"]) for r in rows] == [2, 5]
 
 
 def test_zero_round_run_emits_initial_row(tmp_path):
     doc = {"base": dict(MINIMAL["base"], N=0)}
-    csv_path, _ = run_config(write_json(tmp_path, doc), tmp_path / "out")
+    csv_path, _ = write_results([load_config(write_json(tmp_path, doc))], tmp_path / "out")
     rows = read_rows(csv_path)
     assert len(rows) == 1
     assert rows[0]["N_step"] == "0"
@@ -172,7 +171,7 @@ def test_zero_round_run_emits_initial_row(tmp_path):
 
 def test_multi_site_rows_ordered_by_site(tmp_path):
     doc = {"base": dict(MINIMAL["base"], L=3, N=2, k=2, Delta=1.0)}
-    csv_path, _ = run_config(write_json(tmp_path, doc), tmp_path / "out")
+    csv_path, _ = write_results([load_config(write_json(tmp_path, doc))], tmp_path / "out")
     rows = read_rows(csv_path)
     assert [(int(r["N_step"]), int(r["site"])) for r in rows] == [
         (1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)]
@@ -183,7 +182,7 @@ def test_extinction_rows_flagged_not_fatal(tmp_path, monkeypatch):
     import zenocool.protocol as protocol
 
     monkeypatch.setattr(protocol, "EXTINCTION_THRESHOLD", 0.9)
-    csv_path, _ = run_config(write_json(tmp_path, MINIMAL), tmp_path / "out")
+    csv_path, _ = write_results([load_config(write_json(tmp_path, MINIMAL))], tmp_path / "out")
     rows = read_rows(csv_path)
     assert len(rows) == 1
     assert rows[0]["extinct"] == "1"
@@ -369,7 +368,7 @@ BATH = {"temperature": 1.0, "gamma": 1e-3}
     ({"axes": {"d": [1]}}, "axes.d = 1"),
     ({"axes": {"Jtau": [math.nan]}}, "axes.Jtau = nan"),
     ({"axes": {"N": [-2]}}, "axes.N"),
-    ({"base": {"L": 5, "d": 3, "k": 2, "bath": BATH}}, r"D=729 needs about [\d,]+ bytes"),
+    ({"base": {"L": 8, "d": 3, "k": 2, "bath": BATH}}, r"D=19683 needs about [\d,]+ bytes"),
     ({"base": {"L": 9, "d": 3}}, r"closed run at D=59049 needs about [\d,]+ bytes"),
     ({"base": {"L": 200, "d": 3, "k": 2, "bath": BATH}}, r"D=3\^201 needs more than 2\^64 bytes"),
     ({"base": {"L": 2 ** 40}}, r"D=3\^1099511627777 needs more than 2\^64 bytes"),
@@ -414,7 +413,7 @@ BATH = {"temperature": 1.0, "gamma": 1e-3}
     ({"axes": {"N": [3]}, "argv": ["spectrum", "--config", "{config}"]}, r"axes\.N"),
 ], ids=["tau-nan", "tau-inf", "J-nan", "temperature-nan", "temperature-negative", "gamma-nan",
         "site-7", "omega-inf", "axes-k-9", "axes-d-1", "axes-Jtau-nan", "axes-N-negative",
-        "bath-D729-memory", "closed-D59049-memory", "bath-L200-memory", "closed-L2e40-memory",
+        "bath-D19683-memory", "closed-D59049-memory", "bath-L200-memory", "closed-L2e40-memory",
         "N-bool",
         "axes-d-non-integral", "axes-N-non-integral", "axes-Jtau-bool", "phase-overflow",
         "h-zero", "h-negative-omega-default", "gamma-huge", "occupancy-overflow",
