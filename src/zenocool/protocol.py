@@ -27,8 +27,10 @@ support, so a round costs the sum of the sector sizes cubed.  Each group
 stacks the powers M^1..M^K as rows of one array, built by repeated
 squaring, and a block of K rounds is one matmul per group against them.
 K balances the powers' cost against the blocks' calls, within
-POWERS_BYTES (at most ROUNDS_PER_CALL, and 1 once the sectors are
-large).  A round map narrower than BLAS_ONE_THREAD_WIDTH runs its powers
+POWERS_BYTES (N - 1 on small sectors, 1 once they are large).  A block
+ends early after a round whose trace falls below `_trace_floor()`, and the
+next starts from that round's normalised state, so a long block cannot
+underflow.  A round map narrower than BLAS_ONE_THREAD_WIDTH runs its powers
 and rounds on one OpenBLAS thread, and the count is restored after them.
 `zeno_run` reads all fidelities off the support populations at once, and
 forms the D x D state only when asked to retain it (`retain_state=True`).
@@ -62,23 +64,33 @@ from .qudit import (DensityMatrix, _low_lying_weights, _thermal_weights, _zeroed
                     summed_entries)
 
 EXTINCTION_THRESHOLD = 1e-14
-# most closed rounds per batched matmul.  A block's traces are the products of its p's, so
-# K p's >= EXTINCTION_THRESHOLD must stay above the smallest normal float: K <= 21, since
-# 1e-14^22 < 2.2e-308
-ROUNDS_PER_CALL = 21
 # bytes of a run's stacked powers and block of K rounds, 32 K sum(a^2) for a closed run: a
-# memory cap, which leaves K = 21 on small sectors, 3 at L=5 and 1 from L=6, d=3.  Warm
-# N = 200 points, one thread, 2 vCPUs, time against 4 MiB: 1 MiB 0.95 at L=4 (K = 7), 1.20
-# at L=5 (K = 1) and 1.35 at L=3, d=5 (K = 4); 8 MiB 0.94 at L=5 (K = 7, 7.7 MB)
+# memory cap, which fits K = 30 at L=4, d=3 (the balance below takes 10 there), 3 at L=5 and
+# 1 from L=6, d=3.  Warm N = 200 points, one thread, 2 vCPUs, time against 4 MiB: 1 MiB 0.95
+# at L=4 (K = 7), 1.20 at L=5 (K = 1) and 1.35 at L=3, d=5 (K = 4); 8 MiB 0.94 at L=5
+# (K = 7, 7.7 MB)
 POWERS_BYTES = 4 * 2 ** 20
 # one support group's calls per block of rounds (matmul, einsum, copy, rescale), in the
-# complex multiply-adds of a round that take as long (`_rounds_per_call`).  Warm, one
-# thread, time of K against K = 21, and the K this gives:
-#   L=4, d=3 chain, N = 200: K = 7 1.01, 10 0.92-0.94, 14 0.96-0.99; gives 10
-#   d=31, rank 11 and 15, N = 50 (fig7): K = 7 0.74-0.76, 10 0.76-0.77, 14 0.86-0.87; 11-14
-#   L=5, d=3, N = 200: K = 3 0.84, 5 0.83, 7 0.86; gives 3
-#   L=3, d=4 / d=5, N = 200: K = 10 1.11 / 1.06, 14 1.05 / 1.02; gives 18 / 9
+# complex multiply-adds of a round that take as long (`_rounds_per_call`).  Warm N = 200
+# points (fig7: N = 50), one thread, 2 vCPUs, fastest of 25 interleaved runs against the
+# first K named, and the K this gives:
+#   L=4, d=3 chain: K = 10 0.94, 14 0.95, 21 1.07, 30 1.11 against 7; gives 10
+#   d=31, rank 15 / 11 (fig7): K = 7 0.91 / 0.85, 11 0.91 / 0.84, 14 1.10 / 0.90, 21 1.31 /
+#     1.09 against 5; gives 11 / 14
+#   L=3, d=4: K = 14 0.90, 18 0.90, 21 0.85, 30 0.93, 45 1.19 against 10; gives 18
+#   L=3, d=5: K = 14 1.00, 21 1.05, 30 1.28 against 9; gives 9
+#   L=3, d=3: K = 21 0.84, 30 0.81, 45 0.78, 60 0.82, 100 0.93, 199 1.01 against 14; gives 39
+#   L=2, d=3 / d=4: K = 50 0.65 / 0.74, 100 0.59 / 0.71, 199 0.60 / 0.72 against 21; gives
+#     149 / 96.  L=1, d=3: K = 100 0.60, 199 0.56 against 21; gives 199
 BLOCK_CALL_MACS = 11250
+# a dense bath run's calls per block of rounds (matvec, reads, drift, rescale), in the real
+# multiply-adds of its powers of T that take as long.  Warm N = 200 points, one thread, time
+# against the first K named, and the K this gives:
+#   L=1, d=3: K = 21 0.46, 40 0.37, 70 0.34, 100 0.33, 199 0.33 against 5; gives 174
+#   L=1, d=4: K = 21 0.49, 40 0.41, 70 0.40, 100 0.38, 199 0.43 against 5; gives 109
+#   L=2, d=3: K = 4 0.50, 6 0.45, 10 0.41, 14 0.41, 21 0.47 against 1; gives 11
+#   L=2, d=4: K = 2-18 0.96-1.02 against 1, exp(L tau) dominates; gives 3
+BATH_CALL_MACS = 200000
 # a round map narrower than this (`_blas_threads`: a closed run's widest support sector a, a
 # bath run's T, sum(a^2) wide) runs on one OpenBLAS thread, and wider ones keep the count they
 # find.  Warm N = 200 points on 2 vCPUs, time on one thread against two: closed runs at a =
@@ -283,26 +295,31 @@ def _generator_entries(config: ProtocolConfig) -> int:
 
 
 def _rounds_per_call(config: ProtocolConfig) -> int:
-    """K, the rounds per matmul: at least 1, and at most ROUNDS_PER_CALL and N - 1, with the
-    powers within POWERS_BYTES, over the support sectors' sizes a.  A closed run's powers of
-    M and block of K rounds take 32 K sum(a^2) bytes, a dense bath run's powers of T with
-    their trace rows 8 K sum(a^2) (sum(a^2) + 1); a CSR bath run has K = 1.
+    """K, the rounds per matmul: at least 1, and at most N - 1, with the powers within
+    POWERS_BYTES, over the support sectors' sizes a.  A closed run's powers of M and block of
+    K rounds take 32 K sum(a^2) bytes, a dense bath run's powers of T with their trace rows
+    8 K sum(a^2) (sum(a^2) + 1); a CSR bath run has K = 1.
 
-    A closed run's K also balances the powers against the blocks: the powers cost about
-    K - 1 rounds, K sum(a^3) multiply-adds, and the N / K blocks each pay every group's
-    calls, BLOCK_CALL_MACS each, so K stays at most sqrt(N BLOCK_CALL_MACS groups / sum(a^3)).
+    K also balances the powers against the blocks: the powers cost about K - 1 rounds'
+    worth of products, and each of the N / K blocks pays its calls.  A closed run's powers
+    take K sum(a^3) multiply-adds and its blocks BLOCK_CALL_MACS per group, so K stays at
+    most sqrt(N BLOCK_CALL_MACS groups / sum(a^3)); a dense bath run's take K w^3, w =
+    sum(a^2) + 1, against BATH_CALL_MACS per block.
     """
     sums, N = _sector_sums(config.layout.d, config.layout.L, config.rank), config.n_measurements
+    # N is capped where the balance is far past any fit, so that the ratio stays a finite
+    # float: a larger N (over 1e308 overflows it) is for the memory gate to refuse
+    rounds = min(N, 2 ** 62)
     if config.bath is None:
-        # N is capped where the balance is far past ROUNDS_PER_CALL, so that the ratio stays
-        # a finite float: a larger N (over 1e308 overflows it) is for the memory gate to refuse
-        balance = min(N, 2 ** 62) * BLOCK_CALL_MACS * sums.sizes / sums.cubes
-        fit = min(POWERS_BYTES // (32 * sums.squares), math.ceil(math.sqrt(balance)))
+        fit = POWERS_BYTES // (32 * sums.squares)
+        balance = rounds * BLOCK_CALL_MACS * sums.sizes / sums.cubes
     elif stored_dense(sums.full):
-        fit = POWERS_BYTES // (8 * sums.squares * (sums.squares + 1))
+        width = sums.squares + 1
+        fit = POWERS_BYTES // (8 * sums.squares * width)
+        balance = rounds * BATH_CALL_MACS / width ** 3
     else:
-        fit = 1             # a CSR generator steps the state once per round
-    return max(0, min(ROUNDS_PER_CALL, N - 1, max(1, fit)))
+        fit = balance = 1   # a CSR generator steps the state once per round
+    return max(0, min(N - 1, max(1, min(fit, math.ceil(math.sqrt(balance))))))
 
 
 # the OpenBLAS builds numpy and scipy load, by their thread-count getters and setters
@@ -633,16 +650,29 @@ def zeno_run(config: ProtocolConfig, *, retain_state: bool = False) -> Trajector
     return record
 
 
+def _trace_floor() -> float:
+    """A block ends after its first round whose trace is below this: the round after a
+    trace at or above it, with p >= EXTINCTION_THRESHOLD, has a trace that is a normal
+    float."""
+    return np.finfo(float).tiny / EXTINCTION_THRESHOLD
+
+
 def _block_probabilities(pops: np.ndarray, probs: np.ndarray, n: int, k: int):
     """Rounds n..n+k-1 of a block that starts from a unit-trace state: each round's p is the
     ratio of its populations' trace to the round before's, and its populations are
-    normalised, in place.  Returns the traces and the first round whose p is below
-    EXTINCTION_THRESHOLD, or None."""
+    normalised, in place.  The block keeps its rounds up to the first whose p is below
+    EXTINCTION_THRESHOLD or whose trace is below `_trace_floor()`, so every p that passes
+    the threshold is a ratio of normal floats; the next block starts from the last kept
+    round.  p is a ratio of traces, at most 1 but for rounding, and is clamped at 1.
+    Returns the kept rounds' traces and the round that died, or None."""
     trace = pops[n:n + k].sum(axis=1)
-    probs[n:n + k] = trace / np.concatenate(([1.0], trace[:-1]))
+    p = trace / np.concatenate(([1.0], trace[:-1]))
+    stop = np.flatnonzero((p < EXTINCTION_THRESHOLD) | (trace < _trace_floor()))
+    k = int(stop[0]) + 1 if len(stop) else k
+    trace, p = trace[:k], p[:k]
+    probs[n:n + k] = np.minimum(p, 1.0)
     pops[n:n + k] /= trace[:, None]
-    dead = np.flatnonzero(probs[n:n + k] < EXTINCTION_THRESHOLD)
-    return trace, n + int(dead[0]) if len(dead) else None
+    return trace, n + k - 1 if p[-1] < EXTINCTION_THRESHOLD else None
 
 
 def _powers(A: np.ndarray, K: int) -> np.ndarray:
@@ -704,7 +734,8 @@ def _closed_rounds(config: ProtocolConfig, retain_state: bool):
             trace, dead = _block_probabilities(pops, probs, n, k)
             if dead is not None:
                 return pops[:dead, order], probs[:dead + 1], 0.0, None
-            Xs = [Z[:, -g.a:] / np.sqrt(trace[-1]) for g, Z in zip(groups, Zs)]
+            k = len(trace)
+            Xs = [Z[:, (k - 1) * g.a:k * g.a] / np.sqrt(trace[-1]) for g, Z in zip(groups, Zs)]
             n, k = n + k, min(K, N - n - k)
             if not k:
                 break
@@ -779,12 +810,12 @@ def _open_rounds(config: ProtocolConfig, w: np.ndarray, support: np.ndarray):
         while True:         # 0/0 past an extinction
             pops[n:n + k] = Z[:, diag]
             trace, dead = _block_probabilities(pops, probs, n, k)
-            last = k if dead is None else dead - n + 1
-            drifts = Z[:last, -1] / np.concatenate(([1.0], trace[:last - 1]))
+            k = len(trace)
+            drifts = Z[:k, -1] / np.concatenate(([1.0], trace[:-1]))
             drift = max(drift, float(np.abs(drifts - 1.0).max()))
             if dead is not None:
                 return pops[:dead], probs[:dead + 1], drift, None
-            x = Z[-1, :-1] / trace[-1]
+            x = Z[k - 1, :-1] / trace[-1]
             n, k = n + k, min(K, N - n - k)
             if not k:
                 break

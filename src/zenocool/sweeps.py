@@ -126,7 +126,7 @@ class SweepSpec:
 
 
 # a grid point's fixed fields, rendered once, are the prefix; each row adds these fields
-_ROUND = ",%d,%d,%.17g"                     # N_step, site, fidelity
+_ROUND = ",%d,%d,%.17g%s"                   # N_step, site, fidelity, the step's _STEP text
 _STEP = ",%.17g,%.17g,%.17g,%d\n"           # step_probability .. extinct, once per step
 
 
@@ -156,23 +156,23 @@ def _point_rows(preset_id: str, config: ProtocolConfig, recorded: list[int]) -> 
     probs = record.step_probabilities.tolist()
     cum = record.cumulative_probabilities.tolist()
     log_cum = record.log_cumulative.tolist()
-    steps = []          # (N_step, fidelity per site, step_probability .. extinct)
+    steps = []          # (N_step, fidelity per site, step_probability .. extinct as text)
     for n in recorded:
         if n == 0:
-            steps.append((0, record.initial_fidelities.tolist(), 1.0, 1.0, 0.0, 0))
+            steps.append((0, record.initial_fidelities.tolist(), _STEP % (1.0, 1.0, 0.0, 0)))
         elif n <= len(probs):
-            steps.append((n, fids[n - 1], probs[n - 1], cum[n - 1], log_cum[n - 1], 0))
+            steps.append((n, fids[n - 1],
+                          _STEP % (probs[n - 1], cum[n - 1], log_cum[n - 1], 0)))
     if extinction is not None:
         log_prev = log_cum[-1] if log_cum else 0.0
         dead_log = log_prev + (math.log(extinction.probability)
                                if extinction.probability > 0 else -math.inf)
-        steps.append((extinction.step, [math.nan] * config.layout.L, extinction.probability,
-                      math.exp(dead_log) if math.isfinite(dead_log) else 0.0, dead_log, 1))
-    rows: list[str] = []
-    for n, site_fids, *step_fields in steps:
-        tail = _STEP % tuple(step_fields)
-        rows.extend([round_row % (n, site, f) + tail for site, f in enumerate(site_fids, 1)])
-    return rows
+        steps.append((extinction.step, [math.nan] * config.layout.L,
+                      _STEP % (extinction.probability,
+                               math.exp(dead_log) if math.isfinite(dead_log) else 0.0,
+                               dead_log, 1)))
+    return [round_row % (n, site, f, tail)
+            for n, site_fids, tail in steps for site, f in enumerate(site_fids, 1)]
 
 
 def _one_blas_thread() -> None:

@@ -51,6 +51,20 @@ def xx_config(d=3, jtau=1.2, N=10, k=1, L=1, Delta=0.0, **kw):
                           tau=jtau, n_measurements=N, rank=k, **kw)
 
 
+# the block tests force K down to BLOCK rounds per matmul, through POWERS_BYTES
+BLOCK = 5
+
+
+def force_blocks(monkeypatch, config, K=BLOCK):
+    """Patch POWERS_BYTES to fit exactly K rounds of the config's stacked powers (32 sum(a^2)
+    bytes a round when closed, 8 sum(a^2) (sum(a^2) + 1) on a dense bath generator), and
+    return the K that the run then takes."""
+    squares = protocol._sector_sums(config.layout.d, config.layout.L, config.rank).squares
+    per_round = 32 * squares if config.bath is None else 8 * squares * (squares + 1)
+    monkeypatch.setattr(protocol, "POWERS_BYTES", K * per_round)
+    return protocol._rounds_per_call(config)
+
+
 # ---- zeno_run --------------------------------------------------------------
 
 @pytest.mark.parametrize("d, L, k, prep, betas, h", [
@@ -140,27 +154,26 @@ def test_trajectory_states_and_fidelities_valid(jtau, n):
                    tau=0.9, n_measurements=8, rank=2,
                    bath=BathSpec(temperature=1.0, gamma=0.05, omega=1.0, site=0)),
     xx_config(d=3, jtau=0.9, N=8, k=1, Delta=1.0, L=2, regulator_prep=3),
-    # support sectors of 1, 3 and 5 states, each group run across two full blocks of rounds
-    xx_config(d=3, jtau=0.9, N=2 * protocol.ROUNDS_PER_CALL + 3, k=2, Delta=1.0, L=2,
-              regulator_prep=3),
+    # support sectors of 1, 3 and 5 states, each group run across eight full blocks of rounds
+    xx_config(d=3, jtau=0.9, N=9 * BLOCK, k=2, Delta=1.0, L=2, regulator_prep=3),
     # a ground-state first target leaves support sectors without any populated state
-    xx_config(d=3, jtau=0.9, N=2 * protocol.ROUNDS_PER_CALL + 3, k=2, L=2,
-              target_betas=(math.inf, 0.0)),
-    # bath rounds across two full blocks of powers of the real round map T
-    xx_config(d=3, jtau=0.9, N=2 * protocol.ROUNDS_PER_CALL + 3, k=2, Delta=1.0,
+    xx_config(d=3, jtau=0.9, N=9 * BLOCK, k=2, L=2, target_betas=(math.inf, 0.0)),
+    # bath rounds across eight full blocks of powers of the real round map T
+    xx_config(d=3, jtau=0.9, N=9 * BLOCK, k=2, Delta=1.0,
               bath=BathSpec(temperature=1.0, gamma=0.05, omega=1.0)),
-    xx_config(d=3, jtau=0.9, N=2 * protocol.ROUNDS_PER_CALL + 3, k=2, Delta=1.0, L=2,
+    xx_config(d=3, jtau=0.9, N=9 * BLOCK, k=2, Delta=1.0, L=2,
               bath=BathSpec(temperature=1.0, gamma=0.05, omega=1.0)),
     ProtocolConfig(layout=SystemLayout("star", 2, 3), hamiltonian=SpinStarSpec(J=1.0),
-                   tau=0.9, n_measurements=2 * protocol.ROUNDS_PER_CALL + 3, rank=2,
+                   tau=0.9, n_measurements=9 * BLOCK, rank=2,
                    bath=BathSpec(temperature=1.0, gamma=0.05, omega=1.0, site=0)),
 ], ids=["chain-L1", "chain-L2", "star-L2", "chain-L1-bath", "chain-L2-bath", "star-L2-bath",
         "chain-L2-prep3-rank1", "chain-L2-prep3-rank2", "chain-L2-ground-target",
         "chain-L1-bath-blocks", "chain-L2-bath-blocks", "star-L2-hub-bath-blocks"])
-def test_round_loop_matches_dense_oracle(config):
+def test_round_loop_matches_dense_oracle(monkeypatch, config):
+    if config.n_measurements == 9 * BLOCK:      # round 0, then 8 blocks of BLOCK and one of 4
+        assert force_blocks(monkeypatch, config) == BLOCK
     record = assert_matches_literal_round_map(config)
-    if config.n_measurements > protocol.ROUNDS_PER_CALL and config.bath is not None:
-        assert protocol._rounds_per_call(config) == protocol.ROUNDS_PER_CALL
+    if config.n_measurements == 9 * BLOCK and config.bath is not None:
         assert record.max_trace_drift <= 1e-12
 
 
@@ -169,7 +182,7 @@ def test_round_loop_matches_dense_oracle(config):
 @settings(max_examples=30, deadline=None)
 def test_sector_engine_matches_literal_round_map(model, L, d, data):
     """Random model, size, rank, wider preparation, target temperatures, tau and a number of
-    rounds that ends in the first, second or third block of ROUNDS_PER_CALL rounds."""
+    rounds that ends in the first, second or third block of BLOCK rounds."""
     k = data.draw(st.integers(1, d), label="k")
     h = data.draw(st.sampled_from([1.0, -0.7]), label="h")
     ham = {"xxz": XXZSpec(J=1.0, Delta=data.draw(st.floats(-1.5, 1.5), label="Delta"), h=h),
@@ -178,11 +191,13 @@ def test_sector_engine_matches_literal_round_map(model, L, d, data):
     config = ProtocolConfig(
         layout=SystemLayout("star" if model == "star" else "chain", L, d), hamiltonian=ham,
         tau=data.draw(st.floats(0.1, 3.0), label="tau"), rank=k,
-        n_measurements=data.draw(st.integers(1, 3 * protocol.ROUNDS_PER_CALL + 2), label="N"),
+        n_measurements=data.draw(st.integers(1, 3 * BLOCK + 2), label="N"),
         regulator_prep=data.draw(st.integers(k, d), label="prep"),
         target_betas=tuple(data.draw(st.lists(st.floats(0.1, 2.0), min_size=L, max_size=L),
                                      label="betas")))
-    assert_matches_literal_round_map(config)
+    with pytest.MonkeyPatch.context() as patch:
+        assert force_blocks(patch, config) == min(BLOCK, config.n_measurements - 1)
+        assert_matches_literal_round_map(config)
 
 
 def assert_matches_literal_round_map(config):
@@ -425,9 +440,11 @@ def test_a_target_beta_whose_weights_overflow_runs_as_beta_inf():
 
 
 @pytest.mark.parametrize("L, d, k, N, K", [
-    (1, 2, 1, 200, 21), (1, 8, 2, 200, 21), (2, 3, 2, 45, 21),   # the D <= 64 grids
+    (1, 2, 1, 200, 199), (1, 8, 2, 200, 199), (2, 3, 2, 45, 44),  # the D <= 64 grids
     (2, 3, 2, 10, 9), (2, 3, 2, 1, 0),                          # capped at N - 1
-    (4, 3, 2, 200, 10), (1, 31, 15, 50, 11),                    # the powers against the blocks
+    (1, 5, 1, 5000, 3355), (3, 3, 2, 200, 39),                  # the powers against the blocks
+    (4, 3, 2, 200, 10), (1, 31, 15, 50, 11),
+    (1, 2, 1, 10 ** 6, 65536),                                  # sized by the bytes
     (5, 3, 2, 200, 3), (5, 3, 2, 50, 2), (6, 3, 2, 50, 1),      # sized by the sectors
 ])
 def test_rounds_per_call_fits_the_powers_in_their_bytes(L, d, k, N, K):
@@ -448,20 +465,23 @@ def test_a_round_count_past_the_float_range_is_refused_by_the_memory_gate():
 
 
 @pytest.mark.parametrize("L, d, k, N, K", [
-    (1, 3, 2, 200, 21), (1, 4, 2, 200, 21), (2, 3, 2, 200, 21),  # fig8 and open_bath
-    (2, 3, 2, 10, 9), (1, 3, 2, 1, 0),                          # capped at N - 1
-    (2, 4, 2, 200, 18),                                         # sized by T = sum(a^2)^2
+    (1, 3, 2, 200, 174), (1, 4, 2, 200, 109), (2, 3, 2, 200, 11),  # fig8 and open_bath
+    (1, 3, 2, 10, 9), (1, 3, 2, 1, 0),                          # capped at N - 1
+    (2, 3, 2, 10, 3), (2, 4, 2, 200, 3),                        # the powers against the blocks
+    (2, 4, 2, 10 ** 4, 18),                                     # sized by T = sum(a^2)^2
     (3, 3, 2, 200, 1), (4, 3, 2, 20, 1),                        # CSR: a round at a time
 ])
 def test_bath_rounds_per_call_fits_the_powers_of_t_in_their_bytes(L, d, k, N, K):
     """A dense bath run's powers [T^j; t T^(j-1)] are (sum(a^2) + 1) x sum(a^2) floats each,
-    and a CSR one steps its state once per round."""
+    and their K (sum(a^2) + 1)^3 multiply-adds are balanced against the N / K blocks' calls;
+    a CSR run steps its state once per round."""
     config = xx_config(d=d, jtau=0.9, N=N, k=k, L=L, Delta=1.0,
                        bath=BathSpec(temperature=1.0, gamma=1e-3, omega=1.0))
     assert protocol._rounds_per_call(config) == K
     _, support = protocol._sector_sizes(d, L, k)
     squares = sum(a * a for a in support)
     assert K <= 1 or 8 * K * squares * (squares + 1) <= protocol.POWERS_BYTES
+    assert K <= 1 or (K - 1) ** 2 < N * protocol.BATH_CALL_MACS / (squares + 1) ** 3
 
 
 @pytest.mark.parametrize("K", [1, 2, 3, 7, 21])
@@ -701,35 +721,41 @@ def csr_generators(monkeypatch):
     xx_config(d=4, jtau=1.0, N=200, k=2, L=1, Delta=1.0,
               bath=BathSpec(temperature=1.0, gamma=0.05, omega=1.0)),
 ], ids=["L2-Jtau1", "L2-Jtau6", "L1-d4"])
-def test_csr_rounds_match_the_dense_slice(request, config):
+def test_csr_rounds_match_the_dense_slice(request, monkeypatch, config):
     """The same run on a dense generator, whose rounds are the powers of T sliced out of
-    exp(L tau), and on a CSR one, which applies the Taylor action once per round: p and F agree
-    to 1e-13 relative and the trace drift, itself relative, to 1e-13.  The final states agree
-    to 5e-13 of their largest entry: at Jtau = 6 the dense one is 8.2e-14 from the literal
-    round map's and the CSR one 3.1e-14 (2.3e-13 apart, of 0.255)."""
-    dense = zeno_run(config, retain_state=True)
-    assert protocol._rounds_per_call(config) == protocol.ROUNDS_PER_CALL
+    exp(L tau), in blocks of its own K and of BLOCK, and on a CSR one, which applies the
+    Taylor action once per round: p and F agree to 1e-13 relative and the trace drift, itself
+    relative, to 1e-13.  The final states agree to 5e-13 of their largest entry: at Jtau = 6
+    the dense one is 8.2e-14 from the literal round map's and the CSR one 3.1e-14 (2.3e-13
+    apart, of 0.255)."""
+    K = protocol._rounds_per_call(config)
+    assert 1 < K < config.n_measurements - 1     # round 0, then two or more blocks
+    dense = [zeno_run(config, retain_state=True)]
+    assert force_blocks(monkeypatch, config) == BLOCK
+    dense.append(zeno_run(config, retain_state=True))
     request.getfixturevalue("csr_generators")
     assert protocol._rounds_per_call(config) == 1
     csr = zeno_run(config, retain_state=True)
     assert isinstance(protocol._open_generator(config.layout, config.hamiltonian,
                                                config.bath)[2]._generator, sparse.csr_matrix)
-    for name in ("step_probabilities", "fidelities"):
-        np.testing.assert_allclose(getattr(csr, name), getattr(dense, name), rtol=1e-13, atol=0)
-    assert abs(csr.max_trace_drift - dense.max_trace_drift) <= 1e-13
-    scale = np.max(np.abs(dense.final_state.data))
-    assert np.max(np.abs(csr.final_state.data - dense.final_state.data)) <= 5e-13 * scale
+    for run in dense:
+        for name in ("step_probabilities", "fidelities"):
+            np.testing.assert_allclose(getattr(csr, name), getattr(run, name), rtol=1e-13,
+                                       atol=0)
+        assert abs(csr.max_trace_drift - run.max_trace_drift) <= 1e-13
+        scale = np.max(np.abs(run.final_state.data))
+        assert np.max(np.abs(csr.final_state.data - run.final_state.data)) <= 5e-13 * scale
 
 
 def assert_extinction_inside_the_second_block_keeps_the_prefix(monkeypatch, bath):
-    config = xx_config(d=3, jtau=0.05, N=3 * protocol.ROUNDS_PER_CALL + 2, k=2, L=2,
-                       target_betas=(math.inf, 0.0), bath=bath)
-    K = protocol._rounds_per_call(config)
+    config = xx_config(d=3, jtau=0.05, N=13 * BLOCK, k=2, L=2, target_betas=(math.inf, 0.0),
+                       bath=bath)
+    K = force_blocks(monkeypatch, config)
     full = zeno_run(config)
     p = full.step_probabilities
     # p[1..K] form the first block after round 0's p[0]; n - 1 = 0 mod K starts a block
     n = next(n for n in range(K + 1, len(p)) if p[n] < p[:n].min() and (n - 1) % K)
-    assert K == protocol.ROUNDS_PER_CALL and (n - 1) // K == 1     # inside the second block
+    assert K == BLOCK and (n - 1) // K == 1     # inside the second block
     monkeypatch.setattr(protocol, "EXTINCTION_THRESHOLD", (p[n] + p[:n].min()) / 2)
     with pytest.raises(ExtinctionError) as err:
         zeno_run(config, retain_state=True)
@@ -740,6 +766,75 @@ def assert_extinction_inside_the_second_block_keeps_the_prefix(monkeypatch, bath
     for name in ("steps", "fidelities", "step_probabilities", "log_cumulative"):
         np.testing.assert_array_equal(getattr(partial, name), getattr(full, name)[:n])
     assert partial.max_trace_drift <= full.max_trace_drift
+
+
+def spy_blocks(monkeypatch):
+    """Every block's (first round, rounds asked for, rounds kept), as it is run."""
+    blocks, inner = [], protocol._block_probabilities
+
+    def spy(pops, probs, n, k):
+        trace, dead = inner(pops, probs, n, k)
+        blocks.append((n, k, len(trace)))
+        return trace, dead
+
+    monkeypatch.setattr(protocol, "_block_probabilities", spy)
+    return blocks
+
+
+@pytest.mark.parametrize("bath", [None, BathSpec(temperature=1.0, gamma=1e-3, omega=1.0)],
+                         ids=["closed", "bath"])
+def test_blocks_restart_below_the_trace_floor_without_changing_the_run(monkeypatch, bath):
+    """A trace floor patched up to 0.99 ends a block after its first round whose trace falls
+    below it, and the next block starts from that round's normalised state: p, F, log cum and
+    the retained state stay within 1e-12 of the run with the true floor."""
+    config = xx_config(d=3, jtau=1.0, N=200, k=2, L=2, Delta=1.0, bath=bath)
+    ref = zeno_run(config, retain_state=True)
+    blocks = spy_blocks(monkeypatch)
+    monkeypatch.setattr(protocol, "_trace_floor", lambda: 0.99)
+    got = zeno_run(config, retain_state=True)
+    assert sum(kept < k for _, k, kept in blocks) >= 5
+    for name in ("step_probabilities", "fidelities", "log_cumulative"):
+        assert np.max(np.abs(getattr(got, name) - getattr(ref, name))) <= 1e-12
+    assert np.max(np.abs(got.final_state.data - ref.final_state.data)) <= 1e-12
+
+
+@pytest.mark.parametrize("bath", [None, BathSpec(temperature=1.0, gamma=1e-3, omega=1.0)],
+                         ids=["closed", "bath"])
+def test_extinction_inside_a_restarted_block_keeps_the_prefix_bit_for_bit(monkeypatch, bath):
+    """With the floor patched up to 0.999, a p that sets a new low past the first round of a
+    block that started at a floor restart ends the run there, with the prefix of the run
+    that survives it."""
+    config = xx_config(d=3, jtau=0.05, N=13 * BLOCK, k=2, L=2, target_betas=(math.inf, 0.0),
+                       bath=bath)
+    blocks = spy_blocks(monkeypatch)
+    monkeypatch.setattr(protocol, "_trace_floor", lambda: 0.999)
+    full = zeno_run(config)
+    p = full.step_probabilities
+    restarted = [(n, kept) for (n, k, kept), (_, asked, ended) in zip(blocks[1:], blocks)
+                 if ended < asked]
+    n = next(m for start, kept in restarted for m in range(start + 1, start + kept)
+             if p[m] < p[:m].min())
+    monkeypatch.setattr(protocol, "EXTINCTION_THRESHOLD", (p[n] + p[:n].min()) / 2)
+    with pytest.raises(ExtinctionError) as err:
+        zeno_run(config, retain_state=True)
+    assert err.value.step == n + 1
+    assert err.value.probability == p[n]
+    partial = err.value.partial
+    for name in ("steps", "fidelities", "step_probabilities", "log_cumulative"):
+        np.testing.assert_array_equal(getattr(partial, name), getattr(full, name)[:n])
+
+
+@pytest.mark.parametrize("jtau", [0.7, 1.2, 2.5, 4.5])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_long_blocks_match_the_xx_oracle(d, jtau):
+    """N = 5,000 rank-1 XX rounds run in blocks of 3,355 to 4,999 rounds: every round's
+    fidelity is within 1e-12 of the closed form, and no p exceeds 1."""
+    config = xx_config(d=d, jtau=jtau, N=5000)
+    assert protocol._rounds_per_call(config) >= 3355
+    record = zeno_run(config)
+    want = [fidelity_xx_rank1(d, n, jtau) for n in range(1, 5001)]
+    assert np.max(np.abs(record.fidelities[:, 0] - want)) <= 1e-12
+    assert np.all(record.step_probabilities <= 1.0)
 
 
 def test_closed_rounds_do_not_warn_past_an_extinction(monkeypatch):
