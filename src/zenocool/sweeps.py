@@ -12,12 +12,14 @@ to the largest requested round).  Rows are sorted by (grid index, step,
 site) regardless of worker count, floats are written with 17 significant
 digits, and reruns of the same config are byte-identical.
 
-A point's rows are CSV text, one line each.  Its fixed fields, preset_id
-to tau, go through csv.writer once, so they are quoted as csv.writer
-quotes them; each row then appends N_step, site and fidelity from a `%`
-template, and the step's probabilities and extinct flag, formatted once
-per step ('%.17g' % x equals f'{x:.17g}' for every float, nan and the
-infinities included).  `run_sweep` returns these lines, `write_results`
+A sweep's rows are CSV text, one line each.  A grid point's fixed fields,
+preset_id to tau, go through csv.writer once, so they are quoted as
+csv.writer quotes them.  The rest of a row is numbers: each point's run
+(`zeno_run`, in a pool worker or not) leaves a table of them, and the
+sweep's tables are written in passes of a few thousand values: N_step and
+site as %d writes them, the four floats by `_g17`, which gives the bytes of
+'%.17g' % x (f'{x:.17g}' for every float, nan and the infinities included)
+for a whole array at once.  `run_sweep` returns these lines, `write_results`
 writes them after the header, and `classify_regions` reads them back.
 """
 from __future__ import annotations
@@ -28,10 +30,10 @@ import io
 import itertools
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
+import operator
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -125,11 +127,6 @@ class SweepSpec:
         return list(range(1, config.n_measurements + 1))
 
 
-# a grid point's fixed fields, rendered once, are the prefix; each row adds these fields
-_ROUND = ",%d,%d,%.17g%s"                   # N_step, site, fidelity, the step's _STEP text
-_STEP = ",%.17g,%.17g,%.17g,%d\n"           # step_probability .. extinct, once per step
-
-
 def _row_prefix(preset_id: str, config: ProtocolConfig) -> str:
     """The point's fields preset_id .. tau as CSV text, quoted as csv.writer quotes them."""
     ham = config.hamiltonian
@@ -143,36 +140,154 @@ def _row_prefix(preset_id: str, config: ProtocolConfig) -> str:
     return out.getvalue()[:-1]
 
 
-def _point_rows(preset_id: str, config: ProtocolConfig, recorded: list[int]) -> list[str]:
-    """The point's CSV lines, one per recorded step and site, each ending in a newline."""
-    round_row = _row_prefix(preset_id, config).replace("%", "%%") + _ROUND
+def _point_table(config: ProtocolConfig, recorded: list[int]) -> np.ndarray:
+    """The point's rows as numbers, one per recorded step and site: N_step, site, fidelity,
+    step_probability, cum_probability, log_cum_probability and extinct."""
     try:
-        record = zeno_run(config)
-        extinction = None
+        record, extinction = zeno_run(config), None
     except ExtinctionError as err:
-        record = err.partial
-        extinction = err
-    fids = record.fidelities.tolist()
-    probs = record.step_probabilities.tolist()
-    cum = record.cumulative_probabilities.tolist()
-    log_cum = record.log_cumulative.tolist()
-    steps = []          # (N_step, fidelity per site, step_probability .. extinct as text)
-    for n in recorded:
-        if n == 0:
-            steps.append((0, record.initial_fidelities.tolist(), _STEP % (1.0, 1.0, 0.0, 0)))
-        elif n <= len(probs):
-            steps.append((n, fids[n - 1],
-                          _STEP % (probs[n - 1], cum[n - 1], log_cum[n - 1], 0)))
+        record, extinction = err.partial, err
+    ran, sites = len(record.steps), config.layout.L
+    steps = [n for n in recorded if n <= ran]
+    # row n of fids and tail is round n: round 0 is the initial state, round ran + 1 the
+    # dying round of an extinct run
+    fids = np.empty((ran + 2, sites))
+    fids[0], fids[1:-1], fids[-1] = record.initial_fidelities, record.fidelities, math.nan
+    tail = np.zeros((ran + 2, 4))
+    tail[0, :2] = 1.0
+    tail[1:-1, 0] = record.step_probabilities
+    tail[1:-1, 1] = record.cumulative_probabilities
+    tail[1:-1, 2] = record.log_cumulative
     if extinction is not None:
-        log_prev = log_cum[-1] if log_cum else 0.0
+        log_prev = record.log_cumulative[-1] if ran else 0.0
         dead_log = log_prev + (math.log(extinction.probability)
                                if extinction.probability > 0 else -math.inf)
-        steps.append((extinction.step, [math.nan] * config.layout.L,
-                      _STEP % (extinction.probability,
-                               math.exp(dead_log) if math.isfinite(dead_log) else 0.0,
-                               dead_log, 1)))
-    return [round_row % (n, site, f, tail)
-            for n, site_fids, tail in steps for site, f in enumerate(site_fids, 1)]
+        tail[-1] = (extinction.probability,
+                    math.exp(dead_log) if math.isfinite(dead_log) else 0.0, dead_log, 1.0)
+        steps.append(extinction.step)
+    steps = np.array(steps, dtype=np.intp)
+    table = np.empty((len(steps), sites, 7))
+    table[..., 0] = steps[:, None]
+    table[..., 1] = np.arange(1, sites + 1)
+    table[..., 2] = fids[steps]
+    table[..., 3:] = tail[steps, None]
+    return table.reshape(-1, 7)
+
+
+# `_g17` writes a float's text in a column of 30 byte slots: 0 ',', 1 the sign, 2-6 '0.000'
+# before a fixed value below 1, 7-24 the 17 digits with a '.' moved in among them, 25-29 'e',
+# the exponent's sign and its three digits.  An unused slot holds NUL, and NULs are dropped
+# before the text is decoded.
+_SLOTS = 30
+_VALUES_PER_PASS = 1 << 12     # a pass's buffers stay near 1 MB, below a sweep's peak
+_SPLIT = 134217729.0           # 2**27 + 1: Dekker's split of a double into two halves
+_PLACE = np.arange(18, dtype=np.uint8)[:, None]     # a digit's place, one row each
+
+
+@functools.lru_cache(maxsize=None)
+def _pow10(n: int) -> tuple[float, float]:
+    """10**n as a double-double (hi, lo), both rounded from exact integers; `_g17` asks for
+    n in [-264, 297] only, so the cache stays below 562 entries."""
+    num, den = (10 ** n, 1) if n >= 0 else (1, 10 ** -n)
+    hi = num / den                      # int / int is correctly rounded
+    hi_num, hi_den = hi.as_integer_ratio()
+    return hi, (num * hi_den - hi_num * den) / (den * hi_den)
+
+
+def _halves(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    c = v * _SPLIT
+    high = c - (c - v)
+    return high, v - high
+
+
+def _g17(x: np.ndarray) -> np.ndarray:
+    """The (30, n) byte slots of ',' + '%.17g' % x[i], one column each.
+
+    |x| times a double-double 10**(16 - E), E = floor(log10 |x|), comes within about 1e-14
+    of the exact product, and its rounding gives the 17 digits; %g writes them as fixed
+    (-4 <= E < 17) or scientific text without trailing zeros.  Zeros, nan and the
+    infinities, and any value within 1e-12 of a rounding tie, whose E is one off next to a
+    power of ten, or outside [1e-280, 1e280], take Python's '%.17g' instead.
+    """
+    a = np.abs(x)
+    ok = (a >= 1e-280) & (a <= 1e280)
+    a = np.where(ok, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    shift = 16 - e
+    low = int(shift.min())
+    present = np.flatnonzero(np.bincount(shift - low))
+    pow_hi, pow_lo = np.zeros((2, present[-1] + 1))
+    pow_hi[present], pow_lo[present] = np.array([_pow10(low + int(k)) for k in present]).T
+    hi, lo = pow_hi[shift - low], pow_lo[shift - low]
+    top = a * hi                            # an integer where E is right: top >= 1e16 > 2**53
+    (a1, a2), (h1, h2) = _halves(a), _halves(hi)
+    rest = (((a1 * h1 - top) + a1 * h2 + a2 * h1) + a2 * h2) + a * lo
+    below = np.floor(rest)
+    frac = rest - below
+    d = top.astype(np.int64) + below.astype(np.int64)
+    ok &= (d >= 10 ** 16) & (np.abs(frac - 0.5) > 1e-12)
+    d += frac > 0.5
+    ok &= d < 10 ** 17                                      # else E is low, or rounds up
+
+    out = np.zeros((_SLOTS, len(x)), np.uint8)
+    out[0] = ord(",")
+    out[1] = np.signbit(x) * np.uint8(ord("-"))
+    digits = np.zeros((18, len(x)), np.uint8)
+    for half, rows in ((d % 10 ** 8, range(16, 8, -1)), (d // 10 ** 8, range(8, 0, -1))):
+        half = half.astype(np.int32)
+        for j in rows:
+            quotient = half // 10
+            digits[j] = half - quotient * 10
+            half = quotient
+    digits[0] = half
+    last = ((digits != 0) * _PLACE).max(axis=0)             # the last nonzero digit
+    digits += np.uint8(48)
+    fixed = (e >= -4) & (e < 17)
+    out[2:7] = (np.arange(5)[:, None] < np.where(fixed & (e < 0), 1 - e, 0)) \
+        * np.frombuffer(b"0.000", np.uint8)[:, None]
+    whole = np.where(fixed, e + 1, 1)                       # digits before the point
+    digits *= _PLACE < np.maximum(last + 1, whole).astype(np.uint8)
+    out[7:25] = digits
+    dot = np.where((last >= whole) & (whole > 0), whole, 18).astype(np.uint8)
+    pointed = np.flatnonzero(dot < 18)                      # digits after the point move one on
+    out[8:25, pointed] = np.where(_PLACE[1:] < dot[pointed], digits[1:, pointed],
+                                  digits[:-1, pointed])
+    out[7 + dot[pointed], pointed] = ord(".")
+    sci = np.flatnonzero(~fixed)
+    mag = np.abs(e[sci])
+    out[25, sci] = ord("e")
+    out[26, sci] = np.where(e[sci] < 0, ord("-"), ord("+"))
+    out[27, sci] = np.where(mag >= 100, mag // 100 + 48, 0)
+    out[28, sci] = mag // 10 % 10 + 48
+    out[29, sci] = mag % 10 + 48
+    odd = np.flatnonzero(~ok)
+    if len(odd):
+        text = np.array(["%.17g" % v for v in x[odd].tolist()], "S24").view(np.uint8)
+        out[1:, odd] = 0
+        out[1:25, odd] = text.reshape(-1, 24).T
+    return out
+
+
+def _row_tails(table: np.ndarray) -> Iterator[str]:
+    """Each row's text after its prefix, from N_step to extinct and the newline."""
+    # N_step and site are integers that repeat from row to row: each distinct one is
+    # written once, as %d writes it
+    ints, where = np.unique(table[:, :2], return_inverse=True)
+    int_text = np.array([",%d" % n for n in ints.astype(np.int64).tolist()], "S")
+    int_text = int_text.view(np.uint8).reshape(len(ints), -1)
+    where = where.reshape(-1, 2)
+    rows_per_pass = _VALUES_PER_PASS // 4
+    for start in range(0, len(table), rows_per_pass):
+        block = table[start:start + rows_per_pass]
+        count = len(block)
+        text = np.empty((count, 2 * int_text.shape[1] + 4 * _SLOTS + 3), np.uint8)
+        text[:, :2 * int_text.shape[1]] = int_text[where[start:start + count]].reshape(count, -1)
+        floats = _g17(block[:, 2:6].ravel()).reshape(_SLOTS, count, 4)
+        text[:, -4 * _SLOTS - 3:-3].reshape(count, 4, _SLOTS)[...] = floats.transpose(1, 2, 0)
+        text[:, -3] = ord(",")
+        text[:, -2] = block[:, 6] + 48
+        text[:, -1] = ord("\n")
+        yield from text.tobytes().translate(None, b"\0").decode("ascii").splitlines(keepends=True)
 
 
 def _one_blas_thread() -> None:
@@ -191,19 +306,25 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[str]:
         raise ValueError(f"workers (--workers) must be at least 1, got {workers}")
     configs = spec.configs
     recorded = [spec.steps_for(config) for config in configs]
-    point_rows = functools.partial(_point_rows, spec.preset_id)
     workers = min(workers, len(configs))    # a pool forks all its workers at once
     if workers <= 1:
-        chunks = list(map(point_rows, configs, recorded))
+        tables = list(map(_point_table, configs, recorded))
     else:       # each worker runs one point at a time; map keeps the order of the configs
         need = workers * max(map(run_bytes, configs))
         if need > physical_memory():
             raise ValueError(f"workers (--workers) {workers} would run {workers} points at once "
                              f"in about {need:,} bytes, more than the {physical_memory():,} "
                              f"bytes of physical memory")
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
-            chunks = list(pool.map(point_rows, configs, recorded))
-    return [row for chunk in chunks for row in chunk]
+            tables = list(pool.map(_point_table, configs, recorded))
+    prefixes = [_row_prefix(spec.preset_id, config) for config in configs]
+    per_row = itertools.chain.from_iterable(map(itertools.repeat, prefixes,
+                                                [len(table) for table in tables]))
+    table = np.concatenate(tables)
+    del tables                              # each row's numbers are held once while printed
+    return list(map(operator.add, per_row, _row_tails(table)))
 
 
 # ---------------------------------------------------------------------------

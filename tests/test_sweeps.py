@@ -10,6 +10,7 @@ import tempfile
 import time
 import tracemalloc
 from dataclasses import asdict
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -117,7 +118,7 @@ def test_run_sweep_caps_workers_at_grid_points(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     two = parse_config(dict(MINIMAL, axes={"Jtau": [0.4, 1.2]}))
     assert run_sweep(two, workers=64) == run_sweep(two, workers=1)
     assert opened == [2]
@@ -227,26 +228,147 @@ def _per_field_csv(spec: SweepSpec) -> str:
     return out.getvalue()
 
 
-@pytest.mark.parametrize("doc, threshold", [
-    ({"base": dict(MINIMAL["base"], N=0)}, None),
-    (dict(MINIMAL, axes={"Jtau": [0.0, 0.9], "N": [0, 2, 5]}), None),
-    (MINIMAL, 0.9),
+# p = 1 - O(tau^2): every log_cum_probability (down to -3.3e-12) prints as scientific text
+SCIENTIFIC = {"base": dict(MINIMAL["base"], N=5), "axes": {"Jtau": [1e-3, 1e-6]}}
+
+
+@pytest.mark.parametrize("doc, threshold, workers", [
+    ({"base": dict(MINIMAL["base"], N=0)}, None, 1),
+    (dict(MINIMAL, axes={"Jtau": [0.0, 0.9], "N": [0, 2, 5]}), None, 2),
+    (MINIMAL, 0.9, 1),
     ({"base": dict(MINIMAL["base"], L=4, k=2, Delta=1.0, N=3), "axes": {"Jtau": [0.7, 2.1]}},
-     None),
-    ({"base": {"model": "bbh", "d": 3, "N": 4}, "axes": {"theta": [-1.9, 0.0, 2.3]}}, None),
-    (dict(MINIMAL, preset_id='a,b "c"\nd %s 100%'), None),
-], ids=["N0", "N-axis", "extinct", "chain-L4", "theta", "preset-id-quoted"])
-def test_row_template_writes_the_per_field_bytes(tmp_path, monkeypatch, doc, threshold):
+     None, 1),
+    ({"base": {"model": "bbh", "d": 3, "N": 4}, "axes": {"theta": [-1.9, 0.0, 2.3]}}, None, 1),
+    (dict(MINIMAL, preset_id='a,b "c"\nd %s 100%'), None, 1),
+    (SCIENTIFIC, None, 1),
+], ids=["N0", "N-axis", "extinct", "chain-L4", "theta", "preset-id-quoted", "scientific"])
+def test_row_template_writes_the_per_field_bytes(tmp_path, monkeypatch, doc, threshold, workers):
     import zenocool.protocol as protocol
 
     if threshold is not None:       # the first round dies, as in the extinction test above
         monkeypatch.setattr(protocol, "EXTINCTION_THRESHOLD", threshold)
     spec = parse_config(doc)
     expected = _per_field_csv(spec)
-    assert "".join(run_sweep(spec)) == expected
+    assert "".join(run_sweep(spec, workers=workers)) == expected
     csv_path, _ = write_results([spec, spec], tmp_path / "out")
     header = ",".join(COLUMNS) + "\n"
     assert csv_path.read_bytes() == (header + 2 * expected).encode("utf-8")
+    if doc is SCIENTIFIC:
+        assert all("e-" in line.split(",")[-2] for line in expected.splitlines())
+
+
+def _src_env() -> dict:
+    """This environment with the checkout's src/ first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+
+
+def _g17_text(x) -> bytes:
+    """`sweeps._g17`'s text of x, each value after a comma."""
+    from zenocool.sweeps import _g17
+
+    return _g17(np.asarray(x, dtype=float)).T.tobytes().translate(None, b"\0")
+
+
+def _percent_text(x) -> bytes:
+    return ("," + ",".join("%.17g" % v for v in np.asarray(x, dtype=float).tolist())).encode()
+
+
+def _assert_g17_matches_percent(x):
+    got, want = _g17_text(x), _percent_text(x)
+    if got != want:
+        pairs = zip(got.split(b","), want.split(b","))
+        raise AssertionError([(g, w) for g, w in pairs if g != w][:5])
+
+
+def test_g17_writes_percent_17g_of_random_bit_patterns():
+    """10**6 seeded float64 bit patterns: both signs, subnormals, nan payloads, every exponent."""
+    bits = np.random.default_rng(20231).integers(0, 2 ** 64, size=10 ** 6, dtype=np.uint64)
+    values = bits.view(np.float64)
+    for start in range(0, len(values), 1 << 16):
+        _assert_g17_matches_percent(values[start:start + (1 << 16)])
+
+
+def _halfway_cases() -> list[float]:
+    """Doubles whose exact decimal value has 18 significant digits, the last a 5: '%.17g'
+    rounds them half to even.  r * 2**-s is 5**s * r * 10**-s, so an odd r with
+    5**s * r in [1e17, 1e18) and r < 2**53 gives one, for s = 2 .. 25."""
+    rng = np.random.default_rng(5)
+    cases = []
+    for s in range(2, 26):
+        lo, hi = -(-10 ** 17 // 5 ** s), min(10 ** 18 // 5 ** s, 2 ** 53)
+        for r in {lo, hi - 1, *(int(v) for v in rng.integers(lo, hi, 20))}:
+            r |= 1
+            if r < hi and 10 ** 17 <= 5 ** s * r < 10 ** 18:
+                cases.append(r * 2.0 ** -s)
+    return cases
+
+
+def test_g17_writes_percent_17g_at_the_edges():
+    edges = [0.0, math.nan, math.inf, 5e-324]
+    for k in range(-323, 309):                              # every power of ten, both sides
+        ten = float(f"1e{k}")
+        edges += [ten, np.nextafter(ten, 0.0), np.nextafter(ten, math.inf)]
+    edges += [2.0 ** k for k in range(-1074, 1024)]
+    edges += [float(2 ** 53 + k) for k in range(-40, 41)]
+    for center in (1e16, 1e17, 1e-5, 1e-4):   # integers near 1e16, 1e17; %g's layout switches
+        below = above = center
+        for _ in range(40):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, math.inf)
+            edges += [below, above]
+    halfway = _halfway_cases()                  # 2**-25 and 1000000000000000.25 among them
+    assert len(halfway) > 400
+    for x in halfway:
+        digits = Decimal(x).as_tuple().digits
+        assert len(digits) == 18 and digits[-1] == 5
+    edges = np.array(edges + halfway)
+    _assert_g17_matches_percent(np.concatenate([edges, -edges]))
+
+
+def test_g17_takes_percent_for_an_exponent_one_off(monkeypatch):
+    """A log10 one too high or too low leaves the 17 digits out of [1e16, 1e17): those
+    values take Python's '%.17g', so the text is unchanged."""
+    values = np.random.default_rng(3).random(4000) * 10.0 ** np.arange(-40, 40).repeat(50)
+    log10 = np.log10
+    shifts = np.tile([-1.0, 0.0, 1.0], 1334)[:4000]
+    monkeypatch.setattr(np, "log10", lambda a: log10(a) + shifts[:len(a)])
+    _assert_g17_matches_percent(values)
+
+
+def test_import_loads_no_process_pool_and_no_power_of_ten():
+    """The pool's modules load when a sweep runs on two or more workers, the formatter's
+    powers of ten when it first writes a float."""
+    code = ("import sys, zenocool, zenocool.sweeps as sweeps; "
+            "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)), "
+            "sweeps._pow10.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=_src_env())
+    assert out.stdout.split() == ["[]", "0"]
+
+
+def test_check_rows_rejects_float_text_that_is_not_percent_17g(tmp_path):
+    """scripts/check_rows.py passes a written CSV (the star's Delta_or_theta is empty) and
+    fails it once one fidelity carries a trailing zero."""
+    star = {"base": {"model": "spin_star", "d": 2, "L": 2, "N": 3}}
+    specs = [parse_config(SCIENTIFIC), parse_config(star)]
+    csv_path, _ = write_results(specs, tmp_path / "out")
+    script = Path(__file__).resolve().parents[1] / "scripts" / "check_rows.py"
+
+    def check(path):
+        return subprocess.run([sys.executable, str(script), str(path), "16"],
+                              capture_output=True, text=True, timeout=60)
+
+    assert check(csv_path).returncode == 0
+    lines = csv_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    fields = lines[1].split(",")
+    fields[11] += "0"
+    lines[1] = ",".join(fields)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("".join(lines), encoding="utf-8")
+    done = check(bad)
+    assert done.returncode == 1
+    assert "1 float fields not in '%.17g' form" in done.stderr
 
 
 def test_classify_regions_threshold_zero_flags_nothing():
@@ -431,12 +553,10 @@ def test_cli_rejects_non_finite_and_out_of_range_fields(tmp_path, capsys, monkey
 
     `argv`, when given, replaces the `run` command line ({config} and {out} are filled in).
     """
-    import zenocool.sweeps as sweeps
-
     def no_pool(*args, **kwargs):
         raise AssertionError("a rejected input started a worker pool")
 
-    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     doc = dict(doc)
     argv = doc.pop("argv", ["run", "--config", "{config}", "--out", "{out}"])
     config = write_json(tmp_path, {**MINIMAL, **doc,
@@ -552,11 +672,9 @@ def test_manifest_sweep_is_a_config(preset_id):
 ], ids=["unknown-preset", "no-workers"])
 def test_run_all_presets_reports_bad_input_in_one_line(tmp_path, args, message):
     root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(root / "src")] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
     done = subprocess.run([sys.executable, str(root / "scripts" / "run_all_presets.py"), *args,
                            "--out", str(tmp_path / "out")],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=_src_env(), timeout=120)
     assert done.returncode == 1
     assert done.stderr.startswith(message)
     assert len(done.stderr.splitlines()) == 1
