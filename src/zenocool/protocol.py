@@ -17,23 +17,34 @@ Both are exact algebraic restrictions, not approximations.
 The engine reads H only as its nonzero entries and forms neither the D x D
 H nor U: the dense `spec.build`, U(tau) and the literal round map are the
 tests' references, in `oracles`.  A closed run works on the sectors,
-labelled by the digit sum of the flat index.  Every model's H is real: it
-is diagonalised once per (layout, Hamiltonian), by one float64 eigh per set
-of sector blocks of one size, scattered from the entries.  The support's
-sectors fall into groups of one support size, whose eigenvector rows are
-copied once per preparation, one sector at a time; a point forms each
-group's round map M = U[S, S] and propagates X, with rho = X X^+ on the
-support, so a round costs the sum of the sector sizes cubed.  Each group
-stacks the powers M^1..M^K as rows of one array, built by repeated
-squaring, and a block of K rounds is one matmul per group against them.
-K balances the powers' cost against the blocks' calls, within
-POWERS_BYTES (N - 1 on small sectors, 1 once they are large).  A block
-ends early after a round whose trace falls below `_trace_floor()`, and the
-next starts from that round's normalised state, so a long block cannot
+labelled by the digit sum of the flat index.  A point pays only for what
+changes with it; the rest is kept for the last key that asked for it:
+  - per layout (`_sectors`): every state's label and slot, and where each
+    sector's block and eigenvalues sit in one flat buffer, so an entry's
+    place there is two gathers of its row and column;
+  - per (layout, Hamiltonian) (`_sector_eigh`): H's sector blocks, its
+    entries scattered into that buffer, and one float64 eigh per block size
+    (every model's H is real), whose eigenvectors overwrite the blocks;
+  - per (layout, rank, preparation, betas, h) (`_prepared`): the support,
+    rho(0)'s populations, the support's sectors in groups of one support size
+    with their positions in the buffers, the initial fidelities and the 0/1
+    map from support states to each target's preparation levels;
+  - per (layout, Hamiltonian, rank, preparation, betas) (`_support_blocks`):
+    the groups' eigenvalues and eigenvector rows and columns, three gathers.
+A point forms each group's round map M = U[S, S] and propagates X, with
+rho = X X^+ on the support, so a round costs the sum of the sector sizes
+cubed.  Each group stacks the powers M^1..M^K as rows of one array, built by
+repeated squaring, and a block of K rounds is one matmul per group against
+them; the first block is round 0's X and the K powers times it.  K balances
+the powers' cost against the blocks' calls, within POWERS_BYTES (N - 1 on
+small sectors, so one block, and 1 once they are large).  A block ends
+early after a round whose trace falls below `_trace_floor()`, and the next
+starts from that round's normalised state, so a long block cannot
 underflow.  A round map narrower than BLAS_ONE_THREAD_WIDTH runs its powers
 and rounds on one OpenBLAS thread, and the count is restored after them.
-`zeno_run` reads all fidelities off the support populations at once, and
-forms the D x D state only when asked to retain it (`retain_state=True`).
+`zeno_run` reads all fidelities off the support populations at once, one
+product with the site map, and forms the D x D state only when asked to
+retain it (`retain_state=True`).
 The round-map spectrum takes one eig per sector block of M.  A bath run
 lists its generator on the sector-diagonal entries of rho once per (layout,
 Hamiltonian, bath), from H's entries, as a real map of rho's Hermitian
@@ -41,7 +52,8 @@ coordinates (scipy is loaded only for a generator over
 `evolution.DENSE_BYTES`).  A dense generator's point forms exp(L tau) once,
 by scaling and squaring, slices the real round map T, its trace row and
 rho(0)'s image out of it, and runs its rounds K at a time against the
-stacked powers of T, as the closed rounds do against those of M.  A CSR
+stacked powers of T, as the closed rounds do against those of M, round 0
+heading the first block.  A CSR
 generator's point steps the state once per round, by the Taylor action on
 one vector.
 """
@@ -61,10 +73,11 @@ import numpy as np
 from .evolution import BathSpec, LindbladPropagator, hermitian_entries, stored_dense
 from .hamiltonians import HamiltonianSpec, SystemLayout
 from .qudit import (DensityMatrix, _low_lying_weights, _thermal_weights, _zeroed, energy_order,
-                    summed_entries)
+                    summation)
 
 EXTINCTION_THRESHOLD = 1e-14
-# bytes of a run's stacked powers and block of K rounds, 32 K sum(a^2) for a closed run: a
+# bytes of a run's stacked powers and block of K rounds, 32 K sum(a^2) for a closed run (the
+# first block holds round 0 too, one round of X more, which `run_bytes` counts): a
 # memory cap, which fits K = 30 at L=4, d=3 (the balance below takes 10 there), 3 at L=5 and
 # 1 from L=6, d=3.  Warm N = 200 points, one thread, 2 vCPUs, time against 4 MiB: 1 MiB 0.95
 # at L=4 (K = 7), 1.20 at L=5 (K = 1) and 1.35 at L=3, d=5 (K = 4); 8 MiB 0.94 at L=5
@@ -108,9 +121,11 @@ SQUARING_COPIES = 7
 # a CSR run's peak, since its rounds hold 13 per entry and a few K-vectors.  The stored
 # entries are at most 0.196 of `_generator_entries`' bound (BBH, L=2, d=5; XXZ 0.11-0.15)
 GENERATOR_ENTRY_BYTES = 56
-# peak memory of a closed run: H's entries with their sort (85-107 bytes per entry traced),
-# the sector blocks, eigenvectors and eigh workspace (1.5-2.6 float64 sum(n^2) traced at
-# D=243-2187) and the support groups' V rows, R and first X (float64 sum(a w)); apart, a
+# peak memory of a closed run: H's entries (85-107 bytes per entry traced with the sort that
+# a bath run sums them by; the listing each model keeps per layout holds 5-12 per entry of
+# the bound), the sector blocks, eigenvectors and eigh workspace (1.75-2.4 float64 sum(n^2)
+# traced at D=729-6561, the tables kept per layout included) and the support groups' V rows,
+# R and first X with their kept positions (float64 sum(a w); 0.53-0.56 of it held); apart, a
 # retained D x D state with DensityMatrix's Hermiticity check (3.5 D x D traced for rho(0)
 # at N=0, 4 with a full-rank support block)
 ENTRY_BYTES = 96
@@ -296,9 +311,10 @@ def _generator_entries(config: ProtocolConfig) -> int:
 
 def _rounds_per_call(config: ProtocolConfig) -> int:
     """K, the rounds per matmul: at least 1, and at most N - 1, with the powers within
-    POWERS_BYTES, over the support sectors' sizes a.  A closed run's powers of M and block of
-    K rounds take 32 K sum(a^2) bytes, a dense bath run's powers of T with their trace rows
-    8 K sum(a^2) (sum(a^2) + 1); a CSR bath run has K = 1.
+    POWERS_BYTES, over the support sectors' sizes a.  The first block is round 0 and K
+    rounds after it, so a run with K = N - 1 takes one block.  A closed run's powers of M
+    and block of K rounds take 32 K sum(a^2) bytes, a dense bath run's powers of T with their
+    trace rows 8 K sum(a^2) (sum(a^2) + 1); a CSR bath run has K = 1.
 
     K also balances the powers against the blocks: the powers cost about K - 1 rounds'
     worth of products, and each of the N / K blocks pays its calls.  A closed run's powers
@@ -376,11 +392,12 @@ def run_bytes(config: ProtocolConfig, retain_state: bool = False) -> int:
     """Estimated peak memory of one run, in Python integers.
 
     Every run lists H's entries: each Sz-conserving bond has at most d per row, each field
-    one.  A closed run then holds its sector blocks and eigenvectors, sum(n^2); per support
-    sector of a states, its rows of V and R, padded to the widest sector w of that support
-    size, and at most w populated columns; M, its powers and a block of K rounds of X; and N
-    rows of populations.  A bath run holds the larger of that and its own peak over K = sum(n^2)
-    coordinates: listing its generator, GENERATOR_ENTRY_BYTES per bounded entry
+    one.  A closed run then holds its sector blocks and eigenvectors, sum(n^2), with the
+    tables kept per layout; per support sector of a states, its rows of V and R, padded to the
+    widest sector w of that support size, at most w populated columns and their kept
+    positions; M, its powers and a block of K + 1 rounds of X (the first block holds round
+    0); and N rows of populations.  A bath run holds the larger of that and its own peak over
+    K = sum(n^2) coordinates: listing its generator, GENERATOR_ENTRY_BYTES per bounded entry
     (`_generator_entries`), and on a dense one the K x K scaling-and-squaring arrays, the
     columns of S it slices and the round map [T; t] with K powers of it.
     A retained state adds the D x D `final_state` and its checks.
@@ -389,7 +406,7 @@ def run_bytes(config: ProtocolConfig, retain_state: bool = False) -> int:
     full, padded, support, states = _sector_sums(d, L, config.rank)[:4]
     need = ENTRY_BYTES * (L * d + L + 1) * d ** (L + 1) + 8 * (EIGH_COPIES * full + padded)
     need += 32 * (_rounds_per_call(config) + 1) * support
-    # the record in group order, its gather to support order, the site marginals
+    # the record in group order and the einsum that fills it, the site marginals
     need += 8 * N * (2 * states + 4 * L * d)
     if config.bath is not None:
         # listing the generator; then a dense one's exponential, the columns of S it slices and
@@ -425,25 +442,9 @@ class TrajectoryRecord:
         return float(np.exp(self.log_cumulative[-1])) if len(self.steps) else 1.0
 
 
-def _initial_populations(config: ProtocolConfig) -> np.ndarray:
-    """The diagonal of rho(0), which is diagonal: regulator mixture tensor thermal targets,
-    from their float weights."""
-    h, d = config.hamiltonian.h, config.layout.d
-    weights = [_low_lying_weights(d, config.prep_rank, h)]
-    weights += [_thermal_weights(d, h, beta) for beta in config.betas]
-    return reduce(np.multiply.outer, weights).ravel()
-
-
 def initial_state(config: ProtocolConfig) -> DensityMatrix:
     """rho(0) = regulator low-lying mixture tensor thermal targets."""
-    return DensityMatrix(np.diag(_initial_populations(config)), config.layout.dims)
-
-
-def _support(config: ProtocolConfig) -> np.ndarray:
-    """The projector support: ascending flat indices whose regulator digit is a k-lowest level."""
-    d, L = config.layout.d, config.layout.L
-    low = np.sort(energy_order(d, config.hamiltonian.h)[:config.rank])
-    return (low[:, None] * d ** L + np.arange(d ** L)).ravel()
+    return DensityMatrix(np.diag(_preparation(config).w), config.layout.dims)
 
 
 def _sector_labels(layout: SystemLayout) -> np.ndarray:
@@ -456,116 +457,209 @@ def _sector_labels(layout: SystemLayout) -> np.ndarray:
     return reduce(np.add.outer, [digits] * layout.n_sites).ravel()
 
 
-def _hamiltonian(layout: SystemLayout, spec: HamiltonianSpec):
-    """H's nonzero elements (rows, cols, values) in row-major order, checked to conserve total Sz.
-
-    The spec's entries of one element are summed in the order it lists them,
-    as `spec.build` sums them, so the values are H's elements bit for bit.
-    """
-    rows, cols, values = summed_entries(*spec.entries(layout), layout.d ** layout.n_sites)
-    label = _sector_labels(layout)
-    # [H, Sz_tot]_ij = H_ij (Sz_j - Sz_i) = H_ij (label_i - label_j)
-    leak = float(np.max(np.abs(values * (label[rows] - label[cols])), initial=0.0))
-    if not leak <= SZ_CONSERVATION_TOL:
-        raise ValueError(f"{spec.model} Hamiltonian does not conserve total Sz: "
-                         f"max |[H, Sz_tot]| = {leak:.3e} > {SZ_CONSERVATION_TOL:g}")
-    return rows, cols, values
-
-
-class _SectorEigh(NamedTuple):
-    """H's sector eigendecomposition: each sector's eigenvalues and eigenvectors."""
+class _Sectors(NamedTuple):
+    """A layout's total-Sz sectors, and where their blocks sit in one flat buffer: the blocks
+    of one size follow each other by ascending label, the sizes ascend, and a last element
+    stays zero.  Their eigenvalues sit in a buffer of D + 1 in the same order."""
 
     label: np.ndarray       # (D,) every state's sector label
     slot: np.ndarray        # (D,) its row in its sector's block, by ascending flat index
-    blocks: tuple           # per label, (lam (n,), V (n, n)): views of one eigh per block size
+    row: np.ndarray         # (D,) where that row starts in the buffer
+    block: np.ndarray       # per label, where its n x n block starts in the buffer
+    first: np.ndarray       # per label, where its n eigenvalues start
+    elements: int           # sum n^2: the buffer's zero element
+    sizes: tuple            # per block size n: (n, its labels, their first buffer element and
+                            # first eigenvalue)
+
+
+# one entry: every cache below it is per layout or narrower
+@lru_cache(maxsize=1)
+def _sectors(layout: SystemLayout) -> _Sectors:
+    label = _sector_labels(layout)
+    n = np.bincount(label)
+    slot = np.empty_like(label)
+    slot[np.argsort(label, kind="stable")] = np.arange(len(label)) - np.repeat(np.cumsum(n) - n, n)
+    by_size = np.argsort(n, kind="stable")
+    block, first = np.empty_like(n), np.empty_like(n)
+    block[by_size] = np.cumsum(n[by_size] ** 2) - n[by_size] ** 2
+    first[by_size] = np.cumsum(n[by_size]) - n[by_size]
+    sizes = []
+    for size in sorted(set(n.tolist())):    # np.unique would import numpy.ma
+        labels = np.flatnonzero(n == size)
+        sizes.append((size, labels, int(block[labels[0]]), int(first[labels[0]])))
+    return _Sectors(label, slot, block[label] + slot * n[label], block, first,
+                    int(np.sum(n * n)), tuple(sizes))
+
+
+def _entries(layout: SystemLayout, spec: HamiltonianSpec):
+    """H's entries (rows, cols, values) as `spec.entries` lists them, and which of them lie
+    inside a sector, checked to conserve total Sz.
+
+    The entries of one element sum to H's element in the order listed (`spec.build`).  An
+    entry outside the sectors fails the check unless its element's sum is below
+    SZ_CONSERVATION_TOL, so only those are summed.
+    """
+    rows, cols, values = spec.entries(layout)
+    label = _sectors(layout).label
+    inside = label[rows] == label[cols]
+    if not inside.all():
+        # [H, Sz_tot]_ij = H_ij (Sz_j - Sz_i) = H_ij (label_i - label_j)
+        r, c, v = summation(rows[~inside], cols[~inside], len(label)).summed(values[~inside])
+        leak = float(np.max(np.abs(v * (label[r] - label[c])), initial=0.0))
+        if not leak <= SZ_CONSERVATION_TOL:
+            raise ValueError(f"{spec.model} Hamiltonian does not conserve total Sz: "
+                             f"max |[H, Sz_tot]| = {leak:.3e} > {SZ_CONSERVATION_TOL:g}")
+    return (rows, cols, values), inside
+
+
+def _hamiltonian(layout: SystemLayout, spec: HamiltonianSpec):
+    """H's nonzero elements (rows, cols, values) in row-major order, checked to conserve
+    total Sz: bit for bit the elements of `spec.build`."""
+    (rows, cols, values), _ = _entries(layout, spec)
+    return summation(rows, cols, layout.d ** layout.n_sites).summed(values)
+
+
+class _SectorEigh(NamedTuple):
+    """H's sector eigendecomposition, in the buffers of `_Sectors`: each sector's eigenvalues
+    and its block of eigenvectors, row-major."""
+
+    lam: np.ndarray         # (D + 1,)
+    V: np.ndarray           # (sum n^2 + 1,)
 
 
 # one entry: the memory gate counts one set of sector eigenvectors, sum(n^2) floats, and
 # sweeps enumerate Jtau innermost, so consecutive points of one (d, k, theta) share it
 @lru_cache(maxsize=1)
 def _sector_eigh(layout: SystemLayout, spec: HamiltonianSpec) -> _SectorEigh:
-    """H's sector blocks, scattered from its entries, with one float64 eigh per block size."""
-    rows, cols, values = _hamiltonian(layout, spec)
-    if np.any(values.imag):
-        raise ValueError(f"{spec.model} Hamiltonian has complex entries (max |Im H| = "
-                         f"{np.abs(values.imag).max():.3e}): a closed run needs a real H")
-    label = _sector_labels(layout)
-    sizes = np.bincount(label)
-    slot = np.empty_like(label)
-    slot[np.argsort(label, kind="stable")] = (np.arange(len(label))
-                                              - np.repeat(np.cumsum(sizes) - sizes, sizes))
-    inside = label[rows] == label[cols]
-    rows, cols, values = rows[inside], cols[inside], values[inside].real
-    blocks = [None] * len(sizes)
-    for n in sorted(set(sizes.tolist())):    # np.unique would import numpy.ma
-        same = np.flatnonzero(sizes == n)
-        at = np.flatnonzero(sizes[label[rows]] == n)
-        stack = np.zeros((len(same), n, n))
-        stack[np.searchsorted(same, label[rows[at]]), slot[rows[at]], slot[cols[at]]] = values[at]
-        vals, V = np.linalg.eigh(stack)
-        for i, q in enumerate(same.tolist()):
-            blocks[q] = vals[i], V[i]
-    return _SectorEigh(label, slot, tuple(blocks))
+    """H's sector blocks, scattered from its entries, with one float64 eigh per block size;
+    each size's eigenvectors overwrite its blocks."""
+    (rows, cols, values), inside = _entries(layout, spec)
+    sectors = _sectors(layout)
+    if np.any(values.imag):     # entries of one element may cancel: H's own elements decide
+        imag = summation(rows, cols, len(sectors.label)).summed(values.imag)[2]
+        if len(imag):
+            raise ValueError(f"{spec.model} Hamiltonian has complex entries (max |Im H| = "
+                             f"{np.abs(imag).max():.3e}): a closed run needs a real H")
+    if not inside.all():
+        rows, cols, values = rows[inside], cols[inside], values[inside]
+    # an element's entries add up in the order listed, as `summation` sums them
+    V = np.bincount(sectors.row[rows] + sectors.slot[cols], weights=values.real,
+                    minlength=sectors.elements + 1)
+    lam = np.zeros(len(sectors.label) + 1)
+    for n, labels, start, first in sectors.sizes:
+        end = start + len(labels) * n * n
+        vals, vectors = np.linalg.eigh(V[start:end].reshape(-1, n, n))
+        lam[first:first + vals.size], V[start:end] = vals.ravel(), vectors.ravel()
+    return _SectorEigh(lam, V)
 
 
 class _Group(NamedTuple):
     """The support's sectors of one support size a and one column count of X.
 
     Their arrays are zero-padded to the group's widest sector n and most populated one c:
-    a zero column adds nothing to R or M.
+    a zero column adds nothing to R or M.  A `_Preparation` holds lam, rows and cols as the
+    positions that `_support_blocks` gathers from a `_SectorEigh` (the zero element at the
+    padding), and root as the sqrt(w) that scales cols.
     """
 
     sectors: np.ndarray     # (m,) their labels, ascending
     a: int                  # support states per sector
-    start: int              # the group's first column in a run's group-ordered record
+    start: int              # the group's first column in a closed run's group-ordered record
     lam: np.ndarray         # (m, n) eigenvalues of their blocks
     rows: np.ndarray        # (m, a, n) V's support rows
     cols: np.ndarray        # (m, n, c) V^T at rho(0)'s populated states, times sqrt(w)
+    root: np.ndarray        # (m, 1, c) sqrt(w) at those states, 0 at the padding
 
 
-# one entry, like `_sector_eigh`: consecutive points of a Jtau line share it
+class _Preparation(NamedTuple):
+    """What every run of one layout, rank and rho(0) shares, whatever its Hamiltonian."""
+
+    support: np.ndarray     # (s,) the projector support: ascending flat indices whose
+                            # regulator digit is one of the k lowest levels
+    w: np.ndarray           # (D,) the diagonal of rho(0), which is diagonal
+    initial: np.ndarray     # (L,) every target's fidelity in rho(0)
+    marginals: np.ndarray   # (L p, s) 1 where support state i's target j is on level l of
+                            # the regulator preparation's p (row j p + l), else 0
+    groups: tuple           # the `_Group`s of the sectors that meet the support
+    order: np.ndarray       # (s,) each support state's column in group order
+    grouped: np.ndarray     # marginals in group order
+
+
+def _preparation(config: ProtocolConfig) -> _Preparation:
+    return _prepared(config.layout, config.rank, config.prep_rank, config.betas,
+                     config.hamiltonian.h)
+
+
+# one entry: a sweep's points share it along every axis but d and k (and along k at rank 1
+# with a wider preparation); a thermal target's weights depend on beta h, so h is a key
 @lru_cache(maxsize=1)
-def _support_blocks(layout: SystemLayout, spec: HamiltonianSpec, rank: int,
-                    regulator_prep: Optional[int], target_betas):
-    """What a closed run needs of the sector eigenvectors, for every tau: the _Groups of the
-    sectors that meet the support S, and each support state's place in group order,
-    (group, sector, slot) ascending.
+def _prepared(layout: SystemLayout, rank: int, prep: int, betas: tuple, h: float) -> _Preparation:
+    """The support, rho(0) from its float weights, the site marginals of the support and the
+    support groups' positions in the sector buffers.
 
     The support states and rho(0)'s populated states are sorted by sector once; each group's
-    zero-padded arrays are then filled one member sector at a time.
+    zero-padded positions are then laid out for all its member sectors at once.
     """
-    config = ProtocolConfig(layout=layout, hamiltonian=spec, tau=0.0, n_measurements=0,
-                            rank=rank, regulator_prep=regulator_prep, target_betas=target_betas)
-    eig = _sector_eigh(layout, spec)
-    label, slot = eig.label, eig.slot
-    support, w = _support(config), _initial_populations(config)
+    d, L = layout.d, layout.L
+    sectors = _sectors(layout)
+    label, slot, n = sectors.label, sectors.slot, np.bincount(sectors.label)
+    order = energy_order(d, h)
+    support = (np.sort(order[:rank])[:, None] * d ** L + np.arange(d ** L)).ravel()
+    weights = [_low_lying_weights(d, prep, h)] + [_thermal_weights(d, h, beta) for beta in betas]
+    w = reduce(np.multiply.outer, weights).ravel()
+    # in index order, so the rounding of the fidelities' sums does not depend on the sign of h
+    levels = np.sort(order[:prep])
+    # rho(0) is a product state: each target's marginal is its own weights
+    initial = _fidelities(np.stack(weights[1:])[:, levels])
+    digits = support[:, None] // d ** np.arange(L - 1, -1, -1) % d
+    marginals = (digits.T[:, None, :] == levels[:, None]).reshape(-1, len(support)).astype(float)
+
     # rho(0)'s states in sectors without support states never reach the support
     populated = np.flatnonzero(w > 0)
     populated = populated[np.argsort(label[populated], kind="stable")]
     placed = np.argsort(label[support], kind="stable")    # support positions by sector
-    size = np.bincount(label[support], minlength=len(eig.blocks))
-    count = np.bincount(label[populated], minlength=len(eig.blocks))
+    size = np.bincount(label[support], minlength=len(n))
+    count = np.bincount(label[populated], minlength=len(n))
     b = np.minimum(size, count)             # X's columns after a wider preparation's QR
-    # sector q's support rows of V from ours[q] on, its populated ones from theirs[q] on
-    rows_of, cols_of, root = slot[support[placed]], slot[populated], np.sqrt(w[populated])
-    ours, theirs = (np.cumsum(size) - size).tolist(), (np.cumsum(count) - count).tolist()
-    members, count = {}, count.tolist()
+    # sector q's support positions from ours[q] on in placed, its populated states from
+    # theirs[q] on in populated
+    cols_of, root = slot[populated], np.sqrt(w[populated])
+    ours, theirs = np.cumsum(size) - size, np.cumsum(count) - count
+    members = {}
     for q in np.flatnonzero(size).tolist():
         members.setdefault((int(size[q]), int(b[q])), []).append(q)
     groups, picked, start = [], [], 0
-    for (a, _), sectors in sorted(members.items()):
-        m = len(sectors)
-        n, c = max(len(eig.blocks[q][0]) for q in sectors), max(count[q] for q in sectors)
-        lam, rows, cols = np.zeros((m, n)), np.zeros((m, a, n)), np.zeros((m, n, c))
-        for i, q in enumerate(sectors):
-            (vals, V), o, t, e = eig.blocks[q], ours[q], theirs[q], theirs[q] + count[q]
-            lam[i, :len(vals)] = vals
-            rows[i, :, :len(vals)] = V[rows_of[o:o + a]]
-            cols[i, :len(vals), :e - t] = V[cols_of[t:e]].T * root[t:e]
-            picked.append(placed[o:o + a])
-        groups.append(_Group(np.array(sectors), a, start, lam, rows, cols))
-        start += m * a
-    return tuple(groups), np.argsort(np.concatenate(picked))
+    for (a, _), labels in sorted(members.items()):
+        q = np.array(labels)
+        k, c, block = n[q, None], count[q, None], sectors.block[q, None]
+        state, column = np.arange(k.max()), np.arange(c.max())
+        real, filled = state < k, column < c    # a state of the sector, a populated one
+        mine = placed[ours[q, None] + np.arange(a)]             # (m, a) support positions
+        theirs_at = np.minimum(theirs[q, None] + column, len(cols_of) - 1)
+        lam = np.where(real, sectors.first[q, None] + state, len(label))
+        rows = np.where(real[:, None], (block + slot[support[mine]] * k)[:, :, None] + state,
+                        sectors.elements)
+        cols = np.where(real[:, :, None] & filled[:, None],
+                        (block + cols_of[theirs_at] * k)[:, None] + state[:, None],
+                        sectors.elements)
+        scale = np.where(filled, root[theirs_at], 0.0)[:, None]
+        groups.append(_Group(q, a, start, lam, rows, cols, scale))
+        picked.append(mine.ravel())
+        start += len(q) * a
+    picked = np.concatenate(picked)
+    return _Preparation(support, w, initial, marginals, tuple(groups), np.argsort(picked),
+                        marginals[:, picked])
+
+
+# one entry, like `_sector_eigh`: consecutive points of a Jtau line share it
+@lru_cache(maxsize=1)
+def _support_blocks(layout: SystemLayout, spec: HamiltonianSpec, rank: int, prep: int,
+                    betas: tuple) -> tuple:
+    """What a closed run needs of the sector eigenvectors, for every tau: the `_Group`s of
+    the sectors that meet the support S, gathered from `_sector_eigh`."""
+    eig = _sector_eigh(layout, spec)
+    return tuple(g._replace(lam=eig.lam[g.lam], rows=eig.V[g.rows], cols=eig.V[g.cols] * g.root)
+                 for g in _prepared(layout, rank, prep, betas, spec.h).groups)
 
 
 def _pair(x: np.ndarray) -> np.ndarray:
@@ -579,33 +673,23 @@ def _round_map(config: ProtocolConfig):
     """The support groups and order, and per group U's support rows R and M = U[S, S]: R is
     V_S e^{-i lam tau} as its real and imaginary parts, (2, m, a, n), so a product with the
     real V is one call of two real matmuls."""
-    groups, order = _support_blocks(config.layout, config.hamiltonian, config.rank,
-                                    config.regulator_prep, config.target_betas)
+    groups = _support_blocks(config.layout, config.hamiltonian, config.rank, config.prep_rank,
+                             config.betas)
     maps = []
     for g in groups:
         phase = g.lam * config.tau
         R = g.rows * np.stack([np.cos(phase), -np.sin(phase)])[:, :, None, :]
         maps.append((R, _pair(R @ g.rows.transpose(0, 2, 1))))
-    return groups, order, maps
+    return groups, _preparation(config).order, maps
 
 
-def _site_fidelities(config: ProtocolConfig, pops: np.ndarray) -> np.ndarray:
-    """(n, L) Uhlmann fidelities of every target against the regulator preparation.
-
-    Row r of pops is the diagonal of rho after round r, over the full space
-    or over the projector support: either way the regulator is its leading
-    digit.  The reduced states are diagonal, so against the equal mixture of
-    the k lowest levels the fidelity is (sum_i sqrt(p_i))^2 / k over those
-    levels, with the zero cutoff of uhlmann_fidelity.
-    """
-    d, L = config.layout.d, config.layout.L
-    # in index order, so the rounding of the sum below does not depend on the sign of h
-    low = np.sort(energy_order(d, config.hamiltonian.h)[:config.prep_rank])
-    n, size = pops.shape        # target j's marginal sums the digits before and after it
-    sites = [pops.reshape(n, size // d ** (L - j + 1), d, d ** (L - j)).sum(axis=(1, 3))
-             for j in range(1, L + 1)]
-    q = _zeroed(np.stack(sites, axis=1)[:, :, low])
-    return np.minimum(np.sqrt(q).sum(axis=-1) ** 2 / len(low), 1.0)
+def _fidelities(q: np.ndarray) -> np.ndarray:
+    """(..., L) Uhlmann fidelities of every target against the regulator preparation, from
+    its populations q (..., L, p) on the preparation's p levels: the reduced states are
+    diagonal, so against the equal mixture of those levels the fidelity is
+    (sum_i sqrt(q_i))^2 / p, with the zero cutoff of uhlmann_fidelity."""
+    q = _zeroed(q)
+    return np.minimum(np.sqrt(q).sum(axis=-1) ** 2 / q.shape[-1], 1.0)
 
 
 def zeno_run(config: ProtocolConfig, *, retain_state: bool = False) -> TrajectoryRecord:
@@ -621,30 +705,34 @@ def zeno_run(config: ProtocolConfig, *, retain_state: bool = False) -> Trajector
     if retain_state and (need := run_bytes(config, retain_state)) > physical_memory():
         raise ValueError(f"retain_state=True keeps the D x D state: about {need:,} bytes with "
                          f"the run, more than the {physical_memory():,} bytes of physical memory")
-    w = _initial_populations(config)
-    f0 = _site_fidelities(config, w[None])[0]
+    prep = _preparation(config)
     if config.n_measurements == 0:
         return TrajectoryRecord(
             steps=np.arange(0), fidelities=np.zeros((0, config.layout.L)),
-            step_probabilities=np.zeros(0), log_cumulative=np.zeros(0), initial_fidelities=f0,
+            step_probabilities=np.zeros(0), log_cumulative=np.zeros(0),
+            initial_fidelities=prep.initial.copy(),
             final_state=initial_state(config) if retain_state else None)
 
-    support = _support(config)
-    if config.bath is None:
+    if config.bath is None:     # its populations in group order
         with _blas_threads(_sector_sums(config.layout.d, config.layout.L, config.rank).widest):
             pops, probs, drift, block = _closed_rounds(config, retain_state)
+        marginals = prep.grouped
     else:
-        pops, probs, drift, block = _open_rounds(config, w, support)
-    n = len(pops)
+        pops, probs, drift, block = _open_rounds(config, prep.w, prep.support)
+        marginals = prep.marginals
+    n, L = len(pops), config.layout.L
     final = None
     if retain_state and block is not None:
-        final = np.zeros((len(w), len(w)), dtype=complex)
-        final[np.ix_(support, support)] = (block + block.conj().T) / 2
+        final = np.zeros((len(prep.w), len(prep.w)), dtype=complex)
+        final[np.ix_(prep.support, prep.support)] = (block + block.conj().T) / 2
         final = DensityMatrix(final, config.layout.dims)
     record = TrajectoryRecord(
-        steps=np.arange(1, n + 1), fidelities=_site_fidelities(config, pops),
+        steps=np.arange(1, n + 1),
+        # (L p, n), so that the sums over the p levels run along the rounds
+        fidelities=_fidelities(
+            (marginals @ pops.T).reshape(L, config.prep_rank, n).transpose(2, 0, 1)),
         step_probabilities=probs[:n], log_cumulative=np.cumsum(np.log(probs[:n])),
-        initial_fidelities=f0, final_state=final, max_trace_drift=drift)
+        initial_fidelities=prep.initial.copy(), final_state=final, max_trace_drift=drift)
     if len(probs) > n:
         raise ExtinctionError(step=n + 1, probability=float(probs[n]), partial=record)
     return record
@@ -697,17 +785,20 @@ def _powers(A: np.ndarray, K: int) -> np.ndarray:
 
 
 def _closed_rounds(config: ProtocolConfig, retain_state: bool):
-    """Normalised support populations (n, s), every round's p, drift 0, final block or None.
+    """Normalised support populations (n, s) in group order, every round's p, drift 0, final
+    block or None.
 
     rho = X X^+ on the support S, one block per total-Sz sector, from X = U[S, c] sqrt(w[c])
-    over the entries w[c] > 0 of rho(0) = diag(w); each later round is X <- M X, M = U[S, S].
-    X lives in groups of m sectors with a support states and b columns each (b = 0 where
-    rho(0) leaves a sector empty).  A group keeps the powers M^1..M^K (`_rounds_per_call`)
-    stacked as one (m, K a, a) array, so after round 0 a block of k <= K rounds is one
-    (m, k a, a) @ (m, a, b) matmul per group, of the first k powers and the block's
-    unit-trace start, and its populations one einsum.  Round j's p is the ratio of the
-    traces after j and j - 1 rounds, and X is renormalised once per block.  The first p below
-    EXTINCTION_THRESHOLD ends the run.  The final block is assembled only if it is retained.
+    over the entries w[c] > 0 of rho(0) = diag(w) after round 0; each later round is
+    X <- M X, M = U[S, S].  X lives in groups of m sectors with a support states and b
+    columns each (b = 0 where rho(0) leaves a sector empty).  A group keeps the powers
+    M^1..M^K (`_rounds_per_call`) stacked as one (m, K a, a) array, so a block of k <= K
+    rounds is one (m, k a, a) @ (m, a, b) matmul per group, of the first k powers and the
+    block's unit-trace start, and its populations one einsum.  The first block starts from
+    rho(0): round 0's X heads it and the K powers times that X follow.  Round j's
+    p is the ratio of the traces after j and j - 1 rounds, and X is renormalised once per
+    block.  The first p below EXTINCTION_THRESHOLD ends the run.  The final block is
+    assembled only if it is retained.
     """
     groups, order, maps = _round_map(config)
     N, K = config.n_measurements, _rounds_per_call(config)
@@ -716,11 +807,15 @@ def _closed_rounds(config: ProtocolConfig, retain_state: bool):
         X = _pair(R @ g.cols)       # no columns in sectors that rho(0) leaves empty
         if X.shape[2] > g.a:        # a wider preparation: a columns with the same X X^+
             X = np.linalg.qr(X.conj().transpose(0, 2, 1), mode="r").conj().transpose(0, 2, 1)
-        Zs.append(np.ascontiguousarray(X))
-        powers.append(_powers(M, K))
+        P = _powers(M, K)
+        Z = np.empty((len(g.sectors), (K + 1) * g.a, X.shape[2]), dtype=complex)
+        Z[:, :g.a] = X
+        np.matmul(P[:, :K * g.a], X, out=Z[:, g.a:])
+        Zs.append(Z)
+        powers.append(P)
     del maps                # the rounds need only the powers
     pops, probs = np.zeros((N, len(order))), np.zeros(N)     # in group order
-    n, k = 0, 1             # round 0 reads rho(0)'s image, whose trace is p_0
+    n, k = 0, K + 1
     with np.errstate(divide="ignore", invalid="ignore"):   # 0/0 past an extinction
         while True:
             for g, Z in zip(groups, Zs):
@@ -733,7 +828,7 @@ def _closed_rounds(config: ProtocolConfig, retain_state: bool):
                 out[...] = np.einsum("mkai,mkai->mka", re_im, re_im).transpose(1, 0, 2)
             trace, dead = _block_probabilities(pops, probs, n, k)
             if dead is not None:
-                return pops[:dead, order], probs[:dead + 1], 0.0, None
+                return pops[:dead], probs[:dead + 1], 0.0, None
             k = len(trace)
             Xs = [Z[:, (k - 1) * g.a:k * g.a] / np.sqrt(trace[-1]) for g, Z in zip(groups, Zs)]
             n, k = n + k, min(K, N - n - k)
@@ -751,14 +846,15 @@ def _closed_rounds(config: ProtocolConfig, retain_state: bool):
         for g, X in zip(groups, Xs):
             at = in_order[g.start:g.start + len(g.sectors) * g.a].reshape(-1, g.a)
             block[at[:, :, None], at[:, None, :]] = X @ X.conj().transpose(0, 2, 1)
-    return pops[:, order], probs, 0.0, block
+    return pops, probs, 0.0, block
 
 
 # one entry, like `_sector_eigh`: the points of a bath's Jtau line share L and scale it by tau
 @lru_cache(maxsize=1)
 def _open_generator(layout: SystemLayout, spec: HamiltonianSpec, bath: BathSpec):
-    """The sector labels, the sector-diagonal entries of rho, and L restricted to them."""
-    label = _sector_labels(layout)
+    """The sector labels, the sector-diagonal entries of rho, and L restricted to them, from
+    H's elements."""
+    label = _sectors(layout).label
     kept = np.flatnonzero(label[:, None] == label[None, :])
     return label, kept, LindbladPropagator(_hamiltonian(layout, spec), bath, layout.dims,
                                            subspace=kept)
@@ -775,11 +871,12 @@ def _open_rounds(config: ProtocolConfig, w: np.ndarray, support: np.ndarray):
     with i and j in the support, and its trace, the sum of its diagonal coordinates.  On a dense
     generator S = exp(L tau) is formed once: its support rows and columns are the real
     round map T, its diagonal rows' sums over the support columns the trace row t, and
-    S's diagonal columns times w rho(0)'s image.  After round 0 a block of k <= K rounds
+    S's diagonal columns times w rho(0)'s image, round 0.  A block of k <= K rounds
     (`_rounds_per_call`) is one matvec of the stacked [T^j; t T^(j-1)], j = 1..k
-    (`_powers`), with the block's unit-trace start, as in `_closed_rounds`.  On a CSR
-    generator K = 1: each round puts the support coordinates into a zero state, applies
-    the Taylor action once and reads it.  Either way t T^(j-1) is round j's trace before
+    (`_powers`), with the block's unit-trace start, as in `_closed_rounds`; the first block
+    is round 0 and all K of them times its image.  On a CSR generator K = 1:
+    each round puts the support coordinates into a zero state, applies the Taylor action
+    once and reads it.  Either way t T^(j-1) is round j's trace before
     the projection, whose ratio to the trace after round j - 1 is its drift.
     """
     D, s = len(w), len(support)
@@ -793,7 +890,6 @@ def _open_rounds(config: ProtocolConfig, w: np.ndarray, support: np.ndarray):
     N, K, tau, width = config.n_measurements, _rounds_per_call(config), config.tau, len(inner) + 1
     S = prop.exponential(tau) if stored_dense(len(kept)) else None
     pops, probs, drift = np.zeros((N, s)), np.zeros(N), 0.0
-    n, k = 0, 1
     # the products of T, sum(a^2) wide, take the thread rule; those of exp(L tau) do not
     with _blas_threads(len(inner)), np.errstate(divide="ignore", invalid="ignore"):
         if S is None:
@@ -807,6 +903,8 @@ def _open_rounds(config: ProtocolConfig, w: np.ndarray, support: np.ndarray):
             Z, powers = read(S[:, diagonal] @ w)[None], _powers(read(S[:, coordinates]), K)
             del S           # the rounds need only [T; t] and its powers
             step = lambda x, k: (powers[:k * width] @ x).reshape(k, width)
+            Z = np.concatenate([Z, step(Z[0, :-1], K)])
+        n, k = 0, len(Z)
         while True:         # 0/0 past an extinction
             pops[n:n + k] = Z[:, diag]
             trace, dead = _block_probabilities(pops, probs, n, k)
@@ -876,13 +974,15 @@ def zeno_spectrum(config: ProtocolConfig) -> ZenoSpectrum:
         left_rows = np.linalg.inv(right)
     except np.linalg.LinAlgError:
         left_rows = np.linalg.pinv(right)
-    eig = _sector_eigh(config.layout, config.hamiltonian)
-    label = eig.label
-    support, D = _support(config), len(label)
+    sectors = _sectors(config.layout)
+    label = sectors.label
+    support, D = _preparation(config).support, len(label)
     norm = np.linalg.norm(right[:, j])
     r = np.zeros(D, dtype=complex)
     r[support[label[support] == q]] = right[:, j] / norm
-    V = eig.blocks[q][1]
+    n = np.count_nonzero(label == q)
+    start = sectors.block[q]
+    V = _sector_eigh(config.layout, config.hamiltonian).V[start:start + n * n].reshape(n, n)
     top = _pair(R[:, i, :, :len(V)] @ V.T)       # U[S_q, q's states]
     l = np.zeros(D, dtype=complex)
     l[label == q] = ((left_rows[j, :] * norm) @ top / vals[0]).conj()

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -133,14 +133,32 @@ def _low_lying_weights(d: int, k: int, h: float) -> np.ndarray:
     return w
 
 
-def summed_entries(rows, cols, values, size: int):
-    """A size x size matrix's entries summed per element in the order listed, zero sums
-    dropped, in row-major order: no two entries share a (row, col)."""
+class Summation(NamedTuple):
+    """The elements of a size x size matrix that a list of its entries meets, in row-major
+    order, and the element of each listed entry (`summation`)."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    where: np.ndarray
+
+    def totals(self, values) -> np.ndarray:
+        """Every element's sum of the values listed at it, in the order listed."""
+        total = np.zeros(len(self.rows), dtype=complex)
+        np.add.at(total, self.where, values)
+        return total
+
+    def summed(self, values):
+        """(rows, cols, values) of the elements whose sum is nonzero: no two share a
+        (row, col)."""
+        total = self.totals(values)
+        kept = total != 0
+        return self.rows[kept], self.cols[kept], total[kept]
+
+
+def summation(rows, cols, size: int) -> Summation:
+    """How entries listed at (rows, cols) of a size x size matrix sum per element."""
     keys, where = np.unique(rows * size + cols, return_inverse=True)
-    summed = np.zeros(len(keys), dtype=complex)
-    np.add.at(summed, where, values)
-    rows, cols = np.divmod(keys[summed != 0], size)
-    return rows, cols, summed[summed != 0]
+    return Summation(*np.divmod(keys, size), where)
 
 
 def operator_entries(op, sites, dims: Sequence[int]):
@@ -149,49 +167,63 @@ def operator_entries(op, sites, dims: Sequence[int]):
     On one slot `op` is its d x d matrix.  On an ordered tuple of distinct slots it is a
     sum of products, `[(c, (f_1, ..., f_k)), ...]` with the one-slot matrix f_i on
     `sites[i]`, never a dense matrix: `operator_entries([(1, (a, b))], (2, 0), dims)` puts
-    a on slot 2 and b on slot 0.  Each product's entries come from its factors' nonzeros;
-    the products are summed in the operator's own index space by `summed_entries`.
+    a on slot 2 and b on slot 0.  Each product's entries come from its factors' nonzeros
+    (`local_entries`); the products are summed in the operator's own index space, and the
+    sums placed at the digits of `sites` (`placement`).
     """
-    return placed_entries(local_entries(op, sites, dims), sites, dims)
-
-
-def local_entries(op, sites, dims: Sequence[int]):
-    """`op`'s summed entries (a, b, values) in its own index space, over the dims of `sites`
-    (the first half of `operator_entries`)."""
-    dims, n = tuple(dims), len(dims)
     if isinstance(sites, (int, np.integer)):
         sites, op = (sites,), [(1.0, (op,))]
     elif isinstance(op, np.ndarray):
         raise ValueError(f"an operator on sites {sites} is a list of products, not a dense matrix")
-    sites = tuple(sites)
-    if len(set(sites)) < len(sites) or not all(0 <= site < n for site in sites):
-        raise ValueError(f"sites {sites} must be distinct slots in 0..{n - 1}")
-    placed = [dims[i] for i in sites]
+    dims, sites = tuple(dims), tuple(sites)
+    if len(set(sites)) < len(sites) or not all(0 <= site < len(dims) for site in sites):
+        raise ValueError(f"sites {sites} must be distinct slots in 0..{len(dims) - 1}")
+    coefficients, factors = zip(*op)
+    local = local_entries(factors, [dims[i] for i in sites])
+    a, b, values = local.sum.summed(local.values(coefficients))
+    grid = placement(sites, dims)
+    return grid[a].ravel(), grid[b].ravel(), np.repeat(values, grid.shape[1])
+
+
+class LocalEntries(NamedTuple):
+    """A sum of products' Kronecker nonzeros in its own index space, apart from its
+    coefficients (`local_entries`)."""
+
+    nonzeros: np.ndarray    # every product's nonzero values in turn, without its coefficient
+    product: np.ndarray     # the product each of them belongs to
+    sum: Summation          # how they sum per element
+
+    def values(self, coefficients) -> np.ndarray:
+        """The listed values of the sum with these coefficients, one per product."""
+        return np.asarray(coefficients)[self.product] * self.nonzeros
+
+
+def local_entries(factors, dims: Sequence[int]) -> LocalEntries:
+    """The products' entries over slots of `dims`, product after product: each is the
+    Kronecker product of its one-slot factors' nonzeros."""
     parts = []
-    for c, factors in op:
-        if [np.shape(f) for f in factors] != [(dim, dim) for dim in placed]:
-            raise ValueError(f"operator shapes {[np.shape(f) for f in factors]} do not match "
-                             f"dims {placed} of sites {sites}")
+    for product in factors:
+        if [np.shape(f) for f in product] != [(dim, dim) for dim in dims]:
+            raise ValueError(f"operator shapes {[np.shape(f) for f in product]} do not match "
+                             f"dims {list(dims)}")
         rows, cols, values = 0, 0, 1.0
-        for f, dim in zip(factors, placed):     # the Kronecker product's nonzeros
+        for f, dim in zip(product, dims):
             i, j = np.nonzero(f)
             rows, cols = np.add.outer(rows * dim, i), np.add.outer(cols * dim, j)
             values = np.multiply.outer(values, np.asarray(f)[i, j])
-        parts.append((rows.ravel(), cols.ravel(), c * values.ravel()))
-    return summed_entries(*map(np.concatenate, zip(*parts)), math.prod(placed))
+        parts.append((rows.ravel(), cols.ravel(), values.ravel()))
+    rows, cols, values = map(np.concatenate, zip(*parts))
+    product = np.repeat(np.arange(len(parts)), [len(part[0]) for part in parts])
+    return LocalEntries(values, product, summation(rows, cols, math.prod(dims)))
 
 
-def placed_entries(local, sites, dims: Sequence[int]):
-    """`local_entries(op, sites, dims)` placed on `sites`, identity elsewhere (the second
-    half of `operator_entries`): an operator with the same dims on other sites is expanded
-    once and placed at each."""
-    a, b, values = local
+def placement(sites, dims: Sequence[int]) -> np.ndarray:
+    """The flat indices of the product space by their digits on `sites`: row a lists, over
+    the other digits in order, the indices whose digits on `sites` spell a."""
     dims = tuple(dims)
     sites = (sites,) if isinstance(sites, (int, np.integer)) else tuple(sites)
-    # row a: the flat indices whose digits on `sites` spell op's index a, over the other digits
     grid = np.moveaxis(np.arange(math.prod(dims)).reshape(dims), sites, range(len(sites)))
-    grid = grid.reshape(math.prod(dims[i] for i in sites), -1)
-    return grid[a].ravel(), grid[b].ravel(), np.repeat(values, grid.shape[1])
+    return grid.reshape(math.prod(dims[i] for i in sites), -1)
 
 
 def _zeroed(w: np.ndarray) -> np.ndarray:

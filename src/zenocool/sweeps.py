@@ -81,7 +81,7 @@ class SweepSpec:
             if ax is not None and len(ax) == 0:
                 raise ConfigError(f"axes.{label}: grid must be non-empty")
         ham = self.base.hamiltonian
-        if self.theta_axis is not None and "theta" not in asdict(ham):
+        if self.theta_axis is not None and "theta" not in {f.name for f in fields(ham)}:
             raise ConfigError(f"axes.theta: the {ham.model} model has no theta parameter")
         if self.jtau_axis is not None and self.base.hamiltonian.J == 0:
             raise ConfigError("axes.Jtau: base.J must be nonzero to convert Jtau to tau")
@@ -130,8 +130,7 @@ class SweepSpec:
 def _row_prefix(preset_id: str, config: ProtocolConfig) -> str:
     """The point's fields preset_id .. tau as CSV text, quoted as csv.writer quotes them."""
     ham = config.hamiltonian
-    params = asdict(ham)
-    dort = params.get("Delta", params.get("theta"))
+    dort = getattr(ham, "Delta", getattr(ham, "theta", None))
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerow(
         (preset_id, config.layout.topology, ham.model, config.layout.d, config.layout.L,
@@ -268,14 +267,14 @@ def _g17(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _row_tails(table: np.ndarray) -> Iterator[str]:
-    """Each row's text after its prefix, from N_step to extinct and the newline."""
+def _row_tails(table: np.ndarray, ints: np.ndarray) -> Iterator[str]:
+    """Each row's text after its prefix, from N_step to extinct and the newline; `ints`
+    holds every N_step and site value of the table, sorted and distinct."""
     # N_step and site are integers that repeat from row to row: each distinct one is
     # written once, as %d writes it
-    ints, where = np.unique(table[:, :2], return_inverse=True)
     int_text = np.array([",%d" % n for n in ints.astype(np.int64).tolist()], "S")
     int_text = int_text.view(np.uint8).reshape(len(ints), -1)
-    where = where.reshape(-1, 2)
+    where = np.searchsorted(ints, table[:, :2])
     rows_per_pass = _VALUES_PER_PASS // 4
     for start in range(0, len(table), rows_per_pass):
         block = table[start:start + rows_per_pass]
@@ -322,9 +321,14 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[str]:
     prefixes = [_row_prefix(spec.preset_id, config) for config in configs]
     per_row = itertools.chain.from_iterable(map(itertools.repeat, prefixes,
                                                 [len(table) for table in tables]))
+    # the distinct N_step values are each point's steps, which the points of a sweep mostly
+    # share, and the sites are 1..L (np.unique would import numpy.ma)
+    sites = spec.base.layout.L
+    steps = {table[::sites, 0].tobytes(): table[::sites, 0] for table in tables}
+    ints = np.array(sorted(set(range(1, sites + 1)).union(*(s.tolist() for s in steps.values()))))
     table = np.concatenate(tables)
     del tables                              # each row's numbers are held once while printed
-    return list(map(operator.add, per_row, _row_tails(table)))
+    return list(map(operator.add, per_row, _row_tails(table, ints)))
 
 
 # ---------------------------------------------------------------------------

@@ -22,3 +22,13 @@ def random_hermitian(dim: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return (a + a.conj().T) / 2
+
+
+def clear_caches():
+    """Empty every cache that the engine keeps from one run to the next."""
+    from zenocool import hamiltonians, protocol
+
+    hamiltonians._LISTINGS.clear()
+    for cached in (protocol._sectors, protocol._sector_eigh, protocol._prepared,
+                   protocol._support_blocks, protocol._open_generator):
+        cached.cache_clear()

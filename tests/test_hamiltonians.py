@@ -13,6 +13,7 @@ from zenocool import (
     XXZSpec,
     spin_operators,
 )
+from conftest import clear_caches
 from zenocool.oracles import embed_operator
 from zenocool.qudit import operator_entries
 
@@ -154,16 +155,28 @@ def embedded_sum(spec, layout):
     return H
 
 
+# the chain models with exactly zero coefficients: Delta = 0 or theta = 0 zeroes a term, and
+# its local entries drop out of the listing
+MODELS = {"xxz": lambda h: XXZSpec(J=1.1, Delta=0.6, h=h),
+          "bbh": lambda h: BBHSpec(J=0.9, theta=0.7, h=h),
+          "star": lambda h: SpinStarSpec(J=1.2, h=h),
+          "xxz-Delta0": lambda h: XXZSpec(J=1.1, Delta=0.0, h=h),
+          "bbh-theta0": lambda h: BBHSpec(J=0.9, theta=0.0, h=h)}
+
+
 @pytest.mark.parametrize("h", [0.8, -1.3])
-@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
 @pytest.mark.parametrize("L", [1, 2, 3])
-@pytest.mark.parametrize("model", ["xxz", "bbh", "star"])
+@pytest.mark.parametrize("model", list(MODELS))
 def test_build_is_the_scatter_of_the_embedded_terms(model, L, d, h):
-    """`build` scatters the entries into zeros in the order of the embedded sum, bit for bit."""
-    spec = {"xxz": XXZSpec(J=1.1, Delta=0.6, h=h), "bbh": BBHSpec(J=0.9, theta=0.7, h=h),
-            "star": SpinStarSpec(J=1.2, h=h)}[model]
+    """`build` scatters the entries into zeros in the order of the embedded sum, bit for bit,
+    from whatever listing the caches hold and after clearing every cache."""
+    spec = MODELS[model](h)
     layout = SystemLayout(spec.topology, L, d)
-    assert np.array_equal(spec.build(layout), embedded_sum(spec, layout))
+    expect = embedded_sum(spec, layout)
+    assert np.array_equal(spec.build(layout), expect)
+    clear_caches()
+    assert np.array_equal(spec.build(layout), expect)
 
 
 @pytest.mark.parametrize("spec", [XXZSpec(J=1.0, Delta=1.0), BBHSpec(J=1.0, theta=0.7),
@@ -181,21 +194,38 @@ def test_entries_of_a_d31_bond_need_no_dense_bond(spec):
     assert 0 < len(rows) and peak < 2 * 2 ** 20
 
 
-@pytest.mark.parametrize("spec, layout", [
-    (BBHSpec(J=1.0, theta=0.7), SystemLayout("chain", 4, 3)),
-    (XXZSpec(J=0.7, Delta=0.3), SystemLayout("chain", 3, 4)),     # J Delta is rounded
-    (SpinStarSpec(J=0.7, h=-1.2), SystemLayout("star", 3, 3)),
-], ids=["bbh-L4", "xxz-inexact-JDelta", "star"])
-def test_entries_expand_each_bond_once_bit_for_bit(spec, layout):
+# listed in turn on one layout: models and parameters alternate, and the star's bonds go from
+# site 0 to every other site of the same sites
+ALTERNATING = (XXZSpec(J=0.7, Delta=0.3), BBHSpec(J=1.0, theta=0.7),
+               XXZSpec(J=1.1, Delta=0.0, h=-0.8), SpinStarSpec(J=0.7, h=-1.2),
+               BBHSpec(J=0.9, theta=0.0, h=-1.3), XXZSpec(J=0.7, Delta=0.3))
+
+
+@pytest.mark.parametrize("specs, layout", [
+    ((BBHSpec(J=1.0, theta=0.7),), SystemLayout("chain", 4, 3)),
+    ((XXZSpec(J=0.7, Delta=0.3),), SystemLayout("chain", 3, 4)),     # J Delta is rounded
+    ((SpinStarSpec(J=0.7, h=-1.2),), SystemLayout("star", 3, 3)),
+    *[(ALTERNATING, SystemLayout("chain", L, d)) for L in (1, 2, 3) for d in (2, 3, 4, 5)],
+], ids=["bbh-L4", "xxz-inexact-JDelta", "star",
+        *[f"alternating-L{L}-d{d}" for L in (1, 2, 3) for d in (2, 3, 4, 5)]])
+def test_entries_expand_each_bond_once_bit_for_bit(specs, layout):
     """The bond and the field, expanded once and placed at every position, list the same
-    entries as placing each term with `operator_entries`, in the same order."""
-    ops = spin_operators(layout.d)
-    chain = layout.topology == "chain"
-    terms = [(spec.bond(ops), (j, j + 1) if chain else (0, j + 1)) for j in range(layout.L)]
-    terms += [(spec.h * ops.sz, site) for site in range(layout.n_sites if chain else 1)]
-    parts = [operator_entries(op, sites, layout.dims) for op, sites in terms]
-    for got, expect in zip(spec.entries(layout), map(np.concatenate, zip(*parts))):
-        assert got.dtype == expect.dtype and np.array_equal(got, expect)
+    entries as placing each term with `operator_entries`, in the same order; each spec's
+    listing, from the caches the spec before it left, is the one built after clearing every
+    cache."""
+    clear_caches()
+    for spec in specs:
+        ops = spin_operators(layout.d)
+        chain = spec.topology == "chain"
+        terms = [(spec.bond(ops), (j, j + 1) if chain else (0, j + 1)) for j in range(layout.L)]
+        terms += [(spec.h * ops.sz, site) for site in range(layout.n_sites if chain else 1)]
+        parts = [operator_entries(op, sites, layout.dims) for op, sites in terms]
+        expect = tuple(map(np.concatenate, zip(*parts)))
+        got = spec.entries(layout)
+        clear_caches()
+        for listing in (got, spec.entries(layout)):
+            for column, want in zip(listing, expect):
+                assert column.dtype == want.dtype and np.array_equal(column, want)
 
 
 @pytest.mark.parametrize("L, d", [(1, 2), (1, 3), (4, 3), (1, 31), (2, 5), (1, 8)])

@@ -15,6 +15,7 @@ from scipy import sparse
 from scipy.linalg import expm
 from scipy.optimize import linear_sum_assignment
 
+from conftest import clear_caches
 from zenocool import (
     BathSpec,
     BBHSpec,
@@ -81,7 +82,7 @@ def test_initial_populations_are_the_diagonal_of_the_density_matrices(d, L, k, p
     ref = states[0].data.diagonal().real
     for state in states[1:]:
         ref = np.multiply.outer(ref, state.data.diagonal().real).ravel()
-    got = protocol._initial_populations(config)
+    got = protocol._preparation(config).w
     assert got.dtype == np.float64 and np.array_equal(got, ref)
     assert np.array_equal(np.diag(initial_state(config).data).real, ref)
 
@@ -170,7 +171,7 @@ def test_trajectory_states_and_fidelities_valid(jtau, n):
         "chain-L2-prep3-rank1", "chain-L2-prep3-rank2", "chain-L2-ground-target",
         "chain-L1-bath-blocks", "chain-L2-bath-blocks", "star-L2-hub-bath-blocks"])
 def test_round_loop_matches_dense_oracle(monkeypatch, config):
-    if config.n_measurements == 9 * BLOCK:      # round 0, then 8 blocks of BLOCK and one of 4
+    if config.n_measurements == 9 * BLOCK:      # round 0 and BLOCK rounds, 7 blocks, then 4
         assert force_blocks(monkeypatch, config) == BLOCK
     record = assert_matches_literal_round_map(config)
     if config.n_measurements == 9 * BLOCK and config.bath is not None:
@@ -288,19 +289,23 @@ def test_engine_never_builds_a_dense_hamiltonian(ham, monkeypatch):
 SMALL_RUNS = """
 import sys
 from zenocool import BathSpec, ProtocolConfig, SystemLayout, XXZSpec, zeno_run
+from zenocool.sweeps import parse_config, run_sweep
 for L, d in ((1, 3), (1, 4), (2, 3)):
     config = ProtocolConfig(layout=SystemLayout("chain", L, d),
                             hamiltonian=XXZSpec(J=1.0, Delta=1.0), tau=1.3, n_measurements=20,
                             rank=2)
     zeno_run(config)
     zeno_run(ProtocolConfig(**{**vars(config), "bath": BathSpec(temperature=1.0, gamma=1e-3)}))
+run_sweep(parse_config({"base": {"model": "xxz", "d": 3, "N": 5, "k": 2},
+                        "axes": {"d": [2, 3], "Jtau": [0.5, 1.0]}}))
 print(" ".join(name for name in ("scipy", "numpy.ma") if name in sys.modules))
 """
 
 
 def test_small_closed_and_bath_runs_import_neither_scipy_nor_numpy_ma():
     """A fresh process that runs closed and bath points at L <= 2 (generators of K <= 141,
-    stored dense) loads neither scipy (about 0.3 s) nor numpy.ma (15-22 ms)."""
+    stored dense) and writes a closed sweep's rows loads neither scipy (about 0.3 s) nor
+    numpy.ma (15-22 ms)."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
@@ -318,11 +323,16 @@ PEAK_MODELS = pytest.mark.parametrize("ham", PEAK_HAMS, ids=["chain", "star"])
 
 
 def traced_peak(config, retain_state):
-    protocol._sector_eigh.cache_clear()
-    protocol._support_blocks.cache_clear()
-    protocol._open_generator.cache_clear()
+    """The traced peak of a run that finds every cache holding another layout's: an L=1,
+    d=2 run of the same model leaves them, and they count on top of the run."""
+    clear_caches()
+    other = dataclasses.replace(config, layout=SystemLayout(config.layout.topology, 1, 2),
+                                n_measurements=3, rank=1, regulator_prep=None,
+                                target_betas=None)
     tracemalloc.start()
     try:
+        zeno_run(other)
+        tracemalloc.reset_peak()
         zeno_run(config, retain_state=retain_state)
         return tracemalloc.get_traced_memory()[1]
     finally:
@@ -517,13 +527,14 @@ def test_support_groups_match_a_pass_per_sector(layout, spec, rank, prep, betas)
     rebuild H[S_q, S_q], its rows times its columns are sqrt(w) where a support state is a
     populated one, its padding is exactly zero, and `order` puts the members' support states
     back in ascending order."""
-    protocol._support_blocks.cache_clear()
-    groups, order = protocol._support_blocks(layout, spec, rank, prep, betas)
     config = ProtocolConfig(layout=layout, hamiltonian=spec, tau=0.0, n_measurements=0,
                             rank=rank, regulator_prep=prep, target_betas=betas)
+    protocol._support_blocks.cache_clear()
+    groups = protocol._support_blocks(layout, spec, rank, config.prep_rank, config.betas)
     H = spec.build(layout)
     label = protocol._sector_labels(layout)
-    support, w = protocol._support(config), protocol._initial_populations(config)
+    prepared = protocol._preparation(config)
+    support, w, order = prepared.support, prepared.w, prepared.order
     members, start = [], 0
     for g in groups:
         assert g.start == start and g.rows.shape[:2] == (len(g.sectors), g.a)
@@ -659,14 +670,23 @@ def test_star_ring_fidelities_identical():
     assert np.max(spread) < 1e-10
 
 
-def test_extinction_reports_step_and_prefix(monkeypatch):
+def test_extinction_reports_step_and_prefix(request, monkeypatch):
+    """A first round below the threshold ends the run at step 1 with an empty prefix and no
+    state: closed, on a dense bath generator (both start their first block from rho(0)) and
+    on a CSR one."""
     monkeypatch.setattr(protocol, "EXTINCTION_THRESHOLD", 0.9)   # first round p ~ 0.44
-    with pytest.raises(ExtinctionError) as err:
-        zeno_run(xx_config(d=3, jtau=1.2, N=10), retain_state=True)
-    assert err.value.step == 1
-    assert err.value.partial is not None
-    assert err.value.partial.final_state is None
-    assert len(err.value.partial.steps) == 0
+    bath = BathSpec(temperature=1.0, gamma=1e-3, omega=1.0)
+    for config in (xx_config(d=3, jtau=1.2, N=10), xx_config(d=3, jtau=1.2, N=10, bath=bath),
+                   None):
+        if config is None:      # the bath run again, on a CSR generator
+            request.getfixturevalue("csr_generators")
+            config = xx_config(d=3, jtau=1.2, N=10, bath=bath)
+        with pytest.raises(ExtinctionError) as err:
+            zeno_run(config, retain_state=True)
+        assert err.value.step == 1
+        assert err.value.partial is not None
+        assert err.value.partial.final_state is None
+        assert len(err.value.partial.steps) == 0
 
 
 @pytest.mark.parametrize("bath, csr", [(None, False),
@@ -729,7 +749,7 @@ def test_csr_rounds_match_the_dense_slice(request, monkeypatch, config):
     the dense one is 8.2e-14 from the literal round map's and the CSR one 3.1e-14 (2.3e-13
     apart, of 0.255)."""
     K = protocol._rounds_per_call(config)
-    assert 1 < K < config.n_measurements - 1     # round 0, then two or more blocks
+    assert 1 < K < config.n_measurements - 1     # two or more blocks
     dense = [zeno_run(config, retain_state=True)]
     assert force_blocks(monkeypatch, config) == BLOCK
     dense.append(zeno_run(config, retain_state=True))
@@ -753,7 +773,7 @@ def assert_extinction_inside_the_second_block_keeps_the_prefix(monkeypatch, bath
     K = force_blocks(monkeypatch, config)
     full = zeno_run(config)
     p = full.step_probabilities
-    # p[1..K] form the first block after round 0's p[0]; n - 1 = 0 mod K starts a block
+    # p[0..K] form the first block, round 0 and K rounds; n - 1 = 0 mod K starts a block
     n = next(n for n in range(K + 1, len(p)) if p[n] < p[:n].min() and (n - 1) % K)
     assert K == BLOCK and (n - 1) // K == 1     # inside the second block
     monkeypatch.setattr(protocol, "EXTINCTION_THRESHOLD", (p[n] + p[:n].min()) / 2)
