@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Run every pinned figure preset into out/<preset>/ (results.csv + manifest.json).
 
-All nine presets take 3.7-4.1 s on one worker, interpreter start included
-(2 vCPUs on a shared host; fig_chain and fig_star take three quarters of
-it); pass --only to run a subset, --workers to parallelize grid points.
+All nine presets take 2.4-3.0 s of wall time on one worker, interpreter
+start included (2 vCPUs on a shared host; fig_chain and fig_star take three
+quarters of it); pass --only to run a subset, --workers to parallelize grid points.
 """
 import argparse
 import sys

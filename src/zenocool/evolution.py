@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .qudit import operator_entries, spin_operators, summation
+from .qudit import operator_entries, spin_operators, summed_entries
 
 # the largest generator stored dense, 8 K^2 bytes of float64 (K <= 724, so L=2, d=4 at
 # K = 580 is dense and L=3, d=3 at K = 1107 is CSR).  Warm N = 200 XXZ bath points on 2
@@ -160,7 +160,7 @@ def generator_entries(H, bath: BathSpec, dims: Sequence[int], subspace: np.ndarr
     rows, cols, values = map(np.concatenate, zip(*parts))
     rows = place[rows]
     inside = rows >= 0
-    return summation(rows[inside], cols[inside], K).summed(values[inside])
+    return summed_entries(rows[inside], cols[inside], values[inside], K)
 
 
 def hermitian_coordinates(subspace: np.ndarray, D: int):
@@ -234,9 +234,9 @@ class LindbladPropagator:
         re = np.where(lower[cols], partner[cols], cols)
         im = np.where(lower[cols], cols, partner[cols])[off]
         factor = np.where(lower[cols], -1j, 1j)[off]
-        real_rows, real_cols, real_values = summation(
-            np.concatenate([rows, rows[off]]), np.concatenate([re, im]), K).summed(
-            np.concatenate([image.real, (factor * image[off]).real]))
+        real_rows, real_cols, real_values = summed_entries(
+            np.concatenate([rows, rows[off]]), np.concatenate([re, im]),
+            np.concatenate([image.real, (factor * image[off]).real]), K)
         real_values = real_values.real
         self._mu = float(real_values[real_rows == real_cols].sum()) / K
         _, at, shifted = _shifted(rows, cols, values, self._mu, K)

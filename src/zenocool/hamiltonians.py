@@ -4,18 +4,14 @@ Chains are open, with the regulator at site 0 and targets B_1..B_L at sites
 1..L; the star puts the regulator at the hub (site 0) with L ring sites.
 Every model is a sum of two-site bonds and one-site fields.  A spec gives
 its bond and its field h Sz, each a sum of products of one-site matrices in
-the ladder basis (S+, S-, Sz), and its topology.  A model's factors depend on
-d alone, so its specs share one `_Listing` per layout, kept for the last
-(model, layout) listed: the bond's and the field's Kronecker nonzeros and
-their summation (`qudit.local_entries`), and the row and column indices of
-every local element at every position (`qudit.placement`: the bond on
-(j, j+1) or (0, i), then the field on every chain site or on the hub).
-`entries` multiplies in the spec's coefficients, sums each element, drops
-the zero sums and lists H's nonzero entries term by term, bit for bit as
-expanding every term from scratch lists them.  That list is the one
-definition of H: `build` is its dense scatter, and `norm` bounds |H|_1 (the
-largest column sum of |H|, for `protocol`'s gates) from the same bond and
-field, within 1.00-2.06x over the models at d = 2..31.
+the ladder basis (S+, S-, Sz), and its topology.  `entries` lists H's nonzero
+entries term by term with two calls of `qudit.operator_entries`, the one
+routine that places an operator into the product space: the bond on every
+(j, j+1) of the chain or (0, i) of the star, then the field on every chain
+site or on the hub.  That list is the one definition of H: `build` is its
+dense scatter, and `norm` bounds |H|_1 (the largest column sum of |H|, for
+`protocol`'s gates) from the same bond and field, within 1.00-2.06x over the
+models at d = 2..31.
 
 A spec's dataclass fields are its model's parameters, with their defaults:
 `MODELS` maps each model name to its spec, and a config's `base` takes
@@ -25,11 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Union
+from typing import Union
 
 import numpy as np
 
-from .qudit import SpinOperatorSet, local_entries, placement, spin_operators
+from .qudit import operator_entries, spin_operators
 
 
 @dataclass(frozen=True)
@@ -68,9 +64,8 @@ class SystemLayout:
 class _BondsAndFields:
     """H = sum of `bond(ops)` on the topology's bonds plus `field(ops)` on its field sites.
 
-    Both are sums of products of one-site matrices, `[(c, (f_1, ...)), ...]`; a model's
-    factors depend on d alone and its parameters enter through the coefficients c, so every
-    spec of one model lists H from the same `_Listing`."""
+    Both are sums of products of one-site matrices, `[(c, (f_1, ...)), ...]`, listed by
+    `qudit.operator_entries` at all of their places at once."""
 
     def field(self, ops) -> list:
         return [(self.h, (ops.sz,))]
@@ -79,19 +74,15 @@ class _BondsAndFields:
         """The bonds, (j, j+1) on the chain or (0, i) on the star, and the field sites."""
         chain = self.topology == "chain"
         bonds = [(j, j + 1) if chain else (0, j + 1) for j in range(layout.L)]
-        return bonds, [(site,) for site in range(layout.n_sites if chain else 1)]
+        return bonds, list(range(layout.n_sites if chain else 1))
 
     def entries(self, layout: SystemLayout):
-        """(rows, cols, values) of every term in turn; entries of one element are summed."""
-        listing = _listing(self, layout)
-        parts = []
-        for (local, rows, cols), terms in zip(listing.parts, (self.bond(listing.ops),
-                                                               self.field(listing.ops))):
-            total = local.sum.totals(local.values([c for c, _ in terms]))
-            kept = total != 0
-            rows, cols = rows[:, kept], cols[:, kept]
-            parts.append((rows.ravel(), cols.ravel(),
-                          np.broadcast_to(total[kept, None], rows.shape).ravel()))
+        """(rows, cols, values) of every bond in turn, then of every field site; entries of
+        one element are summed."""
+        ops = spin_operators(layout.d)
+        bonds, fields = self._positions(layout)
+        parts = (operator_entries(self.bond(ops), bonds, layout.dims),
+                 operator_entries(self.field(ops), fields, layout.dims))
         return tuple(np.concatenate(column) for column in zip(*parts))
 
     def norm(self, layout: SystemLayout) -> float:
@@ -107,35 +98,6 @@ class _BondsAndFields:
         H = np.zeros((layout.d ** layout.n_sites,) * 2, dtype=complex)
         np.add.at(H, (rows, cols), values)
         return H
-
-
-class _Listing(NamedTuple):
-    """What every spec of one model lists H from on one layout: the spin matrices, then for
-    the bond and for the field its local entries and, per position, the flat indices of
-    each local element's rows and columns over the other sites, (positions, elements, rest)."""
-
-    ops: SpinOperatorSet
-    parts: tuple            # ((LocalEntries, rows, cols), for the bond, then the field)
-
-
-# the last (model, layout) listed: a sweep's points step one parameter at a time, so a line of
-# them shares it.  Cleared before the next one is built, so it holds one layout's at most
-_LISTINGS: dict = {}
-
-
-def _listing(spec: _BondsAndFields, layout: SystemLayout) -> _Listing:
-    """The `_Listing` of the spec's model on the layout, built from this spec on a miss."""
-    key = type(spec), layout
-    if key not in _LISTINGS:
-        _LISTINGS.clear()
-        ops = spin_operators(layout.d)
-        parts = []
-        for terms, positions in zip((spec.bond(ops), spec.field(ops)), spec._positions(layout)):
-            local = local_entries([f for _, f in terms], [layout.d] * len(positions[0]))
-            grids = np.stack([placement(sites, layout.dims) for sites in positions])
-            parts.append((local, grids[:, local.sum.rows], grids[:, local.sum.cols]))
-        _LISTINGS[key] = _Listing(ops, tuple(parts))
-    return _LISTINGS[key]
 
 
 # per (spec, d): every grid point's config is gated on its spec's norm

@@ -82,15 +82,17 @@ def fidelity_bbh_rank1_d3(N: int, theta: float, Jtau):
 
 
 def _dense(entries, size: int) -> np.ndarray:
-    """The size x size complex scatter of entries (rows, cols, values) into zeros."""
+    """The size x size complex scatter of entries (rows, cols, values) into zeros; entries of
+    one element are summed."""
     rows, cols, values = entries
     out = np.zeros((size, size), dtype=complex)
-    out[rows, cols] = values
+    np.add.at(out, (rows, cols), values)
     return out
 
 
 def embed_operator(op, sites, dims: Sequence[int]) -> np.ndarray:
-    """`op` on `sites` as a dense array: the scatter of `operator_entries(op, sites, dims)`."""
+    """`op` on `sites` as a dense array, summed over the places of a list: the scatter of
+    `operator_entries(op, sites, dims)`."""
     return _dense(operator_entries(op, sites, dims), math.prod(dims))
 
 

@@ -73,7 +73,7 @@ import numpy as np
 from .evolution import BathSpec, LindbladPropagator, hermitian_entries, stored_dense
 from .hamiltonians import HamiltonianSpec, SystemLayout
 from .qudit import (DensityMatrix, _low_lying_weights, _thermal_weights, _zeroed, energy_order,
-                    summation)
+                    summed_entries)
 
 EXTINCTION_THRESHOLD = 1e-14
 # bytes of a run's stacked powers and block of K rounds, 32 K sum(a^2) for a closed run (the
@@ -504,7 +504,7 @@ def _entries(layout: SystemLayout, spec: HamiltonianSpec):
     inside = label[rows] == label[cols]
     if not inside.all():
         # [H, Sz_tot]_ij = H_ij (Sz_j - Sz_i) = H_ij (label_i - label_j)
-        r, c, v = summation(rows[~inside], cols[~inside], len(label)).summed(values[~inside])
+        r, c, v = summed_entries(rows[~inside], cols[~inside], values[~inside], len(label))
         leak = float(np.max(np.abs(v * (label[r] - label[c])), initial=0.0))
         if not leak <= SZ_CONSERVATION_TOL:
             raise ValueError(f"{spec.model} Hamiltonian does not conserve total Sz: "
@@ -516,7 +516,7 @@ def _hamiltonian(layout: SystemLayout, spec: HamiltonianSpec):
     """H's nonzero elements (rows, cols, values) in row-major order, checked to conserve
     total Sz: bit for bit the elements of `spec.build`."""
     (rows, cols, values), _ = _entries(layout, spec)
-    return summation(rows, cols, layout.d ** layout.n_sites).summed(values)
+    return summed_entries(rows, cols, values, layout.d ** layout.n_sites)
 
 
 class _SectorEigh(NamedTuple):
@@ -536,13 +536,13 @@ def _sector_eigh(layout: SystemLayout, spec: HamiltonianSpec) -> _SectorEigh:
     (rows, cols, values), inside = _entries(layout, spec)
     sectors = _sectors(layout)
     if np.any(values.imag):     # entries of one element may cancel: H's own elements decide
-        imag = summation(rows, cols, len(sectors.label)).summed(values.imag)[2]
+        imag = summed_entries(rows, cols, values.imag, len(sectors.label))[2]
         if len(imag):
             raise ValueError(f"{spec.model} Hamiltonian has complex entries (max |Im H| = "
                              f"{np.abs(imag).max():.3e}): a closed run needs a real H")
     if not inside.all():
         rows, cols, values = rows[inside], cols[inside], values[inside]
-    # an element's entries add up in the order listed, as `summation` sums them
+    # an element's entries add up in the order listed, as `summed_entries` sums them
     V = np.bincount(sectors.row[rows] + sectors.slot[cols], weights=values.real,
                     minlength=sectors.elements + 1)
     lam = np.zeros(len(sectors.label) + 1)
@@ -718,7 +718,7 @@ def zeno_run(config: ProtocolConfig, *, retain_state: bool = False) -> Trajector
             pops, probs, drift, block = _closed_rounds(config, retain_state)
         marginals = prep.grouped
     else:
-        pops, probs, drift, block = _open_rounds(config, prep.w, prep.support)
+        pops, probs, drift, block = _open_rounds(config, prep.w, prep.support, retain_state)
         marginals = prep.marginals
     n, L = len(pops), config.layout.L
     final = None
@@ -860,7 +860,8 @@ def _open_generator(layout: SystemLayout, spec: HamiltonianSpec, bath: BathSpec)
                                            subspace=kept)
 
 
-def _open_rounds(config: ProtocolConfig, w: np.ndarray, support: np.ndarray):
+def _open_rounds(config: ProtocolConfig, w: np.ndarray, support: np.ndarray,
+                 retain_state: bool):
     """LME evolution between measurements, with the same returns as `_closed_rounds`.
 
     H conserves total Sz and A = S^-/2 lowers bra and ket together, so L maps
@@ -877,7 +878,8 @@ def _open_rounds(config: ProtocolConfig, w: np.ndarray, support: np.ndarray):
     is round 0 and all K of them times its image.  On a CSR generator K = 1:
     each round puts the support coordinates into a zero state, applies the Taylor action
     once and reads it.  Either way t T^(j-1) is round j's trace before
-    the projection, whose ratio to the trace after round j - 1 is its drift.
+    the projection, whose ratio to the trace after round j - 1 is its drift.  The final
+    block is assembled only if it is retained.
     """
     D, s = len(w), len(support)
     label, kept, prop = _open_generator(config.layout, config.hamiltonian, config.bath)
@@ -918,6 +920,8 @@ def _open_rounds(config: ProtocolConfig, w: np.ndarray, support: np.ndarray):
             if not k:
                 break
             Z = step(x, k)
+    if not retain_state:
+        return pops, probs, drift, None
     rho = np.zeros((s, s), dtype=complex)
     rho.flat[inner] = hermitian_entries(x, inner, s)
     return pops, probs, drift, rho

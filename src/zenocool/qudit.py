@@ -3,15 +3,21 @@
 Everything here is numpy, hbar = k_B = 1.  Local basis conventions:
 the computational basis is the S^z eigenbasis ordered m = s, s-1, ..., -s;
 "energy-ascending" always refers to the local Hamiltonian h * S^z, so for
-h > 0 the local ground state |0> is the m = -s vector.  The dense tools
-built on these (`embed_operator`, `partial_trace`, `uhlmann_fidelity`) are
-the tests' oracles, in `oracles`.
+h > 0 the local ground state |0> is the m = -s vector.
+
+`operator_entries` is the one routine that lists an operator on a product
+space, as its nonzero entries at one place or at several of the same dims:
+H's bonds and fields, the bath's jump operator and the oracles' dense
+operators all come from it.  `summed_entries` sums a list of entries per
+element, there and for H's elements and the bath generator's.  The dense
+tools built on these (`embed_operator`, `partial_trace`, `uhlmann_fidelity`)
+are the tests' oracles, in `oracles`.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -133,97 +139,61 @@ def _low_lying_weights(d: int, k: int, h: float) -> np.ndarray:
     return w
 
 
-class Summation(NamedTuple):
-    """The elements of a size x size matrix that a list of its entries meets, in row-major
-    order, and the element of each listed entry (`summation`)."""
-
-    rows: np.ndarray
-    cols: np.ndarray
-    where: np.ndarray
-
-    def totals(self, values) -> np.ndarray:
-        """Every element's sum of the values listed at it, in the order listed."""
-        total = np.zeros(len(self.rows), dtype=complex)
-        np.add.at(total, self.where, values)
-        return total
-
-    def summed(self, values):
-        """(rows, cols, values) of the elements whose sum is nonzero: no two share a
-        (row, col)."""
-        total = self.totals(values)
-        kept = total != 0
-        return self.rows[kept], self.cols[kept], total[kept]
-
-
-def summation(rows, cols, size: int) -> Summation:
-    """How entries listed at (rows, cols) of a size x size matrix sum per element."""
+def summed_entries(rows, cols, values, size: int):
+    """A size x size matrix's entries summed per element in the order listed, zero sums
+    dropped, in row-major order: no two entries share a (row, col)."""
     keys, where = np.unique(rows * size + cols, return_inverse=True)
-    return Summation(*np.divmod(keys, size), where)
+    summed = np.zeros(len(keys), dtype=complex)
+    np.add.at(summed, where, values)
+    kept = summed != 0
+    return *np.divmod(keys[kept], size), summed[kept]
 
 
 def operator_entries(op, sites, dims: Sequence[int]):
     """The nonzero entries (rows, cols, values) of `op` on `sites`, identity elsewhere.
 
-    On one slot `op` is its d x d matrix.  On an ordered tuple of distinct slots it is a
-    sum of products, `[(c, (f_1, ..., f_k)), ...]` with the one-slot matrix f_i on
-    `sites[i]`, never a dense matrix: `operator_entries([(1, (a, b))], (2, 0), dims)` puts
-    a on slot 2 and b on slot 0.  Each product's entries come from its factors' nonzeros
-    (`local_entries`); the products are summed in the operator's own index space, and the
-    sums placed at the digits of `sites` (`placement`).
+    `sites` is one place, a slot or an ordered tuple of distinct slots, or a list of places
+    whose slots have the same dims, listed place after place: the bonds of a chain are
+    `[(0, 1), (1, 2), ...]`.  `op` is a d x d matrix on one slot, or on any place a sum of
+    products, `[(c, (f_1, ..., f_k)), ...]` with the one-slot matrix f_i on the place's i-th
+    slot, never a dense matrix: `operator_entries([(1, (a, b))], (2, 0), dims)` puts a on
+    slot 2 and b on slot 0.  Each product's entries are c times the Kronecker product of its
+    factors' nonzeros; the products are summed once per call, in the operator's own index
+    space (`summed_entries`), and the sums placed at the digits of each place.
     """
-    if isinstance(sites, (int, np.integer)):
-        sites, op = (sites,), [(1.0, (op,))]
-    elif isinstance(op, np.ndarray):
-        raise ValueError(f"an operator on sites {sites} is a list of products, not a dense matrix")
-    dims, sites = tuple(dims), tuple(sites)
-    if len(set(sites)) < len(sites) or not all(0 <= site < len(dims) for site in sites):
-        raise ValueError(f"sites {sites} must be distinct slots in 0..{len(dims) - 1}")
-    coefficients, factors = zip(*op)
-    local = local_entries(factors, [dims[i] for i in sites])
-    a, b, values = local.sum.summed(local.values(coefficients))
-    grid = placement(sites, dims)
-    return grid[a].ravel(), grid[b].ravel(), np.repeat(values, grid.shape[1])
-
-
-class LocalEntries(NamedTuple):
-    """A sum of products' Kronecker nonzeros in its own index space, apart from its
-    coefficients (`local_entries`)."""
-
-    nonzeros: np.ndarray    # every product's nonzero values in turn, without its coefficient
-    product: np.ndarray     # the product each of them belongs to
-    sum: Summation          # how they sum per element
-
-    def values(self, coefficients) -> np.ndarray:
-        """The listed values of the sum with these coefficients, one per product."""
-        return np.asarray(coefficients)[self.product] * self.nonzeros
-
-
-def local_entries(factors, dims: Sequence[int]) -> LocalEntries:
-    """The products' entries over slots of `dims`, product after product: each is the
-    Kronecker product of its one-slot factors' nonzeros."""
+    dims = tuple(dims)
+    places = [(p,) if isinstance(p, (int, np.integer)) else tuple(p)
+              for p in (sites if isinstance(sites, list) else [sites])]
+    if isinstance(op, np.ndarray):
+        if len(places[0]) != 1:
+            raise ValueError(f"an operator on sites {places[0]} is a list of products, "
+                             f"not a dense matrix")
+        op = [(1.0, (op,))]
+    for place in places:
+        if len(set(place)) < len(place) or not all(0 <= site < len(dims) for site in place):
+            raise ValueError(f"sites {place} must be distinct slots in 0..{len(dims) - 1}")
+        if [dims[i] for i in place] != [dims[i] for i in places[0]]:
+            raise ValueError(f"sites {place} have dims {[dims[i] for i in place]}, not "
+                             f"{[dims[i] for i in places[0]]} like sites {places[0]}")
+    placed = [dims[i] for i in places[0]]
     parts = []
-    for product in factors:
-        if [np.shape(f) for f in product] != [(dim, dim) for dim in dims]:
-            raise ValueError(f"operator shapes {[np.shape(f) for f in product]} do not match "
-                             f"dims {list(dims)}")
+    for c, factors in op:
+        if [np.shape(f) for f in factors] != [(dim, dim) for dim in placed]:
+            raise ValueError(f"operator shapes {[np.shape(f) for f in factors]} do not match "
+                             f"dims {placed} of sites {places[0]}")
         rows, cols, values = 0, 0, 1.0
-        for f, dim in zip(product, dims):
+        for f, dim in zip(factors, placed):     # the Kronecker product's nonzeros
             i, j = np.nonzero(f)
             rows, cols = np.add.outer(rows * dim, i), np.add.outer(cols * dim, j)
             values = np.multiply.outer(values, np.asarray(f)[i, j])
-        parts.append((rows.ravel(), cols.ravel(), values.ravel()))
-    rows, cols, values = map(np.concatenate, zip(*parts))
-    product = np.repeat(np.arange(len(parts)), [len(part[0]) for part in parts])
-    return LocalEntries(values, product, summation(rows, cols, math.prod(dims)))
-
-
-def placement(sites, dims: Sequence[int]) -> np.ndarray:
-    """The flat indices of the product space by their digits on `sites`: row a lists, over
-    the other digits in order, the indices whose digits on `sites` spell a."""
-    dims = tuple(dims)
-    sites = (sites,) if isinstance(sites, (int, np.integer)) else tuple(sites)
-    grid = np.moveaxis(np.arange(math.prod(dims)).reshape(dims), sites, range(len(sites)))
-    return grid.reshape(math.prod(dims[i] for i in sites), -1)
+        parts.append((rows.ravel(), cols.ravel(), c * values.ravel()))
+    a, b, values = summed_entries(*map(np.concatenate, zip(*parts)), math.prod(placed))
+    # (place, a, rest): the flat indices whose digits on the place spell a, over the other digits
+    grid = np.arange(math.prod(dims)).reshape(dims)
+    grids = np.stack([grid.transpose(place + tuple(i for i in range(len(dims)) if i not in place))
+                      .reshape(math.prod(placed), -1) for place in places])
+    rows, cols = grids[:, a], grids[:, b]
+    return rows.ravel(), cols.ravel(), np.broadcast_to(values[:, None], rows.shape).ravel()
 
 
 def _zeroed(w: np.ndarray) -> np.ndarray:

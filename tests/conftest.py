@@ -26,9 +26,8 @@ def random_hermitian(dim: int, seed: int) -> np.ndarray:
 
 def clear_caches():
     """Empty every cache that the engine keeps from one run to the next."""
-    from zenocool import hamiltonians, protocol
+    from zenocool import protocol
 
-    hamiltonians._LISTINGS.clear()
     for cached in (protocol._sectors, protocol._sector_eigh, protocol._prepared,
                    protocol._support_blocks, protocol._open_generator):
         cached.cache_clear()

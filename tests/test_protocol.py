@@ -428,6 +428,24 @@ def test_a_plain_run_neither_keeps_nor_gates_the_dense_state(monkeypatch):
         zeno_run(config, retain_state=True)
 
 
+@pytest.mark.parametrize("L, dense", [(2, True), (3, False)], ids=["dense", "csr"])
+def test_a_plain_bath_run_never_assembles_its_final_block(monkeypatch, L, dense):
+    """A bath run builds its retained support block only for retain_state=True: a plain run
+    never calls `hermitian_entries`, and a retained one still matches `oracles.literal_run`."""
+    config = xx_config(d=3, jtau=1.0, N=4, k=2, L=L, Delta=1.0,
+                       bath=BathSpec(temperature=1.0, gamma=1e-3, omega=1.0))
+    _, kept, _ = protocol._open_generator(config.layout, config.hamiltonian, config.bath)
+    assert evolution.stored_dense(len(kept)) == dense
+    calls = []
+    monkeypatch.setattr(protocol, "hermitian_entries",
+                        lambda *args: calls.append(args) or evolution.hermitian_entries(*args))
+    assert zeno_run(config).final_state is None
+    assert calls == []
+    if dense:       # literal_run exponentiates the D^2 x D^2 Liouvillian: L = 2 at most
+        assert_matches_literal_round_map(config)
+        assert len(calls) == 1
+
+
 @pytest.mark.parametrize("beta", [math.nan, -1.0, -math.inf])
 def test_a_nan_or_negative_target_beta_is_rejected_naming_its_index(beta):
     with pytest.raises(ValueError, match=r"target_betas\[1\] must be a non-negative number"):

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, strategies as st
 from conftest import random_density
 from zenocool import DensityMatrix, energy_order, low_lying_mixture, spin_operators, thermal_state
 from zenocool.oracles import embed_operator, partial_trace, uhlmann_fidelity
+from zenocool.qudit import operator_entries
 
 
 def commutator(a, b):
@@ -194,6 +196,42 @@ def test_embed_operator_of_a_product_places_each_factor():
     assert np.allclose(pair, embed_operator(a, 2, dims) @ embed_operator(b, 0, dims))
     with pytest.raises(ValueError, match="not a dense matrix"):
         embed_operator(np.kron(a, b), (2, 0), dims)
+
+
+@pytest.mark.parametrize("places", [
+    [0, 1, 2, 3], [(1,), (2,), (3,)], [(0, 1), (1, 2), (2, 3)], [(0, 1), (0, 2), (0, 3)],
+], ids=["chain-one-site", "star-one-site", "chain-two-site", "star-two-site"])
+def test_entries_at_several_places_are_the_concatenation_bit_for_bit(places):
+    """One call at several places lists, bit for bit and in the same order, the entries of
+    one call per place; the last two products cancel, and the elements only they meet are
+    dropped."""
+    width = len(np.atleast_1d(places[0]))
+    rng = np.random.default_rng(7 + width)
+    dims = (3, 3, 3, 3)
+    one_site = lambda: rng.normal(size=(3, 3)) * (rng.random((3, 3)) < 0.6) + 1j * np.eye(3)
+    factors = [tuple(one_site() for _ in range(width)) for _ in range(4)]
+    op = [(rng.normal(), f) for f in factors[:3]] + [(0.5, factors[3]), (-0.5, factors[3])]
+    for form in ([op, op[0][1][0]] if width == 1 else [op]):     # a one-site matrix too
+        expect = [operator_entries(form, place, dims) for place in places]
+        got = operator_entries(form, places, dims)
+        for column, want in zip(got, map(np.concatenate, zip(*expect))):
+            assert column.dtype == want.dtype and np.array_equal(column, want)
+        assert len(got[0]) == len(places) * len(expect[0][0]) > 0
+        assert np.array_equal(embed_operator(form, places, dims),
+                              sum(embed_operator(form, place, dims) for place in places))
+
+
+@pytest.mark.parametrize("places, dims, bad", [
+    ([(0, 1), (2,)], (2, 2, 2), "(2,)"),                # unequal width
+    ([(0, 1), (2, 2)], (2, 2, 2), "(2, 2)"),            # a duplicate slot
+    ([(0, 1), (1, 3)], (2, 2, 2), "(1, 3)"),            # out of range
+    ([(0, 1), (-1, 0)], (2, 2, 2), "(-1, 0)"),          # negative
+    ([(0, 1), (1, 2)], (2, 2, 3), "(1, 2)"),            # equal width, other dims
+], ids=["unequal-width", "duplicate", "out-of-range", "negative", "other-dims"])
+def test_entries_at_bad_places_raise_naming_the_place(places, dims, bad):
+    a = np.diag([1.0, 2.0])
+    with pytest.raises(ValueError, match=re.escape(f"sites {bad}")):
+        operator_entries([(1.0, (a, a))], places, dims)
 
 
 @given(seed=st.integers(0, 2**32 - 1))
