@@ -33,29 +33,25 @@ changes with it; the rest is kept for the last key that asked for it:
     the groups' eigenvalues and eigenvector rows and columns, three gathers.
 A point forms each group's round map M = U[S, S] and propagates X, with
 rho = X X^+ on the support, so a round costs the sum of the sector sizes
-cubed.  Each group stacks the powers M^1..M^K as rows of one array, built by
-repeated squaring, and a block of K rounds is one matmul per group against
-them; the first block is round 0's X and the K powers times it.  K balances
-the powers' cost against the blocks' calls, within POWERS_BYTES (N - 1 on
-small sectors, so one block, and 1 once they are large).  A block ends
-early after a round whose trace falls below `_trace_floor()`, and the next
-starts from that round's normalised state, so a long block cannot
-underflow.  A round map narrower than BLAS_ONE_THREAD_WIDTH runs its powers
-and rounds on one OpenBLAS thread, and the count is restored after them.
-`zeno_run` reads all fidelities off the support populations at once, one
-product with the site map, and forms the D x D state only when asked to
-retain it (`retain_state=True`).
-The round-map spectrum takes one eig per sector block of M.  A bath run
-lists its generator on the sector-diagonal entries of rho once per (layout,
-Hamiltonian, bath), from H's entries, as a real map of rho's Hermitian
-coordinates (scipy is loaded only for a generator over
-`evolution.DENSE_BYTES`).  A dense generator's point forms exp(L tau) once,
-by scaling and squaring, slices the real round map T, its trace row and
-rho(0)'s image out of it, and runs its rounds K at a time against the
-stacked powers of T, as the closed rounds do against those of M, round 0
-heading the first block.  A CSR
-generator's point steps the state once per round, by the Taylor action on
-one vector.
+cubed.  A bath run lists its generator on the sector-diagonal entries of rho
+once per (layout, Hamiltonian, bath), from H's entries, as a real map of rho's
+Hermitian coordinates (scipy is loaded only for a generator over
+`evolution.DENSE_BYTES`).  `_plan` decides a run from its sector sizes, before
+anything D-sized is built: its path (closed, or a bath on a dense or a CSR
+generator), K, its round map's width, its peak memory and a bath run's cost.
+A closed group stacks M^1..M^K, a dense generator the powers of the real round
+map T sliced out of exp(L tau) (formed once, by scaling and squaring) with its
+trace row, as rows of one array built by repeated squaring; a block of K rounds
+is one product against them, the first block round 0 and K rounds after it.  A
+CSR generator steps the state once per round, by the Taylor action.  One
+driver, `_drive`, runs every path's blocks: it ends a block at an extinction or
+after a round whose trace falls below `_trace_floor()`, so a long block cannot
+underflow, and starts the next from the last kept round, normalised.  A run
+whose round map is narrower than BLAS_ONE_THREAD_WIDTH runs on one OpenBLAS
+thread from its set-up to its last round.  `zeno_run` reads all fidelities off
+the support populations at once, one product with the site map, and forms the
+D x D state only when asked to retain it (`retain_state=True`).  The round-map
+spectrum takes one eig per sector block of M.
 """
 from __future__ import annotations
 
@@ -84,7 +80,7 @@ EXTINCTION_THRESHOLD = 1e-14
 # (K = 7, 7.7 MB)
 POWERS_BYTES = 4 * 2 ** 20
 # one support group's calls per block of rounds (matmul, einsum, copy, rescale), in the
-# complex multiply-adds of a round that take as long (`_rounds_per_call`).  Warm N = 200
+# complex multiply-adds of a round that take as long (`_plan`).  Warm N = 200
 # points (fig7: N = 50), one thread, 2 vCPUs, fastest of 25 interleaved runs against the
 # first K named, and the K this gives:
 #   L=4, d=3 chain: K = 10 0.94, 14 0.95, 21 1.07, 30 1.11 against 7; gives 10
@@ -104,13 +100,15 @@ BLOCK_CALL_MACS = 11250
 #   L=2, d=3: K = 4 0.50, 6 0.45, 10 0.41, 14 0.41, 21 0.47 against 1; gives 11
 #   L=2, d=4: K = 2-18 0.96-1.02 against 1, exp(L tau) dominates; gives 3
 BATH_CALL_MACS = 200000
-# a round map narrower than this (`_blas_threads`: a closed run's widest support sector a, a
-# bath run's T, sum(a^2) wide) runs on one OpenBLAS thread, and wider ones keep the count they
-# find.  Warm N = 200 points on 2 vCPUs, time on one thread against two: closed runs at a =
-# 7-13 0.997-1.002; at 24-96 (L=3, d=4 to L=5, d=3) 1.04-1.29 on an idle host but 0.46-0.71
-# with a busy process on the other core; at 126 (L=8, d=2) 1.10-1.46 and 0.58; at 267 (L=6,
-# d=3, N = 50) 1.53 and 0.57.  A whole bath run at L=2, d=3 (T 70 wide, its generator 141)
-# 1.14-1.21 idle and 0.67 busy, but its powers of T alone 0.43 idle
+# a run whose round map is narrower than this (`_plan`'s width: a closed run's widest support
+# sector a, a bath run's T, sum(a^2) wide) runs on one OpenBLAS thread from its set-up to its
+# last round, a bath run's exp(L tau) included, and wider ones keep the count they find.  Warm
+# N = 200 points on 2 vCPUs, time on one thread against two: closed runs at a = 7-13
+# 0.997-1.002; at 24-96 (L=3, d=4 to L=5, d=3) 1.04-1.29 on an idle host but 0.46-0.71 with a
+# busy process on the other core; at 126 (L=8, d=2) 1.10-1.46 and 0.58; at 267 (L=6, d=3,
+# N = 50) 1.53 and 0.57.  A whole bath run at L=2, d=3 (T 70 wide, its generator 141)
+# 1.14-1.21 idle and 0.67 busy, its powers of T alone 0.43 idle, its exp(L tau) at Jtau = 6
+# 2.05-2.18 ms against 2.06-2.08 ms idle (fastest of 200)
 BLAS_ONE_THREAD_WIDTH = 100
 SZ_CONSERVATION_TOL = 1e-12
 # a dense bath generator's exponential holds K x K float64 arrays: the generator, X = A tau /
@@ -213,7 +211,8 @@ class ProtocolConfig:
         if math.log2(d) > 64 / sites:       # D is not formed: H's entries exceed 2^64 bytes
             raise ValueError(f"a {kind} run at D={d}^{sites} needs more than 2^64 bytes "
                              f"to set up, more than the {have:,} bytes of physical memory")
-        D, need = d ** sites, run_bytes(self)
+        plan = _plan(self)
+        D, need = d ** sites, plan.bytes
         if need > have:
             raise ValueError(f"a {kind} run at D={D} needs about {need:,} bytes to set up, "
                              f"more than the {have:,} bytes of physical memory")
@@ -231,19 +230,15 @@ class ProtocolConfig:
             # |L - mu I|_1 <= 2 |H|_1 + the dissipator's bound: the commutator counts H twice.
             # In Python floats, which overflow to inf without a warning; 0 * inf is NaN
             norm = self.tau * (2 * bound + bath.norm(d))
-            sums = _sector_sums(d, self.layout.L, self.rank)
-            if stored_dense(sums.full):
-                size, limit = sums.full * (sums.squares + 1), EXPM_COST_LIMIT
-                what = f"its {sums.full} coordinates and {sums.squares + 1} round-map columns"
-            else:
-                entries = _generator_entries(self)
-                size, limit = self.n_measurements * entries, ACTION_COST_LIMIT
-                what = f"{self.n_measurements} rounds of its CSR generator's {entries} entries"
-            cost = norm * size
-            if not cost <= limit:
+            cost = norm * plan.units
+            if not cost <= plan.limit:
+                sums = _sector_sums(d, self.layout.L, self.rank)
+                what = (f"its {sums.full} coordinates and {sums.squares + 1} round-map columns"
+                        if plan.path == "dense" else f"{self.n_measurements} rounds of its CSR "
+                        f"generator's {_generator_entries(self)} entries")
                 raise ValueError(
                     f"a bath run at D={D} would take too long: tau * (2|H| + 2|A|^2 * gamma * "
-                    f"(2n + 1)) = {norm:.3g} times {what} is {cost:.3g}, over {limit:.3g}; "
+                    f"(2n + 1)) = {norm:.3g} times {what} is {cost:.3g}, over {plan.limit:.3g}; "
                     f"lower tau = {self.tau}, J = {ham.J} or "
                     f"bath.gamma = {bath.gamma} (occupancy n = {n:.3g} from bath.temperature "
                     f"= {bath.temperature}, bath.omega = {bath.omega})")
@@ -309,33 +304,63 @@ def _generator_entries(config: ProtocolConfig) -> int:
     return 2 * _sector_sums(d, L, config.rank).full * (2 * (L * d + L + 1) + 3)
 
 
-def _rounds_per_call(config: ProtocolConfig) -> int:
-    """K, the rounds per matmul: at least 1, and at most N - 1, with the powers within
-    POWERS_BYTES, over the support sectors' sizes a.  The first block is round 0 and K
-    rounds after it, so a run with K = N - 1 takes one block.  A closed run's powers of M
-    and block of K rounds take 32 K sum(a^2) bytes, a dense bath run's powers of T with their
-    trace rows 8 K sum(a^2) (sum(a^2) + 1); a CSR bath run has K = 1.
+class _Plan(NamedTuple):
+    """How a run goes, worked out from its sector sizes before anything D-sized is built."""
 
-    K also balances the powers against the blocks: the powers cost about K - 1 rounds'
-    worth of products, and each of the N / K blocks pays its calls.  A closed run's powers
-    take K sum(a^3) multiply-adds and its blocks BLOCK_CALL_MACS per group, so K stays at
-    most sqrt(N BLOCK_CALL_MACS groups / sum(a^3)); a dense bath run's take K w^3, w =
-    sum(a^2) + 1, against BATH_CALL_MACS per block.
+    path: str               # "closed", or a bath run's generator: "dense" or "csr"
+    K: int                  # rounds per block; the first block holds round 0 as well
+    width: int              # its round map's width, which `_blas_threads` reads
+    bytes: int              # estimated peak memory without a retained state
+    units: int              # a bath run's cost per unit of tau (2|H| + the dissipator's bound)
+    limit: float            # the limit on those units times that bound
+
+
+def _plan(config: ProtocolConfig) -> _Plan:
+    """A run's `_Plan`, over the sector sizes n of the whole space and a of the support, worked
+    out on every call, so that a patched POWERS_BYTES or `evolution.DENSE_BYTES` holds.  A
+    bath run's generator is dense as far as `stored_dense` admits its sum(n^2) coordinates.
+
+    K is at least 1 and at most N - 1: the first block is round 0 and K rounds after it (on a
+    CSR generator, which steps the state once per round, K = 1 and round 0 is alone).  K keeps
+    the powers within POWERS_BYTES, 32 K sum(a^2) bytes for M's and 8 K sum(a^2) c for those
+    of [T; t], c = sum(a^2) + 1, and balances them, which cost about K - 1 rounds, against the
+    N / K blocks' calls: K sum(a^3) multiply-adds against BLOCK_CALL_MACS per group and block,
+    or K c^3 against BATH_CALL_MACS.  The bytes: H's entries, each bond at most d per row and
+    each field one; the sector blocks and eigenvectors, sum(n^2), with the tables kept per
+    layout; per support sector of a states its rows of V and R, padded to the widest sector w
+    of that size, at most w populated columns and their positions; M, its powers and a block
+    of K + 1 rounds; N rows of populations.  A bath run holds the larger of that and its own
+    peak: listing its generator, GENERATOR_ENTRY_BYTES per bounded entry
+    (`_generator_entries`), and on a dense one the scaling-and-squaring arrays, the columns of
+    S it slices and [T; t] with K powers.  A bath run's cost units are its coordinates times c
+    round-map columns on a dense generator, and N rounds of the CSR generator's entries.
     """
-    sums, N = _sector_sums(config.layout.d, config.layout.L, config.rank), config.n_measurements
+    d, L, N = config.layout.d, config.layout.L, config.n_measurements
+    sums, entries = _sector_sums(d, L, config.rank), _generator_entries(config)
+    full, squares, columns = sums.full, sums.squares, sums.squares + 1
     # N is capped where the balance is far past any fit, so that the ratio stays a finite
     # float: a larger N (over 1e308 overflows it) is for the memory gate to refuse
     rounds = min(N, 2 ** 62)
     if config.bath is None:
-        fit = POWERS_BYTES // (32 * sums.squares)
+        path, width, units, limit = "closed", sums.widest, 0, 0.0
+        fit = POWERS_BYTES // (32 * squares)
         balance = rounds * BLOCK_CALL_MACS * sums.sizes / sums.cubes
-    elif stored_dense(sums.full):
-        width = sums.squares + 1
-        fit = POWERS_BYTES // (8 * sums.squares * width)
-        balance = rounds * BATH_CALL_MACS / width ** 3
+    elif stored_dense(full):
+        path, width, units, limit = "dense", squares, full * columns, EXPM_COST_LIMIT
+        fit = POWERS_BYTES // (8 * squares * columns)
+        balance = rounds * BATH_CALL_MACS / columns ** 3
     else:
-        fit = balance = 1   # a CSR generator steps the state once per round
-    return max(0, min(N - 1, max(1, min(fit, math.ceil(math.sqrt(balance))))))
+        path, width, units, limit = "csr", squares, N * entries, ACTION_COST_LIMIT
+        fit = balance = 1
+    K = max(0, min(N - 1, max(1, min(fit, math.ceil(math.sqrt(balance))))))
+    # the record in group order and the einsum that fills it, the site marginals
+    need = (ENTRY_BYTES * (L * d + L + 1) * d ** (L + 1) + 8 * (EIGH_COPIES * full + sums.padded)
+            + 32 * (K + 1) * squares + 8 * N * (2 * sums.states + 4 * L * d))
+    if path != "closed":    # the listing; a dense generator's exponential, S's columns, [T; t]
+        need = max(need, GENERATOR_ENTRY_BYTES * entries + (path == "dense") * 8 * (
+            SQUARING_COPIES * full * full + full * (d ** (L + 1) + columns)
+            + (K + 1) * columns ** 2))
+    return _Plan(path, K, width, need, units, limit)
 
 
 # the OpenBLAS builds numpy and scipy load, by their thread-count getters and setters
@@ -375,8 +400,8 @@ def _blas_thread_calls() -> tuple:
 @contextmanager
 def _blas_threads(width: int):
     """Run OpenBLAS on one thread if a run's round map is narrower than BLAS_ONE_THREAD_WIDTH
-    (a closed run's widest support sector, a bath run's T), and restore each library's count
-    after it, also on a raise; wider maps keep the count they find."""
+    (`_plan`'s width), and restore each library's count after it, also on a raise; wider maps
+    keep the count they find."""
     calls = _blas_thread_calls() if width < BLAS_ONE_THREAD_WIDTH else ()
     found = [get() for get, _ in calls]
     for _, set_ in calls:
@@ -389,35 +414,10 @@ def _blas_threads(width: int):
 
 
 def run_bytes(config: ProtocolConfig, retain_state: bool = False) -> int:
-    """Estimated peak memory of one run, in Python integers.
-
-    Every run lists H's entries: each Sz-conserving bond has at most d per row, each field
-    one.  A closed run then holds its sector blocks and eigenvectors, sum(n^2), with the
-    tables kept per layout; per support sector of a states, its rows of V and R, padded to the
-    widest sector w of that support size, at most w populated columns and their kept
-    positions; M, its powers and a block of K + 1 rounds of X (the first block holds round
-    0); and N rows of populations.  A bath run holds the larger of that and its own peak over
-    K = sum(n^2) coordinates: listing its generator, GENERATOR_ENTRY_BYTES per bounded entry
-    (`_generator_entries`), and on a dense one the K x K scaling-and-squaring arrays, the
-    columns of S it slices and the round map [T; t] with K powers of it.
-    A retained state adds the D x D `final_state` and its checks.
-    """
-    d, L, N = config.layout.d, config.layout.L, config.n_measurements
-    full, padded, support, states = _sector_sums(d, L, config.rank)[:4]
-    need = ENTRY_BYTES * (L * d + L + 1) * d ** (L + 1) + 8 * (EIGH_COPIES * full + padded)
-    need += 32 * (_rounds_per_call(config) + 1) * support
-    # the record in group order and the einsum that fills it, the site marginals
-    need += 8 * N * (2 * states + 4 * L * d)
-    if config.bath is not None:
-        # listing the generator; then a dense one's exponential, the columns of S it slices and
-        # [T; t] with its K powers
-        K, width = full, support + 1
-        bath = GENERATOR_ENTRY_BYTES * _generator_entries(config)
-        if stored_dense(K):
-            powers = (_rounds_per_call(config) + 1) * width
-            bath += 8 * (SQUARING_COPIES * K * K + K * (d ** (L + 1) + width) + powers * width)
-        need = max(need, bath)
-    return need + retain_state * 16 * STATE_COPIES * d ** (2 * L + 2)
+    """Estimated peak memory of one run, in Python integers: its plan's, and with a retained
+    state the D x D `final_state` and its checks."""
+    return _plan(config).bytes + retain_state * 16 * STATE_COPIES * config.layout.d ** (
+        2 * config.layout.n_sites)
 
 
 @dataclass
@@ -713,16 +713,15 @@ def zeno_run(config: ProtocolConfig, *, retain_state: bool = False) -> Trajector
             initial_fidelities=prep.initial.copy(),
             final_state=initial_state(config) if retain_state else None)
 
-    if config.bath is None:     # its populations in group order
-        with _blas_threads(_sector_sums(config.layout.d, config.layout.L, config.rank).widest):
-            pops, probs, drift, block = _closed_rounds(config, retain_state)
-        marginals = prep.grouped
-    else:
-        pops, probs, drift, block = _open_rounds(config, prep.w, prep.support, retain_state)
-        marginals = prep.marginals
+    plan = _plan(config)
+    with _blas_threads(plan.width):
+        set_up = _closed_set_up if plan.path == "closed" else _open_set_up
+        *rounds, assemble, marginals = set_up(config, plan, prep)
+        pops, probs, drift, last = _drive(plan, config.n_measurements, len(prep.support), *rounds)
     n, L = len(pops), config.layout.L
     final = None
-    if retain_state and block is not None:
+    if retain_state and last is not None:
+        block = assemble(last)
         final = np.zeros((len(prep.w), len(prep.w)), dtype=complex)
         final[np.ix_(prep.support, prep.support)] = (block + block.conj().T) / 2
         final = DensityMatrix(final, config.layout.dims)
@@ -784,69 +783,82 @@ def _powers(A: np.ndarray, K: int) -> np.ndarray:
     return P
 
 
-def _closed_rounds(config: ProtocolConfig, retain_state: bool):
-    """Normalised support populations (n, s) in group order, every round's p, drift 0, final
-    block or None.
-
-    rho = X X^+ on the support S, one block per total-Sz sector, from X = U[S, c] sqrt(w[c])
-    over the entries w[c] > 0 of rho(0) = diag(w) after round 0; each later round is
-    X <- M X, M = U[S, S].  X lives in groups of m sectors with a support states and b
-    columns each (b = 0 where rho(0) leaves a sector empty).  A group keeps the powers
-    M^1..M^K (`_rounds_per_call`) stacked as one (m, K a, a) array, so a block of k <= K
-    rounds is one (m, k a, a) @ (m, a, b) matmul per group, of the first k powers and the
-    block's unit-trace start, and its populations one einsum.  The first block starts from
-    rho(0): round 0's X heads it and the K powers times that X follow.  Round j's
-    p is the ratio of the traces after j and j - 1 rounds, and X is renormalised once per
-    block.  The first p below EXTINCTION_THRESHOLD ends the run.  The final block is
-    assembled only if it is retained.
+def _drive(plan: _Plan, N: int, s: int, block, k: int, populations, follow):
+    """A run's rounds, a block at a time from its first block of k rounds: the normalised
+    support populations (n, s), every round's p, the largest trace drift, and the last round's
+    normalised state, or None once the branch has died.  `populations(block, out)` writes a
+    block's populations into out and returns their traces before the projection, whose ratios
+    to the traces after the rounds before are the drifts, or None (a closed run, drift 0).
+    `follow(block, k, trace, rounds)` returns round k - 1 of the block over its trace and the
+    block of that many rounds after it, or None for none.
     """
-    groups, order, maps = _round_map(config)
-    N, K = config.n_measurements, _rounds_per_call(config)
-    Zs, powers = [], []
-    for g, (R, M) in zip(groups, maps):
+    pops, probs, drift, n = np.zeros((N, s)), np.zeros(N), 0.0, 0
+    with np.errstate(divide="ignore", invalid="ignore"):   # 0/0 past an extinction
+        while True:
+            before = populations(block, pops[n:n + k])
+            trace, dead = _block_probabilities(pops, probs, n, k)
+            k = len(trace)
+            if before is not None:
+                drifts = before[:k] / np.concatenate(([1.0], trace[:-1]))
+                drift = max(drift, float(np.abs(drifts - 1.0).max()))
+            if dead is not None:
+                return pops[:dead], probs[:dead + 1], drift, None
+            n, rounds = n + k, min(plan.K, N - n - k)
+            state, block = follow(block, k, trace[-1], rounds)
+            if not rounds:
+                return pops, probs, drift, state
+            k = rounds
+
+
+def _closed_set_up(config: ProtocolConfig, plan: _Plan, prep: _Preparation):
+    """A closed run's first block, its round count, `_drive`'s calls, the assembly of the last
+    round's support block of rho, and the site map in the group order of its populations.
+
+    rho = X X^+ on the support S, one block per total-Sz sector: round 0 is X = U[S, c]
+    sqrt(w[c]) over the entries w[c] > 0 of rho(0) = diag(w), each later round X <- M X,
+    M = U[S, S].  X lives in groups of m sectors with a support states and b columns each
+    (b = 0 where rho(0) leaves a sector empty), and a block of k <= K rounds is one
+    (m, k a, a) @ (m, a, b) matmul per group, of the first k powers and the block's
+    unit-trace start, and its populations one einsum.
+    """
+    groups, _, maps = _round_map(config)
+    powers, Zs = [_powers(M, plan.K) for _, M in maps], []
+    for g, (R, _), P in zip(groups, maps, powers):
         X = _pair(R @ g.cols)       # no columns in sectors that rho(0) leaves empty
         if X.shape[2] > g.a:        # a wider preparation: a columns with the same X X^+
             X = np.linalg.qr(X.conj().transpose(0, 2, 1), mode="r").conj().transpose(0, 2, 1)
-        P = _powers(M, K)
-        Z = np.empty((len(g.sectors), (K + 1) * g.a, X.shape[2]), dtype=complex)
+        Z = np.empty((len(g.sectors), (plan.K + 1) * g.a, X.shape[2]), dtype=complex)
         Z[:, :g.a] = X
-        np.matmul(P[:, :K * g.a], X, out=Z[:, g.a:])
+        np.matmul(P[:, :plan.K * g.a], X, out=Z[:, g.a:])
         Zs.append(Z)
-        powers.append(P)
     del maps                # the rounds need only the powers
-    pops, probs = np.zeros((N, len(order))), np.zeros(N)     # in group order
-    n, k = 0, K + 1
-    with np.errstate(divide="ignore", invalid="ignore"):   # 0/0 past an extinction
-        while True:
-            for g, Z in zip(groups, Zs):
-                # |x|^2 summed over real and imaginary parts, per (sector, round, state); an
-                # einsum in Z's own order, then one strided copy, runs 1.1-1.5x faster than
-                # writing the record's (round, sector, state) order straight from the einsum
-                m, b = len(g.sectors), Z.shape[2]
-                re_im = Z.view(np.float64).reshape(m, k, g.a, 2 * b)
-                out = pops[n:n + k, g.start:g.start + m * g.a].reshape(k, m, g.a)
-                out[...] = np.einsum("mkai,mkai->mka", re_im, re_im).transpose(1, 0, 2)
-            trace, dead = _block_probabilities(pops, probs, n, k)
-            if dead is not None:
-                return pops[:dead], probs[:dead + 1], 0.0, None
-            k = len(trace)
-            Xs = [Z[:, (k - 1) * g.a:k * g.a] / np.sqrt(trace[-1]) for g, Z in zip(groups, Zs)]
-            n, k = n + k, min(K, N - n - k)
-            if not k:
-                break
-            # m products of (k a) x a by a x b per group ran 1.5-3.6x faster than k m of
-            # a x a by a x b (a = 6-17, m = 21, k = 21, one thread).  BLAS splits the taller
-            # products over its threads, which a busy second core stalls, so runs narrower
-            # than BLAS_ONE_THREAD_WIDTH take one thread (`_blas_threads`)
-            Zs = [P[:, :k * g.a] @ X for g, P, X in zip(groups, powers, Xs)]
-    block = None
-    if retain_state:        # X X^+ is block-diagonal over the sectors: assemble it on the support
-        in_order = np.argsort(order)
+
+    def populations(Zs, out):
+        for g, Z in zip(groups, Zs):
+            # |x|^2 summed over real and imaginary parts, per (sector, round, state); an
+            # einsum in Z's own order, then one strided copy, runs 1.1-1.5x faster than
+            # writing the record's (round, sector, state) order straight from the einsum
+            m, k, b = len(g.sectors), len(out), Z.shape[2]
+            re_im = Z.view(np.float64).reshape(m, k, g.a, 2 * b)
+            out[:, g.start:g.start + m * g.a].reshape(k, m, g.a)[...] = np.einsum(
+                "mkai,mkai->mka", re_im, re_im).transpose(1, 0, 2)
+
+    def follow(Zs, k, trace, rounds):
+        Xs = [Z[:, (k - 1) * g.a:k * g.a] / np.sqrt(trace) for g, Z in zip(groups, Zs)]
+        # m products of (k a) x a by a x b per group ran 1.5-3.6x faster than k m of
+        # a x a by a x b (a = 6-17, m = 21, k = 21, one thread)
+        return Xs, [P[:, :rounds * g.a] @ X for g, P, X in zip(groups, powers, Xs)] \
+            if rounds else None
+
+    def assemble(Xs):       # X X^+ is block-diagonal over the sectors: its support block
+        in_order = np.argsort(prep.order)
         block = np.zeros((len(in_order),) * 2, dtype=complex)
         for g, X in zip(groups, Xs):
             at = in_order[g.start:g.start + len(g.sectors) * g.a].reshape(-1, g.a)
             block[at[:, :, None], at[:, None, :]] = X @ X.conj().transpose(0, 2, 1)
-    return pops, probs, 0.0, block
+        return block
+
+    return Zs, plan.K + 1, populations, follow, assemble, prep.grouped
 
 
 # one entry, like `_sector_eigh`: the points of a bath's Jtau line share L and scale it by tau
@@ -860,28 +872,21 @@ def _open_generator(layout: SystemLayout, spec: HamiltonianSpec, bath: BathSpec)
                                            subspace=kept)
 
 
-def _open_rounds(config: ProtocolConfig, w: np.ndarray, support: np.ndarray,
-                 retain_state: bool):
-    """LME evolution between measurements, with the same returns as `_closed_rounds`.
+def _open_set_up(config: ProtocolConfig, plan: _Plan, prep: _Preparation):
+    """A bath run's set-up, LME evolution between measurements, as `_closed_set_up`'s returns.
 
-    H conserves total Sz and A = S^-/2 lowers bra and ket together, so L maps
-    the entries (i, j) of rho with Sz_tot(i) = Sz_tot(j) into themselves,
-    and rho(0) lies among them.  L preserves Hermiticity, so on those entries it
-    is a real map of rho's Hermitian coordinates (`evolution.hermitian_coordinates`).
-    A round reads an evolved state's support coordinates, the entries (i, j) of one sector
-    with i and j in the support, and its trace, the sum of its diagonal coordinates.  On a dense
-    generator S = exp(L tau) is formed once: its support rows and columns are the real
-    round map T, its diagonal rows' sums over the support columns the trace row t, and
-    S's diagonal columns times w rho(0)'s image, round 0.  A block of k <= K rounds
-    (`_rounds_per_call`) is one matvec of the stacked [T^j; t T^(j-1)], j = 1..k
-    (`_powers`), with the block's unit-trace start, as in `_closed_rounds`; the first block
-    is round 0 and all K of them times its image.  On a CSR generator K = 1:
-    each round puts the support coordinates into a zero state, applies the Taylor action
-    once and reads it.  Either way t T^(j-1) is round j's trace before
-    the projection, whose ratio to the trace after round j - 1 is its drift.  The final
-    block is assembled only if it is retained.
+    H conserves total Sz and A = S^-/2 lowers bra and ket together, so L keeps the entries
+    (i, j) of rho with Sz_tot(i) = Sz_tot(j), where it is a real map of rho's Hermitian
+    coordinates (`evolution.hermitian_coordinates`), and rho(0) lies among them.  A round reads
+    an evolved state's support coordinates, the entries (i, j) of one sector with i and j in
+    the support, and its trace, the sum of its diagonal coordinates.  On a dense generator the
+    support rows and columns of S = exp(L tau) are the real round map T, its diagonal rows'
+    sums over them the trace row t, and its diagonal columns times w rho(0)'s image, round 0;
+    a block of k <= K rounds is one matvec of [T^j; t T^(j-1)], j = 1..k, so t T^(j-1) is round
+    j's trace before the projection.  On a CSR generator each round puts the support
+    coordinates into a zero state and applies the Taylor action once.
     """
-    D, s = len(w), len(support)
+    w, support, D, s = prep.w, prep.support, len(prep.w), len(prep.support)
     label, kept, prop = _open_generator(config.layout, config.hamiltonian, config.bath)
     inner = np.flatnonzero(label[support][:, None] == label[support][None, :])
     i, j = np.divmod(inner, s)
@@ -889,42 +894,35 @@ def _open_rounds(config: ProtocolConfig, w: np.ndarray, support: np.ndarray,
     coordinates = np.searchsorted(kept, support[i] * D + support[j])
     diagonal = kept // D == kept % D
     read = lambda v: np.concatenate([v[coordinates], v[diagonal].sum(axis=0, keepdims=True)])
-    N, K, tau, width = config.n_measurements, _rounds_per_call(config), config.tau, len(inner) + 1
-    S = prop.exponential(tau) if stored_dense(len(kept)) else None
-    pops, probs, drift = np.zeros((N, s)), np.zeros(N), 0.0
-    # the products of T, sum(a^2) wide, take the thread rule; those of exp(L tau) do not
-    with _blas_threads(len(inner)), np.errstate(divide="ignore", invalid="ignore"):
-        if S is None:
-            def evolve(at, values):
-                state = np.zeros(len(kept))
-                state[at] = values
-                return read(prop.apply(state, tau))[None]
+    K, tau, width = plan.K, config.tau, len(inner) + 1
+    if plan.path == "csr":
+        def evolve(at, values):
+            state = np.zeros(len(kept))
+            state[at] = values
+            return read(prop.apply(state, tau))[None]
 
-            Z, step = evolve(diagonal, w), lambda x, k: evolve(coordinates, x)
-        else:
-            Z, powers = read(S[:, diagonal] @ w)[None], _powers(read(S[:, coordinates]), K)
-            del S           # the rounds need only [T; t] and its powers
-            step = lambda x, k: (powers[:k * width] @ x).reshape(k, width)
-            Z = np.concatenate([Z, step(Z[0, :-1], K)])
-        n, k = 0, len(Z)
-        while True:         # 0/0 past an extinction
-            pops[n:n + k] = Z[:, diag]
-            trace, dead = _block_probabilities(pops, probs, n, k)
-            k = len(trace)
-            drifts = Z[:k, -1] / np.concatenate(([1.0], trace[:-1]))
-            drift = max(drift, float(np.abs(drifts - 1.0).max()))
-            if dead is not None:
-                return pops[:dead], probs[:dead + 1], drift, None
-            x = Z[k - 1, :-1] / trace[-1]
-            n, k = n + k, min(K, N - n - k)
-            if not k:
-                break
-            Z = step(x, k)
-    if not retain_state:
-        return pops, probs, drift, None
-    rho = np.zeros((s, s), dtype=complex)
-    rho.flat[inner] = hermitian_entries(x, inner, s)
-    return pops, probs, drift, rho
+        Z, step = evolve(diagonal, w), lambda x, k: evolve(coordinates, x)
+    else:
+        S = prop.exponential(tau)
+        Z, powers = read(S[:, diagonal] @ w)[None], _powers(read(S[:, coordinates]), K)
+        del S               # the rounds need only [T; t] and its powers
+        step = lambda x, k: (powers[:k * width] @ x).reshape(k, width)
+        Z = np.concatenate([Z, step(Z[0, :-1], K)])
+
+    def populations(Z, out):
+        out[...] = Z[:, diag]
+        return Z[:, -1]
+
+    def follow(Z, k, trace, rounds):
+        x = Z[k - 1, :-1] / trace
+        return x, step(x, rounds) if rounds else None
+
+    def assemble(x):
+        rho = np.zeros((s, s), dtype=complex)
+        rho.flat[inner] = hermitian_entries(x, inner, s)
+        return rho
+
+    return Z, len(Z), populations, follow, assemble, prep.marginals
 
 
 @dataclass

@@ -63,7 +63,7 @@ def force_blocks(monkeypatch, config, K=BLOCK):
     squares = protocol._sector_sums(config.layout.d, config.layout.L, config.rank).squares
     per_round = 32 * squares if config.bath is None else 8 * squares * (squares + 1)
     monkeypatch.setattr(protocol, "POWERS_BYTES", K * per_round)
-    return protocol._rounds_per_call(config)
+    return protocol._plan(config).K
 
 
 # ---- zeno_run --------------------------------------------------------------
@@ -479,11 +479,53 @@ def test_rounds_per_call_fits_the_powers_in_their_bytes(L, d, k, N, K):
     """K keeps the stacked powers within POWERS_BYTES, and their K sum(a^3) multiply-adds
     balanced against the N / K blocks' calls."""
     config = xx_config(d=d, jtau=0.9, N=N, k=k, L=L, Delta=1.0)
-    assert protocol._rounds_per_call(config) == K
+    assert protocol._plan(config).K == K
     _, support = protocol._sector_sizes(d, L, k)
     assert K <= 1 or 32 * K * sum(a * a for a in support) <= protocol.POWERS_BYTES
     balance = N * protocol.BLOCK_CALL_MACS * len(set(support)) / sum(a ** 3 for a in support)
     assert K <= 1 or (K - 1) ** 2 < balance
+
+
+@pytest.mark.parametrize("L, N, bath, path", [
+    (2, 30, None, "closed"),
+    (2, 30, BathSpec(temperature=1.0, gamma=1e-3, omega=1.0), "dense"),
+    (3, 3, BathSpec(temperature=1.0, gamma=1e-3, omega=1.0), "csr"),
+], ids=["closed", "dense", "csr"])
+def test_a_run_takes_the_path_k_and_bytes_of_its_plan(monkeypatch, L, N, bath, path):
+    """A run goes the way `_plan` says: the round driver gets its plan and a first block of
+    K + 1 rounds (round 0 alone on a CSR generator), a closed or dense run stacks K powers and
+    a CSR one none, and a bath generator is stored in the plan's format.  `run_bytes` is the
+    plan's bytes, and a retained state adds exactly its D x D term."""
+    config = xx_config(d=3, jtau=0.9, N=N, k=2, L=L, Delta=1.0, bath=bath)
+    plan = protocol._plan(config)
+    assert plan.path == path
+    drives, Ks, drive, powers = [], [], protocol._drive, protocol._powers
+
+    def spy(plan, N, s, block, k, *calls):
+        drives.append((plan, k))
+        return drive(plan, N, s, block, k, *calls)
+
+    monkeypatch.setattr(protocol, "_drive", spy)
+    monkeypatch.setattr(protocol, "_powers", lambda A, K: Ks.append(K) or powers(A, K))
+    zeno_run(config)
+    assert drives == [(plan, 1 if path == "csr" else plan.K + 1)]
+    assert set(Ks) == (set() if path == "csr" else {plan.K})
+    if bath is not None:
+        prop = protocol._open_generator(config.layout, config.hamiltonian, config.bath)[2]
+        assert isinstance(prop._generator, np.ndarray) == (path == "dense")
+    D = 3 ** (L + 1)
+    assert protocol.run_bytes(config) == plan.bytes
+    assert protocol.run_bytes(config, retain_state=True) - plan.bytes == \
+        16 * protocol.STATE_COPIES * D * D
+
+
+def test_a_dense_bath_run_over_its_plans_cost_limit_is_refused():
+    """The D=9, gamma = 2e9 bath run costs 9.05e11 units of its dense generator, over the
+    1e10 limit of its plan."""
+    with pytest.raises(ValueError, match=r"19 coordinates and 11 round-map columns is "
+                                         r"9\.05e\+11, over 1e\+10"):
+        xx_config(d=3, jtau=1.0, N=200, k=2, bath=BathSpec(temperature=1.0, gamma=2e9,
+                                                            omega=1.0))
 
 
 def test_a_round_count_past_the_float_range_is_refused_by_the_memory_gate():
@@ -505,7 +547,7 @@ def test_bath_rounds_per_call_fits_the_powers_of_t_in_their_bytes(L, d, k, N, K)
     a CSR run steps its state once per round."""
     config = xx_config(d=d, jtau=0.9, N=N, k=k, L=L, Delta=1.0,
                        bath=BathSpec(temperature=1.0, gamma=1e-3, omega=1.0))
-    assert protocol._rounds_per_call(config) == K
+    assert protocol._plan(config).K == K
     _, support = protocol._sector_sizes(d, L, k)
     squares = sum(a * a for a in support)
     assert K <= 1 or 8 * K * squares * (squares + 1) <= protocol.POWERS_BYTES
@@ -589,9 +631,10 @@ class FakeBlas:
 @pytest.mark.parametrize("bath", [None, BathSpec(temperature=1.0, gamma=1e-3, omega=1.0)],
                          ids=["closed", "bath"])
 def test_narrow_round_maps_take_one_blas_thread_and_restore_the_count(monkeypatch, bath):
-    """Below the width cut a run forms and applies its powers on one thread and restores the
-    count it found, also when the branch dies mid-run; at the cut it leaves the count alone.
-    The width is the widest support sector of a closed run, sum(a^2) for a bath run's T."""
+    """Below the width cut a run forms and applies its powers on one thread, and so does a
+    bath run's exp(L tau), and it restores the count it found, also when the branch dies
+    mid-run; at the cut it leaves the count alone.  The width is the widest support sector of
+    a closed run, sum(a^2) for a bath run's T."""
     config = xx_config(d=3, jtau=0.9, N=30, k=2, L=2, Delta=1.0, bath=bath)
     sums = protocol._sector_sums(3, 2, 2)
     width = sums.widest if bath is None else sums.squares
@@ -600,17 +643,23 @@ def test_narrow_round_maps_take_one_blas_thread_and_restore_the_count(monkeypatc
     seen, powers = [], protocol._powers
     monkeypatch.setattr(protocol, "_powers",
                         lambda *args: seen.append(fake.threads) or powers(*args))
+    exponentials, exponential = [], evolution.LindbladPropagator.exponential
+    monkeypatch.setattr(evolution.LindbladPropagator, "exponential",
+                        lambda *args: exponentials.append(fake.threads) or exponential(*args))
     monkeypatch.setattr(protocol, "BLAS_ONE_THREAD_WIDTH", width + 1)
     zeno_run(config)
     monkeypatch.setattr(protocol, "EXTINCTION_THRESHOLD", 2.0)    # every p is below it
     with pytest.raises(ExtinctionError):
         zeno_run(config)
     assert set(seen) == {1} and fake.history == [1, 3, 1, 3] and fake.threads == 3
+    assert exponentials == ([] if bath is None else [1, 1])
     seen.clear()
+    exponentials.clear()
     monkeypatch.setattr(protocol, "BLAS_ONE_THREAD_WIDTH", width)
     with pytest.raises(ExtinctionError):
         zeno_run(config)
     assert set(seen) == {3} and fake.history == [1, 3, 1, 3]
+    assert exponentials == ([] if bath is None else [3])
 
 
 def test_a_run_leaves_the_processs_openblas_thread_count_as_it_found_it(monkeypatch):
@@ -766,13 +815,13 @@ def test_csr_rounds_match_the_dense_slice(request, monkeypatch, config):
     relative, to 1e-13.  The final states agree to 5e-13 of their largest entry: at Jtau = 6
     the dense one is 8.2e-14 from the literal round map's and the CSR one 3.1e-14 (2.3e-13
     apart, of 0.255)."""
-    K = protocol._rounds_per_call(config)
+    K = protocol._plan(config).K
     assert 1 < K < config.n_measurements - 1     # two or more blocks
     dense = [zeno_run(config, retain_state=True)]
     assert force_blocks(monkeypatch, config) == BLOCK
     dense.append(zeno_run(config, retain_state=True))
     request.getfixturevalue("csr_generators")
-    assert protocol._rounds_per_call(config) == 1
+    assert protocol._plan(config).K == 1
     csr = zeno_run(config, retain_state=True)
     assert isinstance(protocol._open_generator(config.layout, config.hamiltonian,
                                                config.bath)[2]._generator, sparse.csr_matrix)
@@ -868,7 +917,7 @@ def test_long_blocks_match_the_xx_oracle(d, jtau):
     """N = 5,000 rank-1 XX rounds run in blocks of 3,355 to 4,999 rounds: every round's
     fidelity is within 1e-12 of the closed form, and no p exceeds 1."""
     config = xx_config(d=d, jtau=jtau, N=5000)
-    assert protocol._rounds_per_call(config) >= 3355
+    assert protocol._plan(config).K >= 3355
     record = zeno_run(config)
     want = [fidelity_xx_rank1(d, n, jtau) for n in range(1, 5001)]
     assert np.max(np.abs(record.fidelities[:, 0] - want)) <= 1e-12
